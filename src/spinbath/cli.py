@@ -306,7 +306,7 @@ def cmd_dfs(cfg: ScenarioConfig):
                 "candidate": f"pair({labels[i]}|{labels[jdx]})",
                 "residual": res,
                 "purity_rate": None,
-                "certified": res <= 1e-12,
+                "certified": report.pair_ok[(i, jdx)],
             }
         )
     extras = [("certified", report.certified)]

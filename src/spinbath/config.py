@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import AXES, CommonBath, IndependentBath
+from .generator import CommonBath, IndependentBath, _check_axes
 
 __all__ = [
     "ConfigError",
@@ -90,14 +90,10 @@ def _spin(value, where: str) -> float:
 def _axes(value, where: str) -> tuple[str, ...]:
     if not isinstance(value, (list, tuple)) or not value:
         _fail(where, "axes must be a non-empty list")
-    cleaned = []
-    for a in value:
-        if a not in AXES:
-            _fail(where, f"unknown axis {a!r}")
-        if a in cleaned:
-            _fail(where, f"axis {a!r} listed twice")
-        cleaned.append(a)
-    return tuple(a for a in AXES if a in cleaned)
+    try:
+        return _check_axes(value)
+    except ValueError as exc:
+        _fail(where, str(exc))
 
 
 def _gamma_matrix(doc, where: str):

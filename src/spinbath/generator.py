@@ -38,6 +38,7 @@ __all__ = [
     "coupling_operators",
     "build_generator",
     "apply_generator",
+    "rank_one_factors",
     "stationary_residual",
     "default_step",
     "evolve",
@@ -276,7 +277,9 @@ def build_generator(model, j1, j2=None, hamiltonian: SpinOperator | None = None)
 
 
 def _as_matrix(rho) -> np.ndarray:
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     return np.ascontiguousarray(mat, dtype=np.complex128)
 
 
@@ -286,6 +289,34 @@ def apply_generator(gen: Generator, rho) -> np.ndarray:
     if mat.shape != (gen.dim, gen.dim):
         raise ValueError(f"matrix shape {mat.shape} does not match generator dim {gen.dim}")
     return _kernels.lindblad_rhs(mat, gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._has_ham)
+
+
+def rank_one_factors(jumps, ham, psi, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Factors U, V, each n x (k + 2), with L(psi phi^dag) = U V^dag.
+
+    U = [A_1 psi, ..., A_k psi, -K psi / 2 - i H psi, psi] and
+    V = [A_1 phi, ..., A_k phi, phi, -K phi / 2 - i H phi], for the jump
+    matrices ``jumps`` (a sequence or a (k, n, n) stack) and the Hamiltonian
+    matrix ``ham`` (None when absent).  U depends on psi only and V on phi
+    only.  Uses matrix-vector products alone: K = sum_k A_k^dag A_k is
+    applied as sum_k A_k^dag (A_k x) and never formed.
+    """
+
+    def columns(x):
+        applied = [a @ x for a in jumps]
+        drift = np.zeros(x.shape, dtype=np.complex128)
+        for a, ax in zip(jumps, applied):
+            # A^dag y = conj(y^dag A), without forming A^dag
+            drift -= 0.5 * (ax.conj() @ a).conj()
+        if ham is not None:
+            drift -= 1j * (ham @ x)
+        return applied, drift
+
+    psi_cols, psi_drift = columns(psi)
+    phi_cols, phi_drift = (psi_cols, psi_drift) if phi is psi else columns(phi)
+    u = np.column_stack(psi_cols + [psi_drift, psi])
+    v = np.column_stack(phi_cols + [phi, phi_drift])
+    return u, v
 
 
 def stationary_residual(gen: Generator, rho) -> float:

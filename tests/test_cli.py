@@ -372,6 +372,27 @@ class TestDfsCommand:
         assert len(pair_rows) == 6
         assert any(r["certified"] == "false" for r in pair_rows)
 
+    def test_pair_rows_carry_the_certificate_verdict(self, tmp_path, monkeypatch):
+        # with a tolerance between the one-flip (1/2) and two-flip (1)
+        # residuals, rows above it and the overall flag are false
+        import functools
+
+        import spinbath.cli as cli
+
+        monkeypatch.setattr(
+            cli, "certify_stationary", functools.partial(cli.certify_stationary, residual_tol=0.75)
+        )
+        doc = z_pair_doc(dfs={"candidates": "fock_basis", "subspace": True})
+        doc["ensembles"] = {"j1": 0.5, "j2": 0.5}
+        code, text = run_cli(tmp_path, doc, "dfs")
+        assert code == 0
+        comments, _, rows = parse_csv(text)
+        assert comments["certified"] == "false"
+        pair_rows = [r for r in rows if r["candidate"].startswith("pair(")]
+        verdicts = sorted((float(r["residual"]), r["certified"]) for r in pair_rows)
+        assert [v for _, v in verdicts] == ["true"] * 4 + ["false"] * 2
+        assert all(row["certified"] == "true" for row in rows if row not in pair_rows)
+
     def test_transverse_damping_breaks_certification(self, tmp_path):
         doc = z_pair_doc(dfs={"candidates": "fock_basis"})
         doc["model"] = {

@@ -144,6 +144,23 @@ class TestEntropyRateAnalytic:
         )
         assert report.numeric_rate == pytest.approx(report.analytic_rate, rel=1e-10)
 
+    def test_numeric_matches_analytic_at_large_spin(self):
+        rng = np.random.default_rng(5)
+        g = np.zeros((3, 3))
+        sub = rng.normal(size=(3, 3))
+        g[:] = sub @ sub.T
+        models = [
+            CommonBath(gamma=g, lam=1.4, axes=("x", "y", "z")),
+            IndependentBath(gamma1=g, gamma2=np.diag([0.5, 0.0, 1.0]), axes=("x", "y", "z")),
+        ]
+        for j in (8, 12):
+            dim = (2 * j + 1) ** 2
+            raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            psi = raw / np.linalg.norm(raw)
+            for model in models:
+                report = entropy_rate_analytic(psi, model, j, j)
+                assert report.numeric_rate == pytest.approx(report.analytic_rate, rel=1e-10)
+
     def test_total_spin_normalization_quadruples_common_rate(self):
         psi = coupled_basis_state(1, 1, 1, 0)
         g = gamma_on(("x", "z"), {("x", "x"): 0.1, ("z", "z"): 1.0})
@@ -353,6 +370,20 @@ class TestCertifyStationary:
         assert not report.certified
         assert len(report.pair_residuals) == 6
         assert max(report.pair_residuals.values()) > 1e-6
+
+    def test_pair_verdict_uses_residual_tol(self):
+        # cross projectors flipping one spin have residual 1/2, both spins 1
+        gen = build_generator(z_pair_model(), 0.5, 0.5)
+        states = [
+            np.kron(fock_state(0.5, m1), fock_state(0.5, m2))
+            for m1 in (0.5, -0.5)
+            for m2 in (0.5, -0.5)
+        ]
+        report = certify_stationary(gen, states, subspace=True, residual_tol=0.75)
+        assert all(report.state_ok)
+        assert report.pair_ok == {pair: res <= 0.75 for pair, res in report.pair_residuals.items()}
+        assert sorted(report.pair_residuals.values()) == pytest.approx([0.5] * 4 + [1.0] * 2, rel=1e-14)
+        assert not report.certified
 
     def test_singlet_certified_under_balanced_common_bath(self):
         model = CommonBath(gamma=np.eye(3), lam=1.0, axes=("x", "y", "z"))

@@ -25,10 +25,11 @@ from spinbath.generator import (
     coupling_operators,
     default_step,
     evolve,
+    rank_one_factors,
     stationary_residual,
     validate_damping,
 )
-from spinbath.spin_algebra import angular_momentum_ops, coupled_basis_state
+from spinbath.spin_algebra import SpinOperator, angular_momentum_ops, coupled_basis_state
 from spinbath.states import (
     EntangledStateSpec,
     coefficient_profile,
@@ -238,6 +239,41 @@ class TestApplyGenerator:
         gen = Generator([], None, (2,))
         rho = plus_x_density()
         assert np.abs(apply_generator(gen, rho)).max() == 0.0
+
+
+class TestRankOneFactors:
+    def test_matches_dense_generator_on_outer_product(self):
+        # tolerance fixed up front: max |U V^dag - L(psi phi^dag)| <= 1e-12 max(1, ||L(psi phi^dag)||)
+        rng = np.random.default_rng(29)
+        g_xz = gamma_on(("x", "z"), {("x", "x"): 0.3, ("z", "z"): 1.0, ("x", "z"): 0.4})
+        cases = [
+            (IndependentBath(gamma1=g_xz, gamma2=None, axes=("x", "z")), 3, None, True),
+            (
+                IndependentBath(
+                    gamma1=random_psd_on(rng, ("x", "y", "z")),
+                    gamma2=random_psd_on(rng, ("x", "y", "z")),
+                    axes=("x", "y", "z"),
+                ),
+                1,
+                1.5,
+                False,
+            ),
+            (CommonBath(gamma=random_psd_on(rng, ("x", "y", "z")), lam=0.7, axes=("x", "y", "z")), 2, 3, True),
+            (CommonBath(gamma=g_xz, lam=1.3, axes=("x", "z")), 3, 3, False),
+        ]
+        for model, j1, j2, with_ham in cases:
+            gen = build_generator(model, j1, j2)
+            if with_ham:
+                gen = Generator(gen.jump_ops, SpinOperator(random_hermitian(rng, gen.dim), gen.dims), gen.dims)
+            ham = gen._ham if gen._has_ham else None
+            for _ in range(3):
+                psi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
+                phi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
+                u, v = rank_one_factors(gen._jumps, ham, psi, phi)
+                assert u.shape == v.shape == (gen.dim, gen._jumps.shape[0] + 2)
+                dense = apply_generator(gen, np.outer(psi, phi.conj()))
+                scale = max(1.0, float(np.linalg.norm(dense)))
+                assert np.abs(u @ v.conj().T - dense).max() <= 1e-12 * scale
 
 
 class TestStationaryResidual:

@@ -1,8 +1,4 @@
-"""Compiled kernels against their plain-numpy twins."""
-
-import os
-import subprocess
-import sys
+"""Invariants of the dense Lindblad kernels."""
 
 import numpy as np
 
@@ -24,20 +20,6 @@ def _stacked_inputs(seed=3):
 
 
 class TestKernelAgreement:
-    def test_rhs_matches_numpy_twin(self):
-        gen, rho = _stacked_inputs()
-        args = (rho, gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._has_ham)
-        fast = _kernels.lindblad_rhs(*args)
-        slow = _kernels.lindblad_rhs_numpy(*args)
-        assert np.abs(fast - slow).max() <= 1e-14
-
-    def test_chunk_matches_numpy_twin(self):
-        gen, rho = _stacked_inputs(seed=9)
-        args = (rho, gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._has_ham, 0.01, 25)
-        fast = _kernels.rk4_chunk(*args)
-        slow = _kernels.rk4_chunk_numpy(*args)
-        assert np.abs(fast - slow).max() <= 1e-12
-
     def test_rhs_annihilates_trace(self):
         gen, rho = _stacked_inputs(seed=17)
         out = _kernels.lindblad_rhs(rho, gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._has_ham)
@@ -52,29 +34,3 @@ class TestKernelAgreement:
         assert abs(np.trace(out).real - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(out).min() >= -1e-10
 
-
-class TestEnvironmentFlag:
-    def test_disable_flag_forces_numpy_path(self):
-        env = dict(os.environ, SPINBATH_DISABLE_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from spinbath import _kernels; print(_kernels.USING_NUMBA)"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "False"
-
-    def test_disabled_twins_are_same_object(self):
-        env = dict(os.environ, SPINBATH_DISABLE_NUMBA="1")
-        code = "from spinbath import _kernels; print(_kernels.rk4_chunk is _kernels.rk4_chunk_numpy)"
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
-        assert out.stdout.strip() == "True"
-
-    def test_compiled_path_active_here(self):
-        if os.environ.get("SPINBATH_DISABLE_NUMBA"):
-            assert not _kernels.USING_NUMBA
-        else:
-            assert _kernels.USING_NUMBA
