@@ -1,11 +1,14 @@
 """Dense numeric kernels: Lindblad right-hand side and fixed-step RK4 chunks.
 
-All array arguments must be C-contiguous complex128: ``rho`` (n, n),
-``jumps``/``jdags`` stacked (k, n, n), ``ksum`` = sum_k A_k^dag A_k (n, n),
-``ham`` (n, n, pass zeros with has_ham=False when absent).
+Arrays are complex128: ``rho`` (n, n), ``jumps``/``jdags`` stacked
+(k, n, n), ``ksum`` = sum_k A_k^dag A_k (n, n).  ``ham`` is the (n, n)
+Hamiltonian or None when there is none, and ``has_ham`` is ``ham is not
+None``.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["lindblad_rhs", "rk4_chunk"]
 
@@ -28,7 +31,6 @@ _rhs = lindblad_rhs
 def rk4_chunk(rho, jumps, jdags, ksum, ham, has_ham, h, nsteps):
     """Classic RK4 with per-step Hermitization and trace renormalization."""
     args = (jumps, jdags, ksum, ham, has_ham)
-    n = rho.shape[0]
     for _ in range(nsteps):
         k1 = _rhs(rho, *args)
         k2 = _rhs(rho + (0.5 * h) * k1, *args)
@@ -38,8 +40,5 @@ def rk4_chunk(rho, jumps, jdags, ksum, ham, has_ham, h, nsteps):
         rho = 0.5 * (rho + rho.conj().T)
         # index-order sum: np.trace's pairwise order would move the last
         # digits of every trajectory
-        tr = 0.0
-        for i in range(n):
-            tr += rho[i, i].real
-        rho = rho / tr
+        rho = rho / np.add.accumulate(rho.diagonal().real)[-1]
     return rho

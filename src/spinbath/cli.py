@@ -3,11 +3,11 @@ parameter sweeps, stationarity certification, and state inspection.
 
 Every subcommand reads one JSON scenario (--config), writes one table
 (--out, default stdout) as CSV or JSON, and exits 0 on success, 2 on a
-configuration defect, 3 when the numeric/analytic rate self-check trips,
-4 when the integrator aborts, 5 when every sweep point fails.  Output is
-deterministic: fixed row order, 17-significant-digit floats, provenance
-comments (tool version, config digest, seed) and no timestamps, so equal
-configs give byte-identical files.
+configuration defect or an unwritable output, 3 when the numeric/analytic
+rate self-check trips, 4 when the integrator aborts, 5 when every sweep
+point fails.  Output is deterministic: fixed row order, 17-significant-digit
+floats, provenance comments (tool version, config digest, seed) and no
+timestamps, so equal configs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .config import (
     PROFILE_STATE_KINDS,
     ConfigError,
     ScenarioConfig,
+    StateConfig,
     config_digest,
     load_config,
 )
@@ -84,6 +85,13 @@ class RateMismatchError(RuntimeError):
     """Numeric and covariance-form rates disagreed beyond the tripwire."""
 
 
+def _fock(s1: SpinQuantum, s2: SpinQuantum | None, m1, m2):
+    """Fock vector |m1>|m2> (|m1> without a second ensemble) and its label."""
+    if s2 is None:
+        return fock_state(s1, m1), "fock(m=%g)" % m1
+    return np.kron(fock_state(s1, m1), fock_state(s2, m2)), "fock(m1=%g;m2=%g)" % (m1, m2)
+
+
 def build_state(cfg: ScenarioConfig):
     """Construct the configured initial state.
 
@@ -95,6 +103,7 @@ def build_state(cfg: ScenarioConfig):
         raise ConfigError("this command needs a state block")
     s1 = SpinQuantum.of(cfg.j1)
     s2 = SpinQuantum.of(cfg.j2) if cfg.j2 is not None else None
+    dims = (s1.dim,) if s2 is None else (s1.dim, s2.dim)
     try:
         if st.kind in PROFILE_STATE_KINDS:
             nt = min(s1, s2)
@@ -108,20 +117,16 @@ def build_state(cfg: ScenarioConfig):
                 label = "singlet(j=%g)" % s1.j
             else:
                 label = "%s(Ntilde=%g)" % (st.kind, nt.j)
-            return entangled_state(spec), (s1.dim, s2.dim), label, spec
+            return entangled_state(spec), dims, label, spec
         if st.kind == "fock":
-            if s2 is None:
-                return fock_state(s1, st.m1), (s1.dim,), "fock(m=%g)" % st.m1, None
-            vec = np.kron(fock_state(s1, st.m1), fock_state(s2, st.m2))
-            return vec, (s1.dim, s2.dim), "fock(m1=%g;m2=%g)" % (st.m1, st.m2), None
+            vec, label = _fock(s1, s2, st.m1, st.m2)
+            return vec, dims, label, None
         if st.kind == "coupled":
             vec = coupled_basis_state(s1, s2, st.L, st.M)
-            return vec, (s1.dim, s2.dim), "coupled(L=%g;M=%g)" % (st.L, st.M), None
+            return vec, dims, "coupled(L=%g;M=%g)" % (st.L, st.M), None
         if st.kind == "plus_x":
-            if s2 is None:
-                return coherent_x(s1), (s1.dim,), "plus_x", None
-            vec = np.kron(coherent_x(s1), coherent_x(s2))
-            return vec, (s1.dim, s2.dim), "plus_x", None
+            vec = coherent_x(s1) if s2 is None else np.kron(coherent_x(s1), coherent_x(s2))
+            return vec, dims, "plus_x", None
     except ConfigError:
         raise
     except ValueError as exc:
@@ -190,14 +195,10 @@ def apply_sweep(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioCo
     target, _, key = parameter.partition(".")
     entry = GAMMA_ALIASES.get(key, key)
     i, jdx = AXIS_INDEX[entry[0]], AXIS_INDEX[entry[1]]
-    if target == "gamma":
-        gamma = cfg.model.gamma.copy()
-        gamma[i, jdx] = gamma[jdx, i] = value
-        return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, gamma=gamma))
-    which = "gamma1" if target == "gamma1" else "gamma2"
-    gamma = getattr(cfg.model, which).copy()
+    # the target ("gamma", "gamma1" or "gamma2") names the model field
+    gamma = getattr(cfg.model, target).copy()
     gamma[i, jdx] = gamma[jdx, i] = value
-    return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, **{which: gamma}))
+    return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, **{target: gamma}))
 
 
 def cmd_sweep(cfg: ScenarioConfig, threads: int):
@@ -271,22 +272,13 @@ def _dfs_candidates(cfg: ScenarioConfig):
     s1 = SpinQuantum.of(cfg.j1)
     s2 = SpinQuantum.of(cfg.j2) if cfg.j2 is not None else None
     if kind == "fock_basis":
-        if s2 is None:
-            vecs = [fock_state(s1, m) for m in s1.m_values()]
-            labels = ["fock(m=%g)" % m for m in s1.m_values()]
-        else:
-            vecs, labels = [], []
-            for m1 in s1.m_values():
-                for m2 in s2.m_values():
-                    vecs.append(np.kron(fock_state(s1, m1), fock_state(s2, m2)))
-                    labels.append("fock(m1=%g;m2=%g)" % (m1, m2))
+        m2_values = [None] if s2 is None else s2.m_values()
+        vecs, labels = zip(*(_fock(s1, s2, m1, m2) for m1 in s1.m_values() for m2 in m2_values))
         return vecs, labels
     if kind == "singlet":
         if s2 is None or s1 != s2:
             raise ConfigError("singlet candidate needs two equal ensembles")
-        coeffs = coefficient_profile("singlet", s1)
-        vec = entangled_state(EntangledStateSpec(s1, s2, coeffs))
-        return [vec], ["singlet(j=%g)" % s1.j]
+        cfg = dataclasses.replace(cfg, state=StateConfig("singlet"))
     psi, _dims, label, _spec = build_state(cfg)
     return [psi], [label]
 
@@ -323,26 +315,19 @@ def cmd_state(cfg: ScenarioConfig):
         extras.append(("pairing_residual", pairing_residual(spec.coeffs)))
         if spec.j1 == spec.j2:
             extras.append(("variance_x_approx", variance_x_approx(spec)))
-            s1, s2 = spec.j1, spec.j2
-            total_jx = SpinOperator(
-                embed(angular_momentum_ops(s1).x, 0, dims).matrix
-                + embed(angular_momentum_ops(s2).x, 1, dims).matrix,
-                dims,
-            )
+            jx = angular_momentum_ops(spec.j1).x
+            total_jx = SpinOperator(embed(jx, 0, dims).matrix + embed(jx, 1, dims).matrix, dims)
             extras.append(("variance_x_exact", variance_exact(total_jx, psi)))
-        rows = [
-            {"m": float(m), "re": float(c.real), "im": float(c.imag), "weight": float(abs(c) ** 2)}
-            for m, c in zip(spec.m_values(), spec.coeffs)
-        ]
-        return ["m", "re", "im", "weight"], rows, extras, None, EXIT_OK
-    if len(dims) == 2:
+        m_values, amplitudes = spec.m_values(), spec.coeffs
+    elif len(dims) == 2:
         svals = np.linalg.svd(psi.reshape(dims), compute_uv=False)
         rows = [{"k": k, "schmidt_value": float(s)} for k, s in enumerate(svals)]
         return ["k", "schmidt_value"], rows, extras, None, EXIT_OK
-    s1 = SpinQuantum.of(cfg.j1)
+    else:
+        m_values, amplitudes = SpinQuantum.of(cfg.j1).m_values(), psi
     rows = [
         {"m": float(m), "re": float(c.real), "im": float(c.imag), "weight": float(abs(c) ** 2)}
-        for m, c in zip(s1.m_values(), psi)
+        for m, c in zip(m_values, amplitudes)
     ]
     return ["m", "re", "im", "weight"], rows, extras, None, EXIT_OK
 
@@ -450,9 +435,14 @@ def main(argv=None) -> int:
     out_path = args.out if args.out is not None else cfg.output.path
     if out_path is None:
         write_table(sys.stdout, fmt, args.command, cfg, args.seed, columns, rows, extras, snapshots)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            write_table(handle, fmt, args.command, cfg, args.seed, columns, rows, extras, snapshots)
+        return code
+    try:
+        handle = open(out_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        print("spinbath: cannot write output: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
+    with handle:
+        write_table(handle, fmt, args.command, cfg, args.seed, columns, rows, extras, snapshots)
     return code
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import CommonBath, IndependentBath, _check_axes
+from .generator import AXIS_INDEX, CommonBath, IndependentBath, _check_axes
+from .states import PROFILE_KINDS as PROFILE_STATE_KINDS
 
 __all__ = [
     "ConfigError",
@@ -34,9 +35,7 @@ __all__ = [
 
 GAMMA_KEYS = ("xx", "xy", "xz", "yy", "yz", "zz")
 GAMMA_ALIASES = {"yx": "xy", "zx": "xz", "zy": "yz"}
-_AXIS_POS = {"x": 0, "y": 1, "z": 2}
 
-PROFILE_STATE_KINDS = ("uniform", "alternating_uniform", "singlet", "gaussian", "custom")
 STATE_KINDS = PROFILE_STATE_KINDS + ("fock", "coupled", "plus_x")
 SWEEP_PARAMETERS = ("lambda", "Ntilde", "L")
 DFS_CANDIDATES = ("fock_basis", "singlet", "state")
@@ -66,7 +65,10 @@ def _check_keys(doc: dict, where: str, required=(), optional=()) -> None:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(where, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        _fail(where, "integer too large for a float")
     if not math.isfinite(value):
         _fail(where, f"value must be finite, got {value!r}")
     return value
@@ -109,7 +111,7 @@ def _gamma_matrix(doc, where: str):
             _fail(where, f"damping entry {canon!r} given twice (aliases collide)")
         seen.add(canon)
         val = _number(raw, f"{where}.{key}")
-        i, jdx = _AXIS_POS[canon[0]], _AXIS_POS[canon[1]]
+        i, jdx = AXIS_INDEX[canon[0]], AXIS_INDEX[canon[1]]
         mat[i, jdx] = val
         mat[jdx, i] = val
     return mat
@@ -370,15 +372,17 @@ def load_config(path) -> ScenarioConfig:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # bad JSON, text that is not UTF-8, or an integer literal past
+        # Python's digit limit
+        raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     return parse_config(doc)
 
 
 def _gamma_dict(mat) -> dict:
     out = {}
     for key in GAMMA_KEYS:
-        i, jdx = _AXIS_POS[key[0]], _AXIS_POS[key[1]]
+        i, jdx = AXIS_INDEX[key[0]], AXIS_INDEX[key[1]]
         out[key] = float(mat[i, jdx])
     return out
 

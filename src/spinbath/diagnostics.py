@@ -16,6 +16,7 @@ common-bath operators, never an independent bath's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,14 +28,15 @@ from .generator import (
     Generator,
     IndependentBath,
     _as_matrix,
+    _canonical_jump_set,
+    _purity,
     apply_generator,
-    canonical_jumps,
     coupling_operators,
     rank_one_factors,
     validate_damping,
 )
 from .spin_algebra import CoupledLevel, SpinOperator
-from .states import DensityMatrix, EntangledStateSpec
+from .states import DensityMatrix, EntangledStateSpec, _unit_vector
 
 __all__ = [
     "RateReport",
@@ -57,23 +59,14 @@ __all__ = [
 _NORMALIZATIONS = ("composite", "total_spin")
 
 
-def _as_state_vector(psi) -> np.ndarray:
-    vec = np.ascontiguousarray(np.asarray(psi).reshape(-1), dtype=np.complex128)
-    nrm = float(np.linalg.norm(vec))
-    if abs(nrm - 1.0) > 1e-12:
-        raise ValueError(f"state vector norm {nrm} differs from 1 beyond 1e-12")
-    return vec
-
-
 def linear_entropy(rho) -> float:
     """1 - tr(rho^2); zero on pure states, 1 - 1/dim when maximally mixed."""
-    mat = _as_matrix(rho)
-    return 1.0 - float(np.real(np.vdot(mat, mat)))
+    return 1.0 - _purity(_as_matrix(rho))
 
 
 def pure_fidelity(psi, rho) -> float:
     """<psi|rho|psi> for a unit vector psi."""
-    vec = _as_state_vector(psi)
+    vec = _unit_vector(psi)
     mat = _as_matrix(rho)
     return float(np.real(np.vdot(vec, mat @ vec)))
 
@@ -106,9 +99,10 @@ def _scaled_operator_sets(model, j1, j2, normalization):
 class RateReport:
     """Purity-loss rate of a pure state under one decoherence model.
 
-    ``numeric_rate`` comes from the assembled generator, ``analytic_rate``
-    from the covariance form; the two agree to rounding for any pure state,
-    which is the cross-check this type exists to expose.  Contributions are
+    ``numeric_rate`` comes from the rank-one factors of the generator image
+    (``rank_one_factors``), ``analytic_rate`` from the covariance form; the
+    two agree to rounding for any pure state, which is the cross-check this
+    type exists to expose.  Contributions are
     keyed by canonical axis pair ("xx", "xy", ..., "zz"), off-diagonal
     pairs counted once with their symmetry factor absorbed.
     """
@@ -116,7 +110,6 @@ class RateReport:
     numeric_rate: float
     analytic_rate: float
     per_axis_contributions: dict[str, float]
-    estimate_rate: float | None = None
 
 
 def entropy_rate_analytic(psi, model, j1, j2=None, normalization: str = "composite") -> RateReport:
@@ -127,12 +120,10 @@ def entropy_rate_analytic(psi, model, j1, j2=None, normalization: str = "composi
     jump operators built from the same operators, applied to psi psi^dag by
     matrix-vector products (``rank_one_factors``).
     """
-    vec = _as_state_vector(psi)
+    vec = _unit_vector(psi)
     sets = _scaled_operator_sets(model, j1, j2, normalization)
-    dims = next(iter(sets[0][1].values())).dims
-    dim = 1
-    for d in dims:
-        dim *= d
+    jump_ops, dims = _canonical_jump_set(sets)
+    dim = math.prod(dims)
     if vec.shape[0] != dim:
         raise ValueError(f"state length {vec.shape[0]} does not match model dimension {dim}")
 
@@ -154,7 +145,7 @@ def entropy_rate_analytic(psi, model, j1, j2=None, normalization: str = "composi
                 contributions[key] = contributions.get(key, 0.0) + term
                 total += term
 
-    jumps = [op.matrix for gamma, ops in sets for op in canonical_jumps(gamma, ops)]
+    jumps = [op.matrix for op in jump_ops]
     numeric = _pure_rate(vec, *rank_one_factors(jumps, None, vec, vec))
     return RateReport(numeric, total, contributions)
 
@@ -191,7 +182,7 @@ def von_neumann_entropy(rho) -> float:
 
 
 def _schmidt_values(psi, dims) -> np.ndarray:
-    vec = _as_state_vector(psi)
+    vec = _unit_vector(psi)
     dims = tuple(int(d) for d in dims)
     if len(dims) != 2:
         raise ValueError(f"need exactly two subsystem dimensions, got {dims}")
@@ -220,7 +211,7 @@ def variance_exact(op: SpinOperator, state) -> float:
         raise ValueError("variance_exact needs a Hermitian operator")
     arr = np.asarray(state.matrix if isinstance(state, DensityMatrix) else state)
     if arr.ndim == 1:
-        vec = _as_state_vector(arr)
+        vec = _unit_vector(arr)
         mean = float(np.real(np.vdot(vec, mat @ vec)))
         shifted = mat @ vec - mean * vec
         return float(np.real(np.vdot(shifted, shifted)))
@@ -319,9 +310,8 @@ def certify_stationary(
     (``rank_one_factors``).  Residuals are the norm of the assembled U V^dag:
     the Gram form tr((U^dag U)(V^dag V)) cancels catastrophically near zero.
     """
-    vecs = [_as_state_vector(s) for s in states]
-    ham = gen._ham if gen._has_ham else None
-    factors = [rank_one_factors(gen._jumps, ham, vec, vec) for vec in vecs]
+    vecs = [_unit_vector(s) for s in states]
+    factors = [rank_one_factors(gen._jumps, gen._ham, vec, vec) for vec in vecs]
     residuals = []
     rates = []
     ok = []

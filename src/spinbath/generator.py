@@ -162,13 +162,12 @@ def coupling_operators(model, j1, j2=None) -> list[tuple[np.ndarray, dict[str, S
         ops = composite_coupling_ops(s1, s2, model.lam)
         return [(model.gamma, {a: getattr(ops, a) for a in model.axes})]
     if isinstance(model, IndependentBath):
+        ops1 = angular_momentum_ops(s1)
         if s2 is None:
             if model.gamma2 is not None:
                 raise ValueError("gamma2 given but no second ensemble")
-            ops1 = angular_momentum_ops(s1)
             return [(model.gamma1, {a: getattr(ops1, a) for a in model.axes})]
         dims = (s1.dim, s2.dim)
-        ops1 = angular_momentum_ops(s1)
         ops2 = angular_momentum_ops(s2)
         sets = [
             (model.gamma1, {a: embed(getattr(ops1, a), 0, dims) for a in model.axes})
@@ -220,6 +219,12 @@ def canonical_jumps(gamma, ops: dict[str, SpinOperator], rate_tol: float = 1e-15
     return jumps
 
 
+def _canonical_jump_set(sets) -> tuple[list[SpinOperator], tuple[int, ...]]:
+    """Canonical jumps of every ``coupling_operators`` set, and their dims."""
+    jumps = [op for gamma, ops in sets for op in canonical_jumps(gamma, ops)]
+    return jumps, next(iter(sets[0][1].values())).dims
+
+
 @dataclass(eq=False)
 class Generator:
     """Lindblad generator in canonical form, ready for the kernels."""
@@ -230,14 +235,11 @@ class Generator:
     _jumps: np.ndarray = field(init=False, repr=False)
     _jdags: np.ndarray = field(init=False, repr=False)
     _ksum: np.ndarray = field(init=False, repr=False)
-    _ham: np.ndarray = field(init=False, repr=False)
-    _has_ham: bool = field(init=False, repr=False)
+    _ham: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.dims = tuple(int(d) for d in self.dims)
-        n = 1
-        for d in self.dims:
-            n *= d
+        n = math.prod(self.dims)
         for op in self.jump_ops:
             if op.dim != n:
                 raise ValueError("jump operator dimension does not match dims")
@@ -254,11 +256,8 @@ class Generator:
         for k in range(self._jumps.shape[0]):
             ksum += self._jdags[k] @ self._jumps[k]
         self._ksum = np.ascontiguousarray(ksum)
-        self._has_ham = self.hamiltonian is not None
         self._ham = (
-            np.ascontiguousarray(self.hamiltonian.matrix)
-            if self._has_ham
-            else np.zeros((n, n), dtype=np.complex128)
+            np.ascontiguousarray(self.hamiltonian.matrix) if self.hamiltonian is not None else None
         )
 
     @property
@@ -268,27 +267,23 @@ class Generator:
 
 def build_generator(model, j1, j2=None, hamiltonian: SpinOperator | None = None) -> Generator:
     """Canonical-form generator for a decoherence model on one or two ensembles."""
-    sets = coupling_operators(model, j1, j2)
-    jumps: list[SpinOperator] = []
-    for gamma, ops in sets:
-        jumps.extend(canonical_jumps(gamma, ops))
-    dims = next(iter(sets[0][1].values())).dims
+    jumps, dims = _canonical_jump_set(coupling_operators(model, j1, j2))
     return Generator(jumps, hamiltonian, dims)
 
 
-def _as_matrix(rho) -> np.ndarray:
+def _as_matrix(rho, dim: int | None = None) -> np.ndarray:
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if dim is not None and mat.shape[0] != dim:
+        raise ValueError(f"matrix shape {mat.shape} does not match generator dim {dim}")
     return np.ascontiguousarray(mat, dtype=np.complex128)
 
 
 def apply_generator(gen: Generator, rho) -> np.ndarray:
     """Action of the generator on a matrix (Hermitian in -> Hermitian out)."""
-    mat = _as_matrix(rho)
-    if mat.shape != (gen.dim, gen.dim):
-        raise ValueError(f"matrix shape {mat.shape} does not match generator dim {gen.dim}")
-    return _kernels.lindblad_rhs(mat, gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._has_ham)
+    mat = _as_matrix(rho, gen.dim)
+    return _kernels.lindblad_rhs(mat, gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._ham is not None)
 
 
 def rank_one_factors(jumps, ham, psi, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +324,7 @@ def default_step(gen: Generator) -> float | None:
     scale = 0.0
     for k in range(gen._jumps.shape[0]):
         scale += float(np.linalg.norm(gen._jumps[k], 2)) ** 2
-    if gen._has_ham:
+    if gen._ham is not None:
         scale += float(np.linalg.norm(gen._ham, 2))
     if scale <= 0.0:
         return None
@@ -404,16 +399,14 @@ def evolve(
         raise ValueError("step must be positive")
     if tol is not None and tol <= 0.0:
         raise ValueError("tol must be positive")
-    rho = _as_matrix(rho0).copy()
-    if rho.shape != (gen.dim, gen.dim):
-        raise ValueError(f"state shape {rho.shape} does not match generator dim {gen.dim}")
+    rho = _as_matrix(rho0, gen.dim).copy()
     norm0 = float(np.linalg.norm(rho))
     norm_cap = 10.0 * max(norm0, 1e-300)
 
     times = [0.0]
     states = [rho.copy()]
     s_lin = [1.0 - _purity(rho)]
-    args = (gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._has_ham)
+    args = (gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._ham is not None)
 
     def record(t: float, mat: np.ndarray) -> None:
         times.append(t)
@@ -432,10 +425,11 @@ def evolve(
     if t_final == 0.0:
         return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, 0, 0)
 
+    # fixed step, or the initial step in adaptive mode
+    h = step if step is not None else default_step(gen)
+    if h is None or h > t_final:
+        h = t_final
     if tol is None:
-        h = step if step is not None else default_step(gen)
-        if h is None or h > t_final:
-            h = t_final
         nsteps = max(1, math.ceil(t_final / h - 1e-12))
         if nsteps > max_steps:
             raise ValueError(f"fixed step {h} needs {nsteps} steps > max_steps")
@@ -461,9 +455,6 @@ def evolve(
 
     # adaptive step doubling: one full step against two half steps,
     # Richardson error estimate ||rho_half - rho_full|| / 15
-    h = step if step is not None else default_step(gen)
-    if h is None or h > t_final:
-        h = t_final
     t = 0.0
     accepted = 0
     rejected = 0

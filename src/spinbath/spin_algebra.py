@@ -90,11 +90,9 @@ class SpinOperator:
     def __post_init__(self) -> None:
         mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
         dims = tuple(int(d) for d in self.dims)
-        n = 1
-        for d in dims:
-            if d <= 0:
-                raise ValueError("every factor dimension must be positive")
-            n *= d
+        if any(d <= 0 for d in dims):
+            raise ValueError("every factor dimension must be positive")
+        n = math.prod(dims)
         if mat.ndim != 2 or mat.shape != (n, n):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
         object.__setattr__(self, "matrix", mat)
@@ -245,6 +243,12 @@ def _ln_fact(n: int) -> float:
     return math.lgamma(n + 1.0)
 
 
+def _check_triangle(tj1: int, tj2: int, tl: int) -> None:
+    """Raise unless L couples j1 and j2 (all arguments doubled)."""
+    if not (abs(tj1 - tj2) <= tl <= tj1 + tj2) or (tj1 + tj2 - tl) % 2:
+        raise ValueError(f"L={tl / 2} incompatible with j1={tj1 / 2}, j2={tj2 / 2}")
+
+
 def clebsch_gordan(j1, m1, j2, m2, ell, em) -> float:
     """Clebsch-Gordan coefficient <j1 m1; j2 m2 | L M>.
 
@@ -261,8 +265,7 @@ def clebsch_gordan(j1, m1, j2, m2, ell, em) -> float:
     for tj, tmm, label in ((tj1, tm1, "m1"), (tj2, tm2, "m2"), (tl, tm, "M")):
         if abs(tmm) > tj or (tj - tmm) % 2:
             raise ValueError(f"{label}={tmm / 2} is not a level of its angular momentum {tj / 2}")
-    if not (abs(tj1 - tj2) <= tl <= tj1 + tj2) or (tj1 + tj2 - tl) % 2:
-        raise ValueError(f"L={tl / 2} incompatible with j1={tj1 / 2}, j2={tj2 / 2}")
+    _check_triangle(tj1, tj2, tl)
     if tm1 + tm2 != tm:
         return 0.0
 
@@ -309,10 +312,7 @@ def coupled_basis_state(j1, j2, ell, em) -> np.ndarray:
     s1 = SpinQuantum.of(j1)
     s2 = SpinQuantum.of(j2)
     lvl = CoupledLevel.of(ell, em)
-    if not (abs(s1.two_j - s2.two_j) <= lvl.two_l <= s1.two_j + s2.two_j) or (
-        s1.two_j + s2.two_j - lvl.two_l
-    ) % 2:
-        raise ValueError(f"L={lvl.L} incompatible with j1={s1.j}, j2={s2.j}")
+    _check_triangle(s1.two_j, s2.two_j, lvl.two_l)
     vec = np.zeros(s1.dim * s2.dim, dtype=np.complex128)
     for i1 in range(s1.dim):
         tm1 = s1.two_j - 2 * i1

@@ -11,7 +11,7 @@ from math import comb
 
 import numpy as np
 
-from .spin_algebra import SpinQuantum
+from .spin_algebra import SpinOperator, SpinQuantum, _twice
 
 __all__ = [
     "PROFILE_KINDS",
@@ -28,29 +28,8 @@ __all__ = [
 PROFILE_KINDS = ("uniform", "alternating_uniform", "singlet", "gaussian", "custom")
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(SpinOperator):
     """Density operator tagged with its tensor-factor dimensions."""
-
-    matrix: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        dims = tuple(int(d) for d in self.dims)
-        n = 1
-        for d in dims:
-            if d <= 0:
-                raise ValueError("every factor dimension must be positive")
-            n *= d
-        if mat.ndim != 2 or mat.shape != (n, n):
-            raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def validate(
         self,
@@ -76,10 +55,7 @@ class DensityMatrix:
 def fock_state(j, m) -> np.ndarray:
     """Unit vector |m> of a single collective spin j."""
     s = SpinQuantum.of(j)
-    two_m = int(round(2.0 * float(m)))
-    if abs(2.0 * float(m) - two_m) > 1e-9:
-        raise ValueError(f"m={m!r} is not a half-integer")
-    idx = s.index_of(two_m)
+    idx = s.index_of(_twice(m, name="m", allow_negative=True))
     vec = np.zeros(s.dim, dtype=np.complex128)
     vec[idx] = 1.0
     return vec
@@ -94,6 +70,19 @@ def coherent_x(j) -> np.ndarray:
     amps = np.array([comb(s.two_j, k) for k in range(s.dim)], dtype=np.float64)
     vec = np.sqrt(amps) * 2.0 ** (-s.j)
     return vec.astype(np.complex128)
+
+
+def _check_normalized(c: np.ndarray, what: str, hint: str = "") -> None:
+    norm_dev = abs(float(np.sum(np.abs(c) ** 2)) - 1.0)
+    if norm_dev > 1e-12:
+        raise ValueError(f"{what} not normalized (|1 - sum| = {norm_dev:.3e}){hint}")
+
+
+def _normalized(c: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(c))
+    if norm == 0.0:
+        raise ValueError("cannot normalize a zero coefficient vector")
+    return c / norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,12 +110,9 @@ class EntangledStateSpec:
         expected = min(s1.two_j, s2.two_j) + 1
         if coeffs.ndim != 1 or coeffs.shape[0] != expected:
             raise ValueError(f"expected {expected} coefficients, got shape {coeffs.shape}")
-        norm_dev = abs(float(np.sum(np.abs(coeffs) ** 2)) - 1.0)
-        if norm_dev > 1e-12:
-            raise ValueError(
-                f"coefficients not normalized (|1 - sum| = {norm_dev:.3e}); "
-                "use EntangledStateSpec.make(..., auto_normalize=True)"
-            )
+        _check_normalized(
+            coeffs, "coefficients", "; use EntangledStateSpec.make(..., auto_normalize=True)"
+        )
         object.__setattr__(self, "j1", s1)
         object.__setattr__(self, "j2", s2)
         object.__setattr__(self, "coeffs", coeffs)
@@ -135,10 +121,7 @@ class EntangledStateSpec:
     def make(cls, j1, j2, coeffs, auto_normalize: bool = False) -> "EntangledStateSpec":
         coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
         if auto_normalize:
-            norm = float(np.linalg.norm(coeffs))
-            if norm == 0.0:
-                raise ValueError("cannot normalize a zero coefficient vector")
-            coeffs = coeffs / norm
+            coeffs = _normalized(coeffs)
         return cls(SpinQuantum.of(j1), SpinQuantum.of(j2), coeffs)
 
     @property
@@ -192,18 +175,11 @@ def coefficient_profile(
         if c.ndim != 1 or c.shape[0] != nt.dim:
             raise ValueError(f"expected {nt.dim} coefficients, got shape {c.shape}")
         if not auto_normalize:
-            norm_dev = abs(float(np.sum(np.abs(c) ** 2)) - 1.0)
-            if norm_dev > 1e-12:
-                raise ValueError(
-                    f"custom coefficients not normalized (|1 - sum| = {norm_dev:.3e})"
-                )
+            _check_normalized(c, "custom coefficients")
             return c
     else:
         raise ValueError(f"unknown profile kind {kind!r}")
-    norm = float(np.linalg.norm(c))
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero coefficient vector")
-    return np.ascontiguousarray(c / norm)
+    return _normalized(c)
 
 
 def entangled_state(spec: EntangledStateSpec) -> np.ndarray:
@@ -219,12 +195,18 @@ def entangled_state(spec: EntangledStateSpec) -> np.ndarray:
     return vec
 
 
-def density_from_pure(psi, dims) -> DensityMatrix:
-    """Rank-one density matrix |psi><psi| for a normalized vector."""
-    psi = np.ascontiguousarray(psi, dtype=np.complex128).ravel()
-    norm_dev = abs(float(np.linalg.norm(psi)) - 1.0)
+def _unit_vector(psi) -> np.ndarray:
+    """psi flattened to complex128; raises unless its norm is 1 within 1e-12."""
+    vec = np.ascontiguousarray(np.asarray(psi).reshape(-1), dtype=np.complex128)
+    norm_dev = abs(float(np.linalg.norm(vec)) - 1.0)
     if norm_dev > 1e-12:
         raise ValueError(f"state vector not normalized (|1 - norm| = {norm_dev:.3e})")
+    return vec
+
+
+def density_from_pure(psi, dims) -> DensityMatrix:
+    """Rank-one density matrix |psi><psi| for a normalized vector."""
+    psi = _unit_vector(psi)
     return DensityMatrix(np.outer(psi, psi.conj()), tuple(dims))
 
 

@@ -102,3 +102,24 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (a + a.conj().T)
+
+
+def z_damping_closed_form(rho0: np.ndarray, baths, t: float) -> np.ndarray:
+    """rho_ab(t) = rho_ab(0) exp(-1/2 sum_k gamma_k (l_a - l_b)^2 t).
+
+    Exact solution for baths that couple only through z.  ``baths`` lists
+    (gamma_k, l_k) with l_k the diagonal of the k-th coupling operator in the
+    product Fock basis.
+    """
+    exponent = np.zeros(rho0.shape)
+    for gamma, ell in baths:
+        ell = np.asarray(ell, dtype=float)
+        exponent += gamma * (ell[:, None] - ell[None, :]) ** 2
+    return rho0 * np.exp(-0.5 * exponent * t)
+
+
+def product_m_values(j1: float, j2: float) -> tuple[np.ndarray, np.ndarray]:
+    """(m1, m2) of every product basis state, lexicographic, descending m."""
+    m1 = j1 - np.arange(int(round(2 * j1)) + 1)
+    m2 = j2 - np.arange(int(round(2 * j2)) + 1)
+    return np.repeat(m1, m2.size), np.tile(m2, m1.size)

@@ -155,6 +155,33 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["rate", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(json.dumps(z_pair_doc()).replace("uniform", "unif\u00f6rm").encode("latin-1"))
+        assert main(["rate", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_config_integer_past_digit_limit(self, tmp_path, capsys):
+        cfg = tmp_path / "digits.json"
+        cfg.write_text('{"model": ' + "1" * 5000 + "}", encoding="utf-8")
+        assert main(["rate", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_config_integer_too_large_for_float(self, tmp_path, capsys):
+        doc = z_pair_doc()
+        doc["ensembles"]["j1"] = 10**400
+        code, _ = run_cli(tmp_path, doc, "rate")
+        assert code == 2
+        assert "ensembles.j1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["--out", "output.path"])
+    def test_unwritable_output(self, tmp_path, capsys, via):
+        target = str(tmp_path / "missing" / "out.csv")
+        doc = z_pair_doc(output={"path": target}) if via == "output.path" else z_pair_doc()
+        argv = ["--out", target] if via == "--out" else []
+        assert main(["rate", "--config", str(write_cfg(tmp_path, doc)), *argv]) == 2
+        assert "cannot write output" in capsys.readouterr().err
+
     def test_lambda_out_of_range(self, tmp_path):
         doc = {
             "model": {"kind": "common", "axes": ["z"], "gamma": {"zz": 1.0}, "lambda": 2.5},

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spinbath.diagnostics import (
-    RateReport,
     certify_stationary,
     coupled_state_rate,
     entanglement_entropy,
@@ -401,9 +400,3 @@ class TestCertifyStationary:
     def test_empty_candidate_list_not_certified(self):
         gen = build_generator(z_pair_model(), 0.5, 0.5)
         assert not certify_stationary(gen, []).certified
-
-
-class TestRateReport:
-    def test_estimate_field_defaults_none(self):
-        report = RateReport(1.0, 1.0, {})
-        assert report.estimate_rate is None

@@ -8,8 +8,10 @@ import pytest
 from oracles import (
     dephasing_s_lin,
     dissipator_double_sum,
+    product_m_values,
     random_density,
     random_hermitian,
+    z_damping_closed_form,
 )
 from spinbath.generator import (
     AXIS_INDEX,
@@ -265,7 +267,7 @@ class TestRankOneFactors:
             gen = build_generator(model, j1, j2)
             if with_ham:
                 gen = Generator(gen.jump_ops, SpinOperator(random_hermitian(rng, gen.dim), gen.dims), gen.dims)
-            ham = gen._ham if gen._has_ham else None
+            ham = gen._ham
             for _ in range(3):
                 psi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
                 phi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
@@ -394,6 +396,66 @@ class TestEvolveFixedStep:
             evolve(gen, rho, 1.0, tol=0.0)
         with pytest.raises(ValueError):
             evolve(gen, np.eye(3) / 3.0, 1.0)
+
+
+class TestZOnlyClosedForm:
+    """Evolution under z-only damping against the exact solution at n = 81 and 169.
+
+    Tolerances fixed before running: the default step keeps h * rate <= 0.2
+    for every coherence, so RK4's global error is at most
+    (h rate)^4 / (120 e) < 5e-6 of |rho_ab(0)|; an adaptive run commits at most
+    tol per accepted step.
+    """
+
+    T_FINAL = 0.25
+
+    @staticmethod
+    def _pure_state(dim, seed):
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        return np.outer(psi, psi.conj())
+
+    @staticmethod
+    def _common(j, lam=1.3, gamma=1.0):
+        m1, m2 = product_m_values(j, j)
+        model = CommonBath(gamma=gamma_on("z", {("z", "z"): gamma}), lam=lam, axes=("z",))
+        return model, [(gamma, (lam * m1 + (2.0 - lam) * m2) / 2.0)]
+
+    @staticmethod
+    def _independent(j, gamma1=1.0, gamma2=0.5):
+        m1, m2 = product_m_values(j, j)
+        model = IndependentBath(
+            gamma1=gamma_on("z", {("z", "z"): gamma1}),
+            gamma2=gamma_on("z", {("z", "z"): gamma2}),
+            axes=("z",),
+        )
+        return model, [(gamma1, m1), (gamma2, m2)]
+
+    def _max_error(self, model, baths, j, tol):
+        gen = build_generator(model, j, j)
+        rho0 = self._pure_state(gen.dim, seed=int(2 * j))
+        traj = evolve(gen, rho0, self.T_FINAL, tol=tol, stride=40)
+        assert traj.times[-1] == self.T_FINAL
+        err = max(
+            float(np.abs(state - z_damping_closed_form(rho0, baths, t)).max())
+            for t, state in zip(traj.times, traj.states)
+        )
+        return err, float(np.abs(rho0).max()), traj.accepted
+
+    @pytest.mark.parametrize(
+        "bath,j", [("common", 4), ("independent", 4), ("common", 6)]
+    )
+    def test_default_fixed_step(self, bath, j):
+        model, baths = getattr(self, "_" + bath)(j)
+        err, scale, _ = self._max_error(model, baths, j, tol=None)
+        assert err <= 5e-6 * scale
+
+    @pytest.mark.parametrize("bath", ["common", "independent"])
+    def test_adaptive(self, bath):
+        model, baths = getattr(self, "_" + bath)(4)
+        err, _, accepted = self._max_error(model, baths, 4, tol=1e-10)
+        assert err <= accepted * 1e-10
 
 
 class TestEvolveAdaptive:
