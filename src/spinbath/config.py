@@ -365,13 +365,26 @@ def parse_config(doc) -> ScenarioConfig:
     return ScenarioConfig(model, j1, j2, state, evolution, sweep, dfs, output)
 
 
+def _unique_keys(pairs) -> dict:
+    # json keeps the last of repeated keys; a repeated key is a typo that
+    # would silently replace the first value
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_config(path) -> ScenarioConfig:
     """Parse a scenario from a JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
     except ValueError as exc:
         # bad JSON, text that is not UTF-8, or an integer literal past
         # Python's digit limit

@@ -2,12 +2,18 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinbath.cli import main
 from spinbath.diagnostics import RateReport
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_cfg(tmp_path, doc, name="scenario.json"):
@@ -246,6 +252,35 @@ class TestExitCodes:
         assert code == 4
         assert text == ""
 
+    def test_step_budget_exceeded(self, tmp_path, capsys):
+        doc = dephasing_doc(evolution={"t_final": 1e6, "step": 1e-3})
+        code, text = run_cli(tmp_path, doc, "simulate")
+        assert code == 4
+        assert text == ""
+        err = capsys.readouterr().err
+        assert "max_steps" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "block,key,body",
+        [
+            ("ensembles", "j1", '{"j1": 1, "j1": 2, "j2": 1}'),
+            ("model", "gamma1", '{"kind": "independent", "axes": ["z"], '
+             '"gamma1": {"zz": 1.0}, "gamma1": {"zz": 0.5}, "gamma2": {"zz": 1.0}}'),
+        ],
+        ids=["ensembles.j1", "model.gamma1"],
+    )
+    def test_duplicate_key(self, tmp_path, capsys, block, key, body):
+        # json.dumps cannot repeat a key, so the block is spliced in as text
+        doc = z_pair_doc()
+        del doc[block]
+        cfg = tmp_path / "dup.json"
+        cfg.write_text(json.dumps(doc)[:-1] + f', "{block}": {body}}}', encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["state", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"duplicate key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_sweep_points_failed(self, tmp_path):
         doc = z_pair_doc(sweep={"parameter": "gamma1.zz", "values": [-1.0, -2.0]})
         code, text = run_cli(tmp_path, doc, "sweep")
@@ -373,6 +408,23 @@ class TestSimulateCommand:
         _, _, rows = parse_csv(text)
         assert len(rows) == 1
         assert float(rows[0]["s_lin"]) == pytest.approx(0.0, abs=1e-14)
+
+    def test_runs_on_numpy_alone(self, tmp_path):
+        # importing scipy.sparse alone adds about 16 MB of resident memory
+        script = (
+            "import sys, spinbath.cli\n"
+            "code = spinbath.cli.main(sys.argv[1:])\n"
+            "assert code == 0, code\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        argv = ["simulate", "--config", str(ROOT / "configs" / "simulate_dephasing.json"),
+                "--out", str(tmp_path / "out.csv")]
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestDfsCommand:

@@ -1,10 +1,12 @@
 """Invariants of the dense Lindblad kernels."""
 
 import numpy as np
+import pytest
 
-from oracles import random_density
+from oracles import random_density, random_hermitian
 from spinbath import _kernels
-from spinbath.generator import CommonBath, build_generator
+from spinbath.generator import CommonBath, IndependentBath, build_generator, default_step, evolve
+from spinbath.spin_algebra import SpinOperator
 from spinbath.states import coefficient_profile, density_from_pure, entangled_state
 from spinbath.states import EntangledStateSpec
 
@@ -53,3 +55,88 @@ class TestKernelAgreement:
                 tr += ref[i, i].real
             ref = ref / tr
         assert np.array_equal(_kernels.rk4_chunk(rho0, *args, h, 10), ref)
+
+
+# damping matrices with an xz cross term
+GAMMA_A = np.array([[1.0, 0.0, 0.3], [0.0, 0.5, 0.0], [0.3, 0.0, 0.25]])
+GAMMA_B = np.array([[0.5, 0.0, -0.15], [0.0, 0.75, 0.0], [-0.15, 0.0, 0.5]])
+
+# (bath, j, Hamiltonian): n = 2, 9 and 16 and both bath kinds
+STEP_MATRIX_CASES = [
+    ("independent", 0.5, True),
+    ("independent", 1, False),
+    ("common", 1, True),
+    ("independent", 1.5, True),
+    ("common", 1.5, False),
+]
+
+
+def _case(bath, j, with_ham, seed=11):
+    rng = np.random.default_rng(seed)
+    axes = ("x", "y", "z")
+    if bath == "common":
+        model = CommonBath(gamma=GAMMA_A, lam=1.4, axes=axes)
+    else:
+        model = IndependentBath(gamma1=GAMMA_A, gamma2=None if j == 0.5 else GAMMA_B, axes=axes)
+    j2 = None if j == 0.5 else j
+    gen = build_generator(model, j, j2)
+    if with_ham:
+        ham = SpinOperator(0.7 * random_hermitian(rng, gen.dim), gen.dims)
+        gen = build_generator(model, j, j2, hamiltonian=ham)
+    return gen, random_density(rng, gen.dim)
+
+
+def _args(gen):
+    return (gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._ham is not None)
+
+
+@pytest.mark.parametrize("bath,j,with_ham", STEP_MATRIX_CASES)
+class TestStepMatrix:
+    """The precomputed RK4 step matrix against the stage-by-stage kernel.
+
+    Bound fixed before running: entries agree to 1e-12 after 1,000 default
+    steps.  Both paths evaluate the same polynomial in hL, so they differ
+    by roundoff alone.
+    """
+
+    def test_liouvillian_matches_rhs(self, bath, j, with_ham):
+        gen, rho = _case(bath, j, with_ham)
+        n = gen.dim
+        want = _kernels.lindblad_rhs(rho, *_args(gen))
+        got = (_kernels.liouvillian(*_args(gen)) @ rho.reshape(n * n)).reshape(n, n)
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    def test_chunk_agrees_with_rk4_chunk(self, bath, j, with_ham):
+        gen, rho0 = _case(bath, j, with_ham)
+        h = default_step(gen)
+        inc = _kernels.rk4_step_increment(_kernels.liouvillian(*_args(gen)), h)
+        got = _kernels.step_matrix_chunk(rho0, inc, 1000)
+        want = _kernels.rk4_chunk(rho0, *_args(gen), h, 1000)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_evolve_partial_last_step(self, bath, j, with_ham):
+        # 37 full steps in chunks of stride 5, then h_last = 0.4 h
+        gen, rho0 = _case(bath, j, with_ham)
+        h = default_step(gen)
+        traj = evolve(gen, rho0, 37.4 * h, step=h, stride=5)
+        assert traj.accepted == 38
+        want = _kernels.rk4_chunk(rho0, *_args(gen), h, 37)
+        want = _kernels.rk4_chunk(want, *_args(gen), 37.4 * h - 37 * h, 1)
+        assert np.abs(traj.states[-1] - want).max() <= 1e-12
+
+
+def test_step_matrix_chunk_normalizes_by_index_order_trace():
+    # reference: the same matvec steps with the trace summed by a Python
+    # loop in index order; the chunk must reproduce it bit for bit
+    gen, rho0 = _stacked_inputs(seed=5, j=1.5)
+    n = gen.dim
+    inc = _kernels.rk4_step_increment(_kernels.liouvillian(*_args(gen)), 0.005)
+    ref = rho0
+    for _ in range(10):
+        ref = ref + (inc @ ref.reshape(n * n)).reshape(n, n)
+        ref = 0.5 * (ref + ref.conj().T)
+        tr = 0.0
+        for i in range(n):
+            tr += ref[i, i].real
+        ref = ref / tr
+    assert np.array_equal(_kernels.step_matrix_chunk(rho0, inc, 10), ref)
