@@ -375,8 +375,9 @@ def evolve(
     In fixed-step mode with n^2 <= ``STEP_MATRIX_MAX_ROWS`` a step is one
     matrix-vector product with the precomputed RK4 step matrix P(hL), the
     polynomial the four stages evaluate (a final partial step gets its own
-    P(h_last L)); otherwise, and in adaptive mode, the dense kernel
-    evaluates the stages.
+    P(h_last L)); otherwise the dense kernel evaluates the stages.  An
+    adaptive attempt costs 8 right-hand sides: the full step and the first
+    half step share L rho ... L^4 rho, the second half step runs the stages.
 
     Parameters
     ----------
@@ -498,8 +499,7 @@ def evolve(
             raise IntegrationAbortError(
                 f"exceeded max_steps={max_steps} at t={t:.6g}", t_last=t
             )
-        full = _kernels.rk4_chunk(rho, *args, h, 1)
-        half = _kernels.rk4_chunk(rho, *args, 0.5 * h, 2)
+        full, half = _kernels.rk4_doubling(rho, *args, h)
         err = float(np.linalg.norm(half - full)) / 15.0
         scale = tol * max(1.0, float(np.linalg.norm(rho)))
         if err <= scale:

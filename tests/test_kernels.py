@@ -140,3 +140,39 @@ def test_step_matrix_chunk_normalizes_by_index_order_trace():
             tr += ref[i, i].real
         ref = ref / tr
     assert np.array_equal(_kernels.step_matrix_chunk(rho0, inc, 10), ref)
+
+
+# (bath, j, Hamiltonian): the step-matrix cases plus n = 81
+DOUBLING_CASES = STEP_MATRIX_CASES + [("common", 4, True), ("independent", 4, False)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 8.0])
+@pytest.mark.parametrize("bath,j,with_ham", DOUBLING_CASES)
+def test_rk4_doubling_matches_stage_steps(bath, j, with_ham, scale):
+    # bound fixed before running: the power form and the stage form evaluate
+    # the same polynomial in hL, so they differ by roundoff alone; 8x the
+    # default step is about the largest step the adaptive controller takes
+    gen, rho = _case(bath, j, with_ham)
+    h = scale * default_step(gen)
+    full, half = _kernels.rk4_doubling(rho, *_args(gen), h)
+    bound = 1e-13 * max(1.0, float(np.linalg.norm(rho)))
+    assert np.abs(full - _kernels.rk4_chunk(rho, *_args(gen), h, 1)).max() <= bound
+    assert np.abs(half - _kernels.rk4_chunk(rho, *_args(gen), 0.5 * h, 2)).max() <= bound
+
+
+def test_adaptive_attempt_costs_eight_rhs(monkeypatch):
+    # the public name and rk4_chunk's alias are both counted
+    calls = []
+    rhs = _kernels.lindblad_rhs
+
+    def counted(*a):
+        calls.append(1)
+        return rhs(*a)
+
+    monkeypatch.setattr(_kernels, "lindblad_rhs", counted)
+    monkeypatch.setattr(_kernels, "_rhs", counted)
+    gen, rho0 = _case("common", 1, True)
+    # an initial step of t_final is rejected at least once
+    traj = evolve(gen, rho0, 0.5, step=0.5, tol=1e-10)
+    assert traj.rejected >= 1
+    assert len(calls) == 8 * (traj.accepted + traj.rejected)

@@ -1,0 +1,94 @@
+"""Physical invariants of the generator, its kernels and the purity-loss rate.
+
+Drawn: a random PSD damping matrix gamma = B B^T (rank 1 to 3), lambda in
+[0, 2], j1, j2 <= 2, both bath kinds, with or without a random Hamiltonian.
+Tolerances fixed before the first run; ``scale`` = 1 + ||ksum|| + ||H||
+bounds the generator's norm, so roundoff grows with it.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from oracles import random_density, random_hermitian
+from spinbath import _kernels
+from spinbath.diagnostics import entropy_rate_analytic
+from spinbath.generator import CommonBath, IndependentBath, build_generator
+from spinbath.spin_algebra import SpinOperator
+
+AXES = ("x", "y", "z")
+SPINS = st.sampled_from([0.5, 1, 1.5, 2])
+SEEDS = st.integers(0, 2**32 - 1)
+
+# the same examples on every run, no example database, no per-example
+# deadline (timings on a shared host are noisy)
+DETERMINISTIC = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def dampings(draw):
+    rank = draw(st.integers(1, 3))
+    b = draw(arrays(np.float64, (3, rank), elements=st.floats(-1.0, 1.0)))
+    return b @ b.T
+
+
+@st.composite
+def models(draw):
+    """(model, j1, j2, sum of the damping traces)."""
+    j1, j2 = draw(SPINS), draw(SPINS)
+    if draw(st.booleans()):
+        gamma = draw(dampings())
+        model = CommonBath(gamma=gamma, lam=draw(st.floats(0.0, 2.0)), axes=AXES)
+        return model, j1, j2, float(np.trace(gamma))
+    gamma1, gamma2 = draw(dampings()), draw(dampings())
+    model = IndependentBath(gamma1=gamma1, gamma2=gamma2, axes=AXES)
+    return model, j1, j2, float(np.trace(gamma1) + np.trace(gamma2))
+
+
+def _generator(drawn, seed, with_ham):
+    model, j1, j2, _ = drawn
+    gen = build_generator(model, j1, j2)
+    if with_ham:
+        rng = np.random.default_rng(seed)
+        gen = build_generator(model, j1, j2, hamiltonian=SpinOperator(random_hermitian(rng, gen.dim), gen.dims))
+    args = (gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._ham is not None)
+    scale = 1.0 + np.linalg.norm(gen._ksum, 2) + (np.linalg.norm(gen._ham, 2) if with_ham else 0.0)
+    return gen, args, scale
+
+
+@DETERMINISTIC
+@given(models(), SEEDS, st.booleans())
+def test_rhs_is_traceless_and_hermitian(drawn, seed, with_ham):
+    gen, args, scale = _generator(drawn, seed, with_ham)
+    x = random_hermitian(np.random.default_rng(seed + 1), gen.dim)
+    out = _kernels.lindblad_rhs(x, *args)
+    tol = 1e-12 * scale * np.linalg.norm(x)
+    assert abs(np.trace(out)) <= tol
+    assert np.abs(out - out.conj().T).max() <= tol
+
+
+@DETERMINISTIC
+@given(models(), SEEDS, st.booleans(), st.floats(0.01, 1.0))
+def test_rk4_doubling_keeps_hermitian_unit_trace(drawn, seed, with_ham, step):
+    # Hermitization averages rho with its adjoint, so the outputs are
+    # Hermitian bit for bit; the trace is one to the roundoff of a sum of n
+    gen, args, scale = _generator(drawn, seed, with_ham)
+    rho = random_density(np.random.default_rng(seed + 1), gen.dim)
+    for out in _kernels.rk4_doubling(rho, *args, step / scale):
+        assert np.array_equal(out, out.conj().T)
+        assert abs(np.trace(out) - 1.0) <= 1e-14 * gen.dim
+
+
+@DETERMINISTIC
+@given(models(), SEEDS)
+def test_pure_state_purity_loss_is_non_negative(drawn, seed):
+    # the rate is 2 sum_ab gamma_ab Cov(C_a, C_b) >= 0; both ways of taking it
+    # lose at most roundoff of sum_a gamma_aa ||C_a||^2, ||C_a|| <= j1 + j2
+    model, j1, j2, gamma_trace = drawn
+    dim = int(round((2 * j1 + 1) * (2 * j2 + 1)))
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    report = entropy_rate_analytic(psi / np.linalg.norm(psi), model, j1, j2)
+    tol = 1e-12 * (1.0 + gamma_trace) * (1.0 + j1 + j2) ** 2
+    assert report.numeric_rate >= -tol
+    assert report.analytic_rate >= -tol
