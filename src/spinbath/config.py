@@ -241,6 +241,18 @@ class SweepConfig:
     values: tuple[float, ...]
 
 
+def damping_entry(parameter) -> tuple[str, str] | None:
+    """(model field, canonical axis pair) a ``gamma<k>.<ab>`` sweep parameter
+    addresses, aliases such as "zx" resolved; None for any other parameter."""
+    if not isinstance(parameter, str):
+        return None
+    target, dot, key = parameter.partition(".")
+    pair = GAMMA_ALIASES.get(key, key)
+    if not dot or target not in ("gamma", "gamma1", "gamma2") or pair not in GAMMA_KEYS:
+        return None
+    return target, pair
+
+
 def _parse_sweep(doc, where: str, model, state: StateConfig | None) -> SweepConfig:
     _check_keys(doc, where, required=("parameter", "values"))
     param = doc["parameter"]
@@ -248,12 +260,8 @@ def _parse_sweep(doc, where: str, model, state: StateConfig | None) -> SweepConf
     if not isinstance(raw, (list, tuple)) or not raw:
         _fail(where, "values must be a non-empty list")
     values = tuple(_number(v, f"{where}.values[{i}]") for i, v in enumerate(raw))
-    known = param in SWEEP_PARAMETERS or (
-        isinstance(param, str)
-        and param.startswith(("gamma.", "gamma1.", "gamma2."))
-        and (param.split(".", 1)[1] in GAMMA_KEYS or param.split(".", 1)[1] in GAMMA_ALIASES)
-    )
-    if not known:
+    entry = damping_entry(param)
+    if entry is None and param not in SWEEP_PARAMETERS:
         _fail(where, f"unknown sweep parameter {param!r}")
     if param == "lambda":
         if not isinstance(model, CommonBath):
@@ -266,17 +274,17 @@ def _parse_sweep(doc, where: str, model, state: StateConfig | None) -> SweepConf
             _fail(where, "Ntilde sweep needs a coefficient-profile state block")
     if param == "L" and (state is None or state.kind != "coupled"):
         _fail(where, "L sweep needs a coupled state block")
-    if param.startswith("gamma.") and not isinstance(model, CommonBath):
-        _fail(where, "gamma.<ab> sweeps address a common-bath model; use gamma1/gamma2")
-    if param.startswith(("gamma1.", "gamma2.")) and not isinstance(model, IndependentBath):
-        _fail(where, "gamma1/gamma2 sweeps address an independent-bath model")
-    if param.startswith("gamma2.") and isinstance(model, IndependentBath) and model.gamma2 is None:
-        _fail(where, "gamma2 sweep needs a second damping block in the model")
-    if param.startswith(("gamma.", "gamma1.", "gamma2.")):
-        entry = GAMMA_ALIASES.get(param.split(".", 1)[1], param.split(".", 1)[1])
-        for axis in entry:
+    if entry is not None:
+        target, pair = entry
+        if target == "gamma" and not isinstance(model, CommonBath):
+            _fail(where, "gamma.<ab> sweeps address a common-bath model; use gamma1/gamma2")
+        if target != "gamma" and not isinstance(model, IndependentBath):
+            _fail(where, "gamma1/gamma2 sweeps address an independent-bath model")
+        if target == "gamma2" and model.gamma2 is None:
+            _fail(where, "gamma2 sweep needs a second damping block in the model")
+        for axis in pair:
             if axis not in model.axes:
-                _fail(where, f"swept entry {entry!r} touches axis {axis!r} outside the model axes {model.axes}")
+                _fail(where, f"swept entry {pair!r} touches axis {axis!r} outside the model axes {model.axes}")
     return SweepConfig(param, values)
 
 

@@ -8,10 +8,11 @@ stationary-state certification.
 Two operator normalizations appear for the common bath.  The generator is
 always built from the weighted composite operators L_a (the physical
 dissipator).  Closed forms for coupled |L, M> levels are conventionally
-quoted for the bare total spin J1 + J2, which at lam=1 equals 2 L_a and
-carries 4x the composite rate.  Functions that touch both conventions take
-``normalization`` = "composite" | "total_spin"; the flag rescales only the
-common-bath operators, never an independent bath's.
+quoted for the bare total spin J1 + J2, which at lam=1 equals 2 L_a.
+Functions that touch both conventions take ``normalization`` =
+"composite" | "total_spin".  Rates are quadratic in the operators, so
+total-spin rates are the composite rates times 4, exactly: a power of two
+rounds nothing.  The factor applies to a common bath, never an independent one.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ __all__ = [
 ]
 
 _NORMALIZATIONS = ("composite", "total_spin")
+# largest |d S_lin / dt| that certify_stationary accepts as stationary
+STATIONARY_RATE_TOL = 1e-12
 
 
 def linear_entropy(rho) -> float:
@@ -83,16 +86,12 @@ def _pure_rate(psi, u, v) -> float:
     return -2.0 * float(np.real(np.vdot(bra @ v, bra @ u)))
 
 
-def _scaled_operator_sets(model, j1, j2, normalization):
+def _rate_factor(normalization: str, common: bool) -> float:
+    # total spin doubles the common-bath operators (J1a + J2a = 2 L_a at
+    # lam=1) and every rate is quadratic in them
     if normalization not in _NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {_NORMALIZATIONS}")
-    sets = coupling_operators(model, j1, j2)
-    if normalization == "total_spin" and isinstance(model, CommonBath):
-        sets = [
-            (gamma, {a: SpinOperator(2.0 * op.matrix, op.dims) for a, op in ops.items()})
-            for gamma, ops in sets
-        ]
-    return sets
+    return 4.0 if common and normalization == "total_spin" else 1.0
 
 
 @dataclass(eq=False)
@@ -111,6 +110,12 @@ class RateReport:
     analytic_rate: float
     per_axis_contributions: dict[str, float]
 
+    @property
+    def mismatch(self) -> float:
+        """|numeric - analytic| / max(|numeric|, |analytic|, 1)."""
+        denom = max(abs(self.numeric_rate), abs(self.analytic_rate), 1.0)
+        return abs(self.numeric_rate - self.analytic_rate) / denom
+
 
 def entropy_rate_analytic(psi, model, j1, j2=None, normalization: str = "composite") -> RateReport:
     """Covariance form of the initial purity-loss rate of a pure state.
@@ -120,8 +125,9 @@ def entropy_rate_analytic(psi, model, j1, j2=None, normalization: str = "composi
     jump operators built from the same operators, applied to psi psi^dag by
     matrix-vector products (``rank_one_factors``).
     """
+    factor = _rate_factor(normalization, isinstance(model, CommonBath))
     vec = _unit_vector(psi)
-    sets = _scaled_operator_sets(model, j1, j2, normalization)
+    sets = coupling_operators(model, j1, j2)
     jump_ops, dims = _canonical_jump_set(sets)
     dim = math.prod(dims)
     if vec.shape[0] != dim:
@@ -147,7 +153,8 @@ def entropy_rate_analytic(psi, model, j1, j2=None, normalization: str = "composi
 
     jumps = [op.matrix for op in jump_ops]
     numeric = _pure_rate(vec, *rank_one_factors(jumps, None, vec, vec))
-    return RateReport(numeric, total, contributions)
+    scaled = {key: factor * term for key, term in contributions.items()}
+    return RateReport(factor * numeric, factor * total, scaled)
 
 
 def entropy_rate_estimate(n_tilde, model) -> float:
@@ -257,25 +264,19 @@ def pairing_residual(coeffs) -> float:
     return float(np.max(np.abs(terms)))
 
 
-def coupled_state_rate(ell, gamma, axes, em=0.0, normalization: str = "total_spin") -> float:
+def coupled_state_rate(ell, gamma, axes, normalization: str = "total_spin") -> float:
     """Closed-form purity-loss rate of the coupled level |L, M=0> under a
     balanced common bath (lam=1).
 
-    In total-spin normalization the x and y axes each contribute their
-    diagonal damping entry times L(L+1); the z axis contributes nothing at
-    M=0.  Composite normalization is exactly one quarter of that.
+    In composite normalization the x and y axes each contribute a quarter of
+    their diagonal damping entry times L(L+1); the z axis contributes nothing
+    at M=0.  Total-spin normalization is exactly 4 times that.
     """
-    if normalization not in _NORMALIZATIONS:
-        raise ValueError(f"normalization must be one of {_NORMALIZATIONS}")
-    level = CoupledLevel.of(ell, em)
-    if level.two_m != 0:
-        raise ValueError("closed form only covers M = 0")
+    factor = _rate_factor(normalization, common=True)
+    level = CoupledLevel.of(ell, 0)
     gamma = validate_damping(gamma, axes)
     ll = level.L * (level.L + 1.0)
-    rate = (gamma[0, 0] + gamma[1, 1]) * ll
-    if normalization == "composite":
-        rate *= 0.25
-    return float(rate)
+    return float(factor * 0.25 * (gamma[0, 0] + gamma[1, 1]) * ll)
 
 
 @dataclass(eq=False)
@@ -302,7 +303,6 @@ def certify_stationary(
     states,
     subspace: bool = False,
     residual_tol: float = 1e-12,
-    rate_tol: float = 1e-12,
 ) -> StationaryReport:
     """Check candidate pure states for stationarity under a generator.
 
@@ -320,7 +320,7 @@ def certify_stationary(
         rate = _pure_rate(vec, u, v)
         residuals.append(res)
         rates.append(rate)
-        ok.append(res <= residual_tol and abs(rate) <= rate_tol)
+        ok.append(res <= residual_tol and abs(rate) <= STATIONARY_RATE_TOL)
     pair_residuals: dict[tuple[int, int], float] = {}
     pair_ok: dict[tuple[int, int], bool] = {}
     if subspace:

@@ -79,7 +79,14 @@ def _check_axes(axes) -> tuple[str, ...]:
     return tuple(a for a in AXES if a in seen)
 
 
-def validate_damping(gamma, axes, sym_tol: float = 1e-12, eig_floor: float = -1e-12) -> np.ndarray:
+# relative bounds: the asymmetry and lowest eigenvalue validate_damping allows,
+# and the eigen-rate at or below which canonical_jumps drops a jump
+DAMPING_SYM_TOL = 1e-12
+DAMPING_EIG_FLOOR = -1e-12
+JUMP_RATE_TOL = 1e-15
+
+
+def validate_damping(gamma, axes) -> np.ndarray:
     """Check a 3x3 damping matrix against its declared axes.
 
     Returns a defensive copy (float64, full 3x3, axis order x, y, z).
@@ -97,14 +104,14 @@ def validate_damping(gamma, axes, sym_tol: float = 1e-12, eig_floor: float = -1e
         gamma = gamma.real
     gamma = np.ascontiguousarray(gamma, dtype=np.float64)
     scale = max(1.0, float(np.max(np.abs(gamma))))
-    if float(np.max(np.abs(gamma - gamma.T))) > sym_tol * scale:
+    if float(np.max(np.abs(gamma - gamma.T))) > DAMPING_SYM_TOL * scale:
         raise NonSymmetricError("damping matrix is not symmetric")
     for a in AXES:
         for b in AXES:
             if (a not in axes or b not in axes) and gamma[AXIS_INDEX[a], AXIS_INDEX[b]] != 0.0:
                 raise ValueError(f"entry {a}{b} nonzero but outside declared axes {axes}")
     lo = float(np.linalg.eigvalsh(gamma).min())
-    if lo < eig_floor * scale:
+    if lo < DAMPING_EIG_FLOOR * scale:
         raise NotPositiveSemidefiniteError(f"damping matrix has eigenvalue {lo:.3e}")
     return gamma.copy()
 
@@ -180,7 +187,7 @@ def coupling_operators(model, j1, j2=None) -> list[tuple[np.ndarray, dict[str, S
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
-def canonical_jumps(gamma, ops: dict[str, SpinOperator], rate_tol: float = 1e-15) -> list[SpinOperator]:
+def canonical_jumps(gamma, ops: dict[str, SpinOperator]) -> list[SpinOperator]:
     """Diagonalize gamma and absorb the rates into jump operators.
 
     Parameters
@@ -189,8 +196,6 @@ def canonical_jumps(gamma, ops: dict[str, SpinOperator], rate_tol: float = 1e-15
         Validated damping matrix (entries outside ``ops`` keys are zero).
     ops : dict axis -> SpinOperator
         Coupling operators for the axes gamma acts on.
-    rate_tol : float
-        Relative threshold below which an eigen-rate is dropped as zero.
 
     Returns
     -------
@@ -208,7 +213,7 @@ def canonical_jumps(gamma, ops: dict[str, SpinOperator], rate_tol: float = 1e-15
     jumps = []
     for k in range(len(axes)):
         rate = float(evals[k])
-        if rate <= rate_tol * max(top, 1.0):
+        if rate <= JUMP_RATE_TOL * max(top, 1.0):
             if rate < -1e-10 * max(top, 1.0):
                 raise NotPositiveSemidefiniteError(f"negative canonical rate {rate:.3e}")
             continue

@@ -42,6 +42,12 @@ def _twice(value, name: str = "j", allow_negative: bool = False) -> int:
     return rounded
 
 
+def _check_level(two_j: int, two_m: int, m_name: str, j_name: str) -> None:
+    """Raise unless 2m is a level of 2j: |m| <= j and j - m an integer."""
+    if abs(two_m) > two_j or (two_j - two_m) % 2:
+        raise ValueError(f"{m_name}={two_m / 2} is not a level of {j_name}={two_j / 2}")
+
+
 @dataclass(frozen=True, order=True)
 class SpinQuantum:
     """Spin magnitude j stored as the exact integer 2j."""
@@ -75,8 +81,7 @@ class SpinQuantum:
 
     def index_of(self, two_m: int) -> int:
         """Basis index of |m> given 2m."""
-        if abs(two_m) > self.two_j or (self.two_j - two_m) % 2:
-            raise ValueError(f"m={two_m / 2} is not a level of j={self.j}")
+        _check_level(self.two_j, two_m, "m", "j")
         return (self.two_j - two_m) // 2
 
 
@@ -114,8 +119,7 @@ class CoupledLevel:
         tl, tm = int(self.two_l), int(self.two_m)
         if tl != self.two_l or tm != self.two_m or tl < 0:
             raise ValueError("2L and 2M must be integers with L >= 0")
-        if abs(tm) > tl or (tl - tm) % 2:
-            raise ValueError(f"M={tm / 2} is not a level of L={tl / 2}")
+        _check_level(tl, tm, "M", "L")
         object.__setattr__(self, "two_l", tl)
         object.__setattr__(self, "two_m", tm)
 
@@ -262,9 +266,9 @@ def clebsch_gordan(j1, m1, j2, m2, ell, em) -> float:
     tm1 = _twice(m1, name="m1", allow_negative=True)
     tm2 = _twice(m2, name="m2", allow_negative=True)
     tm = _twice(em, name="M", allow_negative=True)
-    for tj, tmm, label in ((tj1, tm1, "m1"), (tj2, tm2, "m2"), (tl, tm, "M")):
-        if abs(tmm) > tj or (tj - tmm) % 2:
-            raise ValueError(f"{label}={tmm / 2} is not a level of its angular momentum {tj / 2}")
+    _check_level(tj1, tm1, "m1", "j1")
+    _check_level(tj2, tm2, "m2", "j2")
+    _check_level(tl, tm, "M", "L")
     _check_triangle(tj1, tj2, tl)
     if tm1 + tm2 != tm:
         return 0.0

@@ -28,28 +28,27 @@ __all__ = [
 PROFILE_KINDS = ("uniform", "alternating_uniform", "singlet", "gaussian", "custom")
 
 
+# DensityMatrix.validate bounds: Hermiticity defect, |tr - 1|, lowest eigenvalue
+HERM_TOL = 1e-10
+TRACE_TOL = 1e-10
+EIG_FLOOR = -1e-9
+
+
 class DensityMatrix(SpinOperator):
     """Density operator tagged with its tensor-factor dimensions."""
 
-    def validate(
-        self,
-        herm_tol: float = 1e-10,
-        trace_tol: float = 1e-10,
-        eig_floor: float = -1e-9,
-        psd: bool = True,
-    ) -> None:
-        """Raise ValueError unless Hermitian, unit trace and (optionally) PSD."""
+    def validate(self) -> None:
+        """Raise ValueError unless Hermitian, unit trace and PSD."""
         mat = self.matrix
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_dev > herm_tol:
+        if herm_dev > HERM_TOL:
             raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
         trace_dev = abs(complex(np.trace(mat)) - 1.0)
-        if trace_dev > trace_tol:
+        if trace_dev > TRACE_TOL:
             raise ValueError(f"trace deviates from one by {trace_dev:.3e}")
-        if psd:
-            lo = float(np.linalg.eigvalsh(mat).min())
-            if lo < eig_floor:
-                raise ValueError(f"negative eigenvalue {lo:.3e}")
+        lo = float(np.linalg.eigvalsh(mat).min())
+        if lo < EIG_FLOOR:
+            raise ValueError(f"negative eigenvalue {lo:.3e}")
 
 
 def fock_state(j, m) -> np.ndarray:

@@ -246,6 +246,33 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, z_pair_doc(), "rate")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "numeric,analytic,mismatch",
+        [
+            # rates of magnitude >= 1: relative to the larger one
+            (1e3, 1e3 * (1.0 - 0.9e-6), 0.9e-6),
+            (1e3, 1e3 * (1.0 - 1.1e-6), 1.1e-6),
+            (-5.0, -5.0 * (1.0 + 1.1e-6), 1.1e-6 / (1.0 + 1.1e-6)),
+            # rates below 1 in magnitude: relative to 1
+            (1e-3, 1e-3 + 0.9e-6, 0.9e-6),
+            (1e-3, 1e-3 + 1.1e-6, 1.1e-6),
+            (0.0, -1.1e-6, 1.1e-6),
+        ],
+    )
+    def test_rate_tripwire_boundary(self, tmp_path, monkeypatch, capsys, numeric, analytic, mismatch):
+        report = RateReport(numeric, analytic, {})
+        assert report.mismatch == pytest.approx(mismatch, rel=1e-6)
+        monkeypatch.setattr("spinbath.cli.entropy_rate_analytic", lambda *a, **k: report)
+        code, text = run_cli(tmp_path, z_pair_doc(), "rate")
+        if mismatch > 1e-6:
+            assert code == 3
+            assert text == ""
+            assert "self-check failed" in capsys.readouterr().err
+        else:
+            assert code == 0
+            _, _, rows = parse_csv(text)
+            assert float(rows[0]["rate_numeric"]) == numeric
+
     def test_integration_abort(self, tmp_path):
         doc = dephasing_doc(evolution={"t_final": 100.0, "step": 10.0})
         code, text = run_cli(tmp_path, doc, "simulate")
@@ -347,6 +374,75 @@ class TestSweepCommand:
         _, serial = run_cli(tmp_path, doc, "sweep", "--threads", "1", outname="serial.csv")
         _, pooled = run_cli(tmp_path, doc, "sweep", "--threads", "4", outname="pooled.csv")
         assert serial == pooled
+
+    def test_tripped_point_becomes_error_row(self, tmp_path, monkeypatch):
+        import spinbath.cli
+
+        real = spinbath.cli.entropy_rate_analytic
+
+        def rate(psi, *args, **kwargs):
+            report = real(psi, *args, **kwargs)
+            if len(psi) == 25:  # the Ntilde = 2 point
+                report.analytic_rate = report.numeric_rate + 1.0
+            return report
+
+        monkeypatch.setattr("spinbath.cli.entropy_rate_analytic", rate)
+        doc = z_pair_doc(sweep={"parameter": "Ntilde", "values": [1, 2, 3]})
+        code, text = run_cli(tmp_path, doc, "sweep")
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        assert [r["Ntilde"] for r in rows] == ["1", "2", "3"]
+        assert rows[1]["error"].startswith("RateMismatchError: ")
+        assert rows[1]["rate_numeric"] == rows[1]["rate_analytic"] == ""
+        for row, nt in ((rows[0], 1.0), (rows[2], 3.0)):
+            assert row["error"] == ""
+            assert float(row["rate_analytic"]) == pytest.approx(4 * nt * (nt + 1) / 3, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "model,parameter,canonical,values",
+        [
+            (
+                {"kind": "common", "axes": ["x", "z"], "lambda": 1.4,
+                 "gamma": {"xx": 1.0, "zz": 0.5, "xz": 0.1}},
+                "gamma.zx", ("gamma", "xz"), [-0.3, 0.0, 0.2, 0.6],
+            ),
+            (
+                {"kind": "independent", "axes": ["x", "y"],
+                 "gamma1": {"xx": 1.0, "yy": 0.7}, "gamma2": {"xx": 0.4, "yy": 0.9, "xy": 0.1}},
+                "gamma1.yx", ("gamma1", "xy"), [-0.5, 0.0, 0.3],
+            ),
+        ],
+        ids=["gamma.zx", "gamma1.yx"],
+    )
+    def test_off_diagonal_alias_sweep_matches_explicit_rate(
+        self, tmp_path, monkeypatch, model, parameter, canonical, values
+    ):
+        # no configurable state has a nonzero off-diagonal covariance, so every
+        # run here evaluates one fixed random state of the configured spins
+        def random_state(cfg):
+            dims = (int(2 * cfg.j1 + 1), int(2 * cfg.j2 + 1))
+            rng = np.random.default_rng(7)
+            raw = rng.normal(size=dims[0] * dims[1]) + 1j * rng.normal(size=dims[0] * dims[1])
+            return raw / np.linalg.norm(raw), dims, "random", None
+
+        monkeypatch.setattr("spinbath.cli.build_state", random_state)
+        base = {"model": model, "ensembles": {"j1": 1, "j2": 1.5}, "state": {"kind": "plus_x"}}
+        code, text = run_cli(tmp_path, dict(base, sweep={"parameter": parameter, "values": values}),
+                             "sweep", outname="sweep.csv")
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        field, pair = canonical
+        # the swept entry reaches the rate: each value gives its own contribution
+        contributions = {float(row["contrib_" + pair]) for row in rows}
+        assert len(contributions) == len(values) and max(map(abs, contributions)) > 0.01
+        for value, row in zip(values, rows):
+            assert row["error"] == ""
+            explicit = json.loads(json.dumps(base))
+            explicit["model"][field][pair] = value
+            code, rate_text = run_cli(tmp_path, explicit, "rate", name="explicit.json")
+            assert code == 0
+            _, header, (want,) = parse_csv(rate_text)
+            assert {c: row[c] for c in header} == want
 
     def test_partial_failures_keep_grid_order(self, tmp_path):
         doc = z_pair_doc(sweep={"parameter": "gamma1.zz", "values": [1.0, -1.0, 2.0]})
@@ -591,6 +687,17 @@ class TestArgumentParsing:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        doc = z_pair_doc(sweep={"parameter": "Ntilde", "values": [1, 2]})
+        cfg = write_cfg(tmp_path, doc)
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--config", str(cfg), "--out", str(out), "--threads", threads])
+        assert info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_format_choices_enforced(self, tmp_path):
         cfg = write_cfg(tmp_path, z_pair_doc())

@@ -23,7 +23,7 @@ from spinbath.generator import (
     IndependentBath,
     build_generator,
 )
-from spinbath.spin_algebra import angular_momentum_ops, coupled_basis_state, embed
+from spinbath.spin_algebra import angular_momentum_ops, composite_coupling_ops, coupled_basis_state, embed
 from spinbath.states import (
     EntangledStateSpec,
     coefficient_profile,
@@ -32,6 +32,7 @@ from spinbath.states import (
     entangled_state,
     fock_state,
 )
+from oracles import dissipator_double_sum
 from test_generator import gamma_on
 
 
@@ -160,14 +161,43 @@ class TestEntropyRateAnalytic:
                 report = entropy_rate_analytic(psi, model, j, j)
                 assert report.numeric_rate == pytest.approx(report.analytic_rate, rel=1e-10)
 
-    def test_total_spin_normalization_quadruples_common_rate(self):
+    def test_total_spin_coupled_level_value(self):
         psi = coupled_basis_state(1, 1, 1, 0)
         g = gamma_on(("x", "z"), {("x", "x"): 0.1, ("z", "z"): 1.0})
         model = CommonBath(gamma=g, lam=1.0, axes=("x", "z"))
-        comp = entropy_rate_analytic(psi, model, 1, 1, normalization="composite")
         total = entropy_rate_analytic(psi, model, 1, 1, normalization="total_spin")
-        assert total.analytic_rate == pytest.approx(4.0 * comp.analytic_rate, rel=1e-12)
         assert total.analytic_rate == pytest.approx(0.2, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2], ids=lambda s: f"psi{s}")
+    @pytest.mark.parametrize(
+        "j1,j2", [(1, 1), (0.5, 1.5), (1.5, 2.5), (1, 2)], ids=["j1,1", "j1/2,3/2", "j3/2,5/2", "j1,2"]
+    )
+    @pytest.mark.parametrize("lam", [0.7, 1.0, 1.6], ids=lambda v: f"lam{v}")
+    def test_total_spin_normalization_quadruples_common_rate(self, lam, j1, j2, seed):
+        # the factor is a power of two, so it must hold bit for bit
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(3, 3))
+        g = b @ b.T
+        dim = int((2 * j1 + 1) * (2 * j2 + 1))
+        raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi = raw / np.linalg.norm(raw)
+        common = CommonBath(gamma=g, lam=lam, axes=("x", "y", "z"))
+        independent = IndependentBath(gamma1=g, gamma2=np.diag([0.5, 0.0, 1.0]), axes=("x", "y", "z"))
+        for model, factor in ((common, 4.0), (independent, 1.0)):
+            comp = entropy_rate_analytic(psi, model, j1, j2, normalization="composite")
+            total = entropy_rate_analytic(psi, model, j1, j2, normalization="total_spin")
+            assert total.numeric_rate == factor * comp.numeric_rate
+            assert total.analytic_rate == factor * comp.analytic_rate
+            assert total.per_axis_contributions.keys() == comp.per_axis_contributions.keys()
+            for pair, term in comp.per_axis_contributions.items():
+                assert total.per_axis_contributions[pair] == factor * term
+        # independently: -2 tr(rho D(rho)) with the literal double sum over the
+        # doubled composite operators lam J1a + (2 - lam) J2a
+        ops = [2.0 * op.matrix for op in composite_coupling_ops(j1, j2, lam)]
+        rho = np.outer(psi, psi.conj())
+        direct = -2.0 * np.real(np.vdot(rho, dissipator_double_sum(g, ops, rho)))
+        total = entropy_rate_analytic(psi, common, j1, j2, normalization="total_spin")
+        assert total.analytic_rate == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     def test_normalization_ignored_for_independent(self):
         psi = entangled_state(uniform_spec(1))
@@ -320,11 +350,6 @@ class TestCoupledStateRate:
     def test_pure_z_damping_is_free_at_m_zero(self):
         g = gamma_on("z", {("z", "z"): 1.0})
         assert coupled_state_rate(3, g, ("z",)) == 0.0
-
-    def test_m_nonzero_rejected(self):
-        g = np.diag([0.1, 0.25, 1.0])
-        with pytest.raises(ValueError):
-            coupled_state_rate(1, g, ("x", "y", "z"), em=1.0)
 
     def test_bad_normalization_rejected(self):
         with pytest.raises(ValueError):
