@@ -374,15 +374,21 @@ def evolve(
     stride: int = 1,
     max_steps: int = 10_000_000,
 ) -> Trajectory:
-    """Integrate d rho/dt = L(rho) with dense RK4.
+    """Integrate d rho/dt = L(rho): fixed-step RK4, or adaptive Krylov steps.
 
-    Every RK4 step is followed by Hermitization and trace renormalization.
-    In fixed-step mode with n^2 <= ``STEP_MATRIX_MAX_ROWS`` a step is one
+    Fixed step: every RK4 step is followed by Hermitization and trace
+    renormalization.  With n^2 <= ``STEP_MATRIX_MAX_ROWS`` a step is one
     matrix-vector product with the precomputed RK4 step matrix P(hL), the
     polynomial the four stages evaluate (a final partial step gets its own
-    P(h_last L)); otherwise the dense kernel evaluates the stages.  An
-    adaptive attempt costs 8 right-hand sides: the full step and the first
-    half step share L rho ... L^4 rho, the second half step runs the stages.
+    P(h_last L)); otherwise the dense kernel evaluates the stages.
+
+    Adaptive (``tol`` given): L does not depend on time, so each step is
+    rho -> exp(h L) rho, projected onto the Krylov space of rho
+    (``_kernels.krylov_propagator``, ``_kernels.KRYLOV_DIM`` right-hand
+    sides per accepted step).  A step is accepted when the Krylov error
+    estimate is at most tol * h * max(1, ||rho||_F); a rejected h shrinks
+    and is retried on the same basis, at no right-hand-side cost.  Nothing
+    is Hermitized or renormalized, so trace drift shows in the states.
 
     Parameters
     ----------
@@ -395,11 +401,11 @@ def evolve(
         Fixed step size; defaults to ``default_step(gen)``.  In adaptive
         mode this is the initial step.
     tol : float, optional
-        Local-error tolerance; selects adaptive step doubling.
+        Local error per unit time; selects adaptive Krylov steps.
     stride : int
         Record every stride-th accepted step (t = 0 and t_final always).
     max_steps : int
-        Abort guard on the total number of attempted steps.
+        Abort guard on the total number of steps, accepted and rejected.
 
     Returns
     -------
@@ -410,7 +416,8 @@ def evolve(
     IntegrationAbortError
         When a fixed step needs more than ``max_steps`` steps (raised before
         any step, ``t_last`` = 0), the state norm blows up beyond 10x its
-        initial value, or the step controller stalls.
+        initial value, or an adaptive run exceeds ``max_steps`` or its step
+        underflows.
     """
     if t_final < 0.0:
         raise ValueError("t_final must be non-negative")
@@ -489,37 +496,38 @@ def evolve(
             record(t_final, rho)
         return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, accepted, 0)
 
-    # adaptive step doubling: one full step against two half steps,
-    # Richardson error estimate ||rho_half - rho_full|| / 15
+    # adaptive Krylov steps of exp(h L): one basis per accepted step; a
+    # rejected h shrinks and is retried on the same basis
     t = 0.0
     accepted = 0
     rejected = 0
     while t < t_final * (1.0 - 1e-14):
-        h = min(h, t_final - t)
-        if h < 1e-15 * max(t_final, 1.0):
-            raise IntegrationAbortError(
-                f"step size underflow at t={t:.6g}", t_last=t
-            )
-        if accepted + rejected >= max_steps:
-            raise IntegrationAbortError(
-                f"exceeded max_steps={max_steps} at t={t:.6g}", t_last=t
-            )
-        full, half = _kernels.rk4_doubling(rho, *args, h)
-        err = float(np.linalg.norm(half - full)) / 15.0
+        propagate = _kernels.krylov_propagator(rho, *args)
         scale = tol * max(1.0, float(np.linalg.norm(rho)))
-        if err <= scale:
-            rho = half
-            t += h
-            accepted += 1
-            check_blowup(t, rho)
-            if accepted % stride == 0 and t < t_final * (1.0 - 1e-14):
-                record(t, rho)
-        else:
+        while True:
+            h = min(h, t_final - t)
+            if h < 1e-15 * max(t_final, 1.0):
+                raise IntegrationAbortError(f"step size underflow at t={t:.6g}", t_last=t)
+            if accepted + rejected >= max_steps:
+                raise IntegrationAbortError(f"exceeded max_steps={max_steps} at t={t:.6g}", t_last=t)
+            new, err = propagate(h)
+            # the estimate grows about as h^(m-1); 1/m damps the correction
+            if err == 0.0:
+                factor = 5.0
+            else:
+                factor = min(5.0, max(0.2, 0.9 * (scale * h / err) ** (1.0 / _kernels.KRYLOV_DIM)))
+            if err <= scale * h:
+                break
             rejected += 1
-        if err == 0.0:
-            factor = 5.0
-        else:
-            factor = min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2))
-        h = h * factor
+            h *= factor
+        # the next basis is built without this one alive
+        del propagate
+        rho = new
+        t += h
+        accepted += 1
+        check_blowup(t, rho)
+        if accepted % stride == 0 and t < t_final * (1.0 - 1e-14):
+            record(t, rho)
+        h *= factor
     record(t_final, rho)
     return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, accepted, rejected)

@@ -74,6 +74,50 @@ def ladder_coupled_table(j1: float, j2: float) -> dict:
     return table
 
 
+def spin_matrices(j: float) -> list[np.ndarray]:
+    """[Jx, Jy, Jz] from J- = ``ladder_down(j)`` and J+ = J-^T."""
+    down = ladder_down(j)
+    up = down.T
+    return [(up + down) / 2.0, (up - down) / 2.0j, np.diag(j - np.arange(down.shape[0]))]
+
+
+def coupling_sets(bath: str, j1: float, j2, gamma1, gamma2, lam: float) -> list:
+    """(gamma, [C_x, C_y, C_z]) for each bath of the double-sum dissipator.
+
+    ``bath`` is "common" (C_a = (lam J1a + (2 - lam) J2a) / 2, damping
+    ``gamma1``) or "independent" (J1a with ``gamma1`` and J2a with
+    ``gamma2``; ``j2=None`` is one ensemble).
+    """
+    ops1 = spin_matrices(j1)
+    if j2 is None:
+        return [(gamma1, ops1)]
+    ops2 = spin_matrices(j2)
+    eye1, eye2 = np.eye(ops1[0].shape[0]), np.eye(ops2[0].shape[0])
+    left = [np.kron(op, eye2) for op in ops1]
+    right = [np.kron(eye1, op) for op in ops2]
+    if bath == "common":
+        return [(gamma1, [(lam * a + (2.0 - lam) * b) / 2.0 for a, b in zip(left, right)])]
+    return [(gamma1, left), (gamma2, right)]
+
+
+def dense_liouvillian(sets, ham=None) -> np.ndarray:
+    """(n^2, n^2) matrix of -i[H, rho] + the double-sum dissipators.
+
+    Column k is the master equation applied to the k-th row-major unit
+    matrix, so it acts on the row-major vec(rho).
+    """
+    n = sets[0][1][0].shape[0]
+    cols = []
+    for k in range(n * n):
+        unit = np.zeros((n, n), dtype=complex)
+        unit.flat[k] = 1.0
+        out = sum(dissipator_double_sum(gamma, ops, unit) for gamma, ops in sets)
+        if ham is not None:
+            out = out - 1j * (ham @ unit - unit @ ham)
+        cols.append(out.reshape(n * n))
+    return np.array(cols).T
+
+
 def dephasing_s_lin(t, gamma: float = 1.0):
     """Closed-form linear entropy of |+x><+x| under spin-1/2 z damping."""
     return 0.5 * (1.0 - np.exp(-gamma * np.asarray(t)))

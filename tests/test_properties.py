@@ -6,6 +6,8 @@ Tolerances fixed before the first run; ``scale`` = 1 + ||ksum|| + ||H||
 bounds the generator's norm, so roundoff grows with it.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -69,14 +71,22 @@ def test_rhs_is_traceless_and_hermitian(drawn, seed, with_ham):
 
 @DETERMINISTIC
 @given(models(), SEEDS, st.booleans(), st.floats(0.01, 1.0))
-def test_rk4_doubling_keeps_hermitian_unit_trace(drawn, seed, with_ham, step):
-    # Hermitization averages rho with its adjoint, so the outputs are
-    # Hermitian bit for bit; the trace is one to the roundoff of a sum of n
+def test_krylov_step_keeps_hermitian_unit_trace(drawn, seed, with_ham, step):
+    # no renormalization: exp(tau L) keeps trace and Hermiticity, and the
+    # Krylov basis of a Hermitian rho is Hermitian with a real Hessenberg
+    # matrix, so only the projection error (trace) and roundoff remain.  The
+    # jumps are Hermitian, so ||L||_2 <= 2 scale and x = tau ||L|| <= 2 step;
+    # the projection error is at most 2 x^m e^x / m! (Saad 1992, m =
+    # KRYLOV_DIM) in Frobenius norm, at most sqrt(n) times that on the
+    # trace; roundoff gets 1e-12 per basis vector
     gen, args, scale = _generator(drawn, seed, with_ham)
     rho = random_density(np.random.default_rng(seed + 1), gen.dim)
-    for out in _kernels.rk4_doubling(rho, *args, step / scale):
-        assert np.array_equal(out, out.conj().T)
-        assert abs(np.trace(out) - 1.0) <= 1e-14 * gen.dim
+    out, _ = _kernels.krylov_propagator(rho, *args)(step / scale)
+    m = _kernels.KRYLOV_DIM
+    x = 2.0 * step
+    projection = 2.0 * x**m * math.exp(x) / math.factorial(m)
+    assert np.abs(out - out.conj().T).max() <= 1e-12 * m
+    assert abs(np.trace(out) - 1.0) <= 1e-12 * m + math.sqrt(gen.dim) * projection
 
 
 @DETERMINISTIC
