@@ -4,7 +4,9 @@
 runs them as one product with the precomputed step matrix (small n);
 ``krylov_propagator`` projects exp(tau L) rho onto the Krylov space of
 ``rho`` for the adaptive integrator, one right-hand side per basis vector,
-with ``pade_expm`` for the small exponential.
+with ``pade_expm`` for the small exponential.  Every step is a linear map
+of rho: nothing is Hermitized or renormalized, so trace and Hermiticity
+drift shows in the result.
 
 Arrays are complex128: ``rho`` (n, n), ``jumps``/``jdags`` stacked
 (k, n, n), ``ksum`` = sum_k A_k^dag A_k (n, n).  ``ham`` is the (n, n)
@@ -47,22 +49,15 @@ _rhs = lindblad_rhs
 
 
 def rk4_chunk(rho, jumps, jdags, ksum, ham, has_ham, h, nsteps):
-    """Classic RK4 with per-step Hermitization and trace renormalization."""
+    """``nsteps`` classic RK4 steps of size ``h``, evaluated stage by stage."""
     args = (jumps, jdags, ksum, ham, has_ham)
     for _ in range(nsteps):
         k1 = _rhs(rho, *args)
         k2 = _rhs(rho + (0.5 * h) * k1, *args)
         k3 = _rhs(rho + (0.5 * h) * k2, *args)
         k4 = _rhs(rho + h * k3, *args)
-        rho = _renormalized(rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return rho
-
-
-def _renormalized(rho):
-    rho = 0.5 * (rho + rho.conj().T)
-    # index-order sum: np.trace's pairwise order would move the last digits
-    # of every trajectory
-    return rho / np.add.accumulate(rho.diagonal().real)[-1]
 
 
 def liouvillian(jumps, jdags, ksum, ham, has_ham):
@@ -99,15 +94,15 @@ def rk4_step_increment(lv, h):
 
 
 def step_matrix_chunk(rho, inc, nsteps):
-    """``rk4_chunk`` with each RK4 step done as rho + D vec(rho).
+    """``rk4_chunk`` with each RK4 step done as vec(rho) + D vec(rho).
 
-    ``inc`` is ``rk4_step_increment(liouvillian(...), h)``; every step keeps
-    the Hermitization and trace renormalization of ``rk4_chunk``.
+    ``inc`` is ``rk4_step_increment(liouvillian(...), h)``.
     """
     n = rho.shape[0]
+    vec = rho.reshape(n * n)
     for _ in range(nsteps):
-        rho = _renormalized(rho + (inc @ rho.reshape(n * n)).reshape(n, n))
-    return rho
+        vec = vec + inc @ vec
+    return vec.reshape(n, n)
 
 
 # Krylov dimension m: an adaptive step builds span{rho, L rho, ...,

@@ -376,19 +376,20 @@ def evolve(
 ) -> Trajectory:
     """Integrate d rho/dt = L(rho): fixed-step RK4, or adaptive Krylov steps.
 
-    Fixed step: every RK4 step is followed by Hermitization and trace
-    renormalization.  With n^2 <= ``STEP_MATRIX_MAX_ROWS`` a step is one
-    matrix-vector product with the precomputed RK4 step matrix P(hL), the
-    polynomial the four stages evaluate (a final partial step gets its own
-    P(h_last L)); otherwise the dense kernel evaluates the stages.
+    Both modes are linear maps of rho0: nothing is Hermitized or
+    renormalized, so trace and Hermiticity drift shows in the states.
+
+    Fixed step: classic RK4, rho -> P(hL) rho.  With n^2 <=
+    ``STEP_MATRIX_MAX_ROWS`` a step is one matrix-vector product with the
+    precomputed increment P(hL) - I (a final partial step gets its own
+    P(h_last L) - I); otherwise the dense kernel evaluates the four stages.
 
     Adaptive (``tol`` given): L does not depend on time, so each step is
     rho -> exp(h L) rho, projected onto the Krylov space of rho
     (``_kernels.krylov_propagator``, ``_kernels.KRYLOV_DIM`` right-hand
     sides per accepted step).  A step is accepted when the Krylov error
     estimate is at most tol * h * max(1, ||rho||_F); a rejected h shrinks
-    and is retried on the same basis, at no right-hand-side cost.  Nothing
-    is Hermitized or renormalized, so trace drift shows in the states.
+    and is retried on the same basis, at no right-hand-side cost.
 
     Parameters
     ----------

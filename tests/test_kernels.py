@@ -6,18 +6,25 @@ import scipy.linalg
 
 from oracles import coupling_sets, dense_liouvillian, random_density, random_hermitian
 from spinbath import _kernels
-from spinbath.generator import CommonBath, IndependentBath, build_generator, default_step, evolve
+from spinbath.generator import (
+    STEP_MATRIX_MAX_ROWS,
+    CommonBath,
+    IndependentBath,
+    build_generator,
+    default_step,
+    evolve,
+)
 from spinbath.spin_algebra import SpinOperator
 from spinbath.states import coefficient_profile, density_from_pure, entangled_state
 from spinbath.states import EntangledStateSpec
 
 
-def _stacked_inputs(seed=3, j=1):
+def _stacked_inputs(seed=3):
     rng = np.random.default_rng(seed)
     model = CommonBath(
         gamma=np.diag([1.0, 0.4, 0.7]), lam=1.3, axes=("x", "y", "z")
     )
-    gen = build_generator(model, j, j)
+    gen = build_generator(model, 1, 1)
     rho = random_density(rng, gen.dim)
     return gen, rho
 
@@ -36,26 +43,6 @@ class TestKernelAgreement:
         assert np.abs(out - out.conj().T).max() <= 1e-12
         assert abs(np.trace(out).real - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(out).min() >= -1e-10
-
-    def test_chunk_normalizes_by_index_order_trace(self):
-        # reference: the same steps with the trace summed by a Python loop in
-        # index order; the kernel must reproduce it bit for bit
-        gen, rho0 = _stacked_inputs(seed=5, j=2)
-        args = (gen._jumps, gen._jdags, gen._ksum, None, False)
-        h = 0.005
-        ref = rho0
-        for _ in range(10):
-            k1 = _kernels.lindblad_rhs(ref, *args)
-            k2 = _kernels.lindblad_rhs(ref + (0.5 * h) * k1, *args)
-            k3 = _kernels.lindblad_rhs(ref + (0.5 * h) * k2, *args)
-            k4 = _kernels.lindblad_rhs(ref + h * k3, *args)
-            ref = ref + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            ref = 0.5 * (ref + ref.conj().T)
-            tr = 0.0
-            for i in range(ref.shape[0]):
-                tr += ref[i, i].real
-            ref = ref / tr
-        assert np.array_equal(_kernels.rk4_chunk(rho0, *args, h, 10), ref)
 
 
 # damping matrices with an xz cross term
@@ -126,21 +113,20 @@ class TestStepMatrix:
         assert np.abs(traj.states[-1] - want).max() <= 1e-12
 
 
-def test_step_matrix_chunk_normalizes_by_index_order_trace():
-    # reference: the same matvec steps with the trace summed by a Python
-    # loop in index order; the chunk must reproduce it bit for bit
-    gen, rho0 = _stacked_inputs(seed=5, j=1.5)
-    n = gen.dim
-    inc = _kernels.rk4_step_increment(_kernels.liouvillian(*_args(gen)), 0.005)
-    ref = rho0
-    for _ in range(10):
-        ref = ref + (inc @ ref.reshape(n * n)).reshape(n, n)
-        ref = 0.5 * (ref + ref.conj().T)
-        tr = 0.0
-        for i in range(n):
-            tr += ref[i, i].real
-        ref = ref / tr
-    assert np.array_equal(_kernels.step_matrix_chunk(rho0, inc, 10), ref)
+@pytest.mark.parametrize("j,with_ham,step_matrix", [(1, True, True), (2, False, False)])
+def test_fixed_step_evolve_is_linear(j, with_ham, step_matrix):
+    # n = 9 takes the step matrix and n = 25 the stage kernel; 37 full steps
+    # in chunks of stride 5, then h_last = 0.4 h.  Scaling by 2 is exact in
+    # floating point, so a linear map of rho0 gives 2x the states bit for bit
+    gen, rho0 = _case("common", j, with_ham)
+    assert (gen.dim**2 <= STEP_MATRIX_MAX_ROWS) == step_matrix
+    h = default_step(gen)
+    one = evolve(gen, rho0, 37.4 * h, step=h, stride=5)
+    two = evolve(gen, 2.0 * rho0, 37.4 * h, step=h, stride=5)
+    assert one.accepted == two.accepted == 38
+    assert len(one.states) == len(two.states) == 9
+    for a, b in zip(one.states, two.states):
+        assert np.array_equal(b, 2.0 * a)
 
 
 def test_adaptive_rhs_cost_is_krylov_dim_per_accepted_step(monkeypatch):
@@ -254,9 +240,7 @@ class TestDenseLiouvillianOracle:
     Bounds fixed before running.  RK4: one step of a linear equation is
     P(hL) rho with P the degree-4 Taylor polynomial, so one step from rho
     differs from exp(hL) rho by at most (h||L||_2)^5 / 120 e^(h||L||_2)
-    ||rho||_F (the Taylor remainder), plus 1e-13 for rounding; the
-    renormalization is exact arithmetic's identity, as P(hL) keeps trace and
-    Hermiticity.  Krylov: ``evolve`` commits an estimated error of at most
+    ||rho||_F (the Taylor remainder), plus 1e-13 for rounding.  Krylov: ``evolve`` commits an estimated error of at most
     tol per unit time, so every sample is within tol * t_final (Frobenius).
     """
 

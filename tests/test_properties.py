@@ -9,14 +9,16 @@ bounds the generator's norm, so roundoff grows with it.
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import random_density, random_hermitian
 from spinbath import _kernels
-from spinbath.diagnostics import entropy_rate_analytic
-from spinbath.generator import CommonBath, IndependentBath, build_generator
+from spinbath.diagnostics import certify_stationary, entropy_rate_analytic
+from spinbath.generator import STEP_MATRIX_MAX_ROWS, CommonBath, IndependentBath, build_generator
 from spinbath.spin_algebra import SpinOperator
+from spinbath.states import EntangledStateSpec, coefficient_profile, entangled_state
 
 AXES = ("x", "y", "z")
 SPINS = st.sampled_from([0.5, 1, 1.5, 2])
@@ -69,24 +71,45 @@ def test_rhs_is_traceless_and_hermitian(drawn, seed, with_ham):
     assert np.abs(out - out.conj().T).max() <= tol
 
 
+@pytest.mark.parametrize("kind", ["krylov", "stage", "step_matrix"])
 @DETERMINISTIC
 @given(models(), SEEDS, st.booleans(), st.floats(0.01, 1.0))
-def test_krylov_step_keeps_hermitian_unit_trace(drawn, seed, with_ham, step):
-    # no renormalization: exp(tau L) keeps trace and Hermiticity, and the
-    # Krylov basis of a Hermitian rho is Hermitian with a real Hessenberg
-    # matrix, so only the projection error (trace) and roundoff remain.  The
-    # jumps are Hermitian, so ||L||_2 <= 2 scale and x = tau ||L|| <= 2 step;
-    # the projection error is at most 2 x^m e^x / m! (Saad 1992, m =
-    # KRYLOV_DIM) in Frobenius norm, at most sqrt(n) times that on the
-    # trace; roundoff gets 1e-12 per basis vector
+def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, with_ham, step):
+    # no renormalization on any step.  The jumps are Hermitian, so
+    # ||L||_2 <= 2 scale and x = tau ||L|| <= 2 step.
+    # Krylov: exp(tau L) keeps trace and Hermiticity, and the Krylov basis of
+    # a Hermitian rho is Hermitian with a real Hessenberg matrix, so only the
+    # projection error (trace) and roundoff remain; the projection error is
+    # at most 2 x^m e^x / m! (Saad 1992, m = KRYLOV_DIM) in Frobenius norm, at
+    # most sqrt(n) times that on the trace; roundoff gets 1e-12 per basis
+    # vector.
+    # RK4 (stage kernel, or the step matrix at n^2 <= STEP_MATRIX_MAX_ROWS):
+    # P(tau L) keeps trace and Hermiticity exactly, as every power of L
+    # annihilates the trace and maps Hermitian to Hermitian, so only roundoff
+    # remains.  Each of the four stages applies L to a matrix of Frobenius
+    # norm at most e^x, with the right-hand side's roundoff 1e-12 scale ||X||
+    # (test_rhs_is_traceless_and_hermitian) weighted by at most tau <=
+    # step / scale <= 1 / scale: 4e-12 e^x in all; the step matrix's own
+    # rounding, about n^2 eps e^x, is far below that at n^2 <= 256
     gen, args, scale = _generator(drawn, seed, with_ham)
+    assume(kind != "step_matrix" or gen.dim**2 <= STEP_MATRIX_MAX_ROWS)
     rho = random_density(np.random.default_rng(seed + 1), gen.dim)
-    out, _ = _kernels.krylov_propagator(rho, *args)(step / scale)
-    m = _kernels.KRYLOV_DIM
+    tau = step / scale
     x = 2.0 * step
-    projection = 2.0 * x**m * math.exp(x) / math.factorial(m)
-    assert np.abs(out - out.conj().T).max() <= 1e-12 * m
-    assert abs(np.trace(out) - 1.0) <= 1e-12 * m + math.sqrt(gen.dim) * projection
+    if kind == "krylov":
+        out, _ = _kernels.krylov_propagator(rho, *args)(tau)
+        m = _kernels.KRYLOV_DIM
+        hermitian_tol = 1e-12 * m
+        trace_tol = 1e-12 * m + math.sqrt(gen.dim) * 2.0 * x**m * math.exp(x) / math.factorial(m)
+    else:
+        if kind == "stage":
+            out = _kernels.rk4_chunk(rho, *args, tau, 1)
+        else:
+            inc = _kernels.rk4_step_increment(_kernels.liouvillian(*args), tau)
+            out = _kernels.step_matrix_chunk(rho, inc, 1)
+        hermitian_tol = trace_tol = 4e-12 * math.exp(x)
+    assert np.abs(out - out.conj().T).max() <= hermitian_tol
+    assert abs(np.trace(out) - 1.0) <= trace_tol
 
 
 @DETERMINISTIC
@@ -102,3 +125,14 @@ def test_pure_state_purity_loss_is_non_negative(drawn, seed):
     tol = 1e-12 * (1.0 + gamma_trace) * (1.0 + j1 + j2) ** 2
     assert report.numeric_rate >= -tol
     assert report.analytic_rate >= -tol
+
+
+@DETERMINISTIC
+@given(dampings(), SPINS)
+def test_singlet_is_certified_stationary_at_balanced_common_bath(gamma, j):
+    # the paper's headline: at lambda = 1 every common-bath coupling is a
+    # component of the total spin, which annihilates the singlet, so any
+    # correlated gamma leaves it stationary (certificate bound 1e-12)
+    gen = build_generator(CommonBath(gamma=gamma, lam=1.0, axes=AXES), j, j)
+    psi = entangled_state(EntangledStateSpec.make(j, j, coefficient_profile("singlet", j)))
+    assert certify_stationary(gen, [psi]).certified
