@@ -47,11 +47,15 @@ from .diagnostics import (
 from .generator import (
     AXIS_INDEX,
     CommonBath,
+    FactoredOperator,
     IntegrationAbortError,
     build_generator,
     evolve,
 )
-from .spin_algebra import SpinOperator, SpinQuantum, angular_momentum_ops, coupled_basis_state, embed
+from .spin_algebra import SpinQuantum, angular_momentum_ops, coupled_basis_state
+
+# not called here: kept because perfbench/tracing.py wraps cli.embed
+from .spin_algebra import embed
 from .states import (
     EntangledStateSpec,
     coefficient_profile,
@@ -292,8 +296,8 @@ def cmd_state(cfg: ScenarioConfig):
         extras.append(("pairing_residual", pairing_residual(spec.coeffs)))
         if spec.j1 == spec.j2:
             extras.append(("variance_x_approx", variance_x_approx(spec)))
-            jx = angular_momentum_ops(spec.j1).x
-            total_jx = SpinOperator(embed(jx, 0, dims).matrix + embed(jx, 1, dims).matrix, dims)
+            jx = angular_momentum_ops(spec.j1).x.matrix
+            total_jx = FactoredOperator(jx, jx, dims)
             extras.append(("variance_x_exact", variance_exact(total_jx, psi)))
         m_values, amplitudes = spec.m_values(), spec.coeffs
     elif len(dims) == 2:

@@ -32,7 +32,7 @@ from .generator import (
     _canonical_jump_set,
     _purity,
     apply_generator,
-    coupling_operators,
+    coupling_factors,
     rank_one_factors,
     validate_damping,
 )
@@ -120,15 +120,18 @@ class RateReport:
 def entropy_rate_analytic(psi, model, j1, j2=None, normalization: str = "composite") -> RateReport:
     """Covariance form of the initial purity-loss rate of a pure state.
 
-    Evaluates 2 sum_ab gamma_ab (Re<A_a psi|A_b psi> - <A_a><A_b>) over the
-    model's coupling operators and cross-checks it against the canonical
-    jump operators built from the same operators, applied to psi psi^dag by
-    matrix-vector products (``rank_one_factors``).
+    Evaluates 2 sum_ab gamma_ab (Re<C_a psi|C_b psi> - <C_a><C_b>) over the
+    model's factored coupling operators C_a (``coupling_factors``) and
+    cross-checks it against the canonical jump operators built from the
+    same factors, applied to psi psi^dag through ``rank_one_factors``.
+    Every operator acts on psi as X psi + psi Y^T, so the cost is O(n d)
+    per operator, d = max(2 j1 + 1, 2 j2 + 1), and no n x n matrix is
+    built.
     """
     factor = _rate_factor(normalization, isinstance(model, CommonBath))
     vec = _unit_vector(psi)
-    sets = coupling_operators(model, j1, j2)
-    jump_ops, dims = _canonical_jump_set(sets)
+    sets = coupling_factors(model, j1, j2)
+    jumps, dims = _canonical_jump_set(sets)
     dim = math.prod(dims)
     if vec.shape[0] != dim:
         raise ValueError(f"state length {vec.shape[0]} does not match model dimension {dim}")
@@ -137,7 +140,7 @@ def entropy_rate_analytic(psi, model, j1, j2=None, normalization: str = "composi
     total = 0.0
     for gamma, ops in sets:
         axes = [a for a in AXES if a in ops]
-        applied = {a: ops[a].matrix @ vec for a in axes}
+        applied = {a: ops[a].apply(vec) for a in axes}
         means = {a: float(np.real(np.vdot(vec, applied[a]))) for a in axes}
         for i, a in enumerate(axes):
             for b in axes[i:]:
@@ -151,7 +154,6 @@ def entropy_rate_analytic(psi, model, j1, j2=None, normalization: str = "composi
                 contributions[key] = contributions.get(key, 0.0) + term
                 total += term
 
-    jumps = [op.matrix for op in jump_ops]
     numeric = _pure_rate(vec, *rank_one_factors(jumps, None, vec, vec))
     scaled = {key: factor * term for key, term in contributions.items()}
     return RateReport(factor * numeric, factor * total, scaled)
@@ -211,18 +213,25 @@ def schmidt_number(psi, dims, tol: float = 1e-10) -> int:
     return int(np.sum(_schmidt_values(psi, dims) > tol))
 
 
-def variance_exact(op: SpinOperator, state) -> float:
-    """<op^2> - <op>^2 for a Hermitian operator on a pure or mixed state."""
-    mat = op.matrix
-    if float(np.max(np.abs(mat - mat.conj().T))) > 1e-12:
+def variance_exact(op, state) -> float:
+    """<op^2> - <op>^2 for a Hermitian operator on a pure or mixed state.
+
+    ``op`` is a SpinOperator or a FactoredOperator; a factored operator
+    acts on a pure state without forming its n x n matrix (a mixed state
+    uses its dense view).
+    """
+    parts = [op.matrix] if isinstance(op, SpinOperator) else [p for p in (op.x, op.y) if p is not None]
+    if any(float(np.max(np.abs(p - p.conj().T))) > 1e-12 for p in parts):
         raise ValueError("variance_exact needs a Hermitian operator")
     arr = np.asarray(state.matrix if isinstance(state, DensityMatrix) else state)
     if arr.ndim == 1:
         vec = _unit_vector(arr)
-        mean = float(np.real(np.vdot(vec, mat @ vec)))
-        shifted = mat @ vec - mean * vec
+        applied = op.matrix @ vec if isinstance(op, SpinOperator) else op.apply(vec)
+        mean = float(np.real(np.vdot(vec, applied)))
+        shifted = applied - mean * vec
         return float(np.real(np.vdot(shifted, shifted)))
     rho = _as_matrix(arr)
+    mat = op.matrix
     mean = float(np.real(np.trace(rho @ mat)))
     second = float(np.real(np.trace(rho @ mat @ mat)))
     return second - mean * mean

@@ -10,6 +10,11 @@ see one bath.  The double-sum dissipator
 
 is always realized in canonical form: gamma = O D O^T, jump operators
 A_k = sqrt(D_k) sum_a O_ak C_a with the rates absorbed.
+
+Every such operator is X (x) I + I (x) Y with X and Y single-ensemble
+matrices.  The pure-state paths keep that factored form
+(``FactoredOperator``) and never build an n x n matrix; the ``Generator``
+and the integrators work on the dense matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .spin_algebra import SpinOperator, SpinQuantum, angular_momentum_ops, composite_coupling_ops, embed
+from .spin_algebra import SpinOperator, SpinQuantum, angular_momentum_ops, embed
+# not called here: kept because perfbench/tracing.py wraps generator.composite_coupling_ops
+from .spin_algebra import composite_coupling_ops
 from .states import DensityMatrix
 
 __all__ = [
@@ -31,10 +38,12 @@ __all__ = [
     "IntegrationAbortError",
     "IndependentBath",
     "CommonBath",
+    "FactoredOperator",
     "Generator",
     "Trajectory",
     "validate_damping",
     "canonical_jumps",
+    "coupling_factors",
     "coupling_operators",
     "build_generator",
     "apply_generator",
@@ -154,58 +163,130 @@ class CommonBath:
         object.__setattr__(self, "gamma", validate_damping(self.gamma, axes))
 
 
-def coupling_operators(model, j1, j2=None) -> list[tuple[np.ndarray, dict[str, SpinOperator]]]:
-    """Damping matrices paired with the coupling operators they contract.
+@dataclass(frozen=True, eq=False)
+class FactoredOperator:
+    """Operator X (x) I + I (x) Y on two ensembles, or X alone on one.
 
-    Returns a list of ``(gamma, {axis: SpinOperator})`` sets: two sets for an
-    independent bath over two ensembles, one otherwise.  Operators are
-    restricted to the model's declared axes.
+    ``x`` acts on the first ensemble and ``y`` on the second (None when
+    ``dims`` has one factor).  On a vector psi reshaped to (d1, d2) the
+    operator acts as X psi + psi Y^T: O(n d) work, and no n x n matrix.
+    Every coupling and canonical jump operator of the models here has this
+    form.  ``matrix`` builds the dense operator on demand, as the sum of the
+    ``embed``-ed factors.
+    """
+
+    x: np.ndarray
+    y: np.ndarray | None
+    dims: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        dims = tuple(int(d) for d in self.dims)
+        parts = [np.ascontiguousarray(p, dtype=np.complex128) for p in (self.x, self.y) if p is not None]
+        if [p.shape for p in parts] != [(d, d) for d in dims]:
+            raise ValueError(f"factors of shapes {[p.shape for p in parts]} do not match dims {dims}")
+        object.__setattr__(self, "x", parts[0])
+        object.__setattr__(self, "y", parts[1] if len(parts) == 2 else None)
+        object.__setattr__(self, "dims", dims)
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.dims)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense n x n matrix, built on every access."""
+        if self.y is None:
+            return self.x.copy()
+        return embed(self.x, 0, self.dims).matrix + embed(self.y, 1, self.dims).matrix
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """The operator applied to a length-n vector."""
+        if self.y is None:
+            return self.x @ vec
+        psi = vec.reshape(self.dims)
+        return (self.x @ psi + psi @ self.y.T).reshape(-1)
+
+    def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
+        """The adjoint applied to a length-n vector."""
+        if self.y is None:
+            return self.x.conj().T @ vec
+        psi = vec.reshape(self.dims)
+        return (self.x.conj().T @ psi + psi @ self.y.conj()).reshape(-1)
+
+
+def coupling_factors(model, j1, j2=None) -> list[tuple[np.ndarray, dict[str, FactoredOperator]]]:
+    """Damping matrices paired with the factored coupling operators they contract.
+
+    Returns a list of ``(gamma, {axis: FactoredOperator})`` sets: two sets
+    for an independent bath over two ensembles, one otherwise.  Operators
+    are restricted to the model's declared axes.  A common bath couples
+    X = lam J1a / 2 and Y = (2 - lam) J2a / 2; an independent bath weights
+    its own ensemble by 1 and the other by 0.
     """
     s1 = SpinQuantum.of(j1)
     s2 = SpinQuantum.of(j2) if j2 is not None else None
     if isinstance(model, CommonBath):
         if s2 is None:
             raise ValueError("a common bath needs two ensembles")
-        ops = composite_coupling_ops(s1, s2, model.lam)
-        return [(model.gamma, {a: getattr(ops, a) for a in model.axes})]
-    if isinstance(model, IndependentBath):
-        ops1 = angular_momentum_ops(s1)
-        if s2 is None:
-            if model.gamma2 is not None:
-                raise ValueError("gamma2 given but no second ensemble")
-            return [(model.gamma1, {a: getattr(ops1, a) for a in model.axes})]
-        dims = (s1.dim, s2.dim)
-        ops2 = angular_momentum_ops(s2)
-        sets = [
-            (model.gamma1, {a: embed(getattr(ops1, a), 0, dims) for a in model.axes})
-        ]
+        weighted = [(model.gamma, model.lam / 2.0, (2.0 - model.lam) / 2.0)]
+    elif isinstance(model, IndependentBath):
+        if s2 is None and model.gamma2 is not None:
+            raise ValueError("gamma2 given but no second ensemble")
+        weighted = [(model.gamma1, 1.0, 0.0)]
         if model.gamma2 is not None:
-            sets.append(
-                (model.gamma2, {a: embed(getattr(ops2, a), 1, dims) for a in model.axes})
-            )
-        return sets
-    raise TypeError(f"unknown model type {type(model).__name__}")
+            weighted.append((model.gamma2, 0.0, 1.0))
+    else:
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    ops1 = angular_momentum_ops(s1)
+    ops2 = angular_momentum_ops(s2) if s2 is not None else None
+    dims = (s1.dim,) if s2 is None else (s1.dim, s2.dim)
+
+    def factored(axis, w1, w2):
+        y = None if s2 is None else w2 * getattr(ops2, axis).matrix
+        return FactoredOperator(w1 * getattr(ops1, axis).matrix, y, dims)
+
+    return [(gamma, {a: factored(a, w1, w2) for a in model.axes}) for gamma, w1, w2 in weighted]
 
 
-def canonical_jumps(gamma, ops: dict[str, SpinOperator]) -> list[SpinOperator]:
+def coupling_operators(model, j1, j2=None) -> list[tuple[np.ndarray, dict[str, SpinOperator]]]:
+    """Dense view of ``coupling_factors``: the same sets with n x n operators.
+
+    The matrices equal the ``composite_coupling_ops`` (common bath) and
+    ``embed`` (independent bath) builds entry for entry.
+    """
+    return [
+        (gamma, {a: SpinOperator(op.matrix, op.dims) for a, op in ops.items()})
+        for gamma, ops in coupling_factors(model, j1, j2)
+    ]
+
+
+def _weighted_sum(weights, mats) -> np.ndarray:
+    out = np.zeros(mats[0].shape, dtype=np.complex128)
+    for w, m in zip(weights, mats):
+        out += w * m
+    return out
+
+
+def canonical_jumps(gamma, ops: dict) -> list:
     """Diagonalize gamma and absorb the rates into jump operators.
 
     Parameters
     ----------
     gamma : (3, 3) array
         Validated damping matrix (entries outside ``ops`` keys are zero).
-    ops : dict axis -> SpinOperator
-        Coupling operators for the axes gamma acts on.
+    ops : dict axis -> SpinOperator or FactoredOperator
+        Coupling operators for the axes gamma acts on, all of one kind.
 
     Returns
     -------
-    list of SpinOperator
+    list of SpinOperator or FactoredOperator (the kind of ``ops``)
         Jump operators A_k = sqrt(d_k) sum_a O_ak C_a; the dissipator
         sum_k (A_k rho A_k^dag - (1/2){A_k^dag A_k, rho}) reproduces the
-        double sum over gamma exactly.
+        double sum over gamma exactly.  A factored jump combines the X and
+        Y factors separately.
     """
     axes = _check_axes(ops.keys())
-    dims = ops[axes[0]].dims
+    first = ops[axes[0]]
     idx = [AXIS_INDEX[a] for a in axes]
     sub = np.asarray(gamma, dtype=np.float64)[np.ix_(idx, idx)]
     evals, evecs = np.linalg.eigh(sub)
@@ -217,15 +298,19 @@ def canonical_jumps(gamma, ops: dict[str, SpinOperator]) -> list[SpinOperator]:
             if rate < -1e-10 * max(top, 1.0):
                 raise NotPositiveSemidefiniteError(f"negative canonical rate {rate:.3e}")
             continue
-        mat = np.zeros((ops[axes[0]].dim,) * 2, dtype=np.complex128)
-        for a_i, a in enumerate(axes):
-            mat += evecs[a_i, k] * ops[a].matrix
-        jumps.append(SpinOperator(math.sqrt(rate) * mat, dims))
+        root = math.sqrt(rate)
+        if isinstance(first, FactoredOperator):
+            x = root * _weighted_sum(evecs[:, k], [ops[a].x for a in axes])
+            y = None if first.y is None else root * _weighted_sum(evecs[:, k], [ops[a].y for a in axes])
+            jumps.append(FactoredOperator(x, y, first.dims))
+        else:
+            mat = _weighted_sum(evecs[:, k], [ops[a].matrix for a in axes])
+            jumps.append(SpinOperator(root * mat, first.dims))
     return jumps
 
 
-def _canonical_jump_set(sets) -> tuple[list[SpinOperator], tuple[int, ...]]:
-    """Canonical jumps of every ``coupling_operators`` set, and their dims."""
+def _canonical_jump_set(sets) -> tuple[list, tuple[int, ...]]:
+    """Canonical jumps of every coupling set (dense or factored), and their dims."""
     jumps = [op for gamma, ops in sets for op in canonical_jumps(gamma, ops)]
     return jumps, next(iter(sets[0][1].values())).dims
 
@@ -295,19 +380,26 @@ def rank_one_factors(jumps, ham, psi, phi) -> tuple[np.ndarray, np.ndarray]:
     """Factors U, V, each n x (k + 2), with L(psi phi^dag) = U V^dag.
 
     U = [A_1 psi, ..., A_k psi, -K psi / 2 - i H psi, psi] and
-    V = [A_1 phi, ..., A_k phi, phi, -K phi / 2 - i H phi], for the jump
-    matrices ``jumps`` (a sequence or a (k, n, n) stack) and the Hamiltonian
-    matrix ``ham`` (None when absent).  U depends on psi only and V on phi
-    only.  Uses matrix-vector products alone: K = sum_k A_k^dag A_k is
-    applied as sum_k A_k^dag (A_k x) and never formed.
+    V = [A_1 phi, ..., A_k phi, phi, -K phi / 2 - i H phi].  ``jumps`` is
+    a sequence of ``FactoredOperator`` or of n x n jump matrices (a (k, n, n)
+    stack included); ``ham`` is the Hamiltonian matrix, None when absent.
+    U depends on psi only and V on phi only.  Uses operator-vector products
+    alone: K = sum_k A_k^dag A_k is applied as sum_k A_k^dag (A_k x) and
+    never formed, and factored jumps never form an n x n matrix.
     """
 
     def columns(x):
-        applied = [a @ x for a in jumps]
+        applied = []
         drift = np.zeros(x.shape, dtype=np.complex128)
-        for a, ax in zip(jumps, applied):
-            # A^dag y = conj(y^dag A), without forming A^dag
-            drift -= 0.5 * (ax.conj() @ a).conj()
+        for a in jumps:
+            if isinstance(a, FactoredOperator):
+                ax = a.apply(x)
+                drift -= 0.5 * a.apply_adjoint(ax)
+            else:
+                ax = a @ x
+                # A^dag y = conj(y^dag A), without forming A^dag
+                drift -= 0.5 * (ax.conj() @ a).conj()
+            applied.append(ax)
         if ham is not None:
             drift -= 1j * (ham @ x)
         return applied, drift

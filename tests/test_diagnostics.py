@@ -1,5 +1,7 @@
 """Entropy rates, variances and stationarity certification tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from spinbath.diagnostics import (
 )
 from spinbath.generator import (
     CommonBath,
+    FactoredOperator,
     IndependentBath,
     build_generator,
 )
@@ -216,6 +219,41 @@ class TestEntropyRateAnalytic:
             entropy_rate_analytic(coherent_x(1), z_pair_model(), 1, 1)
 
 
+class TestLargeSpinRate:
+    """j1 = j2 = 50, n = 10,201: one dense n x n complex matrix would be 1.66 GB."""
+
+    J = 50
+
+    def _rate(self, model):
+        tracemalloc.start()
+        try:
+            psi = entangled_state(uniform_spec(self.J))
+            report = entropy_rate_analytic(psi, model, self.J, self.J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        return report
+
+    def test_z_only_common_bath_closed_form(self):
+        # L_z |m, -m> = (lam - 1) m |m, -m>, and the uniform profile has
+        # <m^2> = j(j + 1) / 3, so the rate is 2 g_zz (lam - 1)^2 j(j + 1) / 3
+        g_zz, lam = 0.75, 1.4
+        model = CommonBath(gamma=gamma_on("z", {("z", "z"): g_zz}), lam=lam, axes=("z",))
+        report = self._rate(model)
+        exact = 2.0 * g_zz * (lam - 1.0) ** 2 * self.J * (self.J + 1.0) / 3.0
+        assert report.analytic_rate == pytest.approx(exact, rel=1e-12)
+        assert report.numeric_rate == pytest.approx(exact, rel=1e-12)
+
+    def test_correlated_common_bath_numeric_matches_analytic(self):
+        g = gamma_on(
+            ("x", "y", "z"),
+            {("x", "x"): 1.0, ("y", "y"): 0.5, ("z", "z"): 0.25, ("x", "z"): 0.3},
+        )
+        report = self._rate(CommonBath(gamma=g, lam=1.4, axes=("x", "y", "z")))
+        assert report.mismatch <= 1e-10
+
+
 class TestEntropyRateEstimate:
     def test_independent_value(self):
         assert entropy_rate_estimate(3, z_pair_model()) == pytest.approx(12.0, abs=1e-12)
@@ -277,6 +315,19 @@ class TestVariance:
     def test_total_jx_on_triplet_zero(self):
         psi = coupled_basis_state(0.5, 0.5, 1, 0)
         assert variance_exact(total_jx(0.5), psi) == pytest.approx(1.0, abs=1e-13)
+
+    def test_factored_total_jx_matches_dense(self):
+        rng = np.random.default_rng(23)
+        jx = angular_momentum_ops(1.5).x.matrix
+        factored = FactoredOperator(jx, jx, (4, 4))
+        raw = rng.normal(size=16) + 1j * rng.normal(size=16)
+        psi = raw / np.linalg.norm(raw)
+        rho = density_from_pure(psi, (4, 4))
+        dense = variance_exact(total_jx(1.5), psi)
+        assert variance_exact(factored, psi) == pytest.approx(dense, rel=1e-13)
+        assert variance_exact(factored, rho) == pytest.approx(dense, rel=1e-12)
+        with pytest.raises(ValueError):
+            variance_exact(FactoredOperator(jx, 1j * jx, (4, 4)), psi)
 
     def test_mixed_state_branch(self):
         op = angular_momentum_ops(0.5).z

@@ -16,6 +16,7 @@ from oracles import (
 from spinbath.generator import (
     AXIS_INDEX,
     CommonBath,
+    FactoredOperator,
     Generator,
     IndependentBath,
     IntegrationAbortError,
@@ -276,6 +277,24 @@ class TestRankOneFactors:
                 dense = apply_generator(gen, np.outer(psi, phi.conj()))
                 scale = max(1.0, float(np.linalg.norm(dense)))
                 assert np.abs(u @ v.conj().T - dense).max() <= 1e-12 * scale
+
+
+class TestFactoredOperator:
+    def test_apply_and_adjoint_match_dense_matrix(self):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for op in (FactoredOperator(x, y, (3, 4)), FactoredOperator(x, None, (3,))):
+            mat = op.matrix
+            assert mat.shape == (op.dim, op.dim)
+            v = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+            np.testing.assert_allclose(op.apply(v), mat @ v, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(op.apply_adjoint(v), mat.conj().T @ v, rtol=0, atol=1e-13)
+
+    def test_factor_shapes_checked_against_dims(self):
+        for y, dims in ((None, (2, 2)), (np.eye(2), (2,)), (np.eye(3), (2, 2))):
+            with pytest.raises(ValueError, match="do not match dims"):
+                FactoredOperator(np.eye(2), y, dims)
 
 
 class TestStationaryResidual:

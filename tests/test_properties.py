@@ -3,7 +3,9 @@
 Drawn: a random PSD damping matrix gamma = B B^T (rank 1 to 3), lambda in
 [0, 2], j1, j2 <= 2, both bath kinds, with or without a random Hamiltonian.
 Tolerances fixed before the first run; ``scale`` = 1 + ||ksum|| + ||H||
-bounds the generator's norm, so roundoff grows with it.
+bounds the generator's norm, so roundoff grows with it.  The factored
+operators (X (x) I + I (x) Y) are drawn at j1, j2 <= 3 for common,
+independent and single-ensemble baths and checked against the dense builders.
 """
 
 import math
@@ -16,8 +18,18 @@ from hypothesis.extra.numpy import arrays
 from oracles import random_density, random_hermitian
 from spinbath import _kernels
 from spinbath.diagnostics import certify_stationary, entropy_rate_analytic
-from spinbath.generator import STEP_MATRIX_MAX_ROWS, CommonBath, IndependentBath, build_generator
-from spinbath.spin_algebra import SpinOperator
+from spinbath.generator import (
+    STEP_MATRIX_MAX_ROWS,
+    CommonBath,
+    IndependentBath,
+    apply_generator,
+    build_generator,
+    canonical_jumps,
+    coupling_factors,
+    coupling_operators,
+    rank_one_factors,
+)
+from spinbath.spin_algebra import SpinOperator, angular_momentum_ops, composite_coupling_ops, embed
 from spinbath.states import EntangledStateSpec, coefficient_profile, entangled_state
 
 AXES = ("x", "y", "z")
@@ -136,3 +148,78 @@ def test_singlet_is_certified_stationary_at_balanced_common_bath(gamma, j):
     gen = build_generator(CommonBath(gamma=gamma, lam=1.0, axes=AXES), j, j)
     psi = entangled_state(EntangledStateSpec.make(j, j, coefficient_profile("singlet", j)))
     assert certify_stationary(gen, [psi]).certified
+
+
+@st.composite
+def factor_models(draw):
+    """(model, j1, j2) for a common, independent or single-ensemble bath, j <= 3."""
+    spins = st.sampled_from([0.5, 1, 1.5, 2, 2.5, 3])
+    j1 = draw(spins)
+    kind = draw(st.sampled_from(["common", "independent", "single"]))
+    if kind == "single":
+        return IndependentBath(gamma1=draw(dampings()), gamma2=None, axes=AXES), j1, None
+    j2 = draw(spins)
+    if kind == "common":
+        return CommonBath(gamma=draw(dampings()), lam=draw(st.floats(0.0, 2.0)), axes=AXES), j1, j2
+    gamma2 = draw(st.one_of(st.none(), dampings()))
+    return IndependentBath(gamma1=draw(dampings()), gamma2=gamma2, axes=AXES), j1, j2
+
+
+def _dense_builders(model, j1, j2):
+    # the coupling matrices straight from the spin_algebra builders
+    ops1 = angular_momentum_ops(j1)
+    if j2 is None:
+        return [{a: getattr(ops1, a).matrix for a in AXES}]
+    if isinstance(model, CommonBath):
+        ops = composite_coupling_ops(j1, j2, model.lam)
+        return [{a: getattr(ops, a).matrix for a in AXES}]
+    ops2 = angular_momentum_ops(j2)
+    dims = (ops1.z.dim, ops2.z.dim)
+    sets = [{a: embed(getattr(ops1, a), 0, dims).matrix for a in AXES}]
+    if model.gamma2 is not None:
+        sets.append({a: embed(getattr(ops2, a), 1, dims).matrix for a in AXES})
+    return sets
+
+
+@DETERMINISTIC
+@given(factor_models())
+def test_factor_matrix_equals_dense_builders(drawn):
+    # exact: the dense view is the sum of embedded factors, and halving is exact
+    model, j1, j2 = drawn
+    factored = coupling_factors(model, j1, j2)
+    dense = _dense_builders(model, j1, j2)
+    assert len(factored) == len(dense) == len(coupling_operators(model, j1, j2))
+    for (_, ops), mats in zip(factored, dense):
+        for a in AXES:
+            assert np.array_equal(ops[a].matrix, mats[a])
+
+
+@DETERMINISTIC
+@given(factor_models(), SEEDS)
+def test_factored_jumps_match_dense_jumps(drawn, seed):
+    # || A_f v - A v || <= 1e-13 ||A||_F ||v||, and the same for the adjoint
+    model, j1, j2 = drawn
+    rng = np.random.default_rng(seed)
+    for (gamma, f_ops), (_, d_ops) in zip(coupling_factors(model, j1, j2), coupling_operators(model, j1, j2)):
+        f_jumps, d_jumps = canonical_jumps(gamma, f_ops), canonical_jumps(gamma, d_ops)
+        assert len(f_jumps) == len(d_jumps)
+        for f, d in zip(f_jumps, d_jumps):
+            v = rng.normal(size=d.dim) + 1j * rng.normal(size=d.dim)
+            tol = 1e-13 * np.linalg.norm(d.matrix) * np.linalg.norm(v)
+            assert np.linalg.norm(f.apply(v) - d.matrix @ v) <= tol
+            assert np.linalg.norm(f.apply_adjoint(v) - d.matrix.conj().T @ v) <= tol
+
+
+@DETERMINISTIC
+@given(factor_models(), SEEDS)
+def test_factored_rank_one_matches_dense_generator(drawn, seed):
+    # max |U V^dag - L(psi phi^dag)| <= 1e-12 max(1, ||L(psi phi^dag)||_F), psi != phi
+    model, j1, j2 = drawn
+    jumps = [op for gamma, ops in coupling_factors(model, j1, j2) for op in canonical_jumps(gamma, ops)]
+    gen = build_generator(model, j1, j2)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
+    phi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
+    u, v = rank_one_factors(jumps, None, psi, phi)
+    dense = apply_generator(gen, np.outer(psi, phi.conj()))
+    assert np.abs(u @ v.conj().T - dense).max() <= 1e-12 * max(1.0, float(np.linalg.norm(dense)))
