@@ -106,12 +106,22 @@ def step_matrix_chunk(rho, inc, nsteps):
 
 
 # Krylov dimension m: an adaptive step builds span{rho, L rho, ...,
-# L^(m-1) rho} from m right-hand sides and holds m vectors of n^2.  On the
-# adaptive j = 5 benchmark scenario (n = 121, t = 2, tol 1e-10, stride 20)
-# m = 10, 12, 14 and 16 take 420, 288, 238 and 208 right-hand sides, and
-# the peak RSS at m = 16 is 1.6 % above that at m = 12.  m = 12 is the
-# largest that leaves that table a row inside (0, t).
-KRYLOV_DIM = 12
+# L^(m-1) rho} from m right-hand sides and holds m vectors of n^2, and a
+# larger basis supports a longer step.  Right-hand sides per unit time
+# (m / tau over every step but the last, each tau the largest its basis
+# supports) on the adaptive benchmark scenario (n = 121, tol 1e-10, to
+# t = 2) at its seeds 0-3:
+#
+#     m                     10    12    14    16    18    20    24
+#     seed 0               167   107    79    71    62    53    39
+#     seeds 1-3, lowest    170   109    82    64    54    56    42
+#     seeds 1-3, highest   180   116    84    66    56    57    43
+#
+# The rate keeps falling with m while the basis grows as m n^2 complex
+# numbers, 19 MB a vector at n = 1,089.  m = 16 takes the steep part:
+# 12 -> 16 cuts the rate by 34-44 % for 33 % more basis, 16 -> 20 by 13-25 %
+# for 25 % more, and the basis at n = 1,089 is already 303 MB.
+KRYLOV_DIM = 16
 
 # h_{j+1,j} at or below this multiple of ||ksum||_F + ||ham||_F is roundoff:
 # the basis has closed and the projection is exact
@@ -119,21 +129,26 @@ BREAKDOWN_TOL = 1e-14
 
 
 def krylov_propagator(rho, jumps, jdags, ksum, ham, has_ham):
-    """Arnoldi on vec(rho); returns ``propagate(tau) -> (state, err)``.
+    """Arnoldi on vec(rho); returns ``(error, state)``, functions of tau.
 
     Builds an orthonormal basis V of span{rho, L rho, ..., L^(m-1) rho},
     m = ``KRYLOV_DIM``, with Gram-Schmidt applied twice per vector, and the
-    Hessenberg matrix H = V^dag L V.  ``propagate(tau)`` returns
-    beta V exp(tau H) e_1 ~ exp(tau L) rho, beta = ||rho||_F, and the error
-    estimate err = beta h_{m+1,m} |[exp(tau H)]_{m1}| (Saad, SIAM J. Numer.
-    Anal. 29 (1992) 209).  Every tau reuses the one basis, so a retried tau
-    costs no right-hand side.  When the basis closes early (an invariant
-    subspace, e.g. a stationary state) the projection is exact and err is 0.
-    Nothing is Hermitized or renormalized.
+    Hessenberg matrix H = V^dag L V.  ``error(tau)`` is the estimate
+    beta h_{m+1,m} |[exp(tau H)]_{m1}|, beta = ||rho||_F, of the error of
+    ``state(tau)`` = beta V exp(tau H) e_1 ~ exp(tau L) rho (Saad, SIAM J.
+    Numer. Anal. 29 (1992) 209).  Both reuse the one basis and cost no
+    right-hand side: ``error`` takes only the m x m exponential, and
+    ``state`` also combines the basis into the n x n state.  When the basis
+    closes early (an invariant subspace, e.g. a stationary state) the
+    projection is exact and the error is 0; rho = 0 spans nothing, its
+    state is 0 and takes no right-hand side.  Nothing is Hermitized or
+    renormalized.
     """
     n = rho.shape[0]
-    args = (jumps, jdags, ksum, ham, has_ham)
     beta = float(np.linalg.norm(rho))
+    if beta == 0.0:
+        return (lambda tau: 0.0), (lambda tau: np.zeros((n, n), dtype=np.complex128))
+    args = (jumps, jdags, ksum, ham, has_ham)
     floor = BREAKDOWN_TOL * (np.linalg.norm(ksum) + (np.linalg.norm(ham) if has_ham else 0.0))
     basis = np.empty((KRYLOV_DIM, n * n), dtype=np.complex128)
     hess = np.zeros((KRYLOV_DIM, KRYLOV_DIM), dtype=np.complex128)
@@ -155,12 +170,13 @@ def krylov_propagator(rho, jumps, jdags, ksum, ham, has_ham):
             basis[j + 1] = w / sub
     basis, hess = basis[:m], hess[:m, :m]
 
-    def propagate(tau):
-        small = pade_expm(tau * hess)
-        state = (beta * small[:, 0]) @ basis
-        return state.reshape(n, n), beta * sub * abs(small[m - 1, 0])
+    def error(tau):
+        return beta * sub * abs(pade_expm(tau * hess)[m - 1, 0])
 
-    return propagate
+    def state(tau):
+        return ((beta * pade_expm(tau * hess)[:, 0]) @ basis).reshape(n, n)
+
+    return error, state
 
 
 def pade_expm(a):

@@ -433,8 +433,9 @@ class Trajectory:
     """Sampled density-matrix evolution.
 
     ``states[i]`` is the sample at ``times[i]``; ``s_lin`` the matching
-    linear entropies 1 - tr(rho^2).  ``accepted``/``rejected`` count
-    integrator steps (rejected is 0 in fixed-step mode).
+    linear entropies 1 - tr(rho^2).  ``accepted`` counts integrator steps.
+    ``rejected`` counts the trial step sizes the adaptive step-size search
+    refused (see ``evolve``); it is 0 in fixed-step mode.
     """
 
     times: np.ndarray
@@ -450,6 +451,61 @@ class Trajectory:
 # the kernel's stages; the step matrix is faster to n = 16 and slower from
 # n = 36 on.
 STEP_MATRIX_MAX_ROWS = 256
+
+
+# bisections that end a step-size search: its bracket starts at most a factor
+# 2 wide, so the accepted h is within a factor 1 + 2^-STEP_BISECTIONS of a
+# refused trial
+STEP_BISECTIONS = 12
+
+
+def _largest_step(error, h, remaining, budget, tiny):
+    """Largest trial h <= ``remaining`` with error(h) <= budget * h.
+
+    The first trial is h clipped to [tiny, remaining].  A passing trial
+    doubles until one fails or ``remaining`` passes; a failing one halves
+    until one passes.  ``STEP_BISECTIONS`` bisections of the bracket
+    between the last pass and the last failure follow.  The search is
+    deterministic and calls ``error`` at most 2 + log2(remaining / tiny) +
+    ``STEP_BISECTIONS`` times.  Returns (h, refused): the accepted trial,
+    None when every trial down to ``tiny`` fails, and the number of failed
+    trials.
+    """
+    refused = 0
+
+    def passes(x):
+        nonlocal refused
+        if error(x) <= budget * x:
+            return True
+        refused += 1
+        return False
+
+    x = min(max(h, tiny), remaining)
+    if passes(x):
+        lo = x
+        while True:
+            if lo >= remaining:
+                return lo, refused
+            hi = min(2.0 * lo, remaining)
+            if not passes(hi):
+                break
+            lo = hi
+    else:
+        hi = x
+        while True:
+            lo = 0.5 * hi
+            if lo < tiny:
+                return None, refused
+            if passes(lo):
+                break
+            hi = lo
+    for _ in range(STEP_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, refused
 
 
 def _purity(mat: np.ndarray) -> float:
@@ -479,9 +535,12 @@ def evolve(
     Adaptive (``tol`` given): L does not depend on time, so each step is
     rho -> exp(h L) rho, projected onto the Krylov space of rho
     (``_kernels.krylov_propagator``, ``_kernels.KRYLOV_DIM`` right-hand
-    sides per accepted step).  A step is accepted when the Krylov error
-    estimate is at most tol * h * max(1, ||rho||_F); a rejected h shrinks
-    and is retried on the same basis, at no right-hand-side cost.
+    sides per step, fewer when the basis closes).  An h is acceptable when
+    the Krylov error estimate is at most tol * h * max(1, ||rho||_F).  On
+    each basis a search over trial h (``_largest_step``, at no
+    right-hand-side cost) takes the largest acceptable h <= t_final - t, to
+    a relative precision of 2^-``STEP_BISECTIONS``; each trial it refuses
+    counts in ``Trajectory.rejected``.
 
     Parameters
     ----------
@@ -492,13 +551,15 @@ def evolve(
         Integration horizon (>= 0).
     step : float, optional
         Fixed step size; defaults to ``default_step(gen)``.  In adaptive
-        mode this is the initial step.
+        mode this is the first trial h of the first search; later searches
+        start from the h last accepted.
     tol : float, optional
         Local error per unit time; selects adaptive Krylov steps.
     stride : int
         Record every stride-th accepted step (t = 0 and t_final always).
     max_steps : int
-        Abort guard on the total number of steps, accepted and rejected.
+        Abort guard: the number of steps, plus in adaptive mode the refused
+        trial h, never exceeds it.
 
     Returns
     -------
@@ -509,8 +570,8 @@ def evolve(
     IntegrationAbortError
         When a fixed step needs more than ``max_steps`` steps (raised before
         any step, ``t_last`` = 0), the state norm blows up beyond 10x its
-        initial value, or an adaptive run exceeds ``max_steps`` or its step
-        underflows.
+        initial value, or an adaptive run exceeds ``max_steps`` or no trial h
+        down to 1e-15 max(t_final, 1) is acceptable.
     """
     if t_final < 0.0:
         raise ValueError("t_final must be non-negative")
@@ -589,38 +650,28 @@ def evolve(
             record(t_final, rho)
         return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, accepted, 0)
 
-    # adaptive Krylov steps of exp(h L): one basis per accepted step; a
-    # rejected h shrinks and is retried on the same basis
+    # adaptive Krylov steps of exp(h L): one basis per accepted step, and on
+    # it the largest h the tolerance allows
     t = 0.0
     accepted = 0
     rejected = 0
+    tiny = 1e-15 * max(t_final, 1.0)
     while t < t_final * (1.0 - 1e-14):
-        propagate = _kernels.krylov_propagator(rho, *args)
-        scale = tol * max(1.0, float(np.linalg.norm(rho)))
-        while True:
-            h = min(h, t_final - t)
-            if h < 1e-15 * max(t_final, 1.0):
-                raise IntegrationAbortError(f"step size underflow at t={t:.6g}", t_last=t)
-            if accepted + rejected >= max_steps:
-                raise IntegrationAbortError(f"exceeded max_steps={max_steps} at t={t:.6g}", t_last=t)
-            new, err = propagate(h)
-            # the estimate grows about as h^(m-1); 1/m damps the correction
-            if err == 0.0:
-                factor = 5.0
-            else:
-                factor = min(5.0, max(0.2, 0.9 * (scale * h / err) ** (1.0 / _kernels.KRYLOV_DIM)))
-            if err <= scale * h:
-                break
-            rejected += 1
-            h *= factor
+        error, state = _kernels.krylov_propagator(rho, *args)
+        budget = tol * max(1.0, float(np.linalg.norm(rho)))
+        h, refused = _largest_step(error, h, t_final - t, budget, tiny)
+        rejected += refused
+        if h is None:
+            raise IntegrationAbortError(f"step size underflow at t={t:.6g}", t_last=t)
+        if accepted + 1 + rejected > max_steps:
+            raise IntegrationAbortError(f"exceeded max_steps={max_steps} at t={t:.6g}", t_last=t)
+        rho = state(h)
         # the next basis is built without this one alive
-        del propagate
-        rho = new
+        del error, state
         t += h
         accepted += 1
         check_blowup(t, rho)
         if accepted % stride == 0 and t < t_final * (1.0 - 1e-14):
             record(t, rho)
-        h *= factor
     record(t_final, rho)
     return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, accepted, rejected)

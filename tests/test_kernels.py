@@ -1,5 +1,7 @@
 """Invariants of the dense Lindblad kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,9 +9,11 @@ import scipy.linalg
 from oracles import coupling_sets, dense_liouvillian, random_density, random_hermitian
 from spinbath import _kernels
 from spinbath.generator import (
+    STEP_BISECTIONS,
     STEP_MATRIX_MAX_ROWS,
     CommonBath,
     IndependentBath,
+    IntegrationAbortError,
     build_generator,
     default_step,
     evolve,
@@ -129,10 +133,8 @@ def test_fixed_step_evolve_is_linear(j, with_ham, step_matrix):
         assert np.array_equal(b, 2.0 * a)
 
 
-def test_adaptive_rhs_cost_is_krylov_dim_per_accepted_step(monkeypatch):
-    # the public name and rk4_chunk's alias are both counted; a basis costs
-    # at most KRYLOV_DIM right-hand sides (fewer when it closes early) and a
-    # rejected step reuses it
+def _counted_rhs(monkeypatch):
+    # the public name and rk4_chunk's alias are both counted
     calls = []
     rhs = _kernels.lindblad_rhs
 
@@ -142,11 +144,101 @@ def test_adaptive_rhs_cost_is_krylov_dim_per_accepted_step(monkeypatch):
 
     monkeypatch.setattr(_kernels, "lindblad_rhs", counted)
     monkeypatch.setattr(_kernels, "_rhs", counted)
+    return calls
+
+
+def _recorded_bases(monkeypatch):
+    """One record per Krylov basis evolve builds: the norm of the state it
+    spans, its own error function, every trial (tau, error) of the search,
+    and the tau its state was formed at."""
+    bases = []
+    build = _kernels.krylov_propagator
+
+    def recorded(rho, *args):
+        error, state = build(rho, *args)
+        rec = {"norm": float(np.linalg.norm(rho)), "error": error, "trials": [], "taken": []}
+        bases.append(rec)
+
+        def traced_error(tau):
+            rec["trials"].append((tau, error(tau)))
+            return rec["trials"][-1][1]
+
+        def traced_state(tau):
+            rec["taken"].append(tau)
+            return state(tau)
+
+        return traced_error, traced_state
+
+    monkeypatch.setattr(_kernels, "krylov_propagator", recorded)
+    return bases
+
+
+# common bath with a Hamiltonian at n = 9: five steps, none of whose bases
+# closes, and the first trial (step = t_final) is too long for the tolerance
+SEARCH_CASE = dict(t_final=2.0, step=2.0, tol=1e-10)
+
+
+def test_adaptive_rhs_cost_is_krylov_dim_per_accepted_step(monkeypatch):
+    # a basis costs KRYLOV_DIM right-hand sides and its trial steps none
+    calls = _counted_rhs(monkeypatch)
     gen, rho0 = _case("common", 1, True)
-    # an initial step of t_final is rejected at least once
-    traj = evolve(gen, rho0, 0.5, step=0.5, tol=1e-10)
-    assert traj.rejected >= 1
-    assert len(calls) <= _kernels.KRYLOV_DIM * traj.accepted
+    traj = evolve(gen, rho0, SEARCH_CASE["t_final"], step=SEARCH_CASE["step"], tol=SEARCH_CASE["tol"])
+    assert traj.accepted >= 2
+    assert len(calls) == _kernels.KRYLOV_DIM * traj.accepted
+
+
+def test_adaptive_steps_are_the_largest_each_basis_supports(monkeypatch):
+    # every step below t_final - t meets the tolerance, and on its basis the
+    # next larger trial, within the search's precision 2^-STEP_BISECTIONS,
+    # fails it, as does tau (1 + 2^-STEP_BISECTIONS) itself.  rejected
+    # counts the failed trials
+    bases = _recorded_bases(monkeypatch)
+    gen, rho0 = _case("common", 1, True)
+    t_final, tol = SEARCH_CASE["t_final"], SEARCH_CASE["tol"]
+    traj = evolve(gen, rho0, t_final, step=SEARCH_CASE["step"], tol=tol)
+    assert len(bases) == traj.accepted
+    t, refused, short = 0.0, 0, 0
+    for rec in bases:
+        (tau,) = rec["taken"]
+        budget = tol * max(1.0, rec["norm"])
+        refused += sum(err > budget * x for x, err in rec["trials"])
+        assert rec["error"](tau) <= budget * tau
+        if tau < t_final - t:
+            short += 1
+            wider = tau * (1.0 + 2.0**-STEP_BISECTIONS)
+            nxt, err = min((x, e) for x, e in rec["trials"] if x > tau)
+            assert nxt <= wider and err > budget * nxt
+            assert rec["error"](wider) > budget * wider
+        t += tau
+    assert short == traj.accepted - 1
+    assert refused == traj.rejected >= 1
+
+
+def test_adaptive_max_steps_bounds_steps_and_refused_trials():
+    gen, rho0 = _case("common", 1, True)
+    run = lambda cap: evolve(gen, rho0, SEARCH_CASE["t_final"], step=SEARCH_CASE["step"],  # noqa: E731
+                             tol=SEARCH_CASE["tol"], max_steps=cap)
+    traj = run(10_000)
+    used = traj.accepted + traj.rejected
+    assert run(used).accepted == traj.accepted
+    with pytest.raises(IntegrationAbortError, match="max_steps"):
+        run(used - 1)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-10])
+def test_evolve_of_zero_is_zero(monkeypatch, tol):
+    # exp(tL) 0 = 0: the adaptive path takes t_final in one step on a basis
+    # that spans nothing and costs no right-hand side
+    calls = _counted_rhs(monkeypatch)
+    gen, _ = _case("common", 1, True)
+    zero = np.zeros((gen.dim, gen.dim), dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve(gen, zero, 1.0, tol=tol)
+    assert traj.times[-1] == 1.0
+    assert all(not state.any() for state in traj.states)
+    if tol is not None:
+        assert (traj.accepted, traj.rejected, len(calls)) == (1, 0, 0)
 
 
 def _norm1(a):

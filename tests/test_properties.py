@@ -1,7 +1,8 @@
 """Physical invariants of the generator, its kernels and the purity-loss rate.
 
 Drawn: a random PSD damping matrix gamma = B B^T (rank 1 to 3), lambda in
-[0, 2], j1, j2 <= 2, both bath kinds, with or without a random Hamiltonian.
+[0, 2], j1, j2 <= 2 (j1, j2 <= 1 for complete positivity, which evolves
+every matrix unit), both bath kinds, with or without a random Hamiltonian.
 Tolerances fixed before the first run; ``scale`` = 1 + ||ksum|| + ||H||
 bounds the generator's norm, so roundoff grows with it.  The factored
 operators (X (x) I + I (x) Y) are drawn at j1, j2 <= 3 for common,
@@ -27,6 +28,7 @@ from spinbath.generator import (
     canonical_jumps,
     coupling_factors,
     coupling_operators,
+    evolve,
     rank_one_factors,
 )
 from spinbath.spin_algebra import SpinOperator, angular_momentum_ops, composite_coupling_ops, embed
@@ -49,9 +51,9 @@ def dampings(draw):
 
 
 @st.composite
-def models(draw):
+def models(draw, spins=SPINS):
     """(model, j1, j2, sum of the damping traces)."""
-    j1, j2 = draw(SPINS), draw(SPINS)
+    j1, j2 = draw(spins), draw(spins)
     if draw(st.booleans()):
         gamma = draw(dampings())
         model = CommonBath(gamma=gamma, lam=draw(st.floats(0.0, 2.0)), axes=AXES)
@@ -109,7 +111,8 @@ def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, with_ham, step):
     tau = step / scale
     x = 2.0 * step
     if kind == "krylov":
-        out, _ = _kernels.krylov_propagator(rho, *args)(tau)
+        _, state = _kernels.krylov_propagator(rho, *args)
+        out = state(tau)
         m = _kernels.KRYLOV_DIM
         hermitian_tol = 1e-12 * m
         trace_tol = 1e-12 * m + math.sqrt(gen.dim) * 2.0 * x**m * math.exp(x) / math.factorial(m)
@@ -122,6 +125,35 @@ def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, with_ham, step):
         hermitian_tol = trace_tol = 4e-12 * math.exp(x)
     assert np.abs(out - out.conj().T).max() <= hermitian_tol
     assert abs(np.trace(out) - 1.0) <= trace_tol
+
+
+# the constant c of the Choi eigenvalue bound below, fixed before its first run
+CHOI_SLACK = 10.0
+
+
+@DETERMINISTIC
+@given(models(st.sampled_from([0.5, 1])), SEEDS, st.booleans(), st.floats(0.01, 1.0))
+def test_adaptive_evolve_is_completely_positive(drawn, seed, with_ham, tau):
+    # exp(tau L) is completely positive, so its Choi matrix
+    # C = sum_ab E_ab (x) Phi(E_ab) is positive semidefinite (Choi, Linear
+    # Algebra Appl. 10 (1975) 285); Phi is the adaptive evolve to tau.
+    # Each Phi(E_ab) commits an estimated error of at most tol tau
+    # max(1, ||rho||_F) <= 2 tol tau (a trace-preserving CP map keeps the
+    # trace norm of E_ab's Hermitian and anti-Hermitian parts at most 1), so
+    # the error of C is at most n 2 tol tau in Frobenius norm, and by Weyl
+    # no eigenvalue moves further.  c = CHOI_SLACK = 10 leaves a factor 5
+    # for the error estimate falling short of the true error
+    gen, _, _ = _generator(drawn, seed, with_ham)
+    n, tol = gen.dim, 1e-10
+    choi = np.zeros((n, n, n, n), dtype=np.complex128)
+    for a in range(n):
+        for b in range(n):
+            unit = np.zeros((n, n), dtype=np.complex128)
+            unit[a, b] = 1.0
+            choi[a, :, b, :] = evolve(gen, unit, tau, tol=tol).states[-1]
+    choi = choi.reshape(n * n, n * n)
+    lowest = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min()
+    assert lowest >= -CHOI_SLACK * tol * tau * n
 
 
 @DETERMINISTIC
