@@ -86,6 +86,13 @@ def _pure_rate(psi, u, v) -> float:
     return -2.0 * float(np.real(np.vdot(bra @ v, bra @ u)))
 
 
+def _check_length(vec, dims) -> np.ndarray:
+    dim = math.prod(dims)
+    if vec.shape[0] != dim:
+        raise ValueError(f"state length {vec.shape[0]} does not match model dimension {dim}")
+    return vec
+
+
 def _rate_factor(normalization: str, common: bool) -> float:
     # total spin doubles the common-bath operators (J1a + J2a = 2 L_a at
     # lam=1) and every rate is quadratic in them
@@ -132,9 +139,7 @@ def entropy_rate_analytic(psi, model, j1, j2=None, normalization: str = "composi
     vec = _unit_vector(psi)
     sets = coupling_factors(model, j1, j2)
     jumps, dims = _canonical_jump_set(sets)
-    dim = math.prod(dims)
-    if vec.shape[0] != dim:
-        raise ValueError(f"state length {vec.shape[0]} does not match model dimension {dim}")
+    _check_length(vec, dims)
 
     contributions: dict[str, float] = {}
     total = 0.0
@@ -297,6 +302,10 @@ class StationaryReport:
     ``pair_residuals`` present the candidates were also checked as a
     subspace: every cross projector |psi_i><psi_j| must be annihilated, and
     ``pair_ok`` holds the verdict on each against the same tolerance.
+    Every residual is ||R_Ui R_Vj^dag||_F from the thin-QR R factors of the
+    rank-one generator images (``certify_stationary``), which equals
+    ||L(|psi_i><psi_j|)||_F exactly and, unlike the Gram trace
+    tr((U^dag U)(V^dag V)), squares nothing.
     """
 
     residuals: list[float]
@@ -308,36 +317,51 @@ class StationaryReport:
 
 
 def certify_stationary(
-    gen: Generator,
     states,
+    model,
+    j1,
+    j2=None,
     subspace: bool = False,
     residual_tol: float = 1e-12,
 ) -> StationaryReport:
-    """Check candidate pure states for stationarity under a generator.
+    """Check candidate pure states for stationarity under a decoherence model.
 
-    Works on the rank-one factors U V^dag of each generator image
-    (``rank_one_factors``).  Residuals are the norm of the assembled U V^dag:
-    the Gram form tr((U^dag U)(V^dag V)) cancels catastrophically near zero.
+    The generator acts through the model's factored canonical jumps (the
+    ones ``entropy_rate_analytic`` uses), so no n x n matrix is built.  Each
+    image is rank one in factored form, L(|psi_i><psi_j|) = U_i V_j^dag
+    (``rank_one_factors``), with U and V of shape n x (k + 2) for k jumps.
+    With thin QR factors U_i = Q R_Ui and V_j = Q' R_Vj, Q and Q' having
+    orthonormal columns, ||U_i V_j^dag||_F = ||R_Ui R_Vj^dag||_F exactly:
+    every residual, states (i = j) and pairs alike, is the norm of a small
+    product of R factors.  Nothing is squared, unlike the Gram form
+    tr((U^dag U)(V^dag V)), which cancels catastrophically near zero;
+    Householder QR is backward stable, so the error stays of order
+    eps ||U|| ||V||, as for the assembled product.
     """
-    vecs = [_unit_vector(s) for s in states]
-    factors = [rank_one_factors(gen._jumps, gen._ham, vec, vec) for vec in vecs]
-    residuals = []
+    jumps, dims = _canonical_jump_set(coupling_factors(model, j1, j2))
+    vecs = [_check_length(_unit_vector(s), dims) for s in states]
     rates = []
+    r_u = []
+    r_v = []
+    for vec in vecs:
+        u, v = rank_one_factors(jumps, None, vec, vec)
+        rates.append(_pure_rate(vec, u, v))
+        r_u.append(np.linalg.qr(u, mode="r"))
+        r_v.append(np.linalg.qr(v, mode="r"))
+    residuals = []
     ok = []
-    for vec, (u, v) in zip(vecs, factors):
-        res = float(np.linalg.norm(u @ v.conj().T))
-        rate = _pure_rate(vec, u, v)
-        residuals.append(res)
-        rates.append(rate)
-        ok.append(res <= residual_tol and abs(rate) <= STATIONARY_RATE_TOL)
     pair_residuals: dict[tuple[int, int], float] = {}
     pair_ok: dict[tuple[int, int], bool] = {}
-    if subspace:
-        # L(|psi_i><psi_j|) = U_i V_j^dag
-        for i in range(len(vecs)):
-            for jdx in range(i + 1, len(vecs)):
-                res = float(np.linalg.norm(factors[i][0] @ factors[jdx][1].conj().T))
-                pair_residuals[(i, jdx)] = res
-                pair_ok[(i, jdx)] = res <= residual_tol
+    r_v = np.conj(r_v)
+    for i, rate in enumerate(rates):
+        # ||R_Ui R_Vj^dag||_F for j = i and, as a subspace, every j > i
+        stop = len(vecs) if subspace else i + 1
+        norms = np.linalg.norm(np.einsum("ab,jcb->jac", r_u[i], r_v[i:stop]), axis=(1, 2))
+        res = float(norms[0])
+        residuals.append(res)
+        ok.append(res <= residual_tol and abs(rate) <= STATIONARY_RATE_TOL)
+        for jdx, pair_res in enumerate(norms[1:].tolist(), start=i + 1):
+            pair_residuals[(i, jdx)] = pair_res
+            pair_ok[(i, jdx)] = pair_res <= residual_tol
     certified = bool(ok) and all(ok) and all(pair_ok.values())
     return StationaryReport(residuals, rates, ok, certified, pair_residuals, pair_ok)

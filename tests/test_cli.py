@@ -455,6 +455,18 @@ class TestSweepCommand:
         assert rows[1]["rate_numeric"] == ""
         assert float(rows[2]["rate_analytic"]) == pytest.approx(2 * 3 * 2 / 3, rel=1e-12)
 
+    def test_import_leaves_out_the_thread_pool(self):
+        # concurrent.futures adds about 10 ms to every start-up; only a sweep
+        # with --threads above 1 needs it
+        script = (
+            "import sys, spinbath.cli\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
 
 class TestSimulateCommand:
     def test_dephasing_table(self, tmp_path):

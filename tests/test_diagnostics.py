@@ -25,6 +25,7 @@ from spinbath.generator import (
     FactoredOperator,
     IndependentBath,
     build_generator,
+    rank_one_factors,
 )
 from spinbath.spin_algebra import angular_momentum_ops, composite_coupling_ops, coupled_basis_state, embed
 from spinbath.states import (
@@ -419,13 +420,12 @@ class TestCoupledStateRate:
 
 class TestCertifyStationary:
     def test_fock_basis_states_pass_individually(self):
-        gen = build_generator(z_pair_model(), 0.5, 0.5)
         states = [
             np.kron(fock_state(0.5, m1), fock_state(0.5, m2))
             for m1 in (0.5, -0.5)
             for m2 in (0.5, -0.5)
         ]
-        report = certify_stationary(gen, states)
+        report = certify_stationary(states, z_pair_model(), 0.5, 0.5)
         assert report.certified
         assert all(report.state_ok)
         assert max(report.residuals) <= 1e-13
@@ -434,13 +434,12 @@ class TestCertifyStationary:
 
     def test_fock_basis_fails_as_subspace(self):
         # coherences between distinct |m1, m2> decay, so the span is not free
-        gen = build_generator(z_pair_model(), 0.5, 0.5)
         states = [
             np.kron(fock_state(0.5, m1), fock_state(0.5, m2))
             for m1 in (0.5, -0.5)
             for m2 in (0.5, -0.5)
         ]
-        report = certify_stationary(gen, states, subspace=True)
+        report = certify_stationary(states, z_pair_model(), 0.5, 0.5, subspace=True)
         assert all(report.state_ok)
         assert not report.certified
         assert len(report.pair_residuals) == 6
@@ -448,13 +447,12 @@ class TestCertifyStationary:
 
     def test_pair_verdict_uses_residual_tol(self):
         # cross projectors flipping one spin have residual 1/2, both spins 1
-        gen = build_generator(z_pair_model(), 0.5, 0.5)
         states = [
             np.kron(fock_state(0.5, m1), fock_state(0.5, m2))
             for m1 in (0.5, -0.5)
             for m2 in (0.5, -0.5)
         ]
-        report = certify_stationary(gen, states, subspace=True, residual_tol=0.75)
+        report = certify_stationary(states, z_pair_model(), 0.5, 0.5, subspace=True, residual_tol=0.75)
         assert all(report.state_ok)
         assert report.pair_ok == {pair: res <= 0.75 for pair, res in report.pair_residuals.items()}
         assert sorted(report.pair_residuals.values()) == pytest.approx([0.5] * 4 + [1.0] * 2, rel=1e-14)
@@ -462,17 +460,46 @@ class TestCertifyStationary:
 
     def test_singlet_certified_under_balanced_common_bath(self):
         model = CommonBath(gamma=np.eye(3), lam=1.0, axes=("x", "y", "z"))
-        gen = build_generator(model, 1, 1)
-        report = certify_stationary(gen, [coupled_basis_state(1, 1, 0, 0)])
+        report = certify_stationary([coupled_basis_state(1, 1, 0, 0)], model, 1, 1)
         assert report.certified
 
     def test_decaying_state_flagged(self):
         model = IndependentBath(gamma1=gamma_on("z", {("z", "z"): 1.0}), gamma2=None, axes=("z",))
-        gen = build_generator(model, 0.5)
-        report = certify_stationary(gen, [coherent_x(0.5)])
+        report = certify_stationary([coherent_x(0.5)], model, 0.5)
         assert not report.certified
         assert report.purity_rates[0] == pytest.approx(0.5, abs=1e-12)
 
+    def test_wide_factors_match_assembled_norms(self):
+        # a spin-1/2 with three jumps: U and V are 2 x 5, so R is 2 x 5 too
+        g = gamma_on(("x", "y", "z"), {("x", "x"): 1.0, ("y", "y"): 0.5, ("z", "z"): 0.25, ("x", "z"): 0.3})
+        model = IndependentBath(gamma1=g, gamma2=None, axes=("x", "y", "z"))
+        gen = build_generator(model, 0.5)
+        assert gen._jumps.shape[0] == 3
+        states = [fock_state(0.5, 0.5), coherent_x(0.5), np.array([0.6, 0.8j])]
+        report = certify_stationary(states, model, 0.5, subspace=True)
+        got = {(i, i): res for i, res in enumerate(report.residuals)} | report.pair_residuals
+        assert len(got) == 6
+        for (i, j), res in got.items():
+            u, v = rank_one_factors(gen._jumps, None, states[i], states[j])
+            assert u.shape == (2, 5)
+            want = np.linalg.norm(u @ v.conj().T)
+            assert abs(res - want) <= 1e-13 * max(1.0, np.linalg.norm(u) * np.linalg.norm(v))
+        assert not report.certified
+
+    def test_large_singlet_builds_no_dense_matrix(self):
+        # j1 = j2 = 50, n = 10,201: one dense n x n complex matrix is 1.66 GB
+        j = 50
+        g = gamma_on(("x", "y", "z"), {("x", "x"): 1.0, ("y", "y"): 0.5, ("z", "z"): 0.25, ("x", "z"): 0.3})
+        model = CommonBath(gamma=g, lam=1.0, axes=("x", "y", "z"))
+        tracemalloc.start()
+        try:
+            psi = entangled_state(EntangledStateSpec.make(j, j, coefficient_profile("singlet", j)))
+            report = certify_stationary([psi], model, j, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert report.certified
+
     def test_empty_candidate_list_not_certified(self):
-        gen = build_generator(z_pair_model(), 0.5, 0.5)
-        assert not certify_stationary(gen, []).certified
+        assert not certify_stationary([], z_pair_model(), 0.5, 0.5).certified

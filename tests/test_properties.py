@@ -177,9 +177,8 @@ def test_singlet_is_certified_stationary_at_balanced_common_bath(gamma, j):
     # the paper's headline: at lambda = 1 every common-bath coupling is a
     # component of the total spin, which annihilates the singlet, so any
     # correlated gamma leaves it stationary (certificate bound 1e-12)
-    gen = build_generator(CommonBath(gamma=gamma, lam=1.0, axes=AXES), j, j)
     psi = entangled_state(EntangledStateSpec.make(j, j, coefficient_profile("singlet", j)))
-    assert certify_stationary(gen, [psi]).certified
+    assert certify_stationary([psi], CommonBath(gamma=gamma, lam=1.0, axes=AXES), j, j).certified
 
 
 @st.composite
@@ -255,3 +254,22 @@ def test_factored_rank_one_matches_dense_generator(drawn, seed):
     u, v = rank_one_factors(jumps, None, psi, phi)
     dense = apply_generator(gen, np.outer(psi, phi.conj()))
     assert np.abs(u @ v.conj().T - dense).max() <= 1e-12 * max(1.0, float(np.linalg.norm(dense)))
+
+
+@DETERMINISTIC
+@given(factor_models(), SEEDS)
+def test_certificate_residuals_match_assembled_norms(drawn, seed):
+    # ||R_Ui R_Vj^dag||_F against ||U_i V_j^dag||_F assembled from the dense
+    # jumps: within 1e-13 max(1, ||U_i||_F ||V_j||_F), states and pairs
+    model, j1, j2 = drawn
+    gen = build_generator(model, j1, j2)
+    rng = np.random.default_rng(seed)
+    states = [rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim) for _ in range(3)]
+    states = [psi / np.linalg.norm(psi) for psi in states]
+    report = certify_stationary(states, model, j1, j2, subspace=True)
+    got = {(i, i): res for i, res in enumerate(report.residuals)} | report.pair_residuals
+    assert sorted(got) == [(i, j) for i in range(3) for j in range(i, 3)]
+    for (i, j), res in got.items():
+        u, v = rank_one_factors(gen._jumps, None, states[i], states[j])
+        want = np.linalg.norm(u @ v.conj().T)
+        assert abs(res - want) <= 1e-13 * max(1.0, np.linalg.norm(u) * np.linalg.norm(v))
