@@ -1,7 +1,8 @@
 """Dense numeric kernels: Lindblad right-hand side, RK4 steps, Krylov steps.
 
 ``rk4_chunk`` runs fixed RK4 steps stage by stage; ``step_matrix_chunk``
-runs them as one product with the precomputed step matrix (small n);
+runs them as one product each with the precomputed step matrix (small n),
+or a whole stride as one product with its ``increment_power``;
 ``krylov_propagator`` projects exp(tau L) rho onto the Krylov space of
 ``rho`` for the adaptive integrator, one right-hand side per basis vector,
 with ``pade_expm`` for the small exponential.  Every step is a linear map
@@ -28,6 +29,7 @@ __all__ = [
     "pade_expm",
     "liouvillian",
     "rk4_step_increment",
+    "increment_power",
     "step_matrix_chunk",
 ]
 
@@ -93,10 +95,30 @@ def rk4_step_increment(lv, h):
     return m @ p
 
 
+def increment_power(inc, s):
+    """E_s = (I + D)^s - I for the increment D = ``inc``, by binary powering.
+
+    Works in increment form throughout, E_2m = 2 E_m + E_m E_m and
+    (I + a)(I + b) - I = a + b + ab, so the near-1 diagonal of P^s never
+    enters the rounding, as for D itself.  Takes at most 2 log2(s) products
+    and keeps two matrices besides ``inc`` alive, not the list of squares.
+    """
+    out = None
+    square = inc
+    while True:
+        if s & 1:
+            out = square if out is None else out + square + out @ square
+        s >>= 1
+        if not s:
+            return out
+        square = 2.0 * square + square @ square
+
+
 def step_matrix_chunk(rho, inc, nsteps):
     """``rk4_chunk`` with each RK4 step done as vec(rho) + D vec(rho).
 
-    ``inc`` is ``rk4_step_increment(liouvillian(...), h)``.
+    ``inc`` is ``rk4_step_increment(liouvillian(...), h)``, or its
+    ``increment_power`` for a whole stride of steps in one product.
     """
     n = rho.shape[0]
     vec = rho.reshape(n * n)

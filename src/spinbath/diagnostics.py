@@ -159,7 +159,7 @@ def entropy_rate_analytic(psi, model, j1, j2=None, normalization: str = "composi
                 contributions[key] = contributions.get(key, 0.0) + term
                 total += term
 
-    numeric = _pure_rate(vec, *rank_one_factors(jumps, None, vec, vec))
+    numeric = _pure_rate(vec, *rank_one_factors(jumps, vec, vec))
     scaled = {key: factor * term for key, term in contributions.items()}
     return RateReport(factor * numeric, factor * total, scaled)
 
@@ -344,7 +344,7 @@ def certify_stationary(
     r_u = []
     r_v = []
     for vec in vecs:
-        u, v = rank_one_factors(jumps, None, vec, vec)
+        u, v = rank_one_factors(jumps, vec, vec)
         rates.append(_pure_rate(vec, u, v))
         r_u.append(np.linalg.qr(u, mode="r"))
         r_v.append(np.linalg.qr(v, mode="r"))

@@ -376,32 +376,24 @@ def apply_generator(gen: Generator, rho) -> np.ndarray:
     return _kernels.lindblad_rhs(mat, gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._ham is not None)
 
 
-def rank_one_factors(jumps, ham, psi, phi) -> tuple[np.ndarray, np.ndarray]:
+def rank_one_factors(jumps, psi, phi) -> tuple[np.ndarray, np.ndarray]:
     """Factors U, V, each n x (k + 2), with L(psi phi^dag) = U V^dag.
 
-    U = [A_1 psi, ..., A_k psi, -K psi / 2 - i H psi, psi] and
-    V = [A_1 phi, ..., A_k phi, phi, -K phi / 2 - i H phi].  ``jumps`` is
-    a sequence of ``FactoredOperator`` or of n x n jump matrices (a (k, n, n)
-    stack included); ``ham`` is the Hamiltonian matrix, None when absent.
-    U depends on psi only and V on phi only.  Uses operator-vector products
-    alone: K = sum_k A_k^dag A_k is applied as sum_k A_k^dag (A_k x) and
-    never formed, and factored jumps never form an n x n matrix.
+    U = [A_1 psi, ..., A_k psi, -K psi / 2, psi] and
+    V = [A_1 phi, ..., A_k phi, phi, -K phi / 2] for the ``FactoredOperator``
+    jumps A_k of a generator without a Hamiltonian.  U depends on psi only
+    and V on phi only.  Uses operator-vector products alone: K = sum_k
+    A_k^dag A_k is applied as sum_k A_k^dag (A_k x) and never formed, and no
+    n x n matrix is built.
     """
 
     def columns(x):
         applied = []
         drift = np.zeros(x.shape, dtype=np.complex128)
         for a in jumps:
-            if isinstance(a, FactoredOperator):
-                ax = a.apply(x)
-                drift -= 0.5 * a.apply_adjoint(ax)
-            else:
-                ax = a @ x
-                # A^dag y = conj(y^dag A), without forming A^dag
-                drift -= 0.5 * (ax.conj() @ a).conj()
+            ax = a.apply(x)
+            drift -= 0.5 * a.apply_adjoint(ax)
             applied.append(ax)
-        if ham is not None:
-            drift -= 1j * (ham @ x)
         return applied, drift
 
     psi_cols, psi_drift = columns(psi)
@@ -530,7 +522,11 @@ def evolve(
     Fixed step: classic RK4, rho -> P(hL) rho.  With n^2 <=
     ``STEP_MATRIX_MAX_ROWS`` a step is one matrix-vector product with the
     precomputed increment P(hL) - I (a final partial step gets its own
-    P(h_last L) - I); otherwise the dense kernel evaluates the four stages.
+    P(h_last L) - I), and each full stride of s steps is one product with
+    P(hL)^s - I (``_kernels.increment_power``), built only when it saves
+    work: (full strides) (s - 1) > 2 log2(s) n^2.  The states and the step
+    count are those of single steps, up to rounding.  Otherwise the dense
+    kernel evaluates the four stages of every step.
 
     Adaptive (``tol`` given): L does not depend on time, so each step is
     rho -> exp(h L) rho, projected onto the Krylov space of rho
@@ -618,11 +614,21 @@ def evolve(
                 f"fixed step {h} needs {nsteps} steps > max_steps={max_steps}", t_last=0.0
             )
         h_last = t_final - (nsteps - 1) * h
-        if gen.dim**2 <= STEP_MATRIX_MAX_ROWS:
+        rows = gen.dim**2
+        if rows <= STEP_MATRIX_MAX_ROWS:
             lv = _kernels.liouvillian(*args)
             inc = _kernels.rk4_step_increment(lv, h)
+            # a stride of steps as one product when that saves work: powering
+            # takes about 2 log2(stride) products of rows x rows matrices,
+            # rows matrix-vector products each
+            full = (nsteps - 1) // stride
+            power = None
+            if full * (stride - 1) > 2.0 * math.log2(stride) * rows:
+                power = _kernels.increment_power(inc, stride)
 
             def chunk(mat, step, count):
+                if count == stride and power is not None:
+                    return _kernels.step_matrix_chunk(mat, power, 1)
                 d = inc if step == h else _kernels.rk4_step_increment(lv, step)
                 return _kernels.step_matrix_chunk(mat, d, count)
 

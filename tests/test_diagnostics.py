@@ -24,7 +24,10 @@ from spinbath.generator import (
     CommonBath,
     FactoredOperator,
     IndependentBath,
+    apply_generator,
     build_generator,
+    canonical_jumps,
+    coupling_factors,
     rank_one_factors,
 )
 from spinbath.spin_algebra import angular_momentum_ops, composite_coupling_ops, coupled_basis_state, embed
@@ -470,19 +473,25 @@ class TestCertifyStationary:
         assert report.purity_rates[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_wide_factors_match_assembled_norms(self):
-        # a spin-1/2 with three jumps: U and V are 2 x 5, so R is 2 x 5 too
+        # a spin-1/2 with three jumps: U and V are 2 x 5, so R is 2 x 5 too.
+        # U V^dag from the factored jumps is checked against the dense
+        # generator to 1e-12 max(1, ||L(psi_i psi_j^dag)||)
         g = gamma_on(("x", "y", "z"), {("x", "x"): 1.0, ("y", "y"): 0.5, ("z", "z"): 0.25, ("x", "z"): 0.3})
         model = IndependentBath(gamma1=g, gamma2=None, axes=("x", "y", "z"))
         gen = build_generator(model, 0.5)
-        assert gen._jumps.shape[0] == 3
+        jumps = [op for gamma, ops in coupling_factors(model, 0.5) for op in canonical_jumps(gamma, ops)]
+        assert gen._jumps.shape[0] == len(jumps) == 3
         states = [fock_state(0.5, 0.5), coherent_x(0.5), np.array([0.6, 0.8j])]
         report = certify_stationary(states, model, 0.5, subspace=True)
         got = {(i, i): res for i, res in enumerate(report.residuals)} | report.pair_residuals
         assert len(got) == 6
         for (i, j), res in got.items():
-            u, v = rank_one_factors(gen._jumps, None, states[i], states[j])
+            u, v = rank_one_factors(jumps, states[i], states[j])
             assert u.shape == (2, 5)
-            want = np.linalg.norm(u @ v.conj().T)
+            assembled = u @ v.conj().T
+            dense = apply_generator(gen, np.outer(states[i], states[j].conj()))
+            assert np.abs(assembled - dense).max() <= 1e-12 * max(1.0, float(np.linalg.norm(dense)))
+            want = np.linalg.norm(assembled)
             assert abs(res - want) <= 1e-13 * max(1.0, np.linalg.norm(u) * np.linalg.norm(v))
         assert not report.certified
 

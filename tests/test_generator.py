@@ -25,6 +25,7 @@ from spinbath.generator import (
     apply_generator,
     build_generator,
     canonical_jumps,
+    coupling_factors,
     coupling_operators,
     default_step,
     evolve,
@@ -250,7 +251,7 @@ class TestRankOneFactors:
         rng = np.random.default_rng(29)
         g_xz = gamma_on(("x", "z"), {("x", "x"): 0.3, ("z", "z"): 1.0, ("x", "z"): 0.4})
         cases = [
-            (IndependentBath(gamma1=g_xz, gamma2=None, axes=("x", "z")), 3, None, True),
+            (IndependentBath(gamma1=g_xz, gamma2=None, axes=("x", "z")), 3, None),
             (
                 IndependentBath(
                     gamma1=random_psd_on(rng, ("x", "y", "z")),
@@ -259,20 +260,17 @@ class TestRankOneFactors:
                 ),
                 1,
                 1.5,
-                False,
             ),
-            (CommonBath(gamma=random_psd_on(rng, ("x", "y", "z")), lam=0.7, axes=("x", "y", "z")), 2, 3, True),
-            (CommonBath(gamma=g_xz, lam=1.3, axes=("x", "z")), 3, 3, False),
+            (CommonBath(gamma=random_psd_on(rng, ("x", "y", "z")), lam=0.7, axes=("x", "y", "z")), 2, 3),
+            (CommonBath(gamma=g_xz, lam=1.3, axes=("x", "z")), 3, 3),
         ]
-        for model, j1, j2, with_ham in cases:
+        for model, j1, j2 in cases:
             gen = build_generator(model, j1, j2)
-            if with_ham:
-                gen = Generator(gen.jump_ops, SpinOperator(random_hermitian(rng, gen.dim), gen.dims), gen.dims)
-            ham = gen._ham
+            jumps = [op for gamma, ops in coupling_factors(model, j1, j2) for op in canonical_jumps(gamma, ops)]
             for _ in range(3):
                 psi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
                 phi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
-                u, v = rank_one_factors(gen._jumps, ham, psi, phi)
+                u, v = rank_one_factors(jumps, psi, phi)
                 assert u.shape == v.shape == (gen.dim, gen._jumps.shape[0] + 2)
                 dense = apply_generator(gen, np.outer(psi, phi.conj()))
                 scale = max(1.0, float(np.linalg.norm(dense)))

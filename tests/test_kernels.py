@@ -117,20 +117,103 @@ class TestStepMatrix:
         assert np.abs(traj.states[-1] - want).max() <= 1e-12
 
 
-@pytest.mark.parametrize("j,with_ham,step_matrix", [(1, True, True), (2, False, False)])
-def test_fixed_step_evolve_is_linear(j, with_ham, step_matrix):
-    # n = 9 takes the step matrix and n = 25 the stage kernel; 37 full steps
-    # in chunks of stride 5, then h_last = 0.4 h.  Scaling by 2 is exact in
+def _spied_powers(monkeypatch):
+    """Records each ``increment_power`` result and every ``step_matrix_chunk``
+    call as (matrix, nsteps)."""
+    powers, calls = [], []
+    power, chunk = _kernels.increment_power, _kernels.step_matrix_chunk
+
+    def spied_power(inc, s):
+        powers.append(power(inc, s))
+        return powers[-1]
+
+    def spied_chunk(rho, inc, nsteps):
+        calls.append((inc, nsteps))
+        return chunk(rho, inc, nsteps)
+
+    monkeypatch.setattr(_kernels, "increment_power", spied_power)
+    monkeypatch.setattr(_kernels, "step_matrix_chunk", spied_chunk)
+    return powers, calls
+
+
+@pytest.mark.parametrize(
+    "j,with_ham,path,steps,stride",
+    [(1, True, "step_matrix", 37, 5), (1, True, "power", 1451, 8), (2, False, "stage", 37, 5)],
+)
+def test_fixed_step_evolve_is_linear(monkeypatch, j, with_ham, path, steps, stride):
+    # n = 9 takes the step matrix, one product per stride of 8 once the run
+    # is long enough, and n = 25 the stage kernel; ``steps`` full steps in
+    # chunks of ``stride``, then h_last = 0.4 h.  Scaling by 2 is exact in
     # floating point, so a linear map of rho0 gives 2x the states bit for bit
+    powers, _ = _spied_powers(monkeypatch)
     gen, rho0 = _case("common", j, with_ham)
-    assert (gen.dim**2 <= STEP_MATRIX_MAX_ROWS) == step_matrix
+    assert (gen.dim**2 <= STEP_MATRIX_MAX_ROWS) == (path != "stage")
     h = default_step(gen)
-    one = evolve(gen, rho0, 37.4 * h, step=h, stride=5)
-    two = evolve(gen, 2.0 * rho0, 37.4 * h, step=h, stride=5)
-    assert one.accepted == two.accepted == 38
-    assert len(one.states) == len(two.states) == 9
+    one = evolve(gen, rho0, (steps + 0.4) * h, step=h, stride=stride)
+    two = evolve(gen, 2.0 * rho0, (steps + 0.4) * h, step=h, stride=stride)
+    assert len(powers) == (2 if path == "power" else 0)
+    assert one.accepted == two.accepted == steps + 1
+    assert len(one.states) == len(two.states) == steps // stride + 2
     for a, b in zip(one.states, two.states):
         assert np.array_equal(b, 2.0 * a)
+
+
+# strided evolve at n = 9 against single rk4_chunk steps: 1,451 full steps
+# and a partial one of 0.4 h.  That is past the power rule at strides 3, 8
+# and 200 and leaves a remainder chunk at each; stride 1 never powers, and
+# stride 2,000 has no full chunk
+POWER_STEPS = 1451
+
+
+@pytest.fixture(scope="module")
+def stepped():
+    """The n = 9 case, its step h, rk4_chunk's state after every full step,
+    and after the partial one."""
+    gen, rho0 = _case("common", 1, True)
+    h = default_step(gen)
+    states = [rho0]
+    for _ in range(POWER_STEPS):
+        states.append(_kernels.rk4_chunk(states[-1], *_args(gen), h, 1))
+    last = _kernels.rk4_chunk(states[-1], *_args(gen), (POWER_STEPS + 0.4) * h - POWER_STEPS * h, 1)
+    return gen, h, states, last
+
+
+@pytest.mark.parametrize("stride", [1, 3, 8, 200, 2000])
+def test_strided_evolve_agrees_with_rk4_chunk(monkeypatch, stepped, stride):
+    # bound fixed before running, as in TestStepMatrix: every sample within
+    # 1e-12 of the single-step states, entry by entry.  A full chunk is one
+    # product with the stride's power, the remainder chunk and the partial
+    # step go one step per product
+    gen, h, states, last = stepped
+    powers, calls = _spied_powers(monkeypatch)
+    traj = evolve(gen, states[0], (POWER_STEPS + 0.4) * h, step=h, stride=stride)
+    full, rest = divmod(POWER_STEPS, stride)
+    assert traj.accepted == POWER_STEPS + 1
+    if 1 < stride <= POWER_STEPS:
+        assert len(powers) == 1
+        assert [n for _, n in calls] == [1] * full + [rest, 1]
+        assert sum(d is powers[0] for d, _ in calls) == full
+    else:
+        assert powers == []
+        assert [n for _, n in calls] == [1] * full + ([rest] if rest else []) + [1]
+    want = states[::stride] + [last]
+    assert len(traj.states) == len(want)
+    for got, ref in zip(traj.states, want):
+        assert np.abs(got - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("full,built", [(3, False), (4, True)])
+def test_stride_power_built_only_when_it_saves_work(monkeypatch, full, built):
+    # n = 2, stride 8, 8 full + 5 steps: full chunks, a remainder of 4 and
+    # the last step.  Powering costs about 2 log2(8) n^2 = 24 matrix-vector
+    # products and each full chunk saves 7, so three full chunks (21) build
+    # nothing and four (28) build the power
+    powers, calls = _spied_powers(monkeypatch)
+    gen, rho0 = _case("independent", 0.5, True)
+    h = default_step(gen)
+    evolve(gen, rho0, (8 * full + 5) * h, step=h, stride=8)
+    assert len(powers) == built
+    assert [n for _, n in calls] == [1 if built else 8] * full + [4, 1]
 
 
 def _counted_rhs(monkeypatch):

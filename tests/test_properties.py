@@ -171,6 +171,43 @@ def test_pure_state_purity_loss_is_non_negative(drawn, seed):
     assert report.analytic_rate >= -tol
 
 
+# the slope property's tau ell and evolve tolerance, fixed before its first run
+SLOPE_STEP = 1e-4
+SLOPE_TOL = 1e-12
+
+
+@DETERMINISTIC
+@given(models(), SEEDS)
+def test_simulated_initial_slope_is_the_analytic_rate(drawn, seed):
+    # rate <-> simulate: S_lin(t) of adaptive evolve from a pure state leaves
+    # t = 0 with the slope entropy_rate_analytic gives.  The jumps are
+    # Hermitian, so ell = 2 sum_k ||A_k||_2^2 bounds ||L|| on the Frobenius
+    # norm; with tr rho(t)^2 <= 1 every derivative obeys |S^(k)| <= (2 ell)^k.
+    # So D(tau) = (S(tau) - S(0)) / tau = r + a tau + R with |R| <= (2 ell)^3
+    # tau^2 / 6, and the Richardson value 2 D(tau / 2) - D(tau) is within
+    # 2 ell^3 tau^2 of r.  Each evolve commits at most tol tau in Frobenius
+    # norm, so each purity at most 2 tol tau and the Richardson value 6 tol.
+    # A purity near 1 rounds by a few eps (delta < 1e-14), which enters the
+    # Richardson value as at most 10 delta / tau: 1e-13 / tau.
+    # tau = SLOPE_STEP / max(ell, 1)
+    model, j1, j2, _ = drawn
+    gen = build_generator(model, j1, j2)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
+    psi /= np.linalg.norm(psi)
+    rho0 = np.outer(psi, psi.conj())
+    ell = 2.0 * sum(np.linalg.norm(a, 2) ** 2 for a in gen._jumps)
+    tau = SLOPE_STEP / max(ell, 1.0)
+
+    def slope(t):
+        s_lin = evolve(gen, rho0, t, tol=SLOPE_TOL).s_lin
+        return (s_lin[-1] - s_lin[0]) / t
+
+    estimate = 2.0 * slope(tau / 2.0) - slope(tau)
+    rate = entropy_rate_analytic(psi, model, j1, j2).analytic_rate
+    assert abs(estimate - rate) <= 2.0 * ell**3 * tau**2 + 6.0 * SLOPE_TOL + 1e-13 / tau
+
+
 @DETERMINISTIC
 @given(dampings(), SPINS)
 def test_singlet_is_certified_stationary_at_balanced_common_bath(gamma, j):
@@ -251,7 +288,7 @@ def test_factored_rank_one_matches_dense_generator(drawn, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
     phi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
-    u, v = rank_one_factors(jumps, None, psi, phi)
+    u, v = rank_one_factors(jumps, psi, phi)
     dense = apply_generator(gen, np.outer(psi, phi.conj()))
     assert np.abs(u @ v.conj().T - dense).max() <= 1e-12 * max(1.0, float(np.linalg.norm(dense)))
 
@@ -259,9 +296,12 @@ def test_factored_rank_one_matches_dense_generator(drawn, seed):
 @DETERMINISTIC
 @given(factor_models(), SEEDS)
 def test_certificate_residuals_match_assembled_norms(drawn, seed):
-    # ||R_Ui R_Vj^dag||_F against ||U_i V_j^dag||_F assembled from the dense
-    # jumps: within 1e-13 max(1, ||U_i||_F ||V_j||_F), states and pairs
+    # ||R_Ui R_Vj^dag||_F against ||U_i V_j^dag||_F assembled from the
+    # factored jumps: within 1e-13 max(1, ||U_i||_F ||V_j||_F), states and
+    # pairs; U_i V_j^dag against the dense generator as in
+    # test_factored_rank_one_matches_dense_generator
     model, j1, j2 = drawn
+    jumps = [op for gamma, ops in coupling_factors(model, j1, j2) for op in canonical_jumps(gamma, ops)]
     gen = build_generator(model, j1, j2)
     rng = np.random.default_rng(seed)
     states = [rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim) for _ in range(3)]
@@ -270,6 +310,9 @@ def test_certificate_residuals_match_assembled_norms(drawn, seed):
     got = {(i, i): res for i, res in enumerate(report.residuals)} | report.pair_residuals
     assert sorted(got) == [(i, j) for i in range(3) for j in range(i, 3)]
     for (i, j), res in got.items():
-        u, v = rank_one_factors(gen._jumps, None, states[i], states[j])
-        want = np.linalg.norm(u @ v.conj().T)
+        u, v = rank_one_factors(jumps, states[i], states[j])
+        assembled = u @ v.conj().T
+        dense = apply_generator(gen, np.outer(states[i], states[j].conj()))
+        assert np.abs(assembled - dense).max() <= 1e-12 * max(1.0, float(np.linalg.norm(dense)))
+        want = np.linalg.norm(assembled)
         assert abs(res - want) <= 1e-13 * max(1.0, np.linalg.norm(u) * np.linalg.norm(v))
