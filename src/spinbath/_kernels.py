@@ -1,8 +1,9 @@
 """Dense numeric kernels: Lindblad right-hand side, RK4 steps, Krylov steps.
 
-``rk4_chunk`` runs fixed RK4 steps stage by stage; ``step_matrix_chunk``
-runs them as one product each with the precomputed step matrix (small n),
-or a whole stride as one product with its ``increment_power``;
+``rk4_chunk`` runs fixed RK4 steps stage by stage, and every fixed run's
+final step of its own size; ``step_matrix_chunk`` runs them as one product
+each with the precomputed step matrix (small n), or a whole stride as one
+product with its ``increment_power``;
 ``krylov_propagator`` projects exp(tau L) rho onto the Krylov space of
 ``rho`` for the adaptive integrator, one right-hand side per basis vector,
 with ``pade_expm`` for the small exponential.  Every step is a linear map

@@ -12,9 +12,10 @@ is always realized in canonical form: gamma = O D O^T, jump operators
 A_k = sqrt(D_k) sum_a O_ak C_a with the rates absorbed.
 
 Every such operator is X (x) I + I (x) Y with X and Y single-ensemble
-matrices.  The pure-state paths keep that factored form
-(``FactoredOperator``) and never build an n x n matrix; the ``Generator``
-and the integrators work on the dense matrices.
+matrices, and jumps are always built in that factored form
+(``FactoredOperator``, from ``coupling_factors``).  The pure-state paths
+apply them without building an n x n matrix; the ``Generator`` stacks
+their dense matrices for the kernels.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "validate_damping",
     "canonical_jumps",
     "coupling_factors",
-    "coupling_operators",
     "build_generator",
     "apply_generator",
     "rank_one_factors",
@@ -248,18 +248,6 @@ def coupling_factors(model, j1, j2=None) -> list[tuple[np.ndarray, dict[str, Fac
     return [(gamma, {a: factored(a, w1, w2) for a in model.axes}) for gamma, w1, w2 in weighted]
 
 
-def coupling_operators(model, j1, j2=None) -> list[tuple[np.ndarray, dict[str, SpinOperator]]]:
-    """Dense view of ``coupling_factors``: the same sets with n x n operators.
-
-    The matrices equal the ``composite_coupling_ops`` (common bath) and
-    ``embed`` (independent bath) builds entry for entry.
-    """
-    return [
-        (gamma, {a: SpinOperator(op.matrix, op.dims) for a, op in ops.items()})
-        for gamma, ops in coupling_factors(model, j1, j2)
-    ]
-
-
 def _weighted_sum(weights, mats) -> np.ndarray:
     out = np.zeros(mats[0].shape, dtype=np.complex128)
     for w, m in zip(weights, mats):
@@ -274,16 +262,17 @@ def canonical_jumps(gamma, ops: dict) -> list:
     ----------
     gamma : (3, 3) array
         Validated damping matrix (entries outside ``ops`` keys are zero).
-    ops : dict axis -> SpinOperator or FactoredOperator
-        Coupling operators for the axes gamma acts on, all of one kind.
+    ops : dict axis -> FactoredOperator
+        Factored coupling operators (``coupling_factors``) for the axes
+        gamma acts on.
 
     Returns
     -------
-    list of SpinOperator or FactoredOperator (the kind of ``ops``)
-        Jump operators A_k = sqrt(d_k) sum_a O_ak C_a; the dissipator
-        sum_k (A_k rho A_k^dag - (1/2){A_k^dag A_k, rho}) reproduces the
-        double sum over gamma exactly.  A factored jump combines the X and
-        Y factors separately.
+    list of FactoredOperator
+        Jump operators A_k = sqrt(d_k) sum_a O_ak C_a, the X and Y factors
+        combined separately; the dissipator sum_k (A_k rho A_k^dag -
+        (1/2){A_k^dag A_k, rho}) reproduces the double sum over gamma
+        exactly.
     """
     axes = _check_axes(ops.keys())
     first = ops[axes[0]]
@@ -299,18 +288,18 @@ def canonical_jumps(gamma, ops: dict) -> list:
                 raise NotPositiveSemidefiniteError(f"negative canonical rate {rate:.3e}")
             continue
         root = math.sqrt(rate)
-        if isinstance(first, FactoredOperator):
-            x = root * _weighted_sum(evecs[:, k], [ops[a].x for a in axes])
-            y = None if first.y is None else root * _weighted_sum(evecs[:, k], [ops[a].y for a in axes])
-            jumps.append(FactoredOperator(x, y, first.dims))
-        else:
-            mat = _weighted_sum(evecs[:, k], [ops[a].matrix for a in axes])
-            jumps.append(SpinOperator(root * mat, first.dims))
+        x = root * _weighted_sum(evecs[:, k], [ops[a].x for a in axes])
+        y = None if first.y is None else root * _weighted_sum(evecs[:, k], [ops[a].y for a in axes])
+        jumps.append(FactoredOperator(x, y, first.dims))
     return jumps
 
 
 def _canonical_jump_set(sets) -> tuple[list, tuple[int, ...]]:
-    """Canonical jumps of every coupling set (dense or factored), and their dims."""
+    """Canonical jumps of every factored coupling set, and their dims.
+
+    The one jump assembly: ``build_generator``, the rate and the certificate
+    paths all take their jumps from it.
+    """
     jumps = [op for gamma, ops in sets for op in canonical_jumps(gamma, ops)]
     return jumps, next(iter(sets[0][1].values())).dims
 
@@ -319,7 +308,7 @@ def _canonical_jump_set(sets) -> tuple[list, tuple[int, ...]]:
 class Generator:
     """Lindblad generator in canonical form, ready for the kernels."""
 
-    jump_ops: list[SpinOperator]
+    jump_ops: list[FactoredOperator]
     hamiltonian: SpinOperator | None
     dims: tuple[int, ...]
     _jumps: np.ndarray = field(init=False, repr=False)
@@ -357,7 +346,7 @@ class Generator:
 
 def build_generator(model, j1, j2=None, hamiltonian: SpinOperator | None = None) -> Generator:
     """Canonical-form generator for a decoherence model on one or two ensembles."""
-    jumps, dims = _canonical_jump_set(coupling_operators(model, j1, j2))
+    jumps, dims = _canonical_jump_set(coupling_factors(model, j1, j2))
     return Generator(jumps, hamiltonian, dims)
 
 
@@ -521,12 +510,13 @@ def evolve(
 
     Fixed step: classic RK4, rho -> P(hL) rho.  With n^2 <=
     ``STEP_MATRIX_MAX_ROWS`` a step is one matrix-vector product with the
-    precomputed increment P(hL) - I (a final partial step gets its own
-    P(h_last L) - I), and each full stride of s steps is one product with
-    P(hL)^s - I (``_kernels.increment_power``), built only when it saves
-    work: (full strides) (s - 1) > 2 log2(s) n^2.  The states and the step
-    count are those of single steps, up to rounding.  Otherwise the dense
-    kernel evaluates the four stages of every step.
+    precomputed increment P(hL) - I, and each full stride of s steps is one
+    product with P(hL)^s - I (``_kernels.increment_power``), built only when
+    it saves work: (full strides) (s - 1) > 2 log2(s) n^2.  The states and
+    the step count are those of single steps, up to rounding.  Otherwise
+    the dense kernel evaluates the four stages of every step.  The final
+    step, of h_last = t_final - (nsteps - 1) h, goes through the dense
+    kernel at every n.
 
     Adaptive (``tol`` given): L does not depend on time, so each step is
     rho -> exp(h L) rho, projected onto the Krylov space of rho
@@ -615,9 +605,9 @@ def evolve(
             )
         h_last = t_final - (nsteps - 1) * h
         rows = gen.dim**2
-        if rows <= STEP_MATRIX_MAX_ROWS:
-            lv = _kernels.liouvillian(*args)
-            inc = _kernels.rk4_step_increment(lv, h)
+        # a one-step run takes only the final step, which needs no step matrix
+        if rows <= STEP_MATRIX_MAX_ROWS and nsteps > 1:
+            inc = _kernels.rk4_step_increment(_kernels.liouvillian(*args), h)
             # a stride of steps as one product when that saves work: powering
             # takes about 2 log2(stride) products of rows x rows matrices,
             # rows matrix-vector products each
@@ -626,22 +616,21 @@ def evolve(
             if full * (stride - 1) > 2.0 * math.log2(stride) * rows:
                 power = _kernels.increment_power(inc, stride)
 
-            def chunk(mat, step, count):
+            def chunk(mat, count):
                 if count == stride and power is not None:
                     return _kernels.step_matrix_chunk(mat, power, 1)
-                d = inc if step == h else _kernels.rk4_step_increment(lv, step)
-                return _kernels.step_matrix_chunk(mat, d, count)
+                return _kernels.step_matrix_chunk(mat, inc, count)
 
         else:
 
-            def chunk(mat, step, count):
-                return _kernels.rk4_chunk(mat, *args, step, count)
+            def chunk(mat, count):
+                return _kernels.rk4_chunk(mat, *args, h, count)
 
         done = 0
         accepted = 0
         while done < nsteps - 1:
             take = min(stride, nsteps - 1 - done)
-            rho = chunk(rho, h, take)
+            rho = chunk(rho, take)
             done += take
             accepted += take
             t_now = done * h
@@ -649,7 +638,8 @@ def evolve(
                 record(t_now, rho)
             check_blowup(t_now, rho)
         if h_last > 1e-15 * max(h, 1.0):
-            rho = chunk(rho, h_last, 1)
+            # stage by stage at any n: one step of its own size does not pay for a step matrix
+            rho = _kernels.rk4_chunk(rho, *args, h_last, 1)
             accepted += 1
         check_blowup(t_final, rho)
         if times[-1] < t_final:

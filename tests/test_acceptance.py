@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import dephasing_s_lin, dissipator_double_sum, random_hermitian
+from oracles import coupling_sets, dephasing_s_lin, dissipator_double_sum, random_hermitian
 from spinbath.diagnostics import (
     entanglement_entropy,
     entropy_rate_analytic,
@@ -24,7 +24,7 @@ from spinbath.generator import (
     IndependentBath,
     apply_generator,
     build_generator,
-    coupling_operators,
+    coupling_factors,
     evolve,
     stationary_residual,
 )
@@ -239,8 +239,8 @@ class TestAcceptance:
         model = CommonBath(gamma=np.eye(3), lam=1.0, axes=("x", "y", "z"))
         spec = EntangledStateSpec.make(j, j, coefficient_profile("singlet", j))
         psi = entangled_state(spec)
-        (_, ops), = coupling_operators(model, j, j)
-        op_norms = {a: float(np.linalg.norm(ops[a].matrix @ psi)) for a in ops}
+        (_, ops), = coupling_factors(model, j, j)
+        op_norms = {a: float(np.linalg.norm(ops[a].apply(psi))) for a in ops}
         gen = build_generator(model, j, j)
         residual = stationary_residual(gen, density_from_pure(psi, gen.dims))
         traj = evolve(gen, density_from_pure(psi, gen.dims), 10.0, tol=1e-12)
@@ -338,17 +338,11 @@ class TestAcceptance:
         assert traj_worst <= 1e-9
         # canonical jumps against the literal double sum
         rng = np.random.default_rng(5)
-        sets = coupling_operators(model, 1, 1)
+        (gamma, ops), = coupling_sets("common", 1, 1, model.gamma, None, model.lam)
         diss_worst = 0.0
         for _ in range(3):
             rho = random_hermitian(rng, gen.dim)
-            expect = np.zeros_like(rho)
-            for gamma, ops in sets:
-                axes = sorted(ops, key=AXIS_INDEX.get)
-                idx = [AXIS_INDEX[a] for a in axes]
-                expect += dissipator_double_sum(
-                    gamma[np.ix_(idx, idx)], [ops[a].matrix for a in axes], rho
-                )
+            expect = dissipator_double_sum(gamma, ops, rho)
             diss_worst = max(diss_worst, float(np.abs(apply_generator(gen, rho) - expect).max()))
         assert diss_worst <= 1e-12
         elapsed = time.perf_counter() - start

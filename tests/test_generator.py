@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    coupling_sets,
     dephasing_s_lin,
     dissipator_double_sum,
     product_m_values,
@@ -26,7 +27,6 @@ from spinbath.generator import (
     build_generator,
     canonical_jumps,
     coupling_factors,
-    coupling_operators,
     default_step,
     evolve,
     rank_one_factors,
@@ -127,24 +127,30 @@ class TestModels:
     def test_single_ensemble_rejects_gamma2(self):
         model = IndependentBath(gamma1=np.eye(3), gamma2=np.eye(3), axes=("x", "y", "z"))
         with pytest.raises(ValueError, match="second ensemble"):
-            coupling_operators(model, 0.5)
+            coupling_factors(model, 0.5)
 
     def test_common_needs_two_ensembles(self):
         model = CommonBath(gamma=np.eye(3), lam=1.0, axes=("x", "y", "z"))
         with pytest.raises(ValueError):
-            coupling_operators(model, 0.5)
+            coupling_factors(model, 0.5)
+
+
+def single_factors(j, axes):
+    """Factored single-ensemble coupling operators {axis: J_a}."""
+    single = angular_momentum_ops(j)
+    return {a: FactoredOperator(getattr(single, a).matrix, None, single.z.dims) for a in axes}
 
 
 class TestCanonicalJumps:
     def test_diagonal_single_axis(self):
-        ops = {"z": angular_momentum_ops(0.5).z}
+        ops = single_factors(0.5, "z")
         jumps = canonical_jumps(gamma_on("z", {("z", "z"): 0.25}), ops)
         assert len(jumps) == 1
+        assert jumps[0].y is None
         np.testing.assert_allclose(jumps[0].matrix, 0.5 * ops["z"].matrix, atol=1e-15)
 
     def test_cross_coupling_rates(self):
-        single = angular_momentum_ops(0.5)
-        ops = {"x": single.x, "z": single.z}
+        ops = single_factors(0.5, "xz")
         g = gamma_on(("x", "z"), {("x", "x"): 1.0, ("z", "z"): 1.0, ("x", "z"): 0.5})
         jumps = canonical_jumps(g, ops)
         # eigen-rates 0.5 and 1.5; tr(A^dag A) = rate / 2 for spin-1/2 ops
@@ -152,20 +158,17 @@ class TestCanonicalJumps:
         np.testing.assert_allclose(norms, [0.25, 0.75], atol=1e-14)
 
     def test_rank_deficient_drops_zero_rate(self):
-        single = angular_momentum_ops(1)
-        ops = {"x": single.x, "z": single.z}
+        ops = single_factors(1, "xz")
         g = gamma_on(("x", "z"), {("x", "x"): 1.0, ("z", "z"): 1.0, ("x", "z"): 1.0})
         assert len(canonical_jumps(g, ops)) == 1
 
     def test_tiny_negative_rate_dropped(self):
-        single = angular_momentum_ops(0.5)
-        ops = {"x": single.x, "y": single.y, "z": single.z}
+        ops = single_factors(0.5, "xyz")
         g = np.diag([1.0, 0.0, -1e-13])
         assert len(canonical_jumps(g, ops)) == 1
 
     def test_clearly_negative_rate_raises(self):
-        single = angular_momentum_ops(0.5)
-        ops = {"x": single.x, "z": single.z}
+        ops = single_factors(0.5, "xz")
         g = gamma_on(("x", "z"), {("x", "x"): 0.1, ("z", "z"): 1.0, ("x", "z"): 0.5})
         with pytest.raises(NotPositiveSemidefiniteError):
             canonical_jumps(g, ops)
@@ -175,26 +178,25 @@ class TestDissipatorEquivalence:
     def test_matches_double_sum_oracle(self):
         # canonical decomposition vs the literal double sum, random inputs
         rng = np.random.default_rng(41)
+        # (model, j1, j2, oracle coupling sets): gamma entries off the
+        # model's axes are zero, so the oracle's x, y, z operators contract
+        # the same double sum
         cases = []
         g1 = random_psd_on(rng, ("x", "y", "z"))
         g2 = random_psd_on(rng, ("x", "y", "z"))
-        cases.append((IndependentBath(gamma1=g1, gamma2=g2, axes=("x", "y", "z")), 1.0, 1.0))
+        cases.append((IndependentBath(gamma1=g1, gamma2=g2, axes=("x", "y", "z")), 1.0, 1.0,
+                      coupling_sets("independent", 1.0, 1.0, g1, g2, 0.0)))
         gx = random_psd_on(rng, ("x", "z"))
-        cases.append((IndependentBath(gamma1=gx, gamma2=None, axes=("x", "z")), 1.5, None))
+        cases.append((IndependentBath(gamma1=gx, gamma2=None, axes=("x", "z")), 1.5, None,
+                      coupling_sets("independent", 1.5, None, gx, None, 0.0)))
         gc = random_psd_on(rng, ("x", "y", "z"))
-        cases.append((CommonBath(gamma=gc, lam=0.7, axes=("x", "y", "z")), 1.0, 1.5))
-        for model, j1, j2 in cases:
+        cases.append((CommonBath(gamma=gc, lam=0.7, axes=("x", "y", "z")), 1.0, 1.5,
+                      coupling_sets("common", 1.0, 1.5, gc, None, 0.7)))
+        for model, j1, j2, sets in cases:
             gen = build_generator(model, j1, j2)
-            sets = coupling_operators(model, j1, j2)
             for _ in range(4):
                 rho = random_hermitian(rng, gen.dim)
-                expect = np.zeros_like(rho)
-                for gamma, ops in sets:
-                    axes = sorted(ops, key=AXIS_INDEX.get)
-                    idx = [AXIS_INDEX[a] for a in axes]
-                    sub = gamma[np.ix_(idx, idx)]
-                    mats = [ops[a].matrix for a in axes]
-                    expect += dissipator_double_sum(sub, mats, rho)
+                expect = sum(dissipator_double_sum(gamma, ops, rho) for gamma, ops in sets)
                 got = apply_generator(gen, rho)
                 scale = max(1.0, float(np.abs(expect).max()))
                 assert np.abs(got - expect).max() <= 1e-12 * scale
@@ -569,7 +571,7 @@ class TestBuildGenerator:
         assert len(gen.jump_ops) == 6
 
     def test_jump_dimension_checked(self):
-        bad = angular_momentum_ops(1).z
+        bad = FactoredOperator(angular_momentum_ops(1).z.matrix, None, (3,))
         with pytest.raises(ValueError):
             Generator([bad], None, (2,))
 

@@ -136,6 +136,19 @@ def _spied_powers(monkeypatch):
     return powers, calls
 
 
+def _spied_stages(monkeypatch):
+    """Records every ``rk4_chunk`` call as (h, nsteps)."""
+    calls = []
+    stages = _kernels.rk4_chunk
+
+    def spied(rho, jumps, jdags, ksum, ham, has_ham, h, nsteps):
+        calls.append((h, nsteps))
+        return stages(rho, jumps, jdags, ksum, ham, has_ham, h, nsteps)
+
+    monkeypatch.setattr(_kernels, "rk4_chunk", spied)
+    return calls
+
+
 @pytest.mark.parametrize(
     "j,with_ham,path,steps,stride",
     [(1, True, "step_matrix", 37, 5), (1, True, "power", 1451, 8), (2, False, "stage", 37, 5)],
@@ -182,20 +195,23 @@ def stepped():
 def test_strided_evolve_agrees_with_rk4_chunk(monkeypatch, stepped, stride):
     # bound fixed before running, as in TestStepMatrix: every sample within
     # 1e-12 of the single-step states, entry by entry.  A full chunk is one
-    # product with the stride's power, the remainder chunk and the partial
-    # step go one step per product
+    # product with the stride's power, the remainder chunk goes one step per
+    # product, and the partial step is one rk4_chunk step
     gen, h, states, last = stepped
     powers, calls = _spied_powers(monkeypatch)
-    traj = evolve(gen, states[0], (POWER_STEPS + 0.4) * h, step=h, stride=stride)
+    stage_calls = _spied_stages(monkeypatch)
+    t_final = (POWER_STEPS + 0.4) * h
+    traj = evolve(gen, states[0], t_final, step=h, stride=stride)
     full, rest = divmod(POWER_STEPS, stride)
     assert traj.accepted == POWER_STEPS + 1
     if 1 < stride <= POWER_STEPS:
         assert len(powers) == 1
-        assert [n for _, n in calls] == [1] * full + [rest, 1]
+        assert [n for _, n in calls] == [1] * full + [rest]
         assert sum(d is powers[0] for d, _ in calls) == full
     else:
         assert powers == []
-        assert [n for _, n in calls] == [1] * full + ([rest] if rest else []) + [1]
+        assert [n for _, n in calls] == [1] * full + ([rest] if rest else [])
+    assert stage_calls == [(t_final - POWER_STEPS * h, 1)]
     want = states[::stride] + [last]
     assert len(traj.states) == len(want)
     for got, ref in zip(traj.states, want):
@@ -204,16 +220,30 @@ def test_strided_evolve_agrees_with_rk4_chunk(monkeypatch, stepped, stride):
 
 @pytest.mark.parametrize("full,built", [(3, False), (4, True)])
 def test_stride_power_built_only_when_it_saves_work(monkeypatch, full, built):
-    # n = 2, stride 8, 8 full + 5 steps: full chunks, a remainder of 4 and
-    # the last step.  Powering costs about 2 log2(8) n^2 = 24 matrix-vector
-    # products and each full chunk saves 7, so three full chunks (21) build
-    # nothing and four (28) build the power
+    # n = 2, stride 8, 8 full + 5 steps: full chunks and a remainder of 4
+    # (the last step goes through rk4_chunk).  Powering costs about
+    # 2 log2(8) n^2 = 24 matrix-vector products and each full chunk saves 7,
+    # so three full chunks (21) build nothing and four (28) build the power
     powers, calls = _spied_powers(monkeypatch)
     gen, rho0 = _case("independent", 0.5, True)
     h = default_step(gen)
     evolve(gen, rho0, (8 * full + 5) * h, step=h, stride=8)
     assert len(powers) == built
-    assert [n for _, n in calls] == [1 if built else 8] * full + [4, 1]
+    assert [n for _, n in calls] == [1 if built else 8] * full + [4]
+
+
+def test_one_step_run_builds_no_step_matrix(monkeypatch):
+    # step >= t_final at n = 9: the run is its final step alone, one
+    # rk4_chunk step of t_final, and builds no Liouvillian
+    built = []
+    monkeypatch.setattr(_kernels, "liouvillian", lambda *a: built.append(1))
+    gen, rho0 = _case("common", 1, True)
+    assert gen.dim**2 <= STEP_MATRIX_MAX_ROWS
+    t_final = 0.5 * default_step(gen)
+    traj = evolve(gen, rho0, t_final, step=2.0 * t_final)
+    assert built == []
+    assert traj.accepted == 1
+    assert np.array_equal(traj.states[-1], _kernels.rk4_chunk(rho0, *_args(gen), t_final, 1))
 
 
 def _counted_rhs(monkeypatch):

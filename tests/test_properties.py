@@ -6,7 +6,8 @@ every matrix unit), both bath kinds, with or without a random Hamiltonian.
 Tolerances fixed before the first run; ``scale`` = 1 + ||ksum|| + ||H||
 bounds the generator's norm, so roundoff grows with it.  The factored
 operators (X (x) I + I (x) Y) are drawn at j1, j2 <= 3 for common,
-independent and single-ensemble baths and checked against the dense builders.
+independent and single-ensemble baths and checked against the dense builders,
+and the generator built from their jumps against the literal double sum.
 """
 
 import math
@@ -16,10 +17,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import random_density, random_hermitian
+from oracles import coupling_sets, dissipator_double_sum, random_density, random_hermitian
 from spinbath import _kernels
 from spinbath.diagnostics import certify_stationary, entropy_rate_analytic
 from spinbath.generator import (
+    JUMP_RATE_TOL,
     STEP_MATRIX_MAX_ROWS,
     CommonBath,
     IndependentBath,
@@ -27,7 +29,6 @@ from spinbath.generator import (
     build_generator,
     canonical_jumps,
     coupling_factors,
-    coupling_operators,
     evolve,
     rank_one_factors,
 )
@@ -256,10 +257,23 @@ def test_factor_matrix_equals_dense_builders(drawn):
     model, j1, j2 = drawn
     factored = coupling_factors(model, j1, j2)
     dense = _dense_builders(model, j1, j2)
-    assert len(factored) == len(dense) == len(coupling_operators(model, j1, j2))
+    assert len(factored) == len(dense)
     for (_, ops), mats in zip(factored, dense):
         for a in AXES:
             assert np.array_equal(ops[a].matrix, mats[a])
+
+
+def _dense_jumps(gamma, mats):
+    # canonical jumps from the dense builders' matrices: the same eigh of
+    # gamma and the same rate floor as canonical_jumps, weights applied to
+    # the n x n matrices
+    evals, evecs = np.linalg.eigh(gamma)
+    floor = JUMP_RATE_TOL * max(float(evals.max(initial=0.0)), 1.0)
+    return [
+        math.sqrt(rate) * sum(evecs[i, k] * mats[a] for i, a in enumerate(AXES))
+        for k, rate in enumerate(evals)
+        if rate > floor
+    ]
 
 
 @DETERMINISTIC
@@ -268,14 +282,37 @@ def test_factored_jumps_match_dense_jumps(drawn, seed):
     # || A_f v - A v || <= 1e-13 ||A||_F ||v||, and the same for the adjoint
     model, j1, j2 = drawn
     rng = np.random.default_rng(seed)
-    for (gamma, f_ops), (_, d_ops) in zip(coupling_factors(model, j1, j2), coupling_operators(model, j1, j2)):
-        f_jumps, d_jumps = canonical_jumps(gamma, f_ops), canonical_jumps(gamma, d_ops)
+    for (gamma, f_ops), mats in zip(coupling_factors(model, j1, j2), _dense_builders(model, j1, j2)):
+        f_jumps, d_jumps = canonical_jumps(gamma, f_ops), _dense_jumps(gamma, mats)
         assert len(f_jumps) == len(d_jumps)
         for f, d in zip(f_jumps, d_jumps):
-            v = rng.normal(size=d.dim) + 1j * rng.normal(size=d.dim)
-            tol = 1e-13 * np.linalg.norm(d.matrix) * np.linalg.norm(v)
-            assert np.linalg.norm(f.apply(v) - d.matrix @ v) <= tol
-            assert np.linalg.norm(f.apply_adjoint(v) - d.matrix.conj().T @ v) <= tol
+            v = rng.normal(size=d.shape[0]) + 1j * rng.normal(size=d.shape[0])
+            tol = 1e-13 * np.linalg.norm(d) * np.linalg.norm(v)
+            assert np.linalg.norm(f.apply(v) - d @ v) <= tol
+            assert np.linalg.norm(f.apply_adjoint(v) - d.conj().T @ v) <= tol
+
+
+def _oracle_sets(model, j1, j2):
+    # the model's coupling sets from the oracle's own spin matrices; an
+    # undamped second ensemble contributes a zero damping matrix
+    if isinstance(model, CommonBath):
+        return coupling_sets("common", j1, j2, model.gamma, None, model.lam)
+    gamma2 = np.zeros((3, 3)) if model.gamma2 is None else model.gamma2
+    return coupling_sets("independent", j1, j2, model.gamma1, gamma2, 0.0)
+
+
+@DETERMINISTIC
+@given(factor_models(), SEEDS)
+def test_generator_matches_double_sum_oracle(drawn, seed):
+    # the jump assembly against the literal double sum over the oracle's
+    # coupling operators, on a random Hermitian X: max |L(X) - expect| <=
+    # 1e-12 max(1, max |expect|)
+    model, j1, j2 = drawn
+    gen = build_generator(model, j1, j2)
+    x = random_hermitian(np.random.default_rng(seed), gen.dim)
+    expect = sum(dissipator_double_sum(gamma, ops, x) for gamma, ops in _oracle_sets(model, j1, j2))
+    got = apply_generator(gen, x)
+    assert np.abs(got - expect).max() <= 1e-12 * max(1.0, float(np.abs(expect).max()))
 
 
 @DETERMINISTIC
