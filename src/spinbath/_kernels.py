@@ -1,14 +1,11 @@
-"""Dense numeric kernels: Lindblad right-hand side, RK4 steps, Krylov steps.
+"""Dense numeric kernels: the Lindblad right-hand side and Krylov steps.
 
-``rk4_chunk`` runs fixed RK4 steps stage by stage, and every fixed run's
-final step of its own size; ``step_matrix_chunk`` runs them as one product
-each with the precomputed step matrix (small n), or a whole stride as one
-product with its ``increment_power``;
 ``krylov_propagator`` projects exp(tau L) rho onto the Krylov space of
-``rho`` for the adaptive integrator, one right-hand side per basis vector,
-with ``pade_expm`` for the small exponential.  Every step is a linear map
-of rho: nothing is Hermitized or renormalized, so trace and Hermiticity
-drift shows in the result.
+``rho``, one right-hand side per basis vector, with ``pade_expm`` for the
+small exponential; both integration modes of ``generator.evolve`` take
+their states from it, at one tau or at a grid of times.  Every state is a
+linear map of rho: nothing is Hermitized or renormalized, so trace and
+Hermiticity drift shows in the result.
 
 Arrays are complex128: ``rho`` (n, n), ``jumps``/``jdags`` stacked
 (k, n, n), ``ksum`` = sum_k A_k^dag A_k (n, n).  ``ham`` is the (n, n)
@@ -28,10 +25,6 @@ __all__ = [
     "KRYLOV_DIM",
     "krylov_propagator",
     "pade_expm",
-    "liouvillian",
-    "rk4_step_increment",
-    "increment_power",
-    "step_matrix_chunk",
 ]
 
 
@@ -45,9 +38,11 @@ def lindblad_rhs(rho, jumps, jdags, ksum, ham, has_ham):
     return out
 
 
-# rk4_chunk's own reference: profilers wrap the public name, so a stage step
-# counts once as an RK4 step; krylov_propagator calls the public name, so
-# each basis vector counts as a right-hand side
+# not called here: rk4_chunk and its own reference _rhs are kept because
+# perfbench/tracing.py wraps _kernels.rk4_chunk by name.  Profilers wrap the
+# public lindblad_rhs, so a stage step counts once as an RK4 step;
+# krylov_propagator calls the public name, so each basis vector counts as a
+# right-hand side
 _rhs = lindblad_rhs
 
 
@@ -61,71 +56,6 @@ def rk4_chunk(rho, jumps, jdags, ksum, ham, has_ham, h, nsteps):
         k4 = _rhs(rho + h * k3, *args)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return rho
-
-
-def liouvillian(jumps, jdags, ksum, ham, has_ham):
-    """Dense (n^2, n^2) matrix of ``lindblad_rhs`` on the row-major vec(rho).
-
-    vec(X rho Y) = (X kron Y^T) vec(rho), so
-    L = sum_k A_k kron conj(A_k) - (1/2)(K kron I + I kron K^T)
-        - i(H kron I - I kron H^T).
-    """
-    eye = np.eye(ksum.shape[0])
-    out = -0.5 * (np.kron(ksum, eye) + np.kron(eye, ksum.T))
-    for k in range(jumps.shape[0]):
-        out += np.kron(jumps[k], jdags[k].T)
-    if has_ham:
-        out += -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
-    return out
-
-
-def rk4_step_increment(lv, h):
-    """D = P(hL) - I for the RK4 step matrix P(hL), in Horner form.
-
-    One classic RK4 step of a time-independent linear equation is exactly
-    vec(rho) -> P(hL) vec(rho), P(hL) = I + hL + (hL)^2/2 + (hL)^3/6 +
-    (hL)^4/24, so RK4's truncation error is kept.  A step rho + D vec(rho)
-    rounds like the stage update of ``rk4_chunk``; a stored P(hL) would
-    round its near-1 diagonal once and repeat that error at every step.
-    """
-    m = h * lv
-    eye = np.eye(m.shape[0])
-    p = eye + m / 4.0
-    for c in (3.0, 2.0):
-        p = eye + (m @ p) / c
-    return m @ p
-
-
-def increment_power(inc, s):
-    """E_s = (I + D)^s - I for the increment D = ``inc``, by binary powering.
-
-    Works in increment form throughout, E_2m = 2 E_m + E_m E_m and
-    (I + a)(I + b) - I = a + b + ab, so the near-1 diagonal of P^s never
-    enters the rounding, as for D itself.  Takes at most 2 log2(s) products
-    and keeps two matrices besides ``inc`` alive, not the list of squares.
-    """
-    out = None
-    square = inc
-    while True:
-        if s & 1:
-            out = square if out is None else out + square + out @ square
-        s >>= 1
-        if not s:
-            return out
-        square = 2.0 * square + square @ square
-
-
-def step_matrix_chunk(rho, inc, nsteps):
-    """``rk4_chunk`` with each RK4 step done as vec(rho) + D vec(rho).
-
-    ``inc`` is ``rk4_step_increment(liouvillian(...), h)``, or its
-    ``increment_power`` for a whole stride of steps in one product.
-    """
-    n = rho.shape[0]
-    vec = rho.reshape(n * n)
-    for _ in range(nsteps):
-        vec = vec + inc @ vec
-    return vec.reshape(n, n)
 
 
 # Krylov dimension m: an adaptive step builds span{rho, L rho, ...,
@@ -152,7 +82,7 @@ BREAKDOWN_TOL = 1e-14
 
 
 def krylov_propagator(rho, jumps, jdags, ksum, ham, has_ham):
-    """Arnoldi on vec(rho); returns ``(error, state)``, functions of tau.
+    """Arnoldi on vec(rho); returns ``(error, state, samples)``.
 
     Builds an orthonormal basis V of span{rho, L rho, ..., L^(m-1) rho},
     m = ``KRYLOV_DIM``, with Gram-Schmidt applied twice per vector, and the
@@ -161,16 +91,30 @@ def krylov_propagator(rho, jumps, jdags, ksum, ham, has_ham):
     ``state(tau)`` = beta V exp(tau H) e_1 ~ exp(tau L) rho (Saad, SIAM J.
     Numer. Anal. 29 (1992) 209).  Both reuse the one basis and cost no
     right-hand side: ``error`` takes only the m x m exponential, and
-    ``state`` also combines the basis into the n x n state.  When the basis
-    closes early (an invariant subspace, e.g. a stationary state) the
-    projection is exact and the error is 0; rho = 0 spans nothing, its
-    state is 0 and takes no right-hand side.  Nothing is Hermitized or
-    renormalized.
+    ``state`` also combines the basis into the n x n state.
+
+    ``samples(times, t0, spacing, budget)`` evaluates the basis at many
+    times, as Expokit's ``expv`` does (Sidje, ACM TOMS 24 (1998) 130): the
+    states at offsets tau = times[i] - t0, in order, up to the first whose
+    error exceeds ``budget`` * tau, as a (rows, n, n) array.  ``times``
+    increase ``spacing`` apart, except that the last gap may be shorter.
+    The first offset and the last gap take one m x m exponential each and
+    every other time one product with exp(spacing H); all states come from
+    one (rows x m)(m x n^2) product.
+
+    When the basis closes early (an invariant subspace, e.g. a stationary
+    state) the projection is exact and the error is 0; rho = 0 spans
+    nothing, its states are 0 and take no right-hand side.  Nothing is
+    Hermitized or renormalized.
     """
     n = rho.shape[0]
     beta = float(np.linalg.norm(rho))
     if beta == 0.0:
-        return (lambda tau: 0.0), (lambda tau: np.zeros((n, n), dtype=np.complex128))
+        return (
+            lambda tau: 0.0,
+            lambda tau: np.zeros((n, n), dtype=np.complex128),
+            lambda times, t0, spacing, budget: np.zeros((len(times), n, n), dtype=np.complex128),
+        )
     args = (jumps, jdags, ksum, ham, has_ham)
     floor = BREAKDOWN_TOL * (np.linalg.norm(ksum) + (np.linalg.norm(ham) if has_ham else 0.0))
     basis = np.empty((KRYLOV_DIM, n * n), dtype=np.complex128)
@@ -199,7 +143,25 @@ def krylov_propagator(rho, jumps, jdags, ksum, ham, has_ham):
     def state(tau):
         return ((beta * pade_expm(tau * hess)[:, 0]) @ basis).reshape(n, n)
 
-    return error, state
+    def samples(times, t0, spacing, budget):
+        coeffs = []
+        for i, t in enumerate(times):
+            if i == 0:
+                col = pade_expm((t - t0) * hess)[:, 0]
+            elif i == len(times) - 1:
+                col = pade_expm((t - times[i - 1]) * hess) @ col
+            else:
+                if i == 1:
+                    gap = pade_expm(spacing * hess)
+                col = gap @ col
+            # error(tau), evaluated as there, so the first offset fails here
+            # exactly when it fails error()
+            if beta * sub * abs(col[m - 1]) > budget * (t - t0):
+                break
+            coeffs.append(col)
+        return ((beta * np.reshape(coeffs, (-1, m))) @ basis).reshape(-1, n, n)
+
+    return error, state, samples
 
 
 def pade_expm(a):

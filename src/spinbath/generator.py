@@ -398,7 +398,10 @@ def stationary_residual(gen: Generator, rho) -> float:
 
 
 def default_step(gen: Generator) -> float | None:
-    """Conservative fixed step 0.1 / (sum_k ||A_k||^2 + ||H||), None if free."""
+    """Step 0.1 / (sum_k ||A_k||^2 + ||H||), None if free.
+
+    ``evolve``'s default grid step, and its first adaptive trial h.
+    """
     scale = 0.0
     for k in range(gen._jumps.shape[0]):
         scale += float(np.linalg.norm(gen._jumps[k], 2)) ** 2
@@ -414,9 +417,10 @@ class Trajectory:
     """Sampled density-matrix evolution.
 
     ``states[i]`` is the sample at ``times[i]``; ``s_lin`` the matching
-    linear entropies 1 - tr(rho^2).  ``accepted`` counts integrator steps.
-    ``rejected`` counts the trial step sizes the adaptive step-size search
-    refused (see ``evolve``); it is 0 in fixed-step mode.
+    linear entropies 1 - tr(rho^2).  ``accepted`` counts steps: in fixed
+    mode the steps of size ``step`` to t_final, each exp(step L), and in
+    adaptive mode the Krylov bases.  ``rejected`` counts the trial offsets
+    the Krylov error test refused (see ``evolve``).
     """
 
     times: np.ndarray
@@ -427,11 +431,11 @@ class Trajectory:
     rejected: int
 
 
-# Largest n^2 at which fixed-step evolve uses the RK4 step matrix.  The matrix
-# holds n^4 entries and costs n^4 per step, against about 4 (2k + 2) n^3 for
-# the kernel's stages; the step matrix is faster to n = 16 and slower from
-# n = 36 on.
-STEP_MATRIX_MAX_ROWS = 256
+# Local error per unit time of fixed-mode samples, relative to
+# max(1, ||rho||_F): the acceptance test of ``tol`` in adaptive mode, set so
+# that a fixed run's states carry a projection error of at most about
+# 1e-12 t, and no step-size error
+GRID_TOL = 1e-12
 
 
 # bisections that end a step-size search: its bracket starts at most a factor
@@ -503,30 +507,32 @@ def evolve(
     stride: int = 1,
     max_steps: int = 10_000_000,
 ) -> Trajectory:
-    """Integrate d rho/dt = L(rho): fixed-step RK4, or adaptive Krylov steps.
+    """Integrate d rho/dt = L(rho): exp(t L) rho0 on a time grid, or adaptively.
 
-    Both modes are linear maps of rho0: nothing is Hermitized or
-    renormalized, so trace and Hermiticity drift shows in the states.
-
-    Fixed step: classic RK4, rho -> P(hL) rho.  With n^2 <=
-    ``STEP_MATRIX_MAX_ROWS`` a step is one matrix-vector product with the
-    precomputed increment P(hL) - I, and each full stride of s steps is one
-    product with P(hL)^s - I (``_kernels.increment_power``), built only when
-    it saves work: (full strides) (s - 1) > 2 log2(s) n^2.  The states and
-    the step count are those of single steps, up to rounding.  Otherwise
-    the dense kernel evaluates the four stages of every step.  The final
-    step, of h_last = t_final - (nsteps - 1) h, goes through the dense
-    kernel at every n.
-
-    Adaptive (``tol`` given): L does not depend on time, so each step is
-    rho -> exp(h L) rho, projected onto the Krylov space of rho
+    L does not depend on time, so every state is exp(t L) rho0, projected
+    onto the Krylov space of the state at the start of a step
     (``_kernels.krylov_propagator``, ``_kernels.KRYLOV_DIM`` right-hand
-    sides per step, fewer when the basis closes).  An h is acceptable when
-    the Krylov error estimate is at most tol * h * max(1, ||rho||_F).  On
-    each basis a search over trial h (``_largest_step``, at no
-    right-hand-side cost) takes the largest acceptable h <= t_final - t, to
-    a relative precision of 2^-``STEP_BISECTIONS``; each trial it refuses
-    counts in ``Trajectory.rejected``.
+    sides per basis, fewer when the basis closes).  A state at offset tau
+    from its basis is acceptable when the Krylov error estimate is at most
+    tol * tau * max(1, ||rho||_F), rho the basis's start.  Both modes are
+    linear maps of rho0: nothing is Hermitized or renormalized, so trace and
+    Hermiticity drift shows in the states.
+
+    Fixed step (``tol`` None): the grid of ``nsteps`` = ceil(t_final / h)
+    steps of h = ``step``, sampled every stride-th step, at done * h for
+    done = stride, 2 stride, ... < nsteps, and at t_final.  The test runs
+    at tol = ``GRID_TOL``.  Each basis gives the next rows at one
+    exponential per spacing (``samples``) and ends at the last row that
+    passes, the first that fails counting in ``Trajectory.rejected``; when
+    even the next row fails, a step-size search (``_largest_step``) takes
+    the largest acceptable sub-step short of it.  ``Trajectory.accepted``
+    is ``nsteps``.
+
+    Adaptive (``tol`` given): on each basis a search over trial h
+    (``_largest_step``, at no right-hand-side cost) takes the largest
+    acceptable h <= t_final - t, to a relative precision of
+    2^-``STEP_BISECTIONS``; each trial it refuses counts in
+    ``Trajectory.rejected``.
 
     Parameters
     ----------
@@ -542,10 +548,10 @@ def evolve(
     tol : float, optional
         Local error per unit time; selects adaptive Krylov steps.
     stride : int
-        Record every stride-th accepted step (t = 0 and t_final always).
+        Record every stride-th step (t = 0 and t_final always).
     max_steps : int
-        Abort guard: the number of steps, plus in adaptive mode the refused
-        trial h, never exceeds it.
+        Abort guard: the fixed-step count, and the Krylov bases plus the
+        refused trials, never exceed it.
 
     Returns
     -------
@@ -556,8 +562,9 @@ def evolve(
     IntegrationAbortError
         When a fixed step needs more than ``max_steps`` steps (raised before
         any step, ``t_last`` = 0), the state norm blows up beyond 10x its
-        initial value, or an adaptive run exceeds ``max_steps`` or no trial h
-        down to 1e-15 max(t_final, 1) is acceptable.
+        initial value, the bases plus refused trials exceed ``max_steps``,
+        or no trial h down to 1e-15 max(t_final, 1) is acceptable.
+        ``t_last`` is the last time whose state passed every check.
     """
     if t_final < 0.0:
         raise ValueError("t_final must be non-negative")
@@ -581,13 +588,14 @@ def evolve(
         states.append(mat.copy())
         s_lin.append(1.0 - _purity(mat))
 
-    def check_blowup(t: float, mat: np.ndarray) -> None:
+    def check_blowup(t_good: float, mat: np.ndarray) -> None:
+        # t_good: the time of the last state that passed
         nrm = float(np.linalg.norm(mat))
         if not math.isfinite(nrm) or nrm > norm_cap:
             raise IntegrationAbortError(
                 f"state norm {nrm:.3e} exceeded 10x its initial value; "
-                f"last good time t={t:.6g}",
-                t_last=t,
+                f"last good time t={t_good:.6g}",
+                t_last=t_good,
             )
 
     if t_final == 0.0:
@@ -597,76 +605,68 @@ def evolve(
     h = step if step is not None else default_step(gen)
     if h is None or h > t_final:
         h = t_final
+    t = 0.0
+    rejected = 0
+    tiny = 1e-15 * max(t_final, 1.0)
+
+    def check_budget(bases: int) -> None:
+        if bases + rejected > max_steps:
+            raise IntegrationAbortError(f"exceeded max_steps={max_steps} at t={t:.6g}", t_last=t)
+
     if tol is None:
         nsteps = max(1, math.ceil(t_final / h - 1e-12))
         if nsteps > max_steps:
             raise IntegrationAbortError(
                 f"fixed step {h} needs {nsteps} steps > max_steps={max_steps}", t_last=0.0
             )
-        h_last = t_final - (nsteps - 1) * h
-        rows = gen.dim**2
-        # a one-step run takes only the final step, which needs no step matrix
-        if rows <= STEP_MATRIX_MAX_ROWS and nsteps > 1:
-            inc = _kernels.rk4_step_increment(_kernels.liouvillian(*args), h)
-            # a stride of steps as one product when that saves work: powering
-            # takes about 2 log2(stride) products of rows x rows matrices,
-            # rows matrix-vector products each
-            full = (nsteps - 1) // stride
-            power = None
-            if full * (stride - 1) > 2.0 * math.log2(stride) * rows:
-                power = _kernels.increment_power(inc, stride)
-
-            def chunk(mat, count):
-                if count == stride and power is not None:
-                    return _kernels.step_matrix_chunk(mat, power, 1)
-                return _kernels.step_matrix_chunk(mat, inc, count)
-
-        else:
-
-            def chunk(mat, count):
-                return _kernels.rk4_chunk(mat, *args, h, count)
-
-        done = 0
-        accepted = 0
-        while done < nsteps - 1:
-            take = min(stride, nsteps - 1 - done)
-            rho = chunk(rho, take)
-            done += take
-            accepted += take
-            t_now = done * h
-            if done % stride == 0:
-                record(t_now, rho)
-            check_blowup(t_now, rho)
-        if h_last > 1e-15 * max(h, 1.0):
-            # stage by stage at any n: one step of its own size does not pay for a step matrix
-            rho = _kernels.rk4_chunk(rho, *args, h_last, 1)
-            accepted += 1
-        check_blowup(t_final, rho)
-        if times[-1] < t_final:
-            record(t_final, rho)
-        return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, accepted, 0)
+        grid = np.append(np.arange(stride, nsteps, stride) * h, t_final)
+        bases = row = 0  # row: the next grid time to record
+        while row < len(grid):
+            error, state, samples = _kernels.krylov_propagator(rho, *args)
+            budget = GRID_TOL * max(1.0, float(np.linalg.norm(rho)))
+            sampled = samples(grid[row:], t, stride * h, budget)
+            bases += 1
+            if len(sampled):
+                if row + len(sampled) < len(grid):  # the next row failed
+                    rejected += 1
+                check_budget(bases)
+                for mat in sampled:
+                    check_blowup(t, mat)
+                    t = float(grid[row])
+                    record(t, mat)
+                    row += 1
+                rho = sampled[-1]
+            else:
+                remaining = float(grid[row]) - t
+                sub, refused = _largest_step(error, remaining, remaining, budget, tiny)
+                rejected += refused
+                if sub is None:
+                    raise IntegrationAbortError(f"step size underflow at t={t:.6g}", t_last=t)
+                check_budget(bases)
+                rho = state(sub)
+                check_blowup(t, rho)
+                t += sub
+            # the next basis is built without this one alive
+            del error, state, samples, sampled
+        return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, nsteps, rejected)
 
     # adaptive Krylov steps of exp(h L): one basis per accepted step, and on
     # it the largest h the tolerance allows
-    t = 0.0
     accepted = 0
-    rejected = 0
-    tiny = 1e-15 * max(t_final, 1.0)
     while t < t_final * (1.0 - 1e-14):
-        error, state = _kernels.krylov_propagator(rho, *args)
+        error, state, samples = _kernels.krylov_propagator(rho, *args)
         budget = tol * max(1.0, float(np.linalg.norm(rho)))
         h, refused = _largest_step(error, h, t_final - t, budget, tiny)
         rejected += refused
         if h is None:
             raise IntegrationAbortError(f"step size underflow at t={t:.6g}", t_last=t)
-        if accepted + 1 + rejected > max_steps:
-            raise IntegrationAbortError(f"exceeded max_steps={max_steps} at t={t:.6g}", t_last=t)
+        check_budget(accepted + 1)
         rho = state(h)
         # the next basis is built without this one alive
-        del error, state
+        del error, state, samples
+        check_blowup(t, rho)
         t += h
         accepted += 1
-        check_blowup(t, rho)
         if accepted % stride == 0 and t < t_final * (1.0 - 1e-14):
             record(t, rho)
     record(t_final, rho)

@@ -5,12 +5,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from oracles import coupling_sets, dense_liouvillian, random_density, random_hermitian
-from spinbath import _kernels
+from spinbath import _kernels, generator
 from spinbath.generator import (
+    GRID_TOL,
     STEP_BISECTIONS,
-    STEP_MATRIX_MAX_ROWS,
     CommonBath,
     IndependentBath,
     IntegrationAbortError,
@@ -53,15 +54,6 @@ class TestKernelAgreement:
 GAMMA_A = np.array([[1.0, 0.0, 0.3], [0.0, 0.5, 0.0], [0.3, 0.0, 0.25]])
 GAMMA_B = np.array([[0.5, 0.0, -0.15], [0.0, 0.75, 0.0], [-0.15, 0.0, 0.5]])
 
-# (bath, j, Hamiltonian): n = 2, 9 and 16 and both bath kinds
-STEP_MATRIX_CASES = [
-    ("independent", 0.5, True),
-    ("independent", 1, False),
-    ("common", 1, True),
-    ("independent", 1.5, True),
-    ("common", 1.5, False),
-]
-
 
 def _case(bath, j, with_ham, seed=11):
     rng = np.random.default_rng(seed)
@@ -82,168 +74,28 @@ def _args(gen):
     return (gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._ham is not None)
 
 
-@pytest.mark.parametrize("bath,j,with_ham", STEP_MATRIX_CASES)
-class TestStepMatrix:
-    """The precomputed RK4 step matrix against the stage-by-stage kernel.
-
-    Bound fixed before running: entries agree to 1e-12 after 1,000 default
-    steps.  Both paths evaluate the same polynomial in hL, so they differ
-    by roundoff alone.
-    """
-
-    def test_liouvillian_matches_rhs(self, bath, j, with_ham):
-        gen, rho = _case(bath, j, with_ham)
-        n = gen.dim
-        want = _kernels.lindblad_rhs(rho, *_args(gen))
-        got = (_kernels.liouvillian(*_args(gen)) @ rho.reshape(n * n)).reshape(n, n)
-        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
-
-    def test_chunk_agrees_with_rk4_chunk(self, bath, j, with_ham):
-        gen, rho0 = _case(bath, j, with_ham)
-        h = default_step(gen)
-        inc = _kernels.rk4_step_increment(_kernels.liouvillian(*_args(gen)), h)
-        got = _kernels.step_matrix_chunk(rho0, inc, 1000)
-        want = _kernels.rk4_chunk(rho0, *_args(gen), h, 1000)
-        assert np.abs(got - want).max() <= 1e-12
-
-    def test_evolve_partial_last_step(self, bath, j, with_ham):
-        # 37 full steps in chunks of stride 5, then h_last = 0.4 h
-        gen, rho0 = _case(bath, j, with_ham)
-        h = default_step(gen)
-        traj = evolve(gen, rho0, 37.4 * h, step=h, stride=5)
-        assert traj.accepted == 38
-        want = _kernels.rk4_chunk(rho0, *_args(gen), h, 37)
-        want = _kernels.rk4_chunk(want, *_args(gen), 37.4 * h - 37 * h, 1)
-        assert np.abs(traj.states[-1] - want).max() <= 1e-12
-
-
-def _spied_powers(monkeypatch):
-    """Records each ``increment_power`` result and every ``step_matrix_chunk``
-    call as (matrix, nsteps)."""
-    powers, calls = [], []
-    power, chunk = _kernels.increment_power, _kernels.step_matrix_chunk
-
-    def spied_power(inc, s):
-        powers.append(power(inc, s))
-        return powers[-1]
-
-    def spied_chunk(rho, inc, nsteps):
-        calls.append((inc, nsteps))
-        return chunk(rho, inc, nsteps)
-
-    monkeypatch.setattr(_kernels, "increment_power", spied_power)
-    monkeypatch.setattr(_kernels, "step_matrix_chunk", spied_chunk)
-    return powers, calls
-
-
-def _spied_stages(monkeypatch):
-    """Records every ``rk4_chunk`` call as (h, nsteps)."""
-    calls = []
-    stages = _kernels.rk4_chunk
-
-    def spied(rho, jumps, jdags, ksum, ham, has_ham, h, nsteps):
-        calls.append((h, nsteps))
-        return stages(rho, jumps, jdags, ksum, ham, has_ham, h, nsteps)
-
-    monkeypatch.setattr(_kernels, "rk4_chunk", spied)
-    return calls
-
-
 @pytest.mark.parametrize(
-    "j,with_ham,path,steps,stride",
-    [(1, True, "step_matrix", 37, 5), (1, True, "power", 1451, 8), (2, False, "stage", 37, 5)],
+    "j,with_ham,steps,stride",
+    [(1, True, 37, 5), (2, False, 37, 5), (1, True, 1451, 8), (1, True, 1451, 200)],
+    ids=["n9-37steps-stride5", "n25-37steps-stride5", "n9-1451steps-stride8", "n9-1451steps-stride200"],
 )
-def test_fixed_step_evolve_is_linear(monkeypatch, j, with_ham, path, steps, stride):
-    # n = 9 takes the step matrix, one product per stride of 8 once the run
-    # is long enough, and n = 25 the stage kernel; ``steps`` full steps in
-    # chunks of ``stride``, then h_last = 0.4 h.  Scaling by 2 is exact in
-    # floating point, so a linear map of rho0 gives 2x the states bit for bit
-    powers, _ = _spied_powers(monkeypatch)
-    gen, rho0 = _case("common", j, with_ham)
-    assert (gen.dim**2 <= STEP_MATRIX_MAX_ROWS) == (path != "stage")
+def test_fixed_step_evolve_is_linear(j, with_ham, steps, stride):
+    # ``steps`` default steps in rows of ``stride``, then h_last = 0.4 h; at
+    # stride 200 no basis reaches the next row, so every row follows
+    # sub-steps.  The error estimate is linear in rho0 and the budget is
+    # proportional to max(1, ||rho||_F), so on states of Frobenius norm 4
+    # and 2 every test and every sub-step is the same.  Halving is exact in
+    # floating point, so half of rho0 gives half the states bit for bit
+    gen, rho = _case("common", j, with_ham)
+    rho0 = (4.0 / np.linalg.norm(rho)) * rho
     h = default_step(gen)
     one = evolve(gen, rho0, (steps + 0.4) * h, step=h, stride=stride)
-    two = evolve(gen, 2.0 * rho0, (steps + 0.4) * h, step=h, stride=stride)
-    assert len(powers) == (2 if path == "power" else 0)
-    assert one.accepted == two.accepted == steps + 1
-    assert len(one.states) == len(two.states) == steps // stride + 2
-    for a, b in zip(one.states, two.states):
-        assert np.array_equal(b, 2.0 * a)
-
-
-# strided evolve at n = 9 against single rk4_chunk steps: 1,451 full steps
-# and a partial one of 0.4 h.  That is past the power rule at strides 3, 8
-# and 200 and leaves a remainder chunk at each; stride 1 never powers, and
-# stride 2,000 has no full chunk
-POWER_STEPS = 1451
-
-
-@pytest.fixture(scope="module")
-def stepped():
-    """The n = 9 case, its step h, rk4_chunk's state after every full step,
-    and after the partial one."""
-    gen, rho0 = _case("common", 1, True)
-    h = default_step(gen)
-    states = [rho0]
-    for _ in range(POWER_STEPS):
-        states.append(_kernels.rk4_chunk(states[-1], *_args(gen), h, 1))
-    last = _kernels.rk4_chunk(states[-1], *_args(gen), (POWER_STEPS + 0.4) * h - POWER_STEPS * h, 1)
-    return gen, h, states, last
-
-
-@pytest.mark.parametrize("stride", [1, 3, 8, 200, 2000])
-def test_strided_evolve_agrees_with_rk4_chunk(monkeypatch, stepped, stride):
-    # bound fixed before running, as in TestStepMatrix: every sample within
-    # 1e-12 of the single-step states, entry by entry.  A full chunk is one
-    # product with the stride's power, the remainder chunk goes one step per
-    # product, and the partial step is one rk4_chunk step
-    gen, h, states, last = stepped
-    powers, calls = _spied_powers(monkeypatch)
-    stage_calls = _spied_stages(monkeypatch)
-    t_final = (POWER_STEPS + 0.4) * h
-    traj = evolve(gen, states[0], t_final, step=h, stride=stride)
-    full, rest = divmod(POWER_STEPS, stride)
-    assert traj.accepted == POWER_STEPS + 1
-    if 1 < stride <= POWER_STEPS:
-        assert len(powers) == 1
-        assert [n for _, n in calls] == [1] * full + [rest]
-        assert sum(d is powers[0] for d, _ in calls) == full
-    else:
-        assert powers == []
-        assert [n for _, n in calls] == [1] * full + ([rest] if rest else [])
-    assert stage_calls == [(t_final - POWER_STEPS * h, 1)]
-    want = states[::stride] + [last]
-    assert len(traj.states) == len(want)
-    for got, ref in zip(traj.states, want):
-        assert np.abs(got - ref).max() <= 1e-12
-
-
-@pytest.mark.parametrize("full,built", [(3, False), (4, True)])
-def test_stride_power_built_only_when_it_saves_work(monkeypatch, full, built):
-    # n = 2, stride 8, 8 full + 5 steps: full chunks and a remainder of 4
-    # (the last step goes through rk4_chunk).  Powering costs about
-    # 2 log2(8) n^2 = 24 matrix-vector products and each full chunk saves 7,
-    # so three full chunks (21) build nothing and four (28) build the power
-    powers, calls = _spied_powers(monkeypatch)
-    gen, rho0 = _case("independent", 0.5, True)
-    h = default_step(gen)
-    evolve(gen, rho0, (8 * full + 5) * h, step=h, stride=8)
-    assert len(powers) == built
-    assert [n for _, n in calls] == [1 if built else 8] * full + [4]
-
-
-def test_one_step_run_builds_no_step_matrix(monkeypatch):
-    # step >= t_final at n = 9: the run is its final step alone, one
-    # rk4_chunk step of t_final, and builds no Liouvillian
-    built = []
-    monkeypatch.setattr(_kernels, "liouvillian", lambda *a: built.append(1))
-    gen, rho0 = _case("common", 1, True)
-    assert gen.dim**2 <= STEP_MATRIX_MAX_ROWS
-    t_final = 0.5 * default_step(gen)
-    traj = evolve(gen, rho0, t_final, step=2.0 * t_final)
-    assert built == []
-    assert traj.accepted == 1
-    assert np.array_equal(traj.states[-1], _kernels.rk4_chunk(rho0, *_args(gen), t_final, 1))
+    half = evolve(gen, 0.5 * rho0, (steps + 0.4) * h, step=h, stride=stride)
+    assert one.accepted == half.accepted == steps + 1
+    assert one.rejected == half.rejected
+    assert len(one.states) == len(half.states) == steps // stride + 2
+    for a, b in zip(one.states, half.states):
+        assert np.array_equal(b, 0.5 * a)
 
 
 def _counted_rhs(monkeypatch):
@@ -263,13 +115,15 @@ def _counted_rhs(monkeypatch):
 def _recorded_bases(monkeypatch):
     """One record per Krylov basis evolve builds: the norm of the state it
     spans, its own error function, every trial (tau, error) of the search,
-    and the tau its state was formed at."""
+    the tau its state was formed at, and per ``samples`` call the number of
+    times asked for and of states given."""
     bases = []
     build = _kernels.krylov_propagator
 
     def recorded(rho, *args):
-        error, state = build(rho, *args)
-        rec = {"norm": float(np.linalg.norm(rho)), "error": error, "trials": [], "taken": []}
+        error, state, samples = build(rho, *args)
+        rec = {"norm": float(np.linalg.norm(rho)), "error": error, "trials": [], "taken": [],
+               "sampled": []}
         bases.append(rec)
 
         def traced_error(tau):
@@ -280,7 +134,12 @@ def _recorded_bases(monkeypatch):
             rec["taken"].append(tau)
             return state(tau)
 
-        return traced_error, traced_state
+        def traced_samples(times, *a):
+            out = samples(times, *a)
+            rec["sampled"].append((len(times), len(out)))
+            return out
+
+        return traced_error, traced_state, traced_samples
 
     monkeypatch.setattr(_kernels, "krylov_propagator", recorded)
     return bases
@@ -335,6 +194,32 @@ def test_adaptive_max_steps_bounds_steps_and_refused_trials():
     used = traj.accepted + traj.rejected
     assert run(used).accepted == traj.accepted
     with pytest.raises(IntegrationAbortError, match="max_steps"):
+        run(used - 1)
+
+
+def test_fixed_rejected_counts_every_refused_offset(monkeypatch):
+    # rows 0.4 apart at n = 9, a little more than one basis reaches, so
+    # bases alternate between one row and a sub-step: every basis
+    # samples once, and the first row it cannot give counts once.  A basis
+    # that gives no row takes one sub-step; its search's first trial is that
+    # row, and each trial it fails counts once.  Bases plus refusals fit
+    # max_steps exactly
+    bases = _recorded_bases(monkeypatch)
+    gen, rho0 = _case("common", 1, True)
+    run = lambda cap: evolve(gen, rho0, 2.0, step=0.4, max_steps=cap)  # noqa: E731
+    traj = run(10_000)
+    refused = 0
+    for rec in bases:
+        ((asked, given),) = rec["sampled"]
+        refused += 0 < given < asked
+        refused += sum(err > GRID_TOL * max(1.0, rec["norm"]) * x for x, err in rec["trials"])
+        assert len(rec["taken"]) == (given == 0)
+    assert 0 < sum(len(rec["taken"]) for rec in bases) < len(bases)
+    assert refused == traj.rejected
+    assert traj.times.tolist() == [0.4 * k for k in range(6)]
+    used = len(bases) + traj.rejected
+    assert run(used).rejected == traj.rejected
+    with pytest.raises(IntegrationAbortError, match="exceeded max_steps"):
         run(used - 1)
 
 
@@ -438,32 +323,47 @@ def _exact(lv, rho0, t):
     return (scipy.linalg.expm(t * lv) @ rho0.reshape(n * n)).reshape(n, n)
 
 
+def _exact_rows(lv, rho0, times):
+    """exp(t L) rho0 at the increasing ``times``, by scipy's expm_multiply
+    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011) 488) from each time
+    to the next: matrix-vector products only, about 10x faster than expm
+    of the dense Liouvillian at n = 25."""
+    n = rho0.shape[0]
+    vec, before, out = rho0.reshape(n * n), 0.0, []
+    for t in times:
+        vec = scipy.sparse.linalg.expm_multiply((t - before) * lv, vec)
+        out.append(vec.reshape(n, n))
+        before = t
+    return out
+
+
+def _grid_bound(tol, t, rho0):
+    return tol * t * max(1.0, np.linalg.norm(rho0)) + 1e-13
+
+
 @pytest.mark.parametrize("bath,j1,j2,with_ham", ORACLE_CASES)
 class TestDenseLiouvillianOracle:
-    """Every propagator against scipy's expm of the dense Liouvillian.
+    """Every propagator against scipy's expm (or expm_multiply) of the dense Liouvillian.
 
     Bounds fixed before running.  RK4: one step of a linear equation is
     P(hL) rho with P the degree-4 Taylor polynomial, so one step from rho
     differs from exp(hL) rho by at most (h||L||_2)^5 / 120 e^(h||L||_2)
     ||rho||_F (the Taylor remainder), plus 1e-13 for rounding.  Krylov: ``evolve`` commits an estimated error of at most
-    tol per unit time, so every sample is within tol * t_final (Frobenius).
+    tol per unit time, so every adaptive sample is within tol * t_final
+    (Frobenius), and every fixed-grid sample at time t within
+    GRID_TOL * t * max(1, ||rho0||_F) + 1e-13 (``_grid_bound``).
     """
 
-    @pytest.mark.parametrize("kind", ["stage", "step_matrix"])
+    @pytest.mark.parametrize("kind", ["stage"])
     def test_rk4_step(self, bath, j1, j2, with_ham, kind):
         gen, lv, rho = _oracle_case(bath, j1, j2, with_ham)
         n = gen.dim
         h = default_step(gen)
-        if kind == "stage":
-            advance = lambda mat: _kernels.rk4_chunk(mat, *_args(gen), h, 1)  # noqa: E731
-        else:
-            inc = _kernels.rk4_step_increment(_kernels.liouvillian(*_args(gen)), h)
-            advance = lambda mat: _kernels.step_matrix_chunk(mat, inc, 1)  # noqa: E731
         exact_step = scipy.linalg.expm(h * lv)
         x = h * np.linalg.norm(lv, 2)
         remainder = x**5 / 120.0 * np.exp(x)
         for _ in range(20):
-            got = advance(rho)
+            got = _kernels.rk4_chunk(rho, *_args(gen), h, 1)
             want = (exact_step @ rho.reshape(n * n)).reshape(n, n)
             assert np.linalg.norm(got - want) <= remainder * np.linalg.norm(rho) + 1e-13
             rho = got
@@ -475,3 +375,45 @@ class TestDenseLiouvillianOracle:
         assert traj.times[-1] == t_final
         for t, state in zip(traj.times, traj.states):
             assert np.linalg.norm(state - _exact(lv, rho0, t)) <= tol * t_final
+
+    def test_fixed_grid_evolve(self, bath, j1, j2, with_ham):
+        # 29 steps of 0.07 to t = 2 (the last one 0.04), a row every third
+        gen, lv, rho0 = _oracle_case(bath, j1, j2, with_ham)
+        traj = evolve(gen, rho0, 2.0, step=0.07, stride=3)
+        assert traj.accepted == 29
+        assert traj.times.tolist() == [0.0] + [k * 0.07 for k in range(3, 29, 3)] + [2.0]
+        for t, state, want in zip(traj.times, traj.states, _exact_rows(lv, rho0, traj.times)):
+            assert np.linalg.norm(state - want) <= _grid_bound(GRID_TOL, t, rho0)
+
+    def test_evolve_partial_last_step(self, bath, j1, j2, with_ham):
+        # 37 default steps in rows of stride 5, then h_last = 0.4 h
+        gen, lv, rho0 = _oracle_case(bath, j1, j2, with_ham)
+        h = default_step(gen)
+        traj = evolve(gen, rho0, 37.4 * h, step=h, stride=5)
+        assert traj.accepted == 38
+        assert traj.times.tolist() == [k * h for k in range(0, 37, 5)] + [37.4 * h]
+        (want,) = _exact_rows(lv, rho0, [37.4 * h])
+        assert np.linalg.norm(traj.states[-1] - want) <= _grid_bound(GRID_TOL, 37.4 * h, rho0)
+
+    def test_fixed_grid_sub_steps(self, monkeypatch, bath, j1, j2, with_ham):
+        # a tighter GRID_TOL and a first row at 1.5: past the 0.11-1.2 a
+        # basis of these cases reaches at 1e-13 unless it closes
+        # (n^2 <= KRYLOV_DIM), so rows follow sub-steps from _largest_step,
+        # whose refused trials count as rejected
+        searches = []
+        search = generator._largest_step
+
+        def counted(*a):
+            searches.append(1)
+            return search(*a)
+
+        monkeypatch.setattr(generator, "GRID_TOL", 1e-13)
+        monkeypatch.setattr(generator, "_largest_step", counted)
+        gen, lv, rho0 = _oracle_case(bath, j1, j2, with_ham)
+        traj = evolve(gen, rho0, 2.0, step=0.5, stride=3)
+        closes = gen.dim**2 <= _kernels.KRYLOV_DIM
+        assert (len(searches) > 0, traj.rejected > 0) == (not closes, not closes)
+        assert traj.accepted == 4
+        assert traj.times.tolist() == [0.0, 1.5, 2.0]
+        for t, state, want in zip(traj.times, traj.states, _exact_rows(lv, rho0, traj.times)):
+            assert np.linalg.norm(state - want) <= _grid_bound(1e-13, t, rho0)

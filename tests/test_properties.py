@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import coupling_sets, dissipator_double_sum, random_density, random_hermitian
@@ -22,7 +22,6 @@ from spinbath import _kernels
 from spinbath.diagnostics import certify_stationary, entropy_rate_analytic
 from spinbath.generator import (
     JUMP_RATE_TOL,
-    STEP_MATRIX_MAX_ROWS,
     CommonBath,
     IndependentBath,
     apply_generator,
@@ -86,7 +85,7 @@ def test_rhs_is_traceless_and_hermitian(drawn, seed, with_ham):
     assert np.abs(out - out.conj().T).max() <= tol
 
 
-@pytest.mark.parametrize("kind", ["krylov", "stage", "step_matrix"])
+@pytest.mark.parametrize("kind", ["krylov", "stage"])
 @DETERMINISTIC
 @given(models(), SEEDS, st.booleans(), st.floats(0.01, 1.0))
 def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, with_ham, step):
@@ -98,31 +97,24 @@ def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, with_ham, step):
     # at most 2 x^m e^x / m! (Saad 1992, m = KRYLOV_DIM) in Frobenius norm, at
     # most sqrt(n) times that on the trace; roundoff gets 1e-12 per basis
     # vector.
-    # RK4 (stage kernel, or the step matrix at n^2 <= STEP_MATRIX_MAX_ROWS):
-    # P(tau L) keeps trace and Hermiticity exactly, as every power of L
-    # annihilates the trace and maps Hermitian to Hermitian, so only roundoff
-    # remains.  Each of the four stages applies L to a matrix of Frobenius
+    # RK4 (the stage kernel): P(tau L) keeps trace and Hermiticity exactly,
+    # as every power of L annihilates the trace and maps Hermitian to
+    # Hermitian, so only roundoff remains.  Each of the four stages applies L to a matrix of Frobenius
     # norm at most e^x, with the right-hand side's roundoff 1e-12 scale ||X||
     # (test_rhs_is_traceless_and_hermitian) weighted by at most tau <=
-    # step / scale <= 1 / scale: 4e-12 e^x in all; the step matrix's own
-    # rounding, about n^2 eps e^x, is far below that at n^2 <= 256
+    # step / scale <= 1 / scale: 4e-12 e^x in all
     gen, args, scale = _generator(drawn, seed, with_ham)
-    assume(kind != "step_matrix" or gen.dim**2 <= STEP_MATRIX_MAX_ROWS)
     rho = random_density(np.random.default_rng(seed + 1), gen.dim)
     tau = step / scale
     x = 2.0 * step
     if kind == "krylov":
-        _, state = _kernels.krylov_propagator(rho, *args)
+        _, state, _ = _kernels.krylov_propagator(rho, *args)
         out = state(tau)
         m = _kernels.KRYLOV_DIM
         hermitian_tol = 1e-12 * m
         trace_tol = 1e-12 * m + math.sqrt(gen.dim) * 2.0 * x**m * math.exp(x) / math.factorial(m)
     else:
-        if kind == "stage":
-            out = _kernels.rk4_chunk(rho, *args, tau, 1)
-        else:
-            inc = _kernels.rk4_step_increment(_kernels.liouvillian(*args), tau)
-            out = _kernels.step_matrix_chunk(rho, inc, 1)
+        out = _kernels.rk4_chunk(rho, *args, tau, 1)
         hermitian_tol = trace_tol = 4e-12 * math.exp(x)
     assert np.abs(out - out.conj().T).max() <= hermitian_tol
     assert abs(np.trace(out) - 1.0) <= trace_tol
