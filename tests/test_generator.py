@@ -338,6 +338,18 @@ class TestEvolveFixedStep:
         assert traj.times[-1] == 1.0
         assert traj.s_lin[-1] == pytest.approx(float(dephasing_s_lin(1.0)), abs=1e-8)
 
+    def test_step_sets_only_the_grid(self):
+        # the qubit's Krylov basis closes, so every grid samples exp(t L)
+        # exactly: steps 0.2, 0.1 and 0.03 reach the closed form at t = 1
+        # alike.  Bound fixed before the first run: |S_lin error| <=
+        # 2 ||rho error||_F <= 2 (GRID_TOL + 1e-13) at t = 1
+        gen = dephasing_generator()
+        exact = float(dephasing_s_lin(1.0))
+        for h in (0.2, 0.1, 0.03):
+            traj = evolve(gen, plus_x_density(), 1.0, step=h)
+            assert traj.accepted == math.ceil(1.0 / h - 1e-12)
+            assert abs(traj.s_lin[-1] - exact) <= 2.0 * (GRID_TOL + 1e-13)
+
     def test_zero_generator_keeps_state(self):
         gen = Generator([], None, (2,))
         rho0 = np.diag([0.5, 0.5]).astype(complex)

@@ -223,6 +223,20 @@ def test_fixed_rejected_counts_every_refused_offset(monkeypatch):
         run(used - 1)
 
 
+def test_one_step_run_takes_one_basis(monkeypatch):
+    # step >= t_final at n = 9: the grid is t_final alone, and one basis
+    # gives it at its first offset, with no sub-step and no refusal
+    bases = _recorded_bases(monkeypatch)
+    gen, rho0 = _case("common", 1, True)
+    t_final = 0.5 * default_step(gen)
+    traj = evolve(gen, rho0, t_final, step=2.0 * t_final)
+    assert (traj.accepted, traj.rejected) == (1, 0)
+    assert traj.times.tolist() == [0.0, t_final]
+    ((rec,),) = [bases]
+    assert rec["sampled"] == [(1, 1)]
+    assert rec["taken"] == []
+
+
 @pytest.mark.parametrize("tol", [None, 1e-10])
 def test_evolve_of_zero_is_zero(monkeypatch, tol):
     # exp(tL) 0 = 0: the adaptive path takes t_final in one step on a basis
@@ -368,6 +382,39 @@ class TestDenseLiouvillianOracle:
             assert np.linalg.norm(got - want) <= remainder * np.linalg.norm(rho) + 1e-13
             rho = got
 
+    def test_rhs_matches_dense_liouvillian(self, bath, j1, j2, with_ham):
+        gen, lv, rho = _oracle_case(bath, j1, j2, with_ham)
+        n = gen.dim
+        got = _kernels.lindblad_rhs(rho, *_args(gen))
+        want = (lv @ rho.reshape(n * n)).reshape(n, n)
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    def test_samples_stop_at_first_failing_time(self, bath, j1, j2, with_ham):
+        # one basis at rho0, started at t0 = 0.03 and sampled at 0.05, 0.10,
+        # ..., 1.50 and 1.52, as ``evolve`` samples a grid.  The rows given
+        # are the times before the first whose error exceeds budget * tau;
+        # ``samples`` steps with exp(spacing H) where ``error`` takes one
+        # exponential per tau, so both sides of the threshold get 1e-9
+        # relative slack.  Each row is state(tau) up to rounding (1e-12
+        # ||rho0||_F) and within _grid_bound of exp(tau L) rho0
+        gen, lv, rho0 = _oracle_case(bath, j1, j2, with_ham)
+        error, state, samples = _kernels.krylov_propagator(rho0, *_args(gen))
+        t0, times = 0.03, np.append(np.arange(1, 31) * 0.05, 1.52)
+        budget = GRID_TOL * max(1.0, np.linalg.norm(rho0))
+        rows = samples(times, t0, 0.05, budget)
+        given = len(rows)
+        taus = times - t0
+        assert given >= 1
+        if gen.dim**2 <= _kernels.KRYLOV_DIM:
+            assert given == len(times)
+        for tau in taus[:given]:
+            assert error(tau) <= (1.0 + 1e-9) * budget * tau
+        if given < len(times):
+            assert error(taus[given]) > (1.0 - 1e-9) * budget * taus[given]
+        for tau, row, want in zip(taus, rows, _exact_rows(lv, rho0, taus[:given])):
+            assert np.linalg.norm(row - state(tau)) <= 1e-12 * max(1.0, np.linalg.norm(rho0))
+            assert np.linalg.norm(row - want) <= _grid_bound(GRID_TOL, tau, rho0)
+
     def test_krylov_evolve(self, bath, j1, j2, with_ham):
         gen, lv, rho0 = _oracle_case(bath, j1, j2, with_ham)
         tol, t_final = 1e-10, 2.0
@@ -417,3 +464,24 @@ class TestDenseLiouvillianOracle:
         assert traj.times.tolist() == [0.0, 1.5, 2.0]
         for t, state, want in zip(traj.times, traj.states, _exact_rows(lv, rho0, traj.times)):
             assert np.linalg.norm(state - want) <= _grid_bound(1e-13, t, rho0)
+
+
+# 1,451 default steps and a partial one of 0.4 h at n = 9 (1,452 steps, rows
+# at k stride h for k stride <= 1,451, then t_final): stride 1 records
+# every step, 3 and 8 leave a short last row gap, 200 puts rows past the
+# reach of one basis (they follow sub-steps), and 2,000 records t_final alone
+POWER_STEPS = 1451
+
+
+@pytest.mark.parametrize("stride", [1, 3, 8, 200, 2000])
+def test_strided_evolve_agrees_with_exact_rows(stride):
+    # bound fixed before running, as in test_fixed_grid_evolve: every row
+    # within _grid_bound of exp(t L) rho0 at its grid time k stride h
+    gen, lv, rho0 = _oracle_case("common", 1, 1, True)
+    h = default_step(gen)
+    t_final = (POWER_STEPS + 0.4) * h
+    traj = evolve(gen, rho0, t_final, step=h, stride=stride)
+    assert traj.accepted == POWER_STEPS + 1
+    assert traj.times.tolist() == [k * h for k in range(0, POWER_STEPS + 1, stride)] + [t_final]
+    for t, state, want in zip(traj.times, traj.states, _exact_rows(lv, rho0, traj.times)):
+        assert np.linalg.norm(state - want) <= _grid_bound(GRID_TOL, t, rho0)

@@ -85,7 +85,7 @@ def test_rhs_is_traceless_and_hermitian(drawn, seed, with_ham):
     assert np.abs(out - out.conj().T).max() <= tol
 
 
-@pytest.mark.parametrize("kind", ["krylov", "stage"])
+@pytest.mark.parametrize("kind", ["krylov", "samples", "stage"])
 @DETERMINISTIC
 @given(models(), SEEDS, st.booleans(), st.floats(0.01, 1.0))
 def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, with_ham, step):
@@ -96,7 +96,8 @@ def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, with_ham, step):
     # projection error (trace) and roundoff remain; the projection error is
     # at most 2 x^m e^x / m! (Saad 1992, m = KRYLOV_DIM) in Frobenius norm, at
     # most sqrt(n) times that on the trace; roundoff gets 1e-12 per basis
-    # vector.
+    # vector.  ``samples`` gives the same projection at tau / 3, 2 tau / 3
+    # and tau (no budget refuses any), so each row has the same bounds.
     # RK4 (the stage kernel): P(tau L) keeps trace and Hermiticity exactly,
     # as every power of L annihilates the trace and maps Hermitian to
     # Hermitian, so only roundoff remains.  Each of the four stages applies L to a matrix of Frobenius
@@ -107,17 +108,22 @@ def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, with_ham, step):
     rho = random_density(np.random.default_rng(seed + 1), gen.dim)
     tau = step / scale
     x = 2.0 * step
-    if kind == "krylov":
-        _, state, _ = _kernels.krylov_propagator(rho, *args)
-        out = state(tau)
+    if kind == "stage":
+        outs = [_kernels.rk4_chunk(rho, *args, tau, 1)]
+        hermitian_tol = trace_tol = 4e-12 * math.exp(x)
+    else:
+        _, state, samples = _kernels.krylov_propagator(rho, *args)
+        if kind == "krylov":
+            outs = [state(tau)]
+        else:
+            outs = samples([tau / 3.0, 2.0 * tau / 3.0, tau], 0.0, tau / 3.0, math.inf)
+            assert len(outs) == 3
         m = _kernels.KRYLOV_DIM
         hermitian_tol = 1e-12 * m
         trace_tol = 1e-12 * m + math.sqrt(gen.dim) * 2.0 * x**m * math.exp(x) / math.factorial(m)
-    else:
-        out = _kernels.rk4_chunk(rho, *args, tau, 1)
-        hermitian_tol = trace_tol = 4e-12 * math.exp(x)
-    assert np.abs(out - out.conj().T).max() <= hermitian_tol
-    assert abs(np.trace(out) - 1.0) <= trace_tol
+    for out in outs:
+        assert np.abs(out - out.conj().T).max() <= hermitian_tol
+        assert abs(np.trace(out) - 1.0) <= trace_tol
 
 
 # the constant c of the Choi eigenvalue bound below, fixed before its first run
