@@ -1,25 +1,37 @@
-"""Dense numeric kernels: the Lindblad right-hand side and Krylov steps.
+"""Numeric kernels: the banded Lindblad right-hand side and Krylov steps.
 
-``krylov_propagator`` projects exp(tau L) rho onto the Krylov space of
-``rho``, one right-hand side per basis vector, with ``pade_expm`` for the
-small exponential; both integration modes of ``generator.evolve`` take
-their states from it, at one tau or at a grid of times.  Every state is a
-linear map of rho: nothing is Hermitized or renormalized, so trace and
+``lindblad_rhs`` applies every jump A_k, and -K/2 with K = sum_k A_k^dag
+A_k, from its few nonzero diagonals: each jump X (x) I + I (x) Y of
+tridiagonal spin factors lies on at most 5 diagonals and K on at most 13,
+so a right-hand side costs O(n^2) per diagonal and never forms an n x n
+operator.  ``krylov_propagator`` projects exp(tau L) rho onto the Krylov
+space of ``rho``, one right-hand side per basis vector, with ``pade_expm``
+for the small exponential; both integration modes of ``generator.evolve``
+take their states from it, at one tau or at a grid of times.  Every state
+is a linear map of rho: nothing is Hermitized or renormalized, so trace and
 Hermiticity drift shows in the result.
 
-Arrays are complex128: ``rho`` (n, n), ``jumps``/``jdags`` stacked
-(k, n, n), ``ksum`` = sum_k A_k^dag A_k (n, n).  ``ham`` is the (n, n)
-Hamiltonian or None when there is none, and ``has_ham`` is ``ham is not
-None``.  Superoperators act on the row-major vec(rho), of length n^2.
+Arrays are complex128, ``rho`` (n, n).  A banded operator is stored
+row-aligned: ``diags[i, s]`` = A[i, i + offsets[s]], 0 where i + offsets[s]
+falls outside the matrix.  ``jumps`` stacks the k jumps' diagonals as
+(k, n, w), w the most any jump has, and jump k uses the first
+``len(offsets[k])`` columns; ``drift`` is the ``Banded`` -K/2.  ``ham`` is
+the dense (n, n) Hamiltonian or None when there is none, and ``has_ham`` is
+``ham is not None``.  Superoperators act on the row-major vec(rho), of
+length n^2.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "Banded",
+    "kron_banded",
+    "stack_banded",
     "lindblad_rhs",
     "rk4_chunk",
     "KRYLOV_DIM",
@@ -28,11 +40,103 @@ __all__ = [
 ]
 
 
-def lindblad_rhs(rho, jumps, jdags, ksum, ham, has_ham):
-    """drho/dt = -i[H, rho] + sum_k A_k rho A_k^dag - (1/2){ksum, rho}."""
-    out = -0.5 * (ksum @ rho + rho @ ksum)
-    for k in range(jumps.shape[0]):
-        out += jumps[k] @ rho @ jdags[k]
+class Banded(NamedTuple):
+    """An n x n operator on its nonzero diagonals, row-aligned (see above)."""
+
+    diags: np.ndarray
+    offsets: tuple[int, ...]
+
+
+def _row_diagonal(mat, p):
+    """Diagonal p of a square matrix, row-aligned: v[a] = mat[a, a + p], 0 past the edge."""
+    d = mat.shape[0]
+    v = np.zeros(d, dtype=np.complex128)
+    v[max(0, -p) : d - max(0, p)] = np.diagonal(mat, p)
+    return v
+
+
+def kron_banded(terms, n, scale=1.0) -> Banded:
+    """``scale`` sum_t P_t (x) Q_t on its nonzero diagonals, built from the factors.
+
+    (P (x) Q)[(a, b), (a + p, b + q)] = P[a, a + p] Q[b, b + q] lies on
+    diagonal p d2 + q (d2 the size of Q), and row-aligned that diagonal is
+    the outer product of P's and Q's row-aligned diagonals p and q, zero
+    wherever a + p or b + q leaves its factor.  Only the factors' nonzero
+    diagonals are visited, and no n x n matrix is formed.
+    """
+    def nonzero_offsets(mat):
+        # a set, not np.unique, whose first call maps about 1 MB of sort code
+        rows, cols = np.nonzero(mat)
+        return sorted(set((cols - rows).tolist()))
+
+    diags = {}
+    for p_mat, q_mat in terms:
+        d2 = q_mat.shape[0]
+        q_offsets = nonzero_offsets(q_mat)
+        for p in nonzero_offsets(p_mat):
+            row = _row_diagonal(p_mat, p)
+            for q in q_offsets:
+                vec = np.outer(row, _row_diagonal(q_mat, q)).reshape(-1)
+                o = p * d2 + q
+                diags[o] = diags[o] + vec if o in diags else vec
+    offsets = tuple(o for o in sorted(diags) if diags[o].any())
+    stack = np.zeros((n, len(offsets)), dtype=np.complex128)
+    for s, o in enumerate(offsets):
+        stack[:, s] = scale * diags[o]
+    return Banded(stack, offsets)
+
+
+def stack_banded(bands, n):
+    """``(jumps, offsets)``: the (k, n, w) stack of the bands' diagonals, zero-padded."""
+    width = max((len(b.offsets) for b in bands), default=0)
+    jumps = np.zeros((len(bands), n, width), dtype=np.complex128)
+    for k, band in enumerate(bands):
+        jumps[k, :, : len(band.offsets)] = band.diags
+    return jumps, tuple(b.offsets for b in bands)
+
+
+def _banded_product(diags, offsets, x, out, tmp, add):
+    """out += A x (``add``) or out = A x, for A on its row-aligned ``diags``.
+
+    O(n^2) per diagonal.  Without ``add`` the first diagonal's product is
+    written into ``out`` and only the rows it misses are zeroed.
+    """
+    n = x.shape[0]
+    for s, o in enumerate(offsets):
+        lo, hi = max(0, -o), n - max(0, o)  # the rows i with 0 <= i + o < n
+        if add:
+            part = tmp[: hi - lo]
+            np.multiply(diags[lo:hi, s, None], x[lo + o : hi + o], out=part)
+            out[lo:hi] += part
+        else:
+            np.multiply(diags[lo:hi, s, None], x[lo + o : hi + o], out=out[lo:hi])
+            out[:lo] = 0.0
+            out[hi:] = 0.0
+            add = True
+    if not add:
+        out.fill(0.0)
+
+
+def lindblad_rhs(rho, jumps, offsets, drift, ham, has_ham):
+    """drho/dt = -i[H, rho] + sum_k A_k rho A_k^dag - (1/2){K, rho}.
+
+    Every right product is taken as a left one, with no assumption that rho
+    is Hermitian (Krylov vectors are Hermitian only to roundoff):
+    rho G = (G rho^dag)^dag for the Hermitian G = -K/2, and
+    (A rho) A^dag = (A (A rho)^dag)^dag, so the dissipator is
+    G rho + (G rho^dag + sum_k A_k (A_k rho)^dag)^dag.
+    """
+    n = rho.shape[0]
+    tmp, applied, adjoint, inner = np.empty((4, n, n), dtype=np.complex128)
+    out = np.empty((n, n), dtype=np.complex128)  # not a view: it outlives the scratch
+    np.conjugate(rho.T, out=adjoint)
+    _banded_product(drift.diags, drift.offsets, adjoint, inner, tmp, False)
+    for k, offs in enumerate(offsets):
+        _banded_product(jumps[k], offs, rho, applied, tmp, False)
+        np.conjugate(applied.T, out=adjoint)
+        _banded_product(jumps[k], offs, adjoint, inner, tmp, True)
+    np.conjugate(inner.T, out=out)
+    _banded_product(drift.diags, drift.offsets, rho, out, tmp, True)
     if has_ham:
         out += -1j * (ham @ rho - rho @ ham)
     return out
@@ -46,9 +150,9 @@ def lindblad_rhs(rho, jumps, jdags, ksum, ham, has_ham):
 _rhs = lindblad_rhs
 
 
-def rk4_chunk(rho, jumps, jdags, ksum, ham, has_ham, h, nsteps):
+def rk4_chunk(rho, jumps, offsets, drift, ham, has_ham, h, nsteps):
     """``nsteps`` classic RK4 steps of size ``h``, evaluated stage by stage."""
-    args = (jumps, jdags, ksum, ham, has_ham)
+    args = (jumps, offsets, drift, ham, has_ham)
     for _ in range(nsteps):
         k1 = _rhs(rho, *args)
         k2 = _rhs(rho + (0.5 * h) * k1, *args)
@@ -76,12 +180,39 @@ def rk4_chunk(rho, jumps, jdags, ksum, ham, has_ham, h, nsteps):
 # for 25 % more, and the basis at n = 1,089 is already 303 MB.
 KRYLOV_DIM = 16
 
-# h_{j+1,j} at or below this multiple of ||ksum||_F + ||ham||_F is roundoff:
+# h_{j+1,j} at or below this multiple of ||K||_F + ||ham||_F is roundoff:
 # the basis has closed and the projection is exact
 BREAKDOWN_TOL = 1e-14
 
+# largest ||K||_F + ||ham||_F a basis is built for.  A right-hand side of a
+# unit vector has norm at most (sqrt(n) + 1) ||K||_F + 2 ||ham||_F, and its
+# squared norm must stay inside the float range (1.8e308); past this the
+# kernel raises OverflowError instead of letting an infinite scale close
+# every basis after one vector, with error 0
+SCALE_MAX = 1e150
 
-def krylov_propagator(rho, jumps, jdags, ksum, ham, has_ham):
+
+# pade_expm(tau H) squares s ~ log2(||tau H||_inf) times, and the rounding of
+# a mode with eigenvalue near 0 grows as 2^s u (u = 1.1e-16 the unit
+# roundoff): past ||tau H||_inf = 2^30, 2^32 u ~ 5e-7, such a mode (the trace
+# of a stationary state) is lost; at ||tau H|| ~ 1e100 it decays to exactly
+# 0.  ``error`` reports inf there and ``samples`` stops, so no such state is
+# taken
+EXPM_NORM_MAX = 2.0**30
+
+
+def _frobenius(a) -> float:
+    """||a||_F, rescaled by the largest entry when the squares of entries
+    above 1e154 overflow."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if math.isinf(norm):
+        big = float(np.abs(a).max())
+        norm = big * float(np.linalg.norm(a / big))
+    return norm
+
+
+def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham):
     """Arnoldi on vec(rho); returns ``(error, state, samples)``.
 
     Builds an orthonormal basis V of span{rho, L rho, ..., L^(m-1) rho},
@@ -104,8 +235,10 @@ def krylov_propagator(rho, jumps, jdags, ksum, ham, has_ham):
 
     When the basis closes early (an invariant subspace, e.g. a stationary
     state) the projection is exact and the error is 0; rho = 0 spans
-    nothing, its states are 0 and take no right-hand side.  Nothing is
-    Hermitized or renormalized.
+    nothing, its states are 0 and take no right-hand side.  A generator
+    with ||K||_F + ||H||_F above ``SCALE_MAX`` raises OverflowError, and an
+    offset with ||tau H||_inf above ``EXPM_NORM_MAX`` fails whatever the
+    estimate.  Nothing is Hermitized or renormalized.
     """
     n = rho.shape[0]
     beta = float(np.linalg.norm(rho))
@@ -115,8 +248,12 @@ def krylov_propagator(rho, jumps, jdags, ksum, ham, has_ham):
             lambda tau: np.zeros((n, n), dtype=np.complex128),
             lambda times, t0, spacing, budget: np.zeros((len(times), n, n), dtype=np.complex128),
         )
-    args = (jumps, jdags, ksum, ham, has_ham)
-    floor = BREAKDOWN_TOL * (np.linalg.norm(ksum) + (np.linalg.norm(ham) if has_ham else 0.0))
+    args = (jumps, offsets, drift, ham, has_ham)
+    # row-aligned diagonals hold each entry of K / 2 once
+    scale = 2.0 * _frobenius(drift.diags) + (_frobenius(ham) if has_ham else 0.0)
+    if not scale <= SCALE_MAX:
+        raise OverflowError(f"generator norm {scale:.3e} is past the float range of a Krylov basis")
+    floor = BREAKDOWN_TOL * scale
     basis = np.empty((KRYLOV_DIM, n * n), dtype=np.complex128)
     hess = np.zeros((KRYLOV_DIM, KRYLOV_DIM), dtype=np.complex128)
     basis[0] = rho.reshape(n * n) / beta
@@ -136,8 +273,14 @@ def krylov_propagator(rho, jumps, jdags, ksum, ham, has_ham):
             hess[j + 1, j] = sub
             basis[j + 1] = w / sub
     basis, hess = basis[:m], hess[:m, :m]
+    hnorm = float(np.abs(hess).sum(axis=1).max())
+
+    def trusted(tau):
+        return tau * hnorm <= EXPM_NORM_MAX
 
     def error(tau):
+        if not trusted(tau):
+            return math.inf
         return beta * sub * abs(pade_expm(tau * hess)[m - 1, 0])
 
     def state(tau):
@@ -146,6 +289,8 @@ def krylov_propagator(rho, jumps, jdags, ksum, ham, has_ham):
     def samples(times, t0, spacing, budget):
         coeffs = []
         for i, t in enumerate(times):
+            if not trusted(t - t0):
+                break
             if i == 0:
                 col = pade_expm((t - t0) * hess)[:, 0]
             elif i == len(times) - 1:

@@ -14,8 +14,10 @@ A_k = sqrt(D_k) sum_a O_ak C_a with the rates absorbed.
 Every such operator is X (x) I + I (x) Y with X and Y single-ensemble
 matrices, and jumps are always built in that factored form
 (``FactoredOperator``, from ``coupling_factors``).  The pure-state paths
-apply them without building an n x n matrix; the ``Generator`` stacks
-their dense matrices for the kernels.
+apply them without building an n x n matrix, and the ``Generator`` keeps
+each jump, and -K/2, on its few nonzero diagonals for the banded kernel
+(``_kernels.lindblad_rhs``): no n x n matrix there either, except an
+optional Hamiltonian.
 """
 
 from __future__ import annotations
@@ -306,14 +308,22 @@ def _canonical_jump_set(sets) -> tuple[list, tuple[int, ...]]:
 
 @dataclass(eq=False)
 class Generator:
-    """Lindblad generator in canonical form, ready for the kernels."""
+    """Lindblad generator in canonical form, ready for the kernels.
+
+    Each jump X (x) I + I (x) Y is kept on its nonzero diagonals (at most 5:
+    0, +-1 and +-d2, or those of X alone on one ensemble), stacked (k, n, w),
+    and -K/2 = -(1/2) sum_k A_k^dag A_k on its own (at most 13), expanded
+    from the factors as X^dag X (x) I + X^dag (x) Y + X (x) Y^dag +
+    I (x) Y^dag Y per jump.  No n x n matrix is built for either; the
+    optional Hamiltonian stays dense.
+    """
 
     jump_ops: list[FactoredOperator]
     hamiltonian: SpinOperator | None
     dims: tuple[int, ...]
     _jumps: np.ndarray = field(init=False, repr=False)
-    _jdags: np.ndarray = field(init=False, repr=False)
-    _ksum: np.ndarray = field(init=False, repr=False)
+    _offsets: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    _drift: _kernels.Banded = field(init=False, repr=False)
     _ham: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -324,24 +334,32 @@ class Generator:
                 raise ValueError("jump operator dimension does not match dims")
         if self.hamiltonian is not None and self.hamiltonian.dim != n:
             raise ValueError("hamiltonian dimension does not match dims")
-        if self.jump_ops:
-            self._jumps = np.ascontiguousarray(
-                np.stack([op.matrix for op in self.jump_ops])
-            )
-        else:
-            self._jumps = np.zeros((0, n, n), dtype=np.complex128)
-        self._jdags = np.ascontiguousarray(self._jumps.conj().transpose(0, 2, 1))
-        ksum = np.zeros((n, n), dtype=np.complex128)
-        for k in range(self._jumps.shape[0]):
-            ksum += self._jdags[k] @ self._jumps[k]
-        self._ksum = np.ascontiguousarray(ksum)
+        # a single ensemble is X (x) I_1
+        eye1, eye2 = np.eye(self.dims[0]), np.eye(self.dims[1] if len(self.dims) == 2 else 1)
+        bands, drift_terms = [], []
+        for op in self.jump_ops:
+            x, xh = op.x, op.x.conj().T
+            if op.y is None:
+                bands.append(_kernels.kron_banded([(x, eye2)], n))
+                drift_terms.append((xh @ x, eye2))
+            else:
+                y, yh = op.y, op.y.conj().T
+                bands.append(_kernels.kron_banded([(x, eye2), (eye1, y)], n))
+                drift_terms += [(xh @ x, eye2), (xh, y), (x, yh), (eye1, yh @ y)]
+        self._jumps, self._offsets = _kernels.stack_banded(bands, n)
+        self._drift = _kernels.kron_banded(drift_terms, n, -0.5)
         self._ham = (
             np.ascontiguousarray(self.hamiltonian.matrix) if self.hamiltonian is not None else None
         )
 
     @property
     def dim(self) -> int:
-        return self._ksum.shape[0]
+        return math.prod(self.dims)
+
+    @property
+    def kernel_args(self) -> tuple:
+        """``(jumps, offsets, drift, ham, has_ham)``, the arguments every kernel takes after rho."""
+        return (self._jumps, self._offsets, self._drift, self._ham, self._ham is not None)
 
 
 def build_generator(model, j1, j2=None, hamiltonian: SpinOperator | None = None) -> Generator:
@@ -362,7 +380,7 @@ def _as_matrix(rho, dim: int | None = None) -> np.ndarray:
 def apply_generator(gen: Generator, rho) -> np.ndarray:
     """Action of the generator on a matrix (Hermitian in -> Hermitian out)."""
     mat = _as_matrix(rho, gen.dim)
-    return _kernels.lindblad_rhs(mat, gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._ham is not None)
+    return _kernels.lindblad_rhs(mat, *gen.kernel_args)
 
 
 def rank_one_factors(jumps, psi, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -400,11 +418,12 @@ def stationary_residual(gen: Generator, rho) -> float:
 def default_step(gen: Generator) -> float | None:
     """Step 0.1 / (sum_k ||A_k||^2 + ||H||), None if free.
 
-    ``evolve``'s default grid step, and its first adaptive trial h.
+    ``evolve``'s default grid step, and its first adaptive trial h.  Each
+    jump's dense matrix is assembled in turn for its 2-norm.
     """
     scale = 0.0
-    for k in range(gen._jumps.shape[0]):
-        scale += float(np.linalg.norm(gen._jumps[k], 2)) ** 2
+    for op in gen.jump_ops:
+        scale += float(np.linalg.norm(op.matrix, 2)) ** 2
     if gen._ham is not None:
         scale += float(np.linalg.norm(gen._ham, 2))
     if scale <= 0.0:
@@ -561,8 +580,9 @@ def evolve(
     ------
     IntegrationAbortError
         When a fixed step needs more than ``max_steps`` steps (raised before
-        any step, ``t_last`` = 0), the state norm blows up beyond 10x its
-        initial value, the bases plus refused trials exceed ``max_steps``,
+        any step, ``t_last`` = 0), the generator is too large for a Krylov
+        basis (``_kernels.SCALE_MAX``), the state norm blows up beyond 10x
+        its initial value, the bases plus refused trials exceed ``max_steps``,
         or no trial h down to 1e-15 max(t_final, 1) is acceptable.
         ``t_last`` is the last time whose state passed every check.
     """
@@ -581,7 +601,7 @@ def evolve(
     times = [0.0]
     states = [rho.copy()]
     s_lin = [1.0 - _purity(rho)]
-    args = (gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._ham is not None)
+    args = gen.kernel_args
 
     def record(t: float, mat: np.ndarray) -> None:
         times.append(t)
@@ -609,6 +629,12 @@ def evolve(
     rejected = 0
     tiny = 1e-15 * max(t_final, 1.0)
 
+    def propagator(mat: np.ndarray):
+        try:
+            return _kernels.krylov_propagator(mat, *args)
+        except OverflowError as exc:
+            raise IntegrationAbortError(f"{exc}; last good time t={t:.6g}", t_last=t) from None
+
     def check_budget(bases: int) -> None:
         if bases + rejected > max_steps:
             raise IntegrationAbortError(f"exceeded max_steps={max_steps} at t={t:.6g}", t_last=t)
@@ -622,7 +648,7 @@ def evolve(
         grid = np.append(np.arange(stride, nsteps, stride) * h, t_final)
         bases = row = 0  # row: the next grid time to record
         while row < len(grid):
-            error, state, samples = _kernels.krylov_propagator(rho, *args)
+            error, state, samples = propagator(rho)
             budget = GRID_TOL * max(1.0, float(np.linalg.norm(rho)))
             sampled = samples(grid[row:], t, stride * h, budget)
             bases += 1
@@ -654,7 +680,7 @@ def evolve(
     # it the largest h the tolerance allows
     accepted = 0
     while t < t_final * (1.0 - 1e-14):
-        error, state, samples = _kernels.krylov_propagator(rho, *args)
+        error, state, samples = propagator(rho)
         budget = tol * max(1.0, float(np.linalg.norm(rho)))
         h, refused = _largest_step(error, h, t_final - t, budget, tiny)
         rejected += refused

@@ -297,6 +297,35 @@ class TestExitCodes:
         assert "max_steps" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", [{"tol": 1e-10}, {"step": 0.1}], ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize(
+        "gamma_xx,reason",
+        [(1e160, "past the float range"), (1e100, "step size underflow")],
+        ids=["norm-overflows", "exponential-untrusted"],
+    )
+    def test_huge_damping_aborts(self, tmp_path, capsys, mode, gamma_xx, reason):
+        # gamma_xx = 1e160 puts entries near 6e159 in K, whose squares
+        # overflow; at 1e100 every usable tau ||H|| is far past what the
+        # scaled-and-squared exponential keeps.  Either run once wrote the
+        # zero state (s_lin 1, trace_dev 1, fidelity 0) and exited 0
+        doc = {
+            "model": {
+                "kind": "common",
+                "axes": ["x", "y", "z"],
+                "gamma": {"xx": gamma_xx, "yy": 0.5, "zz": 0.25},
+                "lambda": 1.4,
+            },
+            "ensembles": {"j1": 1, "j2": 1},
+            "state": {"kind": "uniform"},
+            "evolution": {"t_final": 1.0, **mode},
+        }
+        code, text = run_cli(tmp_path, doc, "simulate")
+        assert code == 4
+        assert text == ""
+        err = capsys.readouterr().err
+        assert reason in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "block,key,body",
         [

@@ -1,10 +1,12 @@
 """Damping validation, canonical jumps and RK4 evolution tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dense_views import dense_generator
 from oracles import (
     coupling_sets,
     dephasing_s_lin,
@@ -274,7 +276,7 @@ class TestRankOneFactors:
                 psi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
                 phi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
                 u, v = rank_one_factors(jumps, psi, phi)
-                assert u.shape == v.shape == (gen.dim, gen._jumps.shape[0] + 2)
+                assert u.shape == v.shape == (gen.dim, len(dense_generator(gen).jumps) + 2)
                 dense = apply_generator(gen, np.outer(psi, phi.conj()))
                 scale = max(1.0, float(np.linalg.norm(dense)))
                 assert np.abs(u @ v.conj().T - dense).max() <= 1e-12 * scale
@@ -329,6 +331,33 @@ class TestDefaultStep:
 
     def test_free_generator_has_no_scale(self):
         assert default_step(Generator([], None, (2,))) is None
+
+    @pytest.mark.parametrize(
+        "bath,j1,j2,with_ham",
+        [("independent", 0.5, None, True), ("common", 1, 1, True), ("independent", 1, 1.5, False),
+         ("common", 1.5, 1, False), ("common", 2, 2, True), ("common", 5, 5, False)],
+    )
+    def test_bit_for_bit_the_dense_stack_step(self, bath, j1, j2, with_ham):
+        # default_step sets the fixed grid and the first adaptive trial, so it
+        # must equal, bit for bit, the step taken from a dense (k, n, n)
+        # stack of the jump matrices
+        g = np.array([[1.0, 0.0, 0.3], [0.0, 0.5, 0.0], [0.3, 0.0, 0.25]])
+        if bath == "common":
+            model = CommonBath(gamma=g, lam=1.4, axes=("x", "y", "z"))
+        else:
+            model = IndependentBath(gamma1=g, gamma2=None if j2 is None else 0.5 * g, axes=("x", "y", "z"))
+        gen = build_generator(model, j1, j2)
+        if with_ham:
+            ham = SpinOperator(0.7 * random_hermitian(np.random.default_rng(11), gen.dim), gen.dims)
+            gen = build_generator(model, j1, j2, hamiltonian=ham)
+        dense = dense_generator(gen)
+        stack = np.ascontiguousarray(np.stack(dense.jumps))
+        scale = 0.0
+        for k in range(stack.shape[0]):
+            scale += float(np.linalg.norm(stack[k], 2)) ** 2
+        if with_ham:
+            scale += float(np.linalg.norm(dense.ham, 2))
+        assert default_step(gen) == 0.1 / scale
 
 
 class TestEvolveFixedStep:
@@ -592,3 +621,23 @@ class TestBuildGenerator:
         ham = angular_momentum_ops(1).z
         with pytest.raises(ValueError):
             Generator([], ham, (2,))
+
+    @pytest.mark.parametrize("bath", ["common", "independent"])
+    def test_no_n_by_n_array(self, bath):
+        # j1 = j2 = 20, n = 1,681: one n x n complex matrix is 45 MB, and
+        # dense (k, n, n) stacks of the jumps, their adjoints and K would take
+        # about 316 MB.  Bound fixed before the first run: the build peaks
+        # below 8 MB, so it holds no n x n array
+        g = np.array([[1.0, 0.0, 0.3], [0.0, 0.5, 0.0], [0.3, 0.0, 0.25]])
+        if bath == "common":
+            model = CommonBath(gamma=g, lam=1.4, axes=("x", "y", "z"))
+        else:
+            model = IndependentBath(gamma1=g, gamma2=0.5 * g, axes=("x", "y", "z"))
+        tracemalloc.start()
+        try:
+            gen = build_generator(model, 20, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gen.dim == 1681
+        assert peak < 8 * 2**20

@@ -1,4 +1,4 @@
-"""Invariants of the dense Lindblad kernels."""
+"""Invariants of the Lindblad kernels."""
 
 import warnings
 
@@ -37,14 +37,14 @@ def _stacked_inputs(seed=3):
 class TestKernelAgreement:
     def test_rhs_annihilates_trace(self):
         gen, rho = _stacked_inputs(seed=17)
-        out = _kernels.lindblad_rhs(rho, gen._jumps, gen._jdags, gen._ksum, None, False)
+        out = _kernels.lindblad_rhs(rho, *_args(gen))
         assert abs(np.trace(out)) <= 1e-12 * gen.dim
 
     def test_chunk_keeps_density_properties(self):
         spec = EntangledStateSpec.make(1, 1, coefficient_profile("uniform", 1))
         rho0 = density_from_pure(entangled_state(spec), (3, 3)).matrix
         gen, _ = _stacked_inputs()
-        out = _kernels.rk4_chunk(rho0, gen._jumps, gen._jdags, gen._ksum, None, False, 0.01, 200)
+        out = _kernels.rk4_chunk(rho0, *_args(gen), 0.01, 200)
         assert np.abs(out - out.conj().T).max() <= 1e-12
         assert abs(np.trace(out).real - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(out).min() >= -1e-10
@@ -71,7 +71,7 @@ def _case(bath, j, with_ham, seed=11):
 
 
 def _args(gen):
-    return (gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._ham is not None)
+    return gen.kernel_args
 
 
 @pytest.mark.parametrize(

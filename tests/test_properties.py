@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dense_views import dense_generator, dense_rhs
 from oracles import coupling_sets, dissipator_double_sum, random_density, random_hermitian
 from spinbath import _kernels
 from spinbath.diagnostics import certify_stationary, entropy_rate_analytic
@@ -69,9 +70,9 @@ def _generator(drawn, seed, with_ham):
     if with_ham:
         rng = np.random.default_rng(seed)
         gen = build_generator(model, j1, j2, hamiltonian=SpinOperator(random_hermitian(rng, gen.dim), gen.dims))
-    args = (gen._jumps, gen._jdags, gen._ksum, gen._ham, gen._ham is not None)
-    scale = 1.0 + np.linalg.norm(gen._ksum, 2) + (np.linalg.norm(gen._ham, 2) if with_ham else 0.0)
-    return gen, args, scale
+    dense = dense_generator(gen)
+    scale = 1.0 + np.linalg.norm(dense.ksum, 2) + (np.linalg.norm(dense.ham, 2) if with_ham else 0.0)
+    return gen, gen.kernel_args, scale
 
 
 @DETERMINISTIC
@@ -195,7 +196,7 @@ def test_simulated_initial_slope_is_the_analytic_rate(drawn, seed):
     psi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
     psi /= np.linalg.norm(psi)
     rho0 = np.outer(psi, psi.conj())
-    ell = 2.0 * sum(np.linalg.norm(a, 2) ** 2 for a in gen._jumps)
+    ell = 2.0 * sum(np.linalg.norm(a, 2) ** 2 for a in dense_generator(gen).jumps)
     tau = SLOPE_STEP / max(ell, 1.0)
 
     def slope(t):
@@ -311,6 +312,65 @@ def test_generator_matches_double_sum_oracle(drawn, seed):
     expect = sum(dissipator_double_sum(gamma, ops, x) for gamma, ops in _oracle_sets(model, j1, j2))
     got = apply_generator(gen, x)
     assert np.abs(got - expect).max() <= 1e-12 * max(1.0, float(np.abs(expect).max()))
+
+
+# the banded kernel's bound against the dense assembly, fixed before its
+# first run: ||got - want||_F <= BANDED_RHS_TOL (1 + ||K||_F + ||H||_F) ||X||_F
+BANDED_RHS_TOL = 1e-13
+
+
+def _check_banded_rhs(gen, x):
+    # lindblad_rhs on the generator's nonzero diagonals against
+    # sum_k A_k X A_k^dag - (1/2){K, X} - i[H, X] assembled from
+    # FactoredOperator.matrix
+    dense = dense_generator(gen)
+    ham = 0.0 if dense.ham is None else np.linalg.norm(dense.ham)
+    bound = BANDED_RHS_TOL * (1.0 + np.linalg.norm(dense.ksum) + ham) * np.linalg.norm(x)
+    got = _kernels.lindblad_rhs(x, *gen.kernel_args)
+    assert np.linalg.norm(got - dense_rhs(gen, x)) <= bound
+
+
+def _non_hermitian(rng, n):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+@DETERMINISTIC
+@given(factor_models(), SEEDS, st.booleans())
+def test_banded_rhs_matches_dense_assembly(drawn, seed, with_ham):
+    # correlated damping of rank 1-3, lambda in [0, 2], common, independent
+    # and single-ensemble baths at j <= 3, with or without a Hamiltonian, on
+    # a non-Hermitian X (no right product may assume X = X^dag)
+    model, j1, j2 = drawn
+    gen = build_generator(model, j1, j2)
+    rng = np.random.default_rng(seed)
+    if with_ham:
+        gen = build_generator(model, j1, j2, hamiltonian=SpinOperator(random_hermitian(rng, gen.dim), gen.dims))
+    _check_banded_rhs(gen, _non_hermitian(rng, gen.dim))
+
+
+# x, y, z damping with an xz cross term: a common bath's x-z jumps lie on 5
+# diagonals, and K on 13
+GAMMA_XZ = np.array([[1.0, 0.0, 0.3], [0.0, 0.5, 0.0], [0.3, 0.0, 0.25]])
+
+
+@pytest.mark.parametrize(
+    "bath,j,with_ham",
+    [("common", 5, True), ("independent", 5, False), ("common", 8, False), ("independent", 8, True)],
+    ids=["common-n121-ham", "independent-n121", "common-n289", "independent-n289-ham"],
+)
+def test_banded_rhs_matches_dense_assembly_at_size(bath, j, with_ham):
+    # the property's bound at the sizes simulate runs
+    if bath == "common":
+        model = CommonBath(gamma=GAMMA_XZ, lam=1.4, axes=AXES)
+    else:
+        model = IndependentBath(gamma1=GAMMA_XZ, gamma2=np.diag([0.5, 0.75, 0.5]), axes=AXES)
+    gen = build_generator(model, j, j)
+    rng = np.random.default_rng(j)
+    if with_ham:
+        gen = build_generator(model, j, j, hamiltonian=SpinOperator(random_hermitian(rng, gen.dim), gen.dims))
+    assert max(len(offs) for offs in gen.kernel_args[1]) <= 5
+    assert len(gen.kernel_args[2].offsets) <= 13
+    _check_banded_rhs(gen, _non_hermitian(rng, gen.dim))
 
 
 @DETERMINISTIC
