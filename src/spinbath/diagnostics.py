@@ -1,9 +1,10 @@
 """Scalar diagnostics for collective-spin decoherence.
 
-Entropy measures, purity-loss rates (numeric, covariance-form, and the
-coarse large-spin estimates), operator variances with the pairing-sum
-approximation for smooth coefficient profiles, Schmidt data, and
-stationary-state certification.
+Entropy measures, pure-state purity-loss rates (covariance form checked
+against the factored generator image, and the coarse large-spin
+estimates), operator variances with the pairing-sum approximation for
+smooth coefficient profiles, Schmidt data, and stationary-state
+certification.
 
 Two operator normalizations appear for the common bath.  The generator is
 always built from the weighted composite operators L_a (the physical
@@ -26,25 +27,24 @@ from .generator import (
     AXES,
     AXIS_INDEX,
     CommonBath,
-    Generator,
     IndependentBath,
     _as_matrix,
     _canonical_jump_set,
     _purity,
-    apply_generator,
     coupling_factors,
     rank_one_factors,
     validate_damping,
 )
-from .spin_algebra import CoupledLevel, SpinOperator
-from .states import DensityMatrix, EntangledStateSpec, _unit_vector
+# not called here: kept because perfbench/tracing.py wraps diagnostics.apply_generator
+from .generator import apply_generator
+from .spin_algebra import CoupledLevel
+from .states import EntangledStateSpec, _unit_vector
 
 __all__ = [
     "RateReport",
     "StationaryReport",
     "linear_entropy",
     "pure_fidelity",
-    "entropy_rate_numeric",
     "entropy_rate_analytic",
     "entropy_rate_estimate",
     "von_neumann_entropy",
@@ -72,12 +72,6 @@ def pure_fidelity(psi, rho) -> float:
     vec = _unit_vector(psi)
     mat = _as_matrix(rho)
     return float(np.real(np.vdot(vec, mat @ vec)))
-
-
-def entropy_rate_numeric(gen: Generator, rho) -> float:
-    """d S_lin / dt evaluated from the generator: -2 tr(rho L(rho))."""
-    mat = _as_matrix(rho)
-    return -2.0 * float(np.real(np.vdot(mat, apply_generator(gen, mat))))
 
 
 def _pure_rate(psi, u, v) -> float:
@@ -159,7 +153,7 @@ def entropy_rate_analytic(psi, model, j1, j2=None, normalization: str = "composi
                 contributions[key] = contributions.get(key, 0.0) + term
                 total += term
 
-    numeric = _pure_rate(vec, *rank_one_factors(jumps, vec, vec))
+    numeric = _pure_rate(vec, *rank_one_factors(jumps, vec))
     scaled = {key: factor * term for key, term in contributions.items()}
     return RateReport(factor * numeric, factor * total, scaled)
 
@@ -218,28 +212,21 @@ def schmidt_number(psi, dims, tol: float = 1e-10) -> int:
     return int(np.sum(_schmidt_values(psi, dims) > tol))
 
 
-def variance_exact(op, state) -> float:
-    """<op^2> - <op>^2 for a Hermitian operator on a pure or mixed state.
+def variance_exact(op, psi) -> float:
+    """<op^2> - <op>^2 for a Hermitian FactoredOperator on a pure state.
 
-    ``op`` is a SpinOperator or a FactoredOperator; a factored operator
-    acts on a pure state without forming its n x n matrix (a mixed state
-    uses its dense view).
+    The operator acts on psi through its factors, so no n x n matrix is
+    formed; the variance is ||(op - <op>) psi||^2.
     """
-    parts = [op.matrix] if isinstance(op, SpinOperator) else [p for p in (op.x, op.y) if p is not None]
-    if any(float(np.max(np.abs(p - p.conj().T))) > 1e-12 for p in parts):
+    if any(float(np.max(np.abs(p - p.conj().T))) > 1e-12 for p in (op.x, op.y) if p is not None):
         raise ValueError("variance_exact needs a Hermitian operator")
-    arr = np.asarray(state.matrix if isinstance(state, DensityMatrix) else state)
-    if arr.ndim == 1:
-        vec = _unit_vector(arr)
-        applied = op.matrix @ vec if isinstance(op, SpinOperator) else op.apply(vec)
-        mean = float(np.real(np.vdot(vec, applied)))
-        shifted = applied - mean * vec
-        return float(np.real(np.vdot(shifted, shifted)))
-    rho = _as_matrix(arr)
-    mat = op.matrix
-    mean = float(np.real(np.trace(rho @ mat)))
-    second = float(np.real(np.trace(rho @ mat @ mat)))
-    return second - mean * mean
+    if np.ndim(psi) != 1:
+        raise ValueError("variance_exact needs a pure state vector")
+    vec = _unit_vector(psi)
+    applied = op.apply(vec)
+    mean = float(np.real(np.vdot(vec, applied)))
+    shifted = applied - mean * vec
+    return float(np.real(np.vdot(shifted, shifted)))
 
 
 def _pairing_terms(coeffs: np.ndarray) -> np.ndarray:
@@ -344,7 +331,7 @@ def certify_stationary(
     r_u = []
     r_v = []
     for vec in vecs:
-        u, v = rank_one_factors(jumps, vec, vec)
+        u, v = rank_one_factors(jumps, vec)
         rates.append(_pure_rate(vec, u, v))
         r_u.append(np.linalg.qr(u, mode="r"))
         r_v.append(np.linalg.qr(v, mode="r"))

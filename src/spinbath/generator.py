@@ -2,9 +2,9 @@
 
 A decoherence model is a damping matrix gamma (real symmetric positive
 semidefinite, indexed by the coupling axes) together with the coupling
-operators it contracts: the embedded single-ensemble spin operators for
-independent baths, or the weighted composite operators when both ensembles
-see one bath.  The double-sum dissipator
+operators it contracts: the single-ensemble spin operators for independent
+baths, or the weighted composite operators when both ensembles see one
+bath.  The double-sum dissipator
 
     sum_ab gamma_ab (C_b rho C_a - (1/2){C_a C_b, rho})
 
@@ -12,12 +12,12 @@ is always realized in canonical form: gamma = O D O^T, jump operators
 A_k = sqrt(D_k) sum_a O_ak C_a with the rates absorbed.
 
 Every such operator is X (x) I + I (x) Y with X and Y single-ensemble
-matrices, and jumps are always built in that factored form
-(``FactoredOperator``, from ``coupling_factors``).  The pure-state paths
-apply them without building an n x n matrix, and the ``Generator`` keeps
+matrices, and this module has no other operator form: jumps are built
+factored (``FactoredOperator``, from ``coupling_factors``), the pure-state
+paths apply them without building an n x n matrix, the ``Generator`` keeps
 each jump, and -K/2, on its few nonzero diagonals for the banded kernel
-(``_kernels.lindblad_rhs``): no n x n matrix there either, except an
-optional Hamiltonian.
+(``_kernels.lindblad_rhs``), and ``default_step`` norms them from their
+d x d factors.  The one dense n x n operator is an optional Hamiltonian.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .spin_algebra import SpinOperator, SpinQuantum, angular_momentum_ops, embed
+from .spin_algebra import SpinOperator, SpinQuantum, angular_momentum_ops
 # not called here: kept because perfbench/tracing.py wraps generator.composite_coupling_ops
-from .spin_algebra import composite_coupling_ops
+# and generator.embed
+from .spin_algebra import composite_coupling_ops, embed
 from .states import DensityMatrix
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "build_generator",
     "apply_generator",
     "rank_one_factors",
-    "stationary_residual",
     "default_step",
     "evolve",
 ]
@@ -102,13 +102,15 @@ def validate_damping(gamma, axes) -> np.ndarray:
 
     Returns a defensive copy (float64, full 3x3, axis order x, y, z).
     Raises NonSymmetricError / NotPositiveSemidefiniteError, or ValueError
-    when entries outside the declared axes are nonzero or the matrix is not
-    real.
+    when an entry is not finite, entries outside the declared axes are
+    nonzero or the matrix is not real.
     """
     axes = _check_axes(axes)
     gamma = np.asarray(gamma)
     if gamma.shape != (3, 3):
         raise ValueError(f"damping matrix must be 3x3, got shape {gamma.shape}")
+    if not np.all(np.isfinite(gamma)):
+        raise ValueError("damping matrix entries must be finite")
     if np.iscomplexobj(gamma):
         if np.max(np.abs(gamma.imag)) > 0.0:
             raise ValueError("damping matrix must be real")
@@ -173,8 +175,7 @@ class FactoredOperator:
     ``dims`` has one factor).  On a vector psi reshaped to (d1, d2) the
     operator acts as X psi + psi Y^T: O(n d) work, and no n x n matrix.
     Every coupling and canonical jump operator of the models here has this
-    form.  ``matrix`` builds the dense operator on demand, as the sum of the
-    ``embed``-ed factors.
+    form, and the library never builds its dense n x n view.
     """
 
     x: np.ndarray
@@ -193,13 +194,6 @@ class FactoredOperator:
     @property
     def dim(self) -> int:
         return math.prod(self.dims)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense n x n matrix, built on every access."""
-        if self.y is None:
-            return self.x.copy()
-        return embed(self.x, 0, self.dims).matrix + embed(self.y, 1, self.dims).matrix
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """The operator applied to a length-n vector."""
@@ -383,47 +377,42 @@ def apply_generator(gen: Generator, rho) -> np.ndarray:
     return _kernels.lindblad_rhs(mat, *gen.kernel_args)
 
 
-def rank_one_factors(jumps, psi, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Factors U, V, each n x (k + 2), with L(psi phi^dag) = U V^dag.
+def rank_one_factors(jumps, psi) -> tuple[np.ndarray, np.ndarray]:
+    """Factors U, V, each n x (k + 2), with L(psi psi^dag) = U V^dag.
 
     U = [A_1 psi, ..., A_k psi, -K psi / 2, psi] and
-    V = [A_1 phi, ..., A_k phi, phi, -K phi / 2] for the ``FactoredOperator``
-    jumps A_k of a generator without a Hamiltonian.  U depends on psi only
-    and V on phi only.  Uses operator-vector products alone: K = sum_k
-    A_k^dag A_k is applied as sum_k A_k^dag (A_k x) and never formed, and no
+    V = [A_1 psi, ..., A_k psi, psi, -K psi / 2] for the ``FactoredOperator``
+    jumps A_k of a generator without a Hamiltonian.  L is linear, so the
+    cross image L(psi phi^dag) is U_psi V_phi^dag, U from psi's factors and
+    V from phi's.  Uses operator-vector products alone: K = sum_k A_k^dag
+    A_k is applied as sum_k A_k^dag (A_k psi) and never formed, and no
     n x n matrix is built.
     """
-
-    def columns(x):
-        applied = []
-        drift = np.zeros(x.shape, dtype=np.complex128)
-        for a in jumps:
-            ax = a.apply(x)
-            drift -= 0.5 * a.apply_adjoint(ax)
-            applied.append(ax)
-        return applied, drift
-
-    psi_cols, psi_drift = columns(psi)
-    phi_cols, phi_drift = (psi_cols, psi_drift) if phi is psi else columns(phi)
-    u = np.column_stack(psi_cols + [psi_drift, psi])
-    v = np.column_stack(phi_cols + [phi, phi_drift])
-    return u, v
-
-
-def stationary_residual(gen: Generator, rho) -> float:
-    """Frobenius norm of the generator applied to a state."""
-    return float(np.linalg.norm(apply_generator(gen, rho)))
+    applied = []
+    drift = np.zeros(psi.shape, dtype=np.complex128)
+    for a in jumps:
+        ax = a.apply(psi)
+        drift -= 0.5 * a.apply_adjoint(ax)
+        applied.append(ax)
+    return np.column_stack(applied + [drift, psi]), np.column_stack(applied + [psi, drift])
 
 
 def default_step(gen: Generator) -> float | None:
     """Step 0.1 / (sum_k ||A_k||^2 + ||H||), None if free.
 
     ``evolve``'s default grid step, and its first adaptive trial h.  Each
-    jump's dense matrix is assembled in turn for its 2-norm.
+    jump's 2-norm is taken from its d x d factors as ||X||_2 + ||Y||_2 (or
+    ||X||_2 on one ensemble).  The eigenvalues of X (x) I + I (x) Y are the
+    sums x_i + y_j (Horn & Johnson, Topics in Matrix Analysis, 4.4), and
+    every jump built here has factors that are real multiples of n.J, with
+    spectra symmetric about 0, so the sum is ||A_k||_2 exactly.  For any
+    other jump it is the triangle-inequality bound, which gives a shorter
+    step that is still valid.  No n x n array is built for a jump; the
+    Hamiltonian, already dense, is normed as stored.
     """
     scale = 0.0
     for op in gen.jump_ops:
-        scale += float(np.linalg.norm(op.matrix, 2)) ** 2
+        scale += sum(float(np.linalg.norm(p, 2)) for p in (op.x, op.y) if p is not None) ** 2
     if gen._ham is not None:
         scale += float(np.linalg.norm(gen._ham, 2))
     if scale <= 0.0:
@@ -578,6 +567,9 @@ def evolve(
 
     Raises
     ------
+    ValueError
+        When ``t_final``, ``step`` or ``tol`` is not finite or out of range,
+        or ``stride`` < 1.
     IntegrationAbortError
         When a fixed step needs more than ``max_steps`` steps (raised before
         any step, ``t_last`` = 0), the generator is too large for a Krylov
@@ -586,14 +578,14 @@ def evolve(
         or no trial h down to 1e-15 max(t_final, 1) is acceptable.
         ``t_last`` is the last time whose state passed every check.
     """
-    if t_final < 0.0:
-        raise ValueError("t_final must be non-negative")
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError("t_final must be finite and non-negative")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if step is not None and step <= 0.0:
-        raise ValueError("step must be positive")
-    if tol is not None and tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if step is not None and not (math.isfinite(step) and step > 0.0):
+        raise ValueError("step must be finite and positive")
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
     rho = _as_matrix(rho0, gen.dim).copy()
     norm0 = float(np.linalg.norm(rho))
     norm_cap = 10.0 * max(norm0, 1e-300)

@@ -1,14 +1,21 @@
-"""Dense n x n views of a ``Generator``, for tests that need its matrices.
+"""Dense n x n views of factored operators and of a ``Generator``.
 
-The generator keeps its jumps and -K/2 on their nonzero diagonals only;
-tests that want dense matrices build them here, from ``gen.jump_ops``
-(``FactoredOperator.matrix``), and never read the generator's private
-kernel arrays.
+The library keeps every operator factored, X (x) I + I (x) Y, and the
+generator keeps its jumps and -K/2 on their nonzero diagonals only.  Tests
+that want dense matrices build them here, with plain ``np.kron`` from
+``gen.jump_ops``, and never read the generator's private kernel arrays.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+
+
+def dense(op) -> np.ndarray:
+    """The n x n matrix kron(X, I) + kron(I, Y) of a ``FactoredOperator``, or X alone."""
+    if op.y is None:
+        return op.x.copy()
+    return np.kron(op.x, np.eye(op.dims[1])) + np.kron(np.eye(op.dims[0]), op.y)
 
 
 class DenseGenerator(NamedTuple):
@@ -19,7 +26,7 @@ class DenseGenerator(NamedTuple):
 
 def dense_generator(gen) -> DenseGenerator:
     """The jumps A_k, K = sum_k A_k^dag A_k and the Hamiltonian (or None), dense."""
-    jumps = [op.matrix for op in gen.jump_ops]
+    jumps = [dense(op) for op in gen.jump_ops]
     ksum = np.zeros((gen.dim, gen.dim), dtype=np.complex128)
     for a in jumps:
         ksum += a.conj().T @ a
@@ -29,10 +36,10 @@ def dense_generator(gen) -> DenseGenerator:
 
 def dense_rhs(gen, x: np.ndarray) -> np.ndarray:
     """sum_k A_k X A_k^dag - (1/2){K, X} - i[H, X] from the dense view."""
-    dense = dense_generator(gen)
-    out = -0.5 * (dense.ksum @ x + x @ dense.ksum)
-    for a in dense.jumps:
+    view = dense_generator(gen)
+    out = -0.5 * (view.ksum @ x + x @ view.ksum)
+    for a in view.jumps:
         out += a @ x @ a.conj().T
-    if dense.ham is not None:
-        out += -1j * (dense.ham @ x - x @ dense.ham)
+    if view.ham is not None:
+        out += -1j * (view.ham @ x - x @ view.ham)
     return out

@@ -123,6 +123,11 @@ def dephasing_s_lin(t, gamma: float = 1.0):
     return 0.5 * (1.0 - np.exp(-gamma * np.asarray(t)))
 
 
+def purity_loss_rate(rho: np.ndarray, l_rho: np.ndarray) -> float:
+    """d S_lin / dt = -2 Re tr(rho L(rho)) of a Hermitian rho, given L(rho)."""
+    return -2.0 * float(np.real(np.vdot(rho, l_rho)))
+
+
 def dissipator_double_sum(gamma: np.ndarray, ops, rho: np.ndarray) -> np.ndarray:
     """Literal double-sum dissipator over a list of coupling operators."""
     out = np.zeros_like(rho, dtype=complex)

@@ -5,14 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_views import dense_generator
+from dense_views import dense, dense_generator
 from spinbath.diagnostics import (
     certify_stationary,
     coupled_state_rate,
     entanglement_entropy,
     entropy_rate_analytic,
     entropy_rate_estimate,
-    entropy_rate_numeric,
     linear_entropy,
     pairing_residual,
     pure_fidelity,
@@ -31,7 +30,7 @@ from spinbath.generator import (
     coupling_factors,
     rank_one_factors,
 )
-from spinbath.spin_algebra import angular_momentum_ops, composite_coupling_ops, coupled_basis_state, embed
+from spinbath.spin_algebra import angular_momentum_ops, composite_coupling_ops, coupled_basis_state
 from spinbath.states import (
     EntangledStateSpec,
     coefficient_profile,
@@ -40,7 +39,7 @@ from spinbath.states import (
     entangled_state,
     fock_state,
 )
-from oracles import dissipator_double_sum
+from oracles import dissipator_double_sum, purity_loss_rate
 from test_generator import gamma_on
 
 
@@ -51,12 +50,9 @@ def uniform_spec(n_tilde, j1=None, j2=None):
 
 
 def total_jx(j):
-    from spinbath.spin_algebra import SpinOperator
-
-    single = angular_momentum_ops(j).x
-    dim = single.matrix.shape[0]
-    mat = embed(single, 0, (dim, dim)).matrix + embed(single, 1, (dim, dim)).matrix
-    return SpinOperator(mat, (dim, dim))
+    """J1x + J2x on two spin-j ensembles, factored."""
+    jx = angular_momentum_ops(j).x.matrix
+    return FactoredOperator(jx, jx, (jx.shape[0], jx.shape[0]))
 
 
 def z_pair_model(g=1.0, gp=1.0):
@@ -92,21 +88,23 @@ class TestScalarDiagnostics:
 
 
 class TestEntropyRateNumeric:
+    # the purity-loss rate -2 Re tr(rho L(rho)) of the generator's action
     def test_spin_half_dephasing(self):
         model = IndependentBath(gamma1=gamma_on("z", {("z", "z"): 1.0}), gamma2=None, axes=("z",))
         gen = build_generator(model, 0.5)
         rho = density_from_pure(coherent_x(0.5), (2,)).matrix
-        assert entropy_rate_numeric(gen, rho) == pytest.approx(0.5, abs=1e-14)
+        assert purity_loss_rate(rho, apply_generator(gen, rho)) == pytest.approx(0.5, abs=1e-14)
 
     def test_stationary_state_zero(self):
         model = z_pair_model()
         gen = build_generator(model, 0.5, 0.5)
         rho = density_from_pure(np.kron(fock_state(0.5, 0.5), fock_state(0.5, -0.5)), (2, 2)).matrix
-        assert abs(entropy_rate_numeric(gen, rho)) <= 1e-14
+        assert abs(purity_loss_rate(rho, apply_generator(gen, rho))) <= 1e-14
 
     def test_maximally_mixed_fixed_point_of_unital_map(self):
         gen = build_generator(z_pair_model(), 0.5, 0.5)
-        assert abs(entropy_rate_numeric(gen, np.eye(4, dtype=complex) / 4.0)) <= 1e-14
+        mixed = np.eye(4, dtype=complex) / 4.0
+        assert abs(purity_loss_rate(mixed, apply_generator(gen, mixed))) <= 1e-14
 
 
 class TestEntropyRateAnalytic:
@@ -314,7 +312,7 @@ class TestEntanglementMeasures:
 
 class TestVariance:
     def test_jz_on_plus_x(self):
-        op = angular_momentum_ops(0.5).z
+        op = FactoredOperator(angular_momentum_ops(0.5).z.matrix, None, (2,))
         assert variance_exact(op, coherent_x(0.5)) == pytest.approx(0.25, abs=1e-14)
 
     def test_total_jx_on_triplet_zero(self):
@@ -322,29 +320,22 @@ class TestVariance:
         assert variance_exact(total_jx(0.5), psi) == pytest.approx(1.0, abs=1e-13)
 
     def test_factored_total_jx_matches_dense(self):
+        # against <M^2> - <M>^2 with M = kron(Jx, I) + kron(I, Jx) dense
         rng = np.random.default_rng(23)
-        jx = angular_momentum_ops(1.5).x.matrix
-        factored = FactoredOperator(jx, jx, (4, 4))
+        factored = total_jx(1.5)
         raw = rng.normal(size=16) + 1j * rng.normal(size=16)
         psi = raw / np.linalg.norm(raw)
-        rho = density_from_pure(psi, (4, 4))
-        dense = variance_exact(total_jx(1.5), psi)
-        assert variance_exact(factored, psi) == pytest.approx(dense, rel=1e-13)
-        assert variance_exact(factored, rho) == pytest.approx(dense, rel=1e-12)
+        mpsi = dense(factored) @ psi
+        want = float(np.vdot(mpsi, mpsi).real) - float(np.vdot(psi, mpsi).real) ** 2
+        assert variance_exact(factored, psi) == pytest.approx(want, rel=1e-13)
+        with pytest.raises(ValueError, match="pure state"):
+            variance_exact(factored, density_from_pure(psi, (4, 4)))
+        jx = factored.x
         with pytest.raises(ValueError):
             variance_exact(FactoredOperator(jx, 1j * jx, (4, 4)), psi)
 
-    def test_mixed_state_branch(self):
-        op = angular_momentum_ops(0.5).z
-        rho = density_from_pure(coherent_x(0.5), (2,))
-        assert variance_exact(op, rho) == pytest.approx(0.25, abs=1e-14)
-        mixed = np.eye(2, dtype=complex) / 2.0
-        assert variance_exact(op, mixed) == pytest.approx(0.25, abs=1e-14)
-
     def test_non_hermitian_rejected(self):
-        from spinbath.spin_algebra import SpinOperator
-
-        bad = SpinOperator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), (2,))
+        bad = FactoredOperator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), None, (2,))
         with pytest.raises(ValueError):
             variance_exact(bad, coherent_x(0.5))
 
@@ -487,11 +478,11 @@ class TestCertifyStationary:
         got = {(i, i): res for i, res in enumerate(report.residuals)} | report.pair_residuals
         assert len(got) == 6
         for (i, j), res in got.items():
-            u, v = rank_one_factors(jumps, states[i], states[j])
+            u, v = rank_one_factors(jumps, states[i])[0], rank_one_factors(jumps, states[j])[1]
             assert u.shape == (2, 5)
             assembled = u @ v.conj().T
-            dense = apply_generator(gen, np.outer(states[i], states[j].conj()))
-            assert np.abs(assembled - dense).max() <= 1e-12 * max(1.0, float(np.linalg.norm(dense)))
+            want = apply_generator(gen, np.outer(states[i], states[j].conj()))
+            assert np.abs(assembled - want).max() <= 1e-12 * max(1.0, float(np.linalg.norm(want)))
             want = np.linalg.norm(assembled)
             assert abs(res - want) <= 1e-13 * max(1.0, np.linalg.norm(u) * np.linalg.norm(v))
         assert not report.certified

@@ -1,4 +1,4 @@
-"""Damping validation, canonical jumps and RK4 evolution tests."""
+"""Damping validation, canonical jumps, the generator and Krylov evolution tests."""
 
 import math
 import tracemalloc
@@ -6,12 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_views import dense_generator
+from dense_views import dense, dense_generator
 from oracles import (
     coupling_sets,
     dephasing_s_lin,
     dissipator_double_sum,
     product_m_values,
+    purity_loss_rate,
     random_density,
     random_hermitian,
     z_damping_closed_form,
@@ -33,7 +34,6 @@ from spinbath.generator import (
     default_step,
     evolve,
     rank_one_factors,
-    stationary_residual,
     validate_damping,
 )
 from spinbath.spin_algebra import SpinOperator, angular_momentum_ops, coupled_basis_state
@@ -102,6 +102,18 @@ class TestValidateDamping:
         with pytest.raises(ValueError):
             validate_damping(np.eye(2), ("x", "y"))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_entries(self, bad):
+        g = np.diag([1.0, 0.5, bad])
+        with pytest.raises(ValueError, match="finite"):
+            validate_damping(g, ("x", "y", "z"))
+        with pytest.raises(ValueError, match="finite"):
+            IndependentBath(gamma1=g, gamma2=None, axes=("x", "y", "z"))
+        with pytest.raises(ValueError, match="finite"):
+            IndependentBath(gamma1=np.eye(3), gamma2=g, axes=("x", "y", "z"))
+        with pytest.raises(ValueError, match="finite"):
+            CommonBath(gamma=g, lam=1.0, axes=("x", "y", "z"))
+
     def test_tiny_negative_eigenvalue_tolerated(self):
         g = np.diag([1.0, 1.0, -1e-13])
         out = validate_damping(g, ("x", "y", "z"))
@@ -150,14 +162,14 @@ class TestCanonicalJumps:
         jumps = canonical_jumps(gamma_on("z", {("z", "z"): 0.25}), ops)
         assert len(jumps) == 1
         assert jumps[0].y is None
-        np.testing.assert_allclose(jumps[0].matrix, 0.5 * ops["z"].matrix, atol=1e-15)
+        np.testing.assert_allclose(dense(jumps[0]), 0.5 * dense(ops["z"]), atol=1e-15)
 
     def test_cross_coupling_rates(self):
         ops = single_factors(0.5, "xz")
         g = gamma_on(("x", "z"), {("x", "x"): 1.0, ("z", "z"): 1.0, ("x", "z"): 0.5})
         jumps = canonical_jumps(g, ops)
         # eigen-rates 0.5 and 1.5; tr(A^dag A) = rate / 2 for spin-1/2 ops
-        norms = sorted(float(np.vdot(j.matrix, j.matrix).real) for j in jumps)
+        norms = sorted(float(np.vdot(dense(j), dense(j)).real) for j in jumps)
         np.testing.assert_allclose(norms, [0.25, 0.75], atol=1e-14)
 
     def test_rank_deficient_drops_zero_rate(self):
@@ -275,7 +287,8 @@ class TestRankOneFactors:
             for _ in range(3):
                 psi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
                 phi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
-                u, v = rank_one_factors(jumps, psi, phi)
+                # L(psi phi^dag) = U_psi V_phi^dag: U from psi's factors, V from phi's
+                u, v = rank_one_factors(jumps, psi)[0], rank_one_factors(jumps, phi)[1]
                 assert u.shape == v.shape == (gen.dim, len(dense_generator(gen).jumps) + 2)
                 dense = apply_generator(gen, np.outer(psi, phi.conj()))
                 scale = max(1.0, float(np.linalg.norm(dense)))
@@ -288,7 +301,7 @@ class TestFactoredOperator:
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         for op in (FactoredOperator(x, y, (3, 4)), FactoredOperator(x, None, (3,))):
-            mat = op.matrix
+            mat = dense(op)
             assert mat.shape == (op.dim, op.dim)
             v = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
             np.testing.assert_allclose(op.apply(v), mat @ v, rtol=0, atol=1e-13)
@@ -301,22 +314,23 @@ class TestFactoredOperator:
 
 
 class TestStationaryResidual:
+    # the residual of a state is ||L(rho)||_F
     def test_dephasing_plus_x_value(self):
         gen = dephasing_generator()
-        assert stationary_residual(gen, plus_x_density()) == pytest.approx(
+        assert np.linalg.norm(apply_generator(gen, plus_x_density())) == pytest.approx(
             math.sqrt(2.0) / 4.0, abs=1e-14
         )
 
     def test_fock_state_stationary(self):
         gen = dephasing_generator()
         rho = density_from_pure(fock_state(0.5, 0.5), (2,)).matrix
-        assert stationary_residual(gen, rho) <= 1e-15
+        assert np.linalg.norm(apply_generator(gen, rho)) <= 1e-15
 
     def test_singlet_stationary_for_balanced_common_bath(self):
         model = CommonBath(gamma=np.eye(3), lam=1.0, axes=("x", "y", "z"))
         gen = build_generator(model, 0.5, 0.5)
         rho = density_from_pure(coupled_basis_state(0.5, 0.5, 0, 0), (2, 2)).matrix
-        assert stationary_residual(gen, rho) <= 1e-12
+        assert np.linalg.norm(apply_generator(gen, rho)) <= 1e-12
 
 
 class TestDefaultStep:
@@ -332,32 +346,31 @@ class TestDefaultStep:
     def test_free_generator_has_no_scale(self):
         assert default_step(Generator([], None, (2,))) is None
 
-    @pytest.mark.parametrize(
-        "bath,j1,j2,with_ham",
-        [("independent", 0.5, None, True), ("common", 1, 1, True), ("independent", 1, 1.5, False),
-         ("common", 1.5, 1, False), ("common", 2, 2, True), ("common", 5, 5, False)],
-    )
-    def test_bit_for_bit_the_dense_stack_step(self, bath, j1, j2, with_ham):
-        # default_step sets the fixed grid and the first adaptive trial, so it
-        # must equal, bit for bit, the step taken from a dense (k, n, n)
-        # stack of the jump matrices
+    @pytest.mark.parametrize("bath", ["common", "independent"])
+    def test_no_n_by_n_array(self, bath):
+        # j1 = j2 = 20, n = 1,681: one dense jump is 45 MB.  Every jump is
+        # sqrt(d_k) (w1 n.J1 + w2 n.J2) for a unit n, of 2-norm
+        # sqrt(d_k) (|w1| + |w2|) j, so the step is 0.1 / (tr(gamma) j^2) for
+        # the common bath (w1 + w2 = 1) and 0.1 / (1.5 tr(g) j^2) for baths
+        # g and g / 2.  Bounds fixed before the first run: the step peaks
+        # below 1 MB and is within 1e-14 of that closed form
         g = np.array([[1.0, 0.0, 0.3], [0.0, 0.5, 0.0], [0.3, 0.0, 0.25]])
+        j = 20
         if bath == "common":
-            model = CommonBath(gamma=g, lam=1.4, axes=("x", "y", "z"))
+            model, weight = CommonBath(gamma=g, lam=1.4, axes=("x", "y", "z")), 1.0
         else:
-            model = IndependentBath(gamma1=g, gamma2=None if j2 is None else 0.5 * g, axes=("x", "y", "z"))
-        gen = build_generator(model, j1, j2)
-        if with_ham:
-            ham = SpinOperator(0.7 * random_hermitian(np.random.default_rng(11), gen.dim), gen.dims)
-            gen = build_generator(model, j1, j2, hamiltonian=ham)
-        dense = dense_generator(gen)
-        stack = np.ascontiguousarray(np.stack(dense.jumps))
-        scale = 0.0
-        for k in range(stack.shape[0]):
-            scale += float(np.linalg.norm(stack[k], 2)) ** 2
-        if with_ham:
-            scale += float(np.linalg.norm(dense.ham, 2))
-        assert default_step(gen) == 0.1 / scale
+            model, weight = IndependentBath(gamma1=g, gamma2=0.5 * g, axes=("x", "y", "z")), 1.5
+        gen = build_generator(model, j, j)
+        tracemalloc.start()
+        try:
+            step = default_step(gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gen.dim == 1681
+        assert peak < 2**20
+        want = 0.1 / (weight * np.trace(g) * j * j)
+        assert abs(step - want) <= 1e-14 * want
 
 
 class TestEvolveFixedStep:
@@ -457,6 +470,30 @@ class TestEvolveFixedStep:
             evolve(gen, rho, 1.0, tol=0.0)
         with pytest.raises(ValueError):
             evolve(gen, np.eye(3) / 3.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "t_final,kwargs",
+        [
+            # adaptive NaN t_final once returned the times [0, nan]
+            (math.nan, {"tol": 1e-10}),
+            (math.inf, {"tol": 1e-10}),
+            # fixed mode once failed only by accident, inside math.ceil
+            (math.nan, {}),
+            (math.inf, {}),
+            (1.0, {"step": math.nan}),
+            (1.0, {"step": math.inf}),
+            # an adaptive NaN step once halved NaN forever in _largest_step
+            (1.0, {"step": math.nan, "tol": 1e-10}),
+            (1.0, {"step": math.inf, "tol": 1e-10}),
+            (1.0, {"tol": math.nan}),
+            (1.0, {"tol": math.inf}),
+        ],
+        ids=["adaptive-t_final-nan", "adaptive-t_final-inf", "fixed-t_final-nan", "fixed-t_final-inf",
+             "fixed-step-nan", "fixed-step-inf", "adaptive-step-nan", "adaptive-step-inf", "tol-nan", "tol-inf"],
+    )
+    def test_non_finite_arguments_rejected(self, t_final, kwargs):
+        with pytest.raises(ValueError, match="must be finite"):
+            evolve(dephasing_generator(), plus_x_density(), t_final, **kwargs)
 
 
 class TestZOnlyClosedForm:
@@ -579,7 +616,7 @@ class TestEvolveAdaptive:
         traj = evolve(gen, plus_x_density(), delta, step=delta)
         fd = (traj.s_lin[-1] - traj.s_lin[0]) / delta
         rho = plus_x_density()
-        rate = -2.0 * np.vdot(rho, apply_generator(gen, rho)).real
+        rate = purity_loss_rate(rho, apply_generator(gen, rho))
         assert fd == pytest.approx(rate, rel=1e-3)
 
 
@@ -600,8 +637,7 @@ class TestPurityLossAtPureStates:
                 raw = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
                 psi = raw / np.linalg.norm(raw)
                 rho = np.outer(psi, psi.conj())
-                rate = -2.0 * np.vdot(rho, apply_generator(gen, rho)).real
-                assert rate >= -1e-12
+                assert purity_loss_rate(rho, apply_generator(gen, rho)) >= -1e-12
 
 
 class TestBuildGenerator:

@@ -7,7 +7,8 @@ Tolerances fixed before the first run; ``scale`` = 1 + ||ksum|| + ||H||
 bounds the generator's norm, so roundoff grows with it.  The factored
 operators (X (x) I + I (x) Y) are drawn at j1, j2 <= 3 for common,
 independent and single-ensemble baths and checked against the dense builders,
-and the generator built from their jumps against the literal double sum.
+the generator built from their jumps against the literal double sum, and
+``default_step`` against the SVD of each dense jump.
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dense_views import dense_generator, dense_rhs
+from dense_views import dense, dense_generator, dense_rhs
 from oracles import coupling_sets, dissipator_double_sum, random_density, random_hermitian
 from spinbath import _kernels
 from spinbath.diagnostics import certify_stationary, entropy_rate_analytic
@@ -29,6 +30,7 @@ from spinbath.generator import (
     build_generator,
     canonical_jumps,
     coupling_factors,
+    default_step,
     evolve,
     rank_one_factors,
 )
@@ -70,8 +72,8 @@ def _generator(drawn, seed, with_ham):
     if with_ham:
         rng = np.random.default_rng(seed)
         gen = build_generator(model, j1, j2, hamiltonian=SpinOperator(random_hermitian(rng, gen.dim), gen.dims))
-    dense = dense_generator(gen)
-    scale = 1.0 + np.linalg.norm(dense.ksum, 2) + (np.linalg.norm(dense.ham, 2) if with_ham else 0.0)
+    view = dense_generator(gen)
+    scale = 1.0 + np.linalg.norm(view.ksum, 2) + (np.linalg.norm(view.ham, 2) if with_ham else 0.0)
     return gen, gen.kernel_args, scale
 
 
@@ -252,14 +254,15 @@ def _dense_builders(model, j1, j2):
 @DETERMINISTIC
 @given(factor_models())
 def test_factor_matrix_equals_dense_builders(drawn):
-    # exact: the dense view is the sum of embedded factors, and halving is exact
+    # exact: kron(X, I) + kron(I, Y) adds each entry to zero or to a diagonal
+    # entry as the builders do, and halving is exact
     model, j1, j2 = drawn
     factored = coupling_factors(model, j1, j2)
-    dense = _dense_builders(model, j1, j2)
-    assert len(factored) == len(dense)
-    for (_, ops), mats in zip(factored, dense):
+    builders = _dense_builders(model, j1, j2)
+    assert len(factored) == len(builders)
+    for (_, ops), mats in zip(factored, builders):
         for a in AXES:
-            assert np.array_equal(ops[a].matrix, mats[a])
+            assert np.array_equal(dense(ops[a]), mats[a])
 
 
 def _dense_jumps(gamma, mats):
@@ -322,10 +325,10 @@ BANDED_RHS_TOL = 1e-13
 def _check_banded_rhs(gen, x):
     # lindblad_rhs on the generator's nonzero diagonals against
     # sum_k A_k X A_k^dag - (1/2){K, X} - i[H, X] assembled from
-    # FactoredOperator.matrix
-    dense = dense_generator(gen)
-    ham = 0.0 if dense.ham is None else np.linalg.norm(dense.ham)
-    bound = BANDED_RHS_TOL * (1.0 + np.linalg.norm(dense.ksum) + ham) * np.linalg.norm(x)
+    # dense_views.dense
+    view = dense_generator(gen)
+    ham = 0.0 if view.ham is None else np.linalg.norm(view.ham)
+    bound = BANDED_RHS_TOL * (1.0 + np.linalg.norm(view.ksum) + ham) * np.linalg.norm(x)
     got = _kernels.lindblad_rhs(x, *gen.kernel_args)
     assert np.linalg.norm(got - dense_rhs(gen, x)) <= bound
 
@@ -383,9 +386,10 @@ def test_factored_rank_one_matches_dense_generator(drawn, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
     phi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
-    u, v = rank_one_factors(jumps, psi, phi)
-    dense = apply_generator(gen, np.outer(psi, phi.conj()))
-    assert np.abs(u @ v.conj().T - dense).max() <= 1e-12 * max(1.0, float(np.linalg.norm(dense)))
+    # L(psi phi^dag) = U_psi V_phi^dag: U from psi's factors, V from phi's
+    u, v = rank_one_factors(jumps, psi)[0], rank_one_factors(jumps, phi)[1]
+    want = apply_generator(gen, np.outer(psi, phi.conj()))
+    assert np.abs(u @ v.conj().T - want).max() <= 1e-12 * max(1.0, float(np.linalg.norm(want)))
 
 
 @DETERMINISTIC
@@ -405,9 +409,34 @@ def test_certificate_residuals_match_assembled_norms(drawn, seed):
     got = {(i, i): res for i, res in enumerate(report.residuals)} | report.pair_residuals
     assert sorted(got) == [(i, j) for i in range(3) for j in range(i, 3)]
     for (i, j), res in got.items():
-        u, v = rank_one_factors(jumps, states[i], states[j])
+        u, v = rank_one_factors(jumps, states[i])[0], rank_one_factors(jumps, states[j])[1]
         assembled = u @ v.conj().T
-        dense = apply_generator(gen, np.outer(states[i], states[j].conj()))
-        assert np.abs(assembled - dense).max() <= 1e-12 * max(1.0, float(np.linalg.norm(dense)))
+        want = apply_generator(gen, np.outer(states[i], states[j].conj()))
+        assert np.abs(assembled - want).max() <= 1e-12 * max(1.0, float(np.linalg.norm(want)))
         want = np.linalg.norm(assembled)
         assert abs(res - want) <= 1e-13 * max(1.0, np.linalg.norm(u) * np.linalg.norm(v))
+
+
+# default_step against the dense SVD, fixed before the first run: relative
+# agreement within DEFAULT_STEP_TOL (about 45 eps: a few eps in each 2-norm,
+# doubled by the square)
+DEFAULT_STEP_TOL = 1e-14
+
+
+@DETERMINISTIC
+@given(factor_models(), SEEDS, st.booleans())
+def test_default_step_matches_dense_svd(drawn, seed, with_ham):
+    # 0.1 / (sum_k ||A_k||_2^2 + ||H||_2) with each ||A_k||_2 the largest
+    # singular value of kron(X, I) + kron(I, Y); None when the scale is 0
+    model, j1, j2 = drawn
+    gen = build_generator(model, j1, j2)
+    scale = sum(float(np.linalg.norm(dense(op), 2)) ** 2 for op in gen.jump_ops)
+    if with_ham:
+        ham = random_hermitian(np.random.default_rng(seed), gen.dim)
+        gen = build_generator(model, j1, j2, hamiltonian=SpinOperator(ham, gen.dims))
+        scale += float(np.linalg.norm(ham, 2))
+    step = default_step(gen)
+    if scale == 0.0:
+        assert step is None
+    else:
+        assert abs(step - 0.1 / scale) <= DEFAULT_STEP_TOL * 0.1 / scale
