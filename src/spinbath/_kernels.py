@@ -7,9 +7,14 @@ so a right-hand side costs O(n^2) per diagonal and never forms an n x n
 operator.  ``krylov_propagator`` projects exp(tau L) rho onto the Krylov
 space of ``rho``, one right-hand side per basis vector, with ``pade_expm``
 for the small exponential; both integration modes of ``generator.evolve``
-take their states from it, at one tau or at a grid of times.  Every state
-is a linear map of rho: nothing is Hermitized or renormalized, so trace and
-Hermiticity drift shows in the result.
+take their states from it, at one tau or at a grid of times.  Its first
+``KRYLOV_DIM`` vectors come from Arnoldi and are stored; for a generator
+that is self-adjoint in the Hilbert-Schmidt inner product, adaptive
+``evolve`` has the basis continue by the Lanczos three-term recurrence, up
+to ``LANCZOS_MAX`` vectors, until it reaches t_final, and the vectors past
+the stored ones are regenerated when a state is formed instead of kept.
+Every state is a linear map of rho: nothing is Hermitized or renormalized,
+so trace and Hermiticity drift shows in the result.
 
 Arrays are complex128, ``rho`` (n, n).  A banded operator is stored
 row-aligned: ``diags[i, s]`` = A[i, i + offsets[s]], 0 where i + offsets[s]
@@ -162,12 +167,14 @@ def rk4_chunk(rho, jumps, offsets, drift, ham, has_ham, h, nsteps):
     return rho
 
 
-# Krylov dimension m: an adaptive step builds span{rho, L rho, ...,
-# L^(m-1) rho} from m right-hand sides and holds m vectors of n^2, and a
-# larger basis supports a longer step.  Right-hand sides per unit time
-# (m / tau over every step but the last, each tau the largest its basis
-# supports) on the adaptive benchmark scenario (n = 121, tol 1e-10, to
-# t = 2) at its seeds 0-3:
+# Krylov dimension m of the stored prefix: every basis builds span{rho,
+# L rho, ..., L^(m-1) rho} by Arnoldi from m right-hand sides and holds these
+# m vectors of n^2.  A restarted basis (fixed mode, or a generator that is
+# not self-adjoint) is this long, and a larger one supports a longer step;
+# a Lanczos continuation grows past it without storing more.  Right-hand
+# sides per unit time of restarted bases (m / tau over every step but the
+# last, each tau the largest its basis supports) on the adaptive benchmark
+# scenario (n = 121, tol 1e-10, to t = 2) at its seeds 0-3:
 #
 #     m                     10    12    14    16    18    20    24
 #     seed 0               167   107    79    71    62    53    39
@@ -179,6 +186,27 @@ def rk4_chunk(rho, jumps, offsets, drift, ham, has_ham, h, nsteps):
 # 12 -> 16 cuts the rate by 34-44 % for 33 % more basis, 16 -> 20 by 13-25 %
 # for 25 % more, and the basis at n = 1,089 is already 303 MB.
 KRYLOV_DIM = 16
+
+# most vectors a Lanczos continuation (``krylov_propagator``'s
+# ``lanczos_until``) grows a basis to.  Bases / right-hand sides, and the
+# evolve time in ms (best of 3, one BLAS thread, 2 vCPUs), of the adaptive
+# benchmark model (tol 1e-10) against the cap:
+#
+#     cap                            32        48        64        96       128
+#     n = 121, t = 2, seeds 0-3    2/88-92   1/76-80   1/76-80   1/76-80   1/76-80
+#     n = 121, t = 20, seed 0      7/328     4/276     3/246     2/232     1/196
+#                                  654 ms    508 ms    488 ms    526 ms    560 ms
+#     n = 121, t = 20, seed 1      8/352     4/302     3/278     2/254     1/220
+#                                  873 ms    702 ms    788 ms    971 ms   1732 ms
+#     n = 289, t = 2, seed 0       4/176     2/150     2/144     1/132     1/132
+#                                 2645 ms   2043 ms   1853 ms   1757 ms   1447 ms
+#
+# Right-hand sides fall with the cap, but every length past KRYLOV_DIM
+# costs its reach test an m x m exponential, O(m^3): at n = 121 past 64
+# these cost more than the right-hand sides they save, at n = 289 a larger
+# cap still gains 5-20 %.  64 takes the benchmark horizon in one basis, and
+# at n = 121, t = 20 it is the fastest at seed 0 and 12 % behind 48 at seed 1.
+LANCZOS_MAX = 64
 
 # h_{j+1,j} at or below this multiple of ||K||_F + ||ham||_F is roundoff:
 # the basis has closed and the projection is exact
@@ -212,8 +240,8 @@ def _frobenius(a) -> float:
     return norm
 
 
-def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham):
-    """Arnoldi on vec(rho); returns ``(error, state, samples)``.
+def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until=None):
+    """Arnoldi on vec(rho), continued by Lanczos if asked; returns ``(error, state, samples)``.
 
     Builds an orthonormal basis V of span{rho, L rho, ..., L^(m-1) rho},
     m = ``KRYLOV_DIM``, with Gram-Schmidt applied twice per vector, and the
@@ -232,6 +260,22 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham):
     The first offset and the last gap take one m x m exponential each and
     every other time one product with exp(spacing H); all states come from
     one (rows x m)(m x n^2) product.
+
+    ``lanczos_until``, a predicate on error functions, is for a generator
+    that is self-adjoint in the Hilbert-Schmidt inner product <X, Y> =
+    tr(X^dag Y) (``Generator.self_adjoint``).  Then H is tridiagonal and the
+    basis follows the three-term recurrence beta_j v_{j+1} = L v_j -
+    alpha_j v_j - beta_{j-1} v_{j-1} (Lanczos), which stays accurate for
+    exp(tau L) rho without reorthogonalization (Druskin, Greenbaum and
+    Knizhnerman, SIAM J. Sci. Comput. 19 (1998) 38).  When the
+    predicate rejects the error function of the first ``KRYLOV_DIM``
+    vectors, the basis grows by that recurrence, one right-hand side a
+    vector, until it accepts the error function of the basis so far, or
+    the basis has ``LANCZOS_MAX`` vectors.  Only the first ``KRYLOV_DIM``
+    are stored: ``state`` and ``samples`` regenerate the others from the
+    last stored ones, repeating the same arithmetic, at one right-hand side
+    each (one per vector past ``KRYLOV_DIM``).  Memory stays that of
+    ``KRYLOV_DIM`` vectors and two n x n buffers.
 
     When the basis closes early (an invariant subspace, e.g. a stationary
     state) the projection is exact and the error is 0; rho = 0 spans
@@ -254,37 +298,99 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham):
     if not scale <= SCALE_MAX:
         raise OverflowError(f"generator norm {scale:.3e} is past the float range of a Krylov basis")
     floor = BREAKDOWN_TOL * scale
+    size = KRYLOV_DIM if lanczos_until is None else LANCZOS_MAX
     basis = np.empty((KRYLOV_DIM, n * n), dtype=np.complex128)
-    hess = np.zeros((KRYLOV_DIM, KRYLOV_DIM), dtype=np.complex128)
+    hess = np.zeros((size, size), dtype=np.complex128)
     basis[0] = rho.reshape(n * n) / beta
-    m = KRYLOV_DIM
-    for j in range(KRYLOV_DIM):
+
+    def orthogonalized(j):
+        # L v_j less its projection on v_0, ..., v_j, Gram-Schmidt applied
+        # twice, and the projection's coefficients (column j of H)
         w = lindblad_rhs(basis[j].reshape(n, n), *args).reshape(n * n)
+        coeffs = np.zeros(j + 1, dtype=np.complex128)
         for _ in range(2):
             # V^dag w without conjugating (copying) the basis
             c = (basis[: j + 1] @ w.conj()).conj()
             w -= c @ basis[: j + 1]
-            hess[: j + 1, j] += c
+            coeffs += c
+        return w, coeffs
+
+    def lanczos_residual(prev, cur, spare, beta_prev):
+        # L v_j - beta_{j-1} v_{j-1} - alpha_j v_j for v_j = cur, and alpha_j
+        # (Paige's order).  ``spare`` is scratch and may be ``prev``
+        w = lindblad_rhs(cur.reshape(n, n), *args).reshape(n * n)
+        w -= np.multiply(prev, beta_prev, out=spare)
+        alpha = np.vdot(cur, w).real
+        w -= np.multiply(cur, alpha, out=spare)
+        return w, alpha
+
+    def estimate(m, sub):
+        # the error function of the first m vectors, and the offsets whose
+        # m x m exponential it trusts
+        small = hess[:m, :m]
+        hnorm = float(np.abs(small).sum(axis=1).max())
+
+        def trusted(tau):
+            return tau * hnorm <= EXPM_NORM_MAX
+
+        def error(tau):
+            if not trusted(tau):
+                return math.inf
+            return beta * sub * abs(pade_expm(tau * small)[m - 1, 0])
+
+        return error, trusted
+
+    m, sub = KRYLOV_DIM, 0.0
+    for j in range(KRYLOV_DIM):
+        w, hess[: j + 1, j] = orthogonalized(j)
         sub = float(np.linalg.norm(w))  # the subdiagonal entry below column j
         if sub <= floor:
             m, sub = j + 1, 0.0
             break
         if j + 1 < KRYLOV_DIM:
             hess[j + 1, j] = sub
-            basis[j + 1] = w / sub
-    basis, hess = basis[:m], hess[:m, :m]
-    hnorm = float(np.abs(hess).sum(axis=1).max())
+            np.divide(w, sub, out=basis[j + 1])
+            del w  # not alive through the next right-hand side
+    if lanczos_until is not None and sub > 0.0:
+        while m < LANCZOS_MAX and not lanczos_until(estimate(m, sub)[0]):
+            if m == KRYLOV_DIM:
+                # the two Lanczos vectors alive past the stored basis
+                pair = np.empty((2, n * n), dtype=np.complex128)
+                prev, cur, spare = basis[-1], pair[0], pair[1]
+            hess[m, m - 1] = hess[m - 1, m] = sub
+            np.divide(w, sub, out=cur)
+            del w
+            w, hess[m, m] = lanczos_residual(prev, cur, spare, sub)
+            prev, cur, spare = cur, spare, cur
+            m += 1
+            sub = float(np.linalg.norm(w))
+            if sub <= floor:
+                sub = 0.0
+                break
+    error, trusted = estimate(m, sub)
+    hess, stored = hess[:m, :m], basis[:m]
 
-    def trusted(tau):
-        return tau * hnorm <= EXPM_NORM_MAX
-
-    def error(tau):
-        if not trusted(tau):
-            return math.inf
-        return beta * sub * abs(pade_expm(tau * hess)[m - 1, 0])
+    def combine(coeffs):
+        # sum_i coeffs[..., i] v_i as (..., n^2): the stored vectors in one
+        # product, then each later one regenerated as the build made it
+        out = coeffs[..., :KRYLOV_DIM] @ stored
+        if m > KRYLOV_DIM and out.size:
+            rows, cols = out.reshape(-1, n * n), coeffs.reshape(-1, m)
+            w, _ = orthogonalized(KRYLOV_DIM - 1)
+            prev, cur, spare = basis[-1], pair[0], pair[1]
+            for j in range(KRYLOV_DIM, m):
+                beta_prev = hess[j, j - 1].real
+                np.divide(w, beta_prev, out=cur)
+                del w
+                if j + 1 < m:
+                    w, _ = lanczos_residual(prev, cur, spare, beta_prev)
+                for row, c in zip(rows, cols[:, j]):
+                    row += np.multiply(cur, c, out=spare)
+                prev, cur, spare = cur, spare, cur
+        return out
 
     def state(tau):
-        return ((beta * pade_expm(tau * hess)[:, 0]) @ basis).reshape(n, n)
+        return combine(beta * pade_expm(tau * hess)[:, 0]).reshape(n, n)
 
     def samples(times, t0, spacing, budget):
         coeffs = []
@@ -304,7 +410,7 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham):
             if beta * sub * abs(col[m - 1]) > budget * (t - t0):
                 break
             coeffs.append(col)
-        return ((beta * np.reshape(coeffs, (-1, m))) @ basis).reshape(-1, n, n)
+        return combine(beta * np.reshape(coeffs, (-1, m))).reshape(-1, n, n)
 
     return error, state, samples
 

@@ -22,6 +22,7 @@ d x d factors.  The one dense n x n operator is an optional Hamiltonian.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -91,10 +92,13 @@ def _check_axes(axes) -> tuple[str, ...]:
 
 
 # relative bounds: the asymmetry and lowest eigenvalue validate_damping allows,
-# and the eigen-rate at or below which canonical_jumps drops a jump
+# the eigen-rate at or below which canonical_jumps drops a jump, and the
+# largest |H - H^dag| entry, relative to the largest |H| entry, a Generator
+# accepts in a Hamiltonian
 DAMPING_SYM_TOL = 1e-12
 DAMPING_EIG_FLOOR = -1e-12
 JUMP_RATE_TOL = 1e-15
+HAMILTONIAN_HERMITIAN_TOL = 1e-12
 
 
 def validate_damping(gamma, axes) -> np.ndarray:
@@ -309,12 +313,21 @@ class Generator:
     and -K/2 = -(1/2) sum_k A_k^dag A_k on its own (at most 13), expanded
     from the factors as X^dag X (x) I + X^dag (x) Y + X (x) Y^dag +
     I (x) Y^dag Y per jump.  No n x n matrix is built for either; the
-    optional Hamiltonian stays dense.
+    optional Hamiltonian stays dense, and must be Hermitian (to
+    ``HAMILTONIAN_HERMITIAN_TOL``), or ValueError is raised.
+
+    ``self_adjoint`` is True when there is no Hamiltonian and every jump
+    factor equals its adjoint exactly, as for every generator
+    ``build_generator`` makes without a Hamiltonian: each jump then is
+    Hermitian and L = -(1/2) sum_k [A_k, [A_k, .]] is self-adjoint in the
+    Hilbert-Schmidt inner product, which lets ``evolve`` continue a Krylov
+    basis by the Lanczos recurrence.
     """
 
     jump_ops: list[FactoredOperator]
     hamiltonian: SpinOperator | None
     dims: tuple[int, ...]
+    self_adjoint: bool = field(init=False)
     _jumps: np.ndarray = field(init=False, repr=False)
     _offsets: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     _drift: _kernels.Banded = field(init=False, repr=False)
@@ -326,8 +339,15 @@ class Generator:
         for op in self.jump_ops:
             if op.dim != n:
                 raise ValueError("jump operator dimension does not match dims")
-        if self.hamiltonian is not None and self.hamiltonian.dim != n:
-            raise ValueError("hamiltonian dimension does not match dims")
+        if self.hamiltonian is not None:
+            if self.hamiltonian.dim != n:
+                raise ValueError("hamiltonian dimension does not match dims")
+            ham = self.hamiltonian.matrix
+            if np.abs(ham - ham.conj().T).max() > HAMILTONIAN_HERMITIAN_TOL * np.abs(ham).max():
+                raise ValueError("hamiltonian is not Hermitian")
+        self.self_adjoint = self.hamiltonian is None and all(
+            np.array_equal(p, p.conj().T) for op in self.jump_ops for p in (op.x, op.y) if p is not None
+        )
         # a single ensemble is X (x) I_1
         eye1, eye2 = np.eye(self.dims[0]), np.eye(self.dims[1] if len(self.dims) == 2 else 1)
         bands, drift_terms = [], []
@@ -408,13 +428,14 @@ def default_step(gen: Generator) -> float | None:
     spectra symmetric about 0, so the sum is ||A_k||_2 exactly.  For any
     other jump it is the triangle-inequality bound, which gives a shorter
     step that is still valid.  No n x n array is built for a jump; the
-    Hamiltonian, already dense, is normed as stored.
+    Hamiltonian, already dense and checked Hermitian by the ``Generator``,
+    is normed as its largest |eigenvalue| (``eigvalsh``, no SVD).
     """
     scale = 0.0
     for op in gen.jump_ops:
         scale += sum(float(np.linalg.norm(p, 2)) for p in (op.x, op.y) if p is not None) ** 2
     if gen._ham is not None:
-        scale += float(np.linalg.norm(gen._ham, 2))
+        scale += float(np.abs(np.linalg.eigvalsh(gen._ham)).max())
     if scale <= 0.0:
         return None
     return 0.1 / scale
@@ -452,15 +473,27 @@ GRID_TOL = 1e-12
 STEP_BISECTIONS = 12
 
 
+def _ladder(h, remaining, tiny) -> list[float]:
+    """The trials ``_largest_step`` doubles through while they pass: h
+    clipped to [tiny, remaining], then doubled, the last one clipped to
+    ``remaining``."""
+    x = min(max(h, tiny), remaining)
+    trials = [x]
+    while x < remaining:
+        x = min(2.0 * x, remaining)
+        trials.append(x)
+    return trials
+
+
 def _largest_step(error, h, remaining, budget, tiny):
     """Largest trial h <= ``remaining`` with error(h) <= budget * h.
 
     The first trial is h clipped to [tiny, remaining].  A passing trial
-    doubles until one fails or ``remaining`` passes; a failing one halves
-    until one passes.  ``STEP_BISECTIONS`` bisections of the bracket
-    between the last pass and the last failure follow.  The search is
-    deterministic and calls ``error`` at most 2 + log2(remaining / tiny) +
-    ``STEP_BISECTIONS`` times.  Returns (h, refused): the accepted trial,
+    doubles until one fails or ``remaining`` passes (``_ladder``); a failing
+    one halves until one passes.  ``STEP_BISECTIONS`` bisections of the
+    bracket between the last pass and the last failure follow.  The search
+    is deterministic and calls ``error`` at most 2 + log2(remaining / tiny)
+    + ``STEP_BISECTIONS`` times.  Returns (h, refused): the accepted trial,
     None when every trial down to ``tiny`` fails, and the number of failed
     trials.
     """
@@ -473,18 +506,17 @@ def _largest_step(error, h, remaining, budget, tiny):
         refused += 1
         return False
 
-    x = min(max(h, tiny), remaining)
-    if passes(x):
-        lo = x
-        while True:
-            if lo >= remaining:
-                return lo, refused
-            hi = min(2.0 * lo, remaining)
+    ladder = _ladder(h, remaining, tiny)
+    if passes(ladder[0]):
+        lo = ladder[0]
+        for hi in ladder[1:]:
             if not passes(hi):
                 break
             lo = hi
+        else:
+            return lo, refused
     else:
-        hi = x
+        hi = ladder[0]
         while True:
             lo = 0.5 * hi
             if lo < tiny:
@@ -499,6 +531,15 @@ def _largest_step(error, h, remaining, budget, tiny):
         else:
             hi = mid
     return lo, refused
+
+
+def _reaches(error, h, remaining, budget, tiny) -> bool:
+    """Whether ``_largest_step`` from h takes all of ``remaining`` in one
+    step on a basis with this ``error``: every trial of its ladder passes.
+    The longest trial is tested first, as it fails soonest; the shorter
+    ones stay, because error(remaining) alone can pass where exp(tau H)
+    underflows while a shorter trial fails."""
+    return all(error(x) <= budget * x for x in reversed(_ladder(h, remaining, tiny)))
 
 
 def _purity(mat: np.ndarray) -> float:
@@ -520,7 +561,8 @@ def evolve(
     L does not depend on time, so every state is exp(t L) rho0, projected
     onto the Krylov space of the state at the start of a step
     (``_kernels.krylov_propagator``, ``_kernels.KRYLOV_DIM`` right-hand
-    sides per basis, fewer when the basis closes).  A state at offset tau
+    sides per basis, fewer when the basis closes, more when an adaptive
+    basis continues by Lanczos, below).  A state at offset tau
     from its basis is acceptable when the Krylov error estimate is at most
     tol * tau * max(1, ||rho||_F), rho the basis's start.  Both modes are
     linear maps of rho0: nothing is Hermitized or renormalized, so trace and
@@ -540,7 +582,16 @@ def evolve(
     (``_largest_step``, at no right-hand-side cost) takes the largest
     acceptable h <= t_final - t, to a relative precision of
     2^-``STEP_BISECTIONS``; each trial it refuses counts in
-    ``Trajectory.rejected``.
+    ``Trajectory.rejected``.  When ``gen.self_adjoint`` (no Hamiltonian,
+    Hermitian jumps: every generator ``build_generator`` makes without a
+    Hamiltonian), a basis whose first ``KRYLOV_DIM`` vectors do not reach
+    t_final - t grows by the Lanczos recurrence until the search would
+    pass every trial of its doubling ladder up to t_final - t
+    (``_reaches``), or until it has ``_kernels.LANCZOS_MAX`` vectors and
+    the next basis restarts.  Such a basis costs one right-hand side per
+    vector, and forming its state one more per vector past
+    ``KRYLOV_DIM``.  Any other generator restarts every ``KRYLOV_DIM``
+    vectors, as Lanczos needs a self-adjoint L.
 
     Parameters
     ----------
@@ -621,9 +672,9 @@ def evolve(
     rejected = 0
     tiny = 1e-15 * max(t_final, 1.0)
 
-    def propagator(mat: np.ndarray):
+    def propagator(mat: np.ndarray, **kw):
         try:
-            return _kernels.krylov_propagator(mat, *args)
+            return _kernels.krylov_propagator(mat, *args, **kw)
         except OverflowError as exc:
             raise IntegrationAbortError(f"{exc}; last good time t={t:.6g}", t_last=t) from None
 
@@ -669,16 +720,22 @@ def evolve(
         return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, nsteps, rejected)
 
     # adaptive Krylov steps of exp(h L): one basis per accepted step, and on
-    # it the largest h the tolerance allows
+    # it the largest h the tolerance allows.  A self-adjoint generator's
+    # basis grows until that h is all of t_final - t
     accepted = 0
     while t < t_final * (1.0 - 1e-14):
-        error, state, samples = propagator(rho)
         budget = tol * max(1.0, float(np.linalg.norm(rho)))
-        h, refused = _largest_step(error, h, t_final - t, budget, tiny)
+        remaining = t_final - t
+        until = None
+        if gen.self_adjoint:
+            until = functools.partial(_reaches, h=h, remaining=remaining, budget=budget, tiny=tiny)
+        error, state, samples = propagator(rho, lanczos_until=until)
+        h, refused = _largest_step(error, h, remaining, budget, tiny)
         rejected += refused
         if h is None:
             raise IntegrationAbortError(f"step size underflow at t={t:.6g}", t_last=t)
         check_budget(accepted + 1)
+        del rho  # the state is formed without the basis's start alive
         rho = state(h)
         # the next basis is built without this one alive
         del error, state, samples

@@ -17,6 +17,7 @@ from oracles import (
     random_hermitian,
     z_damping_closed_form,
 )
+from spinbath import _kernels
 from spinbath.generator import (
     AXIS_INDEX,
     GRID_TOL,
@@ -444,9 +445,12 @@ class TestEvolveFixedStep:
         # The basis closes (n = 2), so every state is exact: the fixed grid
         # (step 0.6) fails at its row t = 2.4, and the adaptive run takes
         # t_final in one step and fails there.  t_last is the last time that
-        # passed
+        # passed.  A Generator refuses a non-Hermitian H, and a Lindblad
+        # generator cannot grow a 2 x 2 state tenfold, so the kernel's copy of
+        # a Hermitian H is swapped for this one after the checks
         model = IndependentBath(gamma1=gamma_on("z", {("z", "z"): 1.0}), gamma2=None, axes=("z",))
-        gen = build_generator(model, 0.5, hamiltonian=SpinOperator(1j * np.diag([1.0, -1.0]), (2,)))
+        gen = build_generator(model, 0.5, hamiltonian=SpinOperator(np.diag([1.0, -1.0]), (2,)))
+        gen._ham = 1j * gen._ham
         with pytest.raises(IntegrationAbortError, match=f"last good time t={t_last:.6g}") as info:
             evolve(gen, plus_x_density(), 6.0, step=0.6, tol=tol)
         assert info.value.t_last == t_last
@@ -533,11 +537,11 @@ class TestZOnlyClosedForm:
         )
         return model, [(gamma1, m1), (gamma2, m2)]
 
-    def _max_error(self, model, baths, j, tol):
+    def _max_error(self, model, baths, j, tol, t_final=T_FINAL):
         gen = build_generator(model, j, j)
         rho0 = self._pure_state(gen.dim, seed=int(2 * j))
-        traj = evolve(gen, rho0, self.T_FINAL, tol=tol, stride=40)
-        assert traj.times[-1] == self.T_FINAL
+        traj = evolve(gen, rho0, t_final, tol=tol, stride=40)
+        assert traj.times[-1] == t_final
         err = max(
             float(np.abs(state - z_damping_closed_form(rho0, baths, t)).max())
             for t, state in zip(traj.times, traj.states)
@@ -571,6 +575,26 @@ class TestZOnlyClosedForm:
         err, _, accepted = self._max_error(model, baths, j, tol=1e-10)
         assert err <= accepted * 1e-10
 
+    def test_adaptive_lanczos_at_j8(self, monkeypatch):
+        # n = 289 to t = 2, past what KRYLOV_DIM vectors reach at tol 1e-10:
+        # the generator is self-adjoint, so a basis continues by Lanczos and
+        # costs more than KRYLOV_DIM right-hand sides.  Bound fixed before
+        # running: tol t_final max(1, ||rho0||_F) + 1e-13 on every entry, as
+        # each step commits at most tol per unit time in Frobenius norm
+        calls = []
+        rhs = _kernels.lindblad_rhs
+
+        def counted(*a):
+            calls.append(1)
+            return rhs(*a)
+
+        monkeypatch.setattr(_kernels, "lindblad_rhs", counted)
+        model, baths = self._common(8)
+        tol, t_final = 1e-10, 2.0
+        err, norm0, accepted = self._max_error(model, baths, 8, tol=tol, t_final=t_final)
+        assert len(calls) > _kernels.KRYLOV_DIM * accepted
+        assert err <= tol * t_final * max(1.0, norm0) + 1e-13
+
 
 class TestEvolveAdaptive:
     def test_matches_dephasing_closed_form(self):
@@ -593,9 +617,13 @@ class TestEvolveAdaptive:
 
     def test_rejections_counted_for_rough_start(self):
         # a first step of t_final: the Krylov basis of this state does not
-        # close, so the step is too long for the tolerance
+        # close, and with a Hamiltonian the generator is not self-adjoint,
+        # so the basis stops at KRYLOV_DIM vectors and the step is too long
+        # for the tolerance
         model = CommonBath(gamma=np.diag([1.0, 0.5, 0.25]), lam=1.4, axes=("x", "y", "z"))
-        gen = build_generator(model, 1, 1)
+        ham = SpinOperator(0.7 * random_hermitian(np.random.default_rng(5), 9), (3, 3))
+        gen = build_generator(model, 1, 1, hamiltonian=ham)
+        assert not gen.self_adjoint
         psi = np.kron(coherent_x(1), coherent_x(1))
         traj = evolve(gen, density_from_pure(psi, (3, 3)), 8.0, step=8.0, tol=1e-12)
         assert traj.rejected >= 1
@@ -657,6 +685,23 @@ class TestBuildGenerator:
         ham = angular_momentum_ops(1).z
         with pytest.raises(ValueError):
             Generator([], ham, (2,))
+
+    def test_hamiltonian_must_be_hermitian(self):
+        # -i[H, rho] keeps rho Hermitian, and default_step's eigvalsh norm
+        # holds, only for a Hermitian H.  An asymmetry of 1e-13 of the
+        # largest entry is rounding, and passes
+        for bad in (1j * np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]])):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                Generator([], SpinOperator(bad, (2,)), (2,))
+        nearly = np.array([[1.0, 0.5], [0.5 + 1e-13, -1.0]])
+        gen = Generator([], SpinOperator(nearly, (2,)), (2,))
+        assert not gen.self_adjoint
+        assert default_step(gen) == pytest.approx(0.1 / math.sqrt(1.25), rel=1e-12)
+
+    def test_self_adjoint_without_hamiltonian(self):
+        model = CommonBath(gamma=np.diag([1.0, 0.5, 0.25]), lam=1.4, axes=("x", "y", "z"))
+        assert build_generator(model, 1, 1).self_adjoint
+        assert not build_generator(model, 1, 1, hamiltonian=SpinOperator(np.eye(9), (3, 3))).self_adjoint
 
     @pytest.mark.parametrize("bath", ["common", "independent"])
     def test_no_n_by_n_array(self, bath):

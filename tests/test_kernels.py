@@ -1,5 +1,6 @@
 """Invariants of the Lindblad kernels."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -112,17 +113,22 @@ def _counted_rhs(monkeypatch):
     return calls
 
 
-def _recorded_bases(monkeypatch):
+def _recorded_bases(monkeypatch, calls=None):
     """One record per Krylov basis evolve builds: the norm of the state it
-    spans, its own error function, every trial (tau, error) of the search,
-    the tau its state was formed at, and per ``samples`` call the number of
-    times asked for and of states given."""
+    spans, whether it was asked to continue by Lanczos, the right-hand sides
+    its build took (one per basis vector, counted in ``calls`` from
+    ``_counted_rhs``), its own error function, every trial (tau, error) of
+    the search, the tau its state was formed at, and per ``samples`` call
+    the number of times asked for and of states given."""
     bases = []
     build = _kernels.krylov_propagator
+    calls = [] if calls is None else calls
 
-    def recorded(rho, *args):
-        error, state, samples = build(rho, *args)
-        rec = {"norm": float(np.linalg.norm(rho)), "error": error, "trials": [], "taken": [],
+    def recorded(rho, *args, **kw):
+        before = len(calls)
+        error, state, samples = build(rho, *args, **kw)
+        rec = {"norm": float(np.linalg.norm(rho)), "lanczos": kw.get("lanczos_until") is not None,
+               "vectors": len(calls) - before, "error": error, "trials": [], "taken": [],
                "sampled": []}
         bases.append(rec)
 
@@ -485,3 +491,122 @@ def test_strided_evolve_agrees_with_exact_rows(stride):
     assert traj.times.tolist() == [k * h for k in range(0, POWER_STEPS + 1, stride)] + [t_final]
     for t, state, want in zip(traj.times, traj.states, _exact_rows(lv, rho0, traj.times)):
         assert np.linalg.norm(state - want) <= _grid_bound(GRID_TOL, t, rho0)
+
+
+# self-adjoint generators (no Hamiltonian) at n = 12 to 25: x, y and z
+# couplings with an xz cross term in every damping matrix
+LANCZOS_CASES = [
+    ("independent", 1, 1.5),
+    ("common", 1.5, 1),
+    ("common", 2, 2),
+    ("independent", 2, 2),
+]
+
+
+def _self_adjoint_case(bath, j1, j2):
+    gen, lv, rho0 = _oracle_case(bath, j1, j2, False)
+    assert gen.self_adjoint
+    return gen, lv, rho0
+
+
+@pytest.mark.parametrize("t_final", [3.0, 30.0])
+@pytest.mark.parametrize("bath,j1,j2", LANCZOS_CASES)
+def test_lanczos_evolve_matches_dense_expm(monkeypatch, bath, j1, j2, t_final):
+    # horizons the first KRYLOV_DIM vectors do not reach at tol 1e-10, so
+    # some basis grows past them.  Its build takes one right-hand side per
+    # vector and its state one per vector past KRYLOV_DIM, which is every
+    # right-hand side of the run.  Bound fixed before running: every row
+    # within tol t max(1, ||rho0||_F) + 1e-13 of exp(t L) rho0 (Frobenius),
+    # as each step commits an estimated error of at most tol per unit time
+    calls = _counted_rhs(monkeypatch)
+    bases = _recorded_bases(monkeypatch, calls)
+    gen, lv, rho0 = _self_adjoint_case(bath, j1, j2)
+    tol = 1e-10
+    traj = evolve(gen, rho0, t_final, tol=tol)
+    vectors = [rec["vectors"] for rec in bases]
+    assert all(rec["lanczos"] for rec in bases)
+    assert _kernels.KRYLOV_DIM < max(vectors) <= _kernels.LANCZOS_MAX
+    assert len(calls) == sum(v + max(0, v - _kernels.KRYLOV_DIM) for v in vectors)
+    assert traj.times[-1] == t_final
+    for t, state, want in zip(traj.times, traj.states, _exact_rows(lv, rho0, traj.times)):
+        assert np.linalg.norm(state - want) <= _grid_bound(tol, t, rho0)
+
+
+def test_lanczos_basis_stops_at_its_cap_and_restarts(monkeypatch):
+    # n = 25 to t = 30 at tol 1e-12: LANCZOS_MAX vectors do not reach
+    # t_final, so the first basis stops there, takes the largest step it
+    # supports, and the next basis starts over from KRYLOV_DIM stored
+    # vectors.  Bound as in test_lanczos_evolve_matches_dense_expm
+    calls = _counted_rhs(monkeypatch)
+    bases = _recorded_bases(monkeypatch, calls)
+    gen, lv, rho0 = _self_adjoint_case("common", 2, 2)
+    tol, t_final = 1e-12, 30.0
+    traj = evolve(gen, rho0, t_final, tol=tol)
+    assert bases[0]["vectors"] == _kernels.LANCZOS_MAX
+    ((tau,),) = [bases[0]["taken"]]
+    assert tau < t_final
+    assert traj.accepted == len(bases) >= 2
+    assert traj.times[-1] == t_final
+    for t, state, want in zip(traj.times, traj.states, _exact_rows(lv, rho0, traj.times)):
+        assert np.linalg.norm(state - want) <= _grid_bound(tol, t, rho0)
+
+
+@pytest.mark.parametrize("bath,j1,j2", LANCZOS_CASES)
+def test_basis_accepted_at_krylov_dim_is_the_arnoldi_basis(bath, j1, j2):
+    # a predicate that accepts the first KRYLOV_DIM vectors is asked once
+    # and leaves the basis, its error and its states as without one, bit
+    # for bit
+    gen, _, rho0 = _self_adjoint_case(bath, j1, j2)
+    plain = _kernels.krylov_propagator(rho0, *_args(gen))
+    asked = []
+    kept = _kernels.krylov_propagator(rho0, *_args(gen), lanczos_until=lambda e: asked.append(e) or True)
+    assert len(asked) == 1
+    for tau in (0.01, 0.3, 3.0):
+        assert kept[0](tau) == plain[0](tau) == asked[0](tau)
+        assert np.array_equal(kept[1](tau), plain[1](tau))
+
+
+def test_continued_basis_regenerates_its_vectors(monkeypatch):
+    # a predicate that never accepts grows the basis to LANCZOS_MAX (this
+    # n = 25 basis does not close first).  ``samples`` and ``state``
+    # rebuild the vectors past KRYLOV_DIM from the stored ones: every row
+    # whose estimate passes tol 1e-10 within _grid_bound of exp(tau L) rho0,
+    # and the first, middle and last rows within 1e-12 ||rho0||_F of
+    # state(tau) (bounds fixed before running, as in
+    # TestDenseLiouvillianOracle)
+    calls = _counted_rhs(monkeypatch)
+    gen, lv, rho0 = _self_adjoint_case("common", 2, 2)
+    asked = []
+    error, state, samples = _kernels.krylov_propagator(
+        rho0, *_args(gen), lanczos_until=lambda e: asked.append(e) or False
+    )
+    assert len(calls) == _kernels.LANCZOS_MAX
+    assert len(asked) == _kernels.LANCZOS_MAX - _kernels.KRYLOV_DIM
+    times = np.arange(1, 31) * 2.0
+    rows = samples(times, 0.0, 2.0, 1e-10 * max(1.0, np.linalg.norm(rho0)))
+    assert len(calls) == 2 * _kernels.LANCZOS_MAX - _kernels.KRYLOV_DIM
+    assert 2 <= len(rows) < len(times)
+    for tau, row, want in zip(times, rows, _exact_rows(lv, rho0, times[: len(rows)])):
+        assert error(tau) <= 1e-10 * tau * max(1.0, np.linalg.norm(rho0))
+        assert np.linalg.norm(row - want) <= _grid_bound(1e-10, tau, rho0)
+    for i in (0, len(rows) // 2, len(rows) - 1):
+        assert np.linalg.norm(rows[i] - state(times[i])) <= 1e-12 * max(1.0, np.linalg.norm(rho0))
+
+
+def test_continued_basis_memory_is_the_stored_prefix():
+    # n = 121, grown to LANCZOS_MAX vectors and combined into one state:
+    # the allocations peak below KRYLOV_DIM + 10 vectors of n^2 (the stored
+    # basis, two Lanczos buffers, the state and a right-hand side's five
+    # n x n arrays fit), where keeping every vector would take LANCZOS_MAX
+    model = CommonBath(gamma=GAMMA_A, lam=1.4, axes=("x", "y", "z"))
+    gen = build_generator(model, 5, 5)
+    rho0 = random_density(np.random.default_rng(5), gen.dim)
+    vector = gen.dim**2 * 16
+    tracemalloc.start()
+    try:
+        _, state, _ = _kernels.krylov_propagator(rho0, *_args(gen), lanczos_until=lambda e: False)
+        state(0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (_kernels.KRYLOV_DIM + 10) * vector

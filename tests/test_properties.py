@@ -25,6 +25,8 @@ from spinbath.diagnostics import certify_stationary, entropy_rate_analytic
 from spinbath.generator import (
     JUMP_RATE_TOL,
     CommonBath,
+    FactoredOperator,
+    Generator,
     IndependentBath,
     apply_generator,
     build_generator,
@@ -440,3 +442,39 @@ def test_default_step_matches_dense_svd(drawn, seed, with_ham):
         assert step is None
     else:
         assert abs(step - 0.1 / scale) <= DEFAULT_STEP_TOL * 0.1 / scale
+
+
+@DETERMINISTIC
+@given(factor_models(), SEEDS)
+def test_generator_without_hamiltonian_is_self_adjoint(drawn, seed):
+    # every jump the library builds is Hermitian, so L = -(1/2) sum_k [A_k,
+    # [A_k, .]] is self-adjoint in <X, Y> = tr(X^dag Y), and the flag that
+    # lets evolve continue a basis by Lanczos is set.  Bound fixed before
+    # the first run: both sides round by at most 1e-12 (1 + ||K||_F)
+    # ||X||_F ||Y||_F for random complex X and Y
+    model, j1, j2 = drawn
+    gen = build_generator(model, j1, j2)
+    assert gen.self_adjoint
+    rng = np.random.default_rng(seed)
+    x, y = (rng.normal(size=(gen.dim, gen.dim)) + 1j * rng.normal(size=(gen.dim, gen.dim)) for _ in range(2))
+    gap = abs(np.vdot(x, apply_generator(gen, y)) - np.vdot(apply_generator(gen, x), y))
+    scale = 1.0 + np.linalg.norm(dense_generator(gen).ksum)
+    assert gap <= 1e-12 * scale * np.linalg.norm(x) * np.linalg.norm(y)
+
+
+@DETERMINISTIC
+@given(factor_models(), SEEDS, st.booleans())
+def test_self_adjoint_flag_is_off_with_hamiltonian_or_raising_jump(drawn, seed, raising):
+    # -i[H, .] is anti-self-adjoint, and a J+ jump is not Hermitian: either
+    # keeps evolve on restarted Arnoldi bases
+    model, j1, j2 = drawn
+    gen = build_generator(model, j1, j2)
+    if raising:
+        ops = angular_momentum_ops(j1)
+        y = None if j2 is None else np.zeros((gen.dims[1], gen.dims[1]))
+        gen = Generator(gen.jump_ops + [FactoredOperator(ops.x.matrix + 1j * ops.y.matrix, y, gen.dims)],
+                        None, gen.dims)
+    else:
+        ham = SpinOperator(random_hermitian(np.random.default_rng(seed), gen.dim), gen.dims)
+        gen = Generator(gen.jump_ops, ham, gen.dims)
+    assert not gen.self_adjoint
