@@ -224,9 +224,9 @@ def cmd_simulate(cfg: ScenarioConfig, fmt: str):
     ev = cfg.evolution
     if ev.snapshots and fmt != "json":
         raise ConfigError("evolution.snapshots requires JSON output (set output.format or --format)")
-    psi, dims, label, _spec = build_state(cfg)
+    psi, _dims, label, _spec = build_state(cfg)
     gen = build_generator(cfg.model, cfg.j1, cfg.j2)
-    rho0 = density_from_pure(psi, dims)
+    rho0 = density_from_pure(psi)
     traj = evolve(gen, rho0, ev.t_final, step=ev.step, tol=ev.tol, stride=ev.stride)
     rows = []
     snapshots = [] if ev.snapshots else None
@@ -297,7 +297,7 @@ def cmd_state(cfg: ScenarioConfig):
         extras.append(("pairing_residual", pairing_residual(spec.coeffs)))
         if spec.j1 == spec.j2:
             extras.append(("variance_x_approx", variance_x_approx(spec)))
-            jx = angular_momentum_ops(spec.j1).x.matrix
+            jx = angular_momentum_ops(spec.j1).x
             total_jx = FactoredOperator(jx, jx, dims)
             extras.append(("variance_x_exact", variance_exact(total_jx, psi)))
         m_values, amplitudes = spec.m_values(), spec.coeffs

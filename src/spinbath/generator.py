@@ -29,11 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .spin_algebra import SpinOperator, SpinQuantum, angular_momentum_ops
+from .spin_algebra import SpinQuantum, angular_momentum_ops
 # not called here: kept because perfbench/tracing.py wraps generator.composite_coupling_ops
 # and generator.embed
 from .spin_algebra import composite_coupling_ops, embed
-from .states import DensityMatrix
 
 __all__ = [
     "AXES",
@@ -242,8 +241,8 @@ def coupling_factors(model, j1, j2=None) -> list[tuple[np.ndarray, dict[str, Fac
     dims = (s1.dim,) if s2 is None else (s1.dim, s2.dim)
 
     def factored(axis, w1, w2):
-        y = None if s2 is None else w2 * getattr(ops2, axis).matrix
-        return FactoredOperator(w1 * getattr(ops1, axis).matrix, y, dims)
+        y = None if s2 is None else w2 * getattr(ops2, axis)
+        return FactoredOperator(w1 * getattr(ops1, axis), y, dims)
 
     return [(gamma, {a: factored(a, w1, w2) for a in model.axes}) for gamma, w1, w2 in weighted]
 
@@ -312,9 +311,10 @@ class Generator:
     0, +-1 and +-d2, or those of X alone on one ensemble), stacked (k, n, w),
     and -K/2 = -(1/2) sum_k A_k^dag A_k on its own (at most 13), expanded
     from the factors as X^dag X (x) I + X^dag (x) Y + X (x) Y^dag +
-    I (x) Y^dag Y per jump.  No n x n matrix is built for either; the
-    optional Hamiltonian stays dense, and must be Hermitian (to
-    ``HAMILTONIAN_HERMITIAN_TOL``), or ValueError is raised.
+    I (x) Y^dag Y per jump.  No n x n matrix is built for either.  The
+    optional Hamiltonian is the one dense operator: an n x n array, held
+    contiguous complex128, whose entries must be finite and which must be
+    Hermitian (to ``HAMILTONIAN_HERMITIAN_TOL``), or ValueError is raised.
 
     ``self_adjoint`` is True when there is no Hamiltonian and every jump
     factor equals its adjoint exactly, as for every generator
@@ -325,13 +325,12 @@ class Generator:
     """
 
     jump_ops: list[FactoredOperator]
-    hamiltonian: SpinOperator | None
+    hamiltonian: np.ndarray | None
     dims: tuple[int, ...]
     self_adjoint: bool = field(init=False)
     _jumps: np.ndarray = field(init=False, repr=False)
     _offsets: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     _drift: _kernels.Banded = field(init=False, repr=False)
-    _ham: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.dims = tuple(int(d) for d in self.dims)
@@ -340,11 +339,14 @@ class Generator:
             if op.dim != n:
                 raise ValueError("jump operator dimension does not match dims")
         if self.hamiltonian is not None:
-            if self.hamiltonian.dim != n:
-                raise ValueError("hamiltonian dimension does not match dims")
-            ham = self.hamiltonian.matrix
+            ham = np.ascontiguousarray(self.hamiltonian, dtype=np.complex128)
+            if ham.shape != (n, n):
+                raise ValueError(f"hamiltonian of shape {ham.shape} does not match dims {self.dims}")
+            if not np.all(np.isfinite(ham)):
+                raise ValueError("hamiltonian entries must be finite")
             if np.abs(ham - ham.conj().T).max() > HAMILTONIAN_HERMITIAN_TOL * np.abs(ham).max():
                 raise ValueError("hamiltonian is not Hermitian")
+            self.hamiltonian = ham
         self.self_adjoint = self.hamiltonian is None and all(
             np.array_equal(p, p.conj().T) for op in self.jump_ops for p in (op.x, op.y) if p is not None
         )
@@ -362,9 +364,6 @@ class Generator:
                 drift_terms += [(xh @ x, eye2), (xh, y), (x, yh), (eye1, yh @ y)]
         self._jumps, self._offsets = _kernels.stack_banded(bands, n)
         self._drift = _kernels.kron_banded(drift_terms, n, -0.5)
-        self._ham = (
-            np.ascontiguousarray(self.hamiltonian.matrix) if self.hamiltonian is not None else None
-        )
 
     @property
     def dim(self) -> int:
@@ -373,17 +372,18 @@ class Generator:
     @property
     def kernel_args(self) -> tuple:
         """``(jumps, offsets, drift, ham, has_ham)``, the arguments every kernel takes after rho."""
-        return (self._jumps, self._offsets, self._drift, self._ham, self._ham is not None)
+        ham = self.hamiltonian
+        return (self._jumps, self._offsets, self._drift, ham, ham is not None)
 
 
-def build_generator(model, j1, j2=None, hamiltonian: SpinOperator | None = None) -> Generator:
+def build_generator(model, j1, j2=None, hamiltonian: np.ndarray | None = None) -> Generator:
     """Canonical-form generator for a decoherence model on one or two ensembles."""
     jumps, dims = _canonical_jump_set(coupling_factors(model, j1, j2))
     return Generator(jumps, hamiltonian, dims)
 
 
 def _as_matrix(rho, dim: int | None = None) -> np.ndarray:
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    mat = np.asarray(rho)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if dim is not None and mat.shape[0] != dim:
@@ -434,8 +434,8 @@ def default_step(gen: Generator) -> float | None:
     scale = 0.0
     for op in gen.jump_ops:
         scale += sum(float(np.linalg.norm(p, 2)) for p in (op.x, op.y) if p is not None) ** 2
-    if gen._ham is not None:
-        scale += float(np.abs(np.linalg.eigvalsh(gen._ham)).max())
+    if gen.hamiltonian is not None:
+        scale += float(np.abs(np.linalg.eigvalsh(gen.hamiltonian)).max())
     if scale <= 0.0:
         return None
     return 0.1 / scale
@@ -596,8 +596,8 @@ def evolve(
     Parameters
     ----------
     gen : Generator
-    rho0 : DensityMatrix or ndarray
-        Initial state.
+    rho0 : ndarray
+        Initial state, an n x n density matrix.
     t_final : float
         Integration horizon (>= 0).
     step : float, optional

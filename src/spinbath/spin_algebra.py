@@ -19,10 +19,8 @@ import numpy as np
 
 __all__ = [
     "SpinQuantum",
-    "SpinOperator",
     "CoupledLevel",
     "AngularMomentumOps",
-    "CompositeOps",
     "angular_momentum_ops",
     "embed",
     "composite_coupling_ops",
@@ -85,29 +83,6 @@ class SpinQuantum:
         return (self.two_j - two_m) // 2
 
 
-@dataclass(frozen=True, eq=False)
-class SpinOperator:
-    """Dense complex operator tagged with its tensor-factor dimensions."""
-
-    matrix: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        dims = tuple(int(d) for d in self.dims)
-        if any(d <= 0 for d in dims):
-            raise ValueError("every factor dimension must be positive")
-        n = math.prod(dims)
-        if mat.ndim != 2 or mat.shape != (n, n):
-            raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 @dataclass(frozen=True)
 class CoupledLevel:
     """Total angular momentum level |L, M>, stored as doubled integers."""
@@ -139,20 +114,13 @@ class CoupledLevel:
 
 
 class AngularMomentumOps(NamedTuple):
-    x: SpinOperator
-    y: SpinOperator
-    z: SpinOperator
-    sq: SpinOperator
-
-
-class CompositeOps(NamedTuple):
-    x: SpinOperator
-    y: SpinOperator
-    z: SpinOperator
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
 
 
 def angular_momentum_ops(j) -> AngularMomentumOps:
-    """Spin operators Jx, Jy, Jz and J^2 for a single collective spin.
+    """Spin operators Jx, Jy, Jz for a single collective spin.
 
     Parameters
     ----------
@@ -162,59 +130,54 @@ def angular_momentum_ops(j) -> AngularMomentumOps:
     Returns
     -------
     AngularMomentumOps
-        Named tuple of SpinOperator fields ``x, y, z, sq`` on the
-        (2j+1)-dimensional space, basis ordered by descending m.
+        Named tuple of complex (2j+1) x (2j+1) arrays ``x, y, z``, basis
+        ordered by descending m.
     """
     s = SpinQuantum.of(j)
     m = s.m_values()
     dim = s.dim
-    jj = s.j * (s.j + 1.0)
     jz = np.diag(m.astype(np.complex128))
     # <m+1|J+|m> = sqrt(j(j+1) - m(m+1)); descending order puts the raising
     # operator on the superdiagonal.
-    raise_amp = np.sqrt(jj - m[1:] * (m[1:] + 1.0))
+    raise_amp = np.sqrt(s.j * (s.j + 1.0) - m[1:] * (m[1:] + 1.0))
     jp = np.zeros((dim, dim), dtype=np.complex128)
     jp[np.arange(dim - 1), np.arange(1, dim)] = raise_amp
     jm = jp.conj().T
-    jx = 0.5 * (jp + jm)
-    jy = -0.5j * (jp - jm)
-    jsq = jj * np.eye(dim, dtype=np.complex128)
-    dims = (dim,)
-    return AngularMomentumOps(
-        SpinOperator(jx, dims),
-        SpinOperator(jy, dims),
-        SpinOperator(jz, dims),
-        SpinOperator(jsq, dims),
-    )
+    return AngularMomentumOps(0.5 * (jp + jm), -0.5j * (jp - jm), jz)
 
 
-def embed(op, slot: int, dims: Sequence[int]) -> SpinOperator:
+def embed(op, slot: int, dims: Sequence[int]) -> np.ndarray:
     """Lift an operator on one tensor factor to the full product space.
 
     Parameters
     ----------
-    op : SpinOperator or ndarray
-        Operator acting on factor ``slot``.
+    op : (d, d) array
+        Operator acting on factor ``slot``, d = ``dims[slot]``.
     slot : int
         Index of the factor ``op`` acts on.
     dims : sequence of int
         Dimensions of all factors.
+
+    Returns
+    -------
+    ndarray
+        The complex prod(dims) x prod(dims) matrix I (x) ... (x) op (x) ... (x) I.
     """
     dims = tuple(int(d) for d in dims)
     if not 0 <= slot < len(dims):
         raise ValueError(f"slot {slot} outside 0..{len(dims) - 1}")
-    mat = op.matrix if isinstance(op, SpinOperator) else np.asarray(op, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape != (dims[slot], dims[slot]):
+    mat = np.asarray(op, dtype=np.complex128)
+    if mat.shape != (dims[slot], dims[slot]):
         raise ValueError(
             f"operator of shape {mat.shape} does not act on factor of dimension {dims[slot]}"
         )
     out = np.eye(1, dtype=np.complex128)
     for k, d in enumerate(dims):
         out = np.kron(out, mat if k == slot else np.eye(d, dtype=np.complex128))
-    return SpinOperator(out, dims)
+    return out
 
 
-def composite_coupling_ops(j1, j2, lam: float) -> CompositeOps:
+def composite_coupling_ops(j1, j2, lam: float) -> AngularMomentumOps:
     """Weighted coupling operators of two ensembles sharing one bath.
 
     For each axis a the returned operator is
@@ -234,13 +197,11 @@ def composite_coupling_ops(j1, j2, lam: float) -> CompositeOps:
         raise ValueError(f"lam={lam} outside [0, 2]")
     ops1 = angular_momentum_ops(j1)
     ops2 = angular_momentum_ops(j2)
-    dims = (ops1.z.dim, ops2.z.dim)
-    out = []
-    for a in range(3):
-        m1 = embed(ops1[a], 0, dims).matrix
-        m2 = embed(ops2[a], 1, dims).matrix
-        out.append(SpinOperator((lam * m1 + (2.0 - lam) * m2) / 2.0, dims))
-    return CompositeOps(*out)
+    dims = (ops1.z.shape[0], ops2.z.shape[0])
+    return AngularMomentumOps(*(
+        (lam * embed(a1, 0, dims) + (2.0 - lam) * embed(a2, 1, dims)) / 2.0
+        for a1, a2 in zip(ops1, ops2)
+    ))
 
 
 def _ln_fact(n: int) -> float:

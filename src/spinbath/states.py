@@ -1,7 +1,8 @@
 """Initial states for one and two collective spins.
 
-Vectors and density matrices follow the basis conventions of
-:mod:`spinbath.spin_algebra` (descending m, lexicographic products).
+State vectors and density matrices are plain complex arrays, length n and
+n x n, in the basis conventions of :mod:`spinbath.spin_algebra`
+(descending m, lexicographic products).
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ from math import comb
 
 import numpy as np
 
-from .spin_algebra import SpinOperator, SpinQuantum, _twice
+from .spin_algebra import SpinQuantum, _twice
 
 __all__ = [
     "PROFILE_KINDS",
-    "DensityMatrix",
     "EntangledStateSpec",
     "fock_state",
     "coherent_x",
@@ -26,29 +26,6 @@ __all__ = [
 ]
 
 PROFILE_KINDS = ("uniform", "alternating_uniform", "singlet", "gaussian", "custom")
-
-
-# DensityMatrix.validate bounds: Hermiticity defect, |tr - 1|, lowest eigenvalue
-HERM_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIG_FLOOR = -1e-9
-
-
-class DensityMatrix(SpinOperator):
-    """Density operator tagged with its tensor-factor dimensions."""
-
-    def validate(self) -> None:
-        """Raise ValueError unless Hermitian, unit trace and PSD."""
-        mat = self.matrix
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_dev > HERM_TOL:
-            raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
-        trace_dev = abs(complex(np.trace(mat)) - 1.0)
-        if trace_dev > TRACE_TOL:
-            raise ValueError(f"trace deviates from one by {trace_dev:.3e}")
-        lo = float(np.linalg.eigvalsh(mat).min())
-        if lo < EIG_FLOOR:
-            raise ValueError(f"negative eigenvalue {lo:.3e}")
 
 
 def fock_state(j, m) -> np.ndarray:
@@ -110,18 +87,11 @@ class EntangledStateSpec:
         if coeffs.ndim != 1 or coeffs.shape[0] != expected:
             raise ValueError(f"expected {expected} coefficients, got shape {coeffs.shape}")
         _check_normalized(
-            coeffs, "coefficients", "; use EntangledStateSpec.make(..., auto_normalize=True)"
+            coeffs, "coefficients", '; use coefficient_profile("custom", ..., auto_normalize=True)'
         )
         object.__setattr__(self, "j1", s1)
         object.__setattr__(self, "j2", s2)
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def make(cls, j1, j2, coeffs, auto_normalize: bool = False) -> "EntangledStateSpec":
-        coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-        if auto_normalize:
-            coeffs = _normalized(coeffs)
-        return cls(SpinQuantum.of(j1), SpinQuantum.of(j2), coeffs)
 
     @property
     def n_tilde(self) -> SpinQuantum:
@@ -203,24 +173,26 @@ def _unit_vector(psi) -> np.ndarray:
     return vec
 
 
-def density_from_pure(psi, dims) -> DensityMatrix:
-    """Rank-one density matrix |psi><psi| for a normalized vector."""
+def density_from_pure(psi) -> np.ndarray:
+    """Rank-one density matrix |psi><psi| (n x n) for a normalized vector."""
     psi = _unit_vector(psi)
-    return DensityMatrix(np.outer(psi, psi.conj()), tuple(dims))
+    return np.outer(psi, psi.conj())
 
 
-def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
-    """Reduced density matrix of one factor of a two-factor state."""
-    if len(rho.dims) != 2:
-        raise ValueError(f"partial trace needs exactly two factors, got dims {rho.dims}")
+def partial_trace(rho, dims, keep: int) -> np.ndarray:
+    """Reduced density matrix of factor ``keep`` of a two-factor state.
+
+    ``dims`` = (d1, d2) are the factor dimensions of the (d1 d2) x (d1 d2)
+    array ``rho``.
+    """
+    if len(dims) != 2:
+        raise ValueError(f"partial trace needs exactly two factors, got dims {tuple(dims)}")
     if keep not in (0, 1):
         raise ValueError(f"keep must be 0 or 1, got {keep!r}")
-    d1, d2 = rho.dims
-    r = rho.matrix.reshape(d1, d2, d1, d2)
-    if keep == 0:
-        reduced = np.einsum("abcb->ac", r)
-        dims = (d1,)
-    else:
-        reduced = np.einsum("abad->bd", r)
-        dims = (d2,)
-    return DensityMatrix(np.ascontiguousarray(reduced), dims)
+    d1, d2 = dims
+    mat = np.asarray(rho, dtype=np.complex128)
+    if mat.shape != (d1 * d2, d1 * d2):
+        raise ValueError(f"matrix shape {mat.shape} does not match dims {tuple(dims)}")
+    r = mat.reshape(d1, d2, d1, d2)
+    reduced = np.einsum("abcb->ac", r) if keep == 0 else np.einsum("abad->bd", r)
+    return np.ascontiguousarray(reduced)

@@ -30,8 +30,7 @@ def dense_generator(gen) -> DenseGenerator:
     ksum = np.zeros((gen.dim, gen.dim), dtype=np.complex128)
     for a in jumps:
         ksum += a.conj().T @ a
-    ham = None if gen.hamiltonian is None else gen.hamiltonian.matrix
-    return DenseGenerator(jumps, ksum, ham)
+    return DenseGenerator(jumps, ksum, gen.hamiltonian)
 
 
 def dense_rhs(gen, x: np.ndarray) -> np.ndarray:

@@ -129,7 +129,7 @@ class TestAcceptance:
         worst = 0.0
         ratios = []
         for nt in range(1, 11):
-            spec = EntangledStateSpec.make(nt, nt, coefficient_profile("uniform", nt))
+            spec = EntangledStateSpec(nt, nt, coefficient_profile("uniform", nt))
             report = entropy_rate_analytic(entangled_state(spec), model, nt, nt)
             exact = 2.0 * (g + gp) * nt * (nt + 1) / 3.0
             worst = max(worst, rel_gap(report.analytic_rate, exact))
@@ -145,7 +145,7 @@ class TestAcceptance:
 
     def test_03_common_bath_suppression(self):
         g = gamma_on("z", {("z", "z"): 1.0})
-        spec = EntangledStateSpec.make(2, 2, coefficient_profile("uniform", 2))
+        spec = EntangledStateSpec(2, 2, coefficient_profile("uniform", 2))
         psi = entangled_state(spec)
 
         def rate(lam):
@@ -182,14 +182,14 @@ class TestAcceptance:
                 for m2 in s.m_values()
             ]
             for psi in states:
-                rho = density_from_pure(psi, gen.dims).matrix
+                rho = density_from_pure(psi)
                 worst_res = max(worst_res, float(np.linalg.norm(apply_generator(gen, rho))))
             if j <= 1.5:
                 sample = states
             else:
                 sample = [states[i] for i in rng.choice(len(states), size=6, replace=False)]
             for psi in sample:
-                traj = evolve(gen, density_from_pure(psi, gen.dims), 10.0, tol=1e-12)
+                traj = evolve(gen, density_from_pure(psi), 10.0, tol=1e-12)
                 worst_fid = min(worst_fid, pure_fidelity(psi, traj.states[-1]))
                 evolved += 1
         assert worst_res <= 1e-13
@@ -235,13 +235,13 @@ class TestAcceptance:
         start = time.perf_counter()
         j = 4
         model = CommonBath(gamma=np.eye(3), lam=1.0, axes=("x", "y", "z"))
-        spec = EntangledStateSpec.make(j, j, coefficient_profile("singlet", j))
+        spec = EntangledStateSpec(j, j, coefficient_profile("singlet", j))
         psi = entangled_state(spec)
         (_, ops), = coupling_factors(model, j, j)
         op_norms = {a: float(np.linalg.norm(ops[a].apply(psi))) for a in ops}
         gen = build_generator(model, j, j)
-        residual = float(np.linalg.norm(apply_generator(gen, density_from_pure(psi, gen.dims).matrix)))
-        traj = evolve(gen, density_from_pure(psi, gen.dims), 10.0, tol=1e-12)
+        residual = float(np.linalg.norm(apply_generator(gen, density_from_pure(psi))))
+        traj = evolve(gen, density_from_pure(psi), 10.0, tol=1e-12)
         fidelity = pure_fidelity(psi, traj.states[-1])
         elapsed = time.perf_counter() - start
         assert max(op_norms.values()) <= 1e-13
@@ -257,11 +257,11 @@ class TestAcceptance:
     def test_07_entanglement_entropy_values(self):
         worst = 0.0
         for nt in range(1, 11):
-            spec = EntangledStateSpec.make(nt, nt, coefficient_profile("uniform", nt))
+            spec = EntangledStateSpec(nt, nt, coefficient_profile("uniform", nt))
             value = entanglement_entropy(entangled_state(spec), (spec.j1.dim, spec.j2.dim))
             worst = max(worst, abs(value - np.log(2 * nt + 1)))
         for j in half_integers(0.5, 4.0):
-            spec = EntangledStateSpec.make(j, j, coefficient_profile("singlet", j))
+            spec = EntangledStateSpec(j, j, coefficient_profile("singlet", j))
             value = entanglement_entropy(entangled_state(spec), (spec.j1.dim, spec.j2.dim))
             worst = max(worst, abs(value - np.log(2 * j + 1)))
         assert worst <= 1e-10
@@ -270,7 +270,7 @@ class TestAcceptance:
     def test_08_integrator_matches_dephasing(self):
         model = IndependentBath(gamma1=gamma_on("z", {("z", "z"): 1.0}), gamma2=None, axes=("z",))
         gen = build_generator(model, 0.5)
-        rho0 = density_from_pure(coherent_x(0.5), (2,))
+        rho0 = density_from_pure(coherent_x(0.5))
         traj = evolve(gen, rho0, 5.0, step=1e-3, stride=100)
         gap = float(np.abs(traj.s_lin - dephasing_s_lin(traj.times)).max())
         assert gap <= 1e-8
@@ -282,7 +282,7 @@ class TestAcceptance:
         comm_worst = 0.0
         for j in (0.5, 7.5, 15.0):
             ops = angular_momentum_ops(j)
-            x, y, z = ops.x.matrix, ops.y.matrix, ops.z.matrix
+            x, y, z = ops.x, ops.y, ops.z
             comm_worst = max(
                 comm_worst,
                 float(np.abs(x @ y - y @ x - 1j * z).max()),
@@ -313,8 +313,8 @@ class TestAcceptance:
         # trajectory preservation of trace, Hermiticity, positivity
         model = CommonBath(gamma=np.diag([1.0, 0.5, 0.25]), lam=0.5, axes=("x", "y", "z"))
         gen = build_generator(model, 1, 1)
-        spec = EntangledStateSpec.make(1, 1, coefficient_profile("uniform", 1))
-        traj = evolve(gen, density_from_pure(entangled_state(spec), gen.dims), 2.0, stride=20)
+        spec = EntangledStateSpec(1, 1, coefficient_profile("uniform", 1))
+        traj = evolve(gen, density_from_pure(entangled_state(spec)), 2.0, stride=20)
         traj_worst = 0.0
         for mat_s in traj.states:
             traj_worst = max(
@@ -346,14 +346,14 @@ class TestAcceptance:
         worst_var = 0.0
         for nt in (0.5, 1.0, 1.5, 2.0, 4.0):
             for kind in ("alternating_uniform", "singlet"):
-                spec = EntangledStateSpec.make(nt, nt, coefficient_profile(kind, nt))
+                spec = EntangledStateSpec(nt, nt, coefficient_profile(kind, nt))
                 worst_res = max(worst_res, pairing_residual(spec.coeffs))
                 worst_var = max(worst_var, abs(variance_x_approx(spec)))
         assert worst_res <= 1e-12
         assert worst_var == 0.0
         positives = []
         for nt in (1.0, 2.0, 4.0):
-            spec = EntangledStateSpec.make(nt, nt, coefficient_profile("uniform", nt))
+            spec = EntangledStateSpec(nt, nt, coefficient_profile("uniform", nt))
             res = pairing_residual(spec.coeffs)
             var = variance_x_approx(spec)
             assert res > 0.0

@@ -46,12 +46,12 @@ from test_generator import gamma_on
 def uniform_spec(n_tilde, j1=None, j2=None):
     j1 = n_tilde if j1 is None else j1
     j2 = n_tilde if j2 is None else j2
-    return EntangledStateSpec.make(j1, j2, coefficient_profile("uniform", n_tilde))
+    return EntangledStateSpec(j1, j2, coefficient_profile("uniform", n_tilde))
 
 
 def total_jx(j):
     """J1x + J2x on two spin-j ensembles, factored."""
-    jx = angular_momentum_ops(j).x.matrix
+    jx = angular_momentum_ops(j).x
     return FactoredOperator(jx, jx, (jx.shape[0], jx.shape[0]))
 
 
@@ -67,7 +67,7 @@ class TestScalarDiagnostics:
     def test_linear_entropy(self):
         assert linear_entropy(np.eye(2, dtype=complex) / 2.0) == pytest.approx(0.5, abs=1e-14)
         assert linear_entropy(np.eye(3, dtype=complex) / 3.0) == pytest.approx(2 / 3, abs=1e-14)
-        rho = density_from_pure(coherent_x(1), (3,))
+        rho = density_from_pure(coherent_x(1))
         assert linear_entropy(rho) == pytest.approx(0.0, abs=1e-14)
 
     def test_pure_fidelity(self):
@@ -79,7 +79,7 @@ class TestScalarDiagnostics:
         assert von_neumann_entropy(np.eye(4, dtype=complex) / 4.0) == pytest.approx(
             np.log(4), abs=1e-12
         )
-        rho = density_from_pure(fock_state(1, 0), (3,))
+        rho = density_from_pure(fock_state(1, 0))
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_von_neumann_clips_rounding_negatives(self):
@@ -92,13 +92,13 @@ class TestEntropyRateNumeric:
     def test_spin_half_dephasing(self):
         model = IndependentBath(gamma1=gamma_on("z", {("z", "z"): 1.0}), gamma2=None, axes=("z",))
         gen = build_generator(model, 0.5)
-        rho = density_from_pure(coherent_x(0.5), (2,)).matrix
+        rho = density_from_pure(coherent_x(0.5))
         assert purity_loss_rate(rho, apply_generator(gen, rho)) == pytest.approx(0.5, abs=1e-14)
 
     def test_stationary_state_zero(self):
         model = z_pair_model()
         gen = build_generator(model, 0.5, 0.5)
-        rho = density_from_pure(np.kron(fock_state(0.5, 0.5), fock_state(0.5, -0.5)), (2, 2)).matrix
+        rho = density_from_pure(np.kron(fock_state(0.5, 0.5), fock_state(0.5, -0.5)))
         assert abs(purity_loss_rate(rho, apply_generator(gen, rho))) <= 1e-14
 
     def test_maximally_mixed_fixed_point_of_unital_map(self):
@@ -142,7 +142,8 @@ class TestEntropyRateAnalytic:
         g[np.ix_([0, 2], [0, 2])] = sub @ sub.T
         model = IndependentBath(gamma1=g, gamma2=g, axes=("x", "z"))
         raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-        spec = EntangledStateSpec.make(1.5, 1.5, raw, auto_normalize=True)
+        coeffs = coefficient_profile("custom", 1.5, coeffs=raw, auto_normalize=True)
+        spec = EntangledStateSpec(1.5, 1.5, coeffs)
         report = entropy_rate_analytic(entangled_state(spec), model, 1.5, 1.5)
         assert set(report.per_axis_contributions) <= {"xx", "xz", "zz"}
         assert sum(report.per_axis_contributions.values()) == pytest.approx(
@@ -199,7 +200,7 @@ class TestEntropyRateAnalytic:
                 assert total.per_axis_contributions[pair] == factor * term
         # independently: -2 tr(rho D(rho)) with the literal double sum over the
         # doubled composite operators lam J1a + (2 - lam) J2a
-        ops = [2.0 * op.matrix for op in composite_coupling_ops(j1, j2, lam)]
+        ops = [2.0 * op for op in composite_coupling_ops(j1, j2, lam)]
         rho = np.outer(psi, psi.conj())
         direct = -2.0 * np.real(np.vdot(rho, dissipator_double_sum(g, ops, rho)))
         total = entropy_rate_analytic(psi, common, j1, j2, normalization="total_spin")
@@ -289,7 +290,8 @@ class TestEntanglementMeasures:
     def test_matches_coefficient_weights(self):
         rng = np.random.default_rng(31)
         raw = rng.normal(size=5) + 1j * rng.normal(size=5)
-        spec = EntangledStateSpec.make(2, 2, raw, auto_normalize=True)
+        coeffs = coefficient_profile("custom", 2, coeffs=raw, auto_normalize=True)
+        spec = EntangledStateSpec(2, 2, coeffs)
         probs = np.abs(spec.coeffs) ** 2
         expect = float(-np.sum(probs * np.log(probs)))
         assert entanglement_entropy(entangled_state(spec), (5, 5)) == pytest.approx(
@@ -304,7 +306,8 @@ class TestEntanglementMeasures:
     def test_schmidt_threshold(self):
         eps = 1e-12
         raw = np.array([np.sqrt(1.0 - 2.0 * eps**2), eps, eps])
-        spec = EntangledStateSpec.make(1, 1, raw, auto_normalize=True)
+        coeffs = coefficient_profile("custom", 1, coeffs=raw, auto_normalize=True)
+        spec = EntangledStateSpec(1, 1, coeffs)
         psi = entangled_state(spec)
         assert schmidt_number(psi, (3, 3)) == 1
         assert schmidt_number(psi, (3, 3), tol=1e-13) == 3
@@ -312,7 +315,7 @@ class TestEntanglementMeasures:
 
 class TestVariance:
     def test_jz_on_plus_x(self):
-        op = FactoredOperator(angular_momentum_ops(0.5).z.matrix, None, (2,))
+        op = FactoredOperator(angular_momentum_ops(0.5).z, None, (2,))
         assert variance_exact(op, coherent_x(0.5)) == pytest.approx(0.25, abs=1e-14)
 
     def test_total_jx_on_triplet_zero(self):
@@ -329,7 +332,7 @@ class TestVariance:
         want = float(np.vdot(mpsi, mpsi).real) - float(np.vdot(psi, mpsi).real) ** 2
         assert variance_exact(factored, psi) == pytest.approx(want, rel=1e-13)
         with pytest.raises(ValueError, match="pure state"):
-            variance_exact(factored, density_from_pure(psi, (4, 4)))
+            variance_exact(factored, density_from_pure(psi))
         jx = factored.x
         with pytest.raises(ValueError):
             variance_exact(FactoredOperator(jx, 1j * jx, (4, 4)), psi)
@@ -346,12 +349,12 @@ class TestVarianceXApprox:
 
     def test_sign_alternation_cancels_exactly(self):
         for j in (1, 1.5, 2, 4):
-            spec = EntangledStateSpec.make(j, j, coefficient_profile("alternating_uniform", j))
+            spec = EntangledStateSpec(j, j, coefficient_profile("alternating_uniform", j))
             assert variance_x_approx(spec) == 0.0
             assert pairing_residual(spec.coeffs) == 0.0
 
     def test_gaussian_tracks_exact_variance(self):
-        spec = EntangledStateSpec.make(4, 4, coefficient_profile("gaussian", 4, width=2.0))
+        spec = EntangledStateSpec(4, 4, coefficient_profile("gaussian", 4, width=2.0))
         approx = variance_x_approx(spec)
         exact = variance_exact(total_jx(4), entangled_state(spec))
         assert abs(approx - exact) <= 0.15 * exact
@@ -494,7 +497,7 @@ class TestCertifyStationary:
         model = CommonBath(gamma=g, lam=1.0, axes=("x", "y", "z"))
         tracemalloc.start()
         try:
-            psi = entangled_state(EntangledStateSpec.make(j, j, coefficient_profile("singlet", j)))
+            psi = entangled_state(EntangledStateSpec(j, j, coefficient_profile("singlet", j)))
             report = certify_stationary([psi], model, j, j)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

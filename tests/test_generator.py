@@ -37,7 +37,7 @@ from spinbath.generator import (
     rank_one_factors,
     validate_damping,
 )
-from spinbath.spin_algebra import SpinOperator, angular_momentum_ops, coupled_basis_state
+from spinbath.spin_algebra import angular_momentum_ops, coupled_basis_state
 from spinbath.states import (
     EntangledStateSpec,
     coefficient_profile,
@@ -66,7 +66,7 @@ def random_psd_on(rng, axes):
 
 
 def plus_x_density():
-    return density_from_pure(coherent_x(0.5), (2,)).matrix
+    return density_from_pure(coherent_x(0.5))
 
 
 def dephasing_generator(gamma=1.0):
@@ -154,7 +154,7 @@ class TestModels:
 def single_factors(j, axes):
     """Factored single-ensemble coupling operators {axis: J_a}."""
     single = angular_momentum_ops(j)
-    return {a: FactoredOperator(getattr(single, a).matrix, None, single.z.dims) for a in axes}
+    return {a: FactoredOperator(getattr(single, a), None, single.z.shape[:1]) for a in axes}
 
 
 class TestCanonicalJumps:
@@ -324,13 +324,13 @@ class TestStationaryResidual:
 
     def test_fock_state_stationary(self):
         gen = dephasing_generator()
-        rho = density_from_pure(fock_state(0.5, 0.5), (2,)).matrix
+        rho = density_from_pure(fock_state(0.5, 0.5))
         assert np.linalg.norm(apply_generator(gen, rho)) <= 1e-15
 
     def test_singlet_stationary_for_balanced_common_bath(self):
         model = CommonBath(gamma=np.eye(3), lam=1.0, axes=("x", "y", "z"))
         gen = build_generator(model, 0.5, 0.5)
-        rho = density_from_pure(coupled_basis_state(0.5, 0.5, 0, 0), (2, 2)).matrix
+        rho = density_from_pure(coupled_basis_state(0.5, 0.5, 0, 0))
         assert np.linalg.norm(apply_generator(gen, rho)) <= 1e-12
 
 
@@ -420,14 +420,14 @@ class TestEvolveFixedStep:
         assert traj.s_lin[-1] == pytest.approx(float(dephasing_s_lin(0.25)), abs=1e-7)
 
     def test_trajectory_state_invariants(self):
-        spec = EntangledStateSpec.make(1, 1, coefficient_profile("uniform", 1))
+        spec = EntangledStateSpec(1, 1, coefficient_profile("uniform", 1))
         model = IndependentBath(
             gamma1=gamma_on(("x", "z"), {("x", "x"): 0.3, ("z", "z"): 1.0}),
             gamma2=gamma_on(("x", "z"), {("x", "x"): 0.3, ("z", "z"): 1.0}),
             axes=("x", "z"),
         )
         gen = build_generator(model, 1, 1)
-        rho0 = density_from_pure(entangled_state(spec), (3, 3))
+        rho0 = density_from_pure(entangled_state(spec))
         traj = evolve(gen, rho0, 2.0, stride=10)
         assert np.all(np.diff(traj.times) > 0)
         for mat in traj.states:
@@ -446,11 +446,11 @@ class TestEvolveFixedStep:
         # (step 0.6) fails at its row t = 2.4, and the adaptive run takes
         # t_final in one step and fails there.  t_last is the last time that
         # passed.  A Generator refuses a non-Hermitian H, and a Lindblad
-        # generator cannot grow a 2 x 2 state tenfold, so the kernel's copy of
-        # a Hermitian H is swapped for this one after the checks
+        # generator cannot grow a 2 x 2 state tenfold, so the generator's Hermitian
+        # H is swapped for this one after the checks
         model = IndependentBath(gamma1=gamma_on("z", {("z", "z"): 1.0}), gamma2=None, axes=("z",))
-        gen = build_generator(model, 0.5, hamiltonian=SpinOperator(np.diag([1.0, -1.0]), (2,)))
-        gen._ham = 1j * gen._ham
+        gen = build_generator(model, 0.5, hamiltonian=np.diag([1.0, -1.0]))
+        gen.hamiltonian = 1j * gen.hamiltonian
         with pytest.raises(IntegrationAbortError, match=f"last good time t={t_last:.6g}") as info:
             evolve(gen, plus_x_density(), 6.0, step=0.6, tol=tol)
         assert info.value.t_last == t_last
@@ -610,7 +610,7 @@ class TestEvolveAdaptive:
         model = CommonBath(gamma=np.eye(3), lam=1.0, axes=("x", "y", "z"))
         gen = build_generator(model, 0.5, 0.5)
         psi = coupled_basis_state(0.5, 0.5, 0, 0)
-        traj = evolve(gen, density_from_pure(psi, (2, 2)), 10.0, tol=1e-12)
+        traj = evolve(gen, density_from_pure(psi), 10.0, tol=1e-12)
         assert (traj.accepted, traj.rejected) == (1, 0)
         overlap = np.vdot(psi, traj.states[-1] @ psi).real
         assert overlap >= 1.0 - 1e-12
@@ -621,18 +621,18 @@ class TestEvolveAdaptive:
         # so the basis stops at KRYLOV_DIM vectors and the step is too long
         # for the tolerance
         model = CommonBath(gamma=np.diag([1.0, 0.5, 0.25]), lam=1.4, axes=("x", "y", "z"))
-        ham = SpinOperator(0.7 * random_hermitian(np.random.default_rng(5), 9), (3, 3))
+        ham = 0.7 * random_hermitian(np.random.default_rng(5), 9)
         gen = build_generator(model, 1, 1, hamiltonian=ham)
         assert not gen.self_adjoint
         psi = np.kron(coherent_x(1), coherent_x(1))
-        traj = evolve(gen, density_from_pure(psi, (3, 3)), 8.0, step=8.0, tol=1e-12)
+        traj = evolve(gen, density_from_pure(psi), 8.0, step=8.0, tol=1e-12)
         assert traj.rejected >= 1
         assert traj.times[-1] == 8.0
 
     def test_hamiltonian_precession(self):
         ham = angular_momentum_ops(0.5).z
         gen = Generator([], ham, (2,))
-        jx = angular_momentum_ops(0.5).x.matrix
+        jx = angular_momentum_ops(0.5).x
         traj = evolve(gen, plus_x_density(), math.pi, step=0.02)
         mean_x = np.vdot(traj.states[-1], jx).real
         assert mean_x == pytest.approx(-0.5, abs=1e-6)
@@ -677,7 +677,7 @@ class TestBuildGenerator:
         assert len(gen.jump_ops) == 6
 
     def test_jump_dimension_checked(self):
-        bad = FactoredOperator(angular_momentum_ops(1).z.matrix, None, (3,))
+        bad = FactoredOperator(angular_momentum_ops(1).z, None, (3,))
         with pytest.raises(ValueError):
             Generator([bad], None, (2,))
 
@@ -692,16 +692,37 @@ class TestBuildGenerator:
         # largest entry is rounding, and passes
         for bad in (1j * np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]])):
             with pytest.raises(ValueError, match="not Hermitian"):
-                Generator([], SpinOperator(bad, (2,)), (2,))
+                Generator([], bad, (2,))
         nearly = np.array([[1.0, 0.5], [0.5 + 1e-13, -1.0]])
-        gen = Generator([], SpinOperator(nearly, (2,)), (2,))
+        gen = Generator([], nearly, (2,))
         assert not gen.self_adjoint
         assert default_step(gen) == pytest.approx(0.1 / math.sqrt(1.25), rel=1e-12)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_hamiltonian_must_be_finite(self, entry, where):
+        # a NaN fails every comparison, so the Hermiticity test alone would
+        # pass it; an inf turns H - H^dag into NaN with a RuntimeWarning.
+        # Either way the build refuses it before any arithmetic
+        model = IndependentBath(gamma1=gamma_on("z", {("z", "z"): 1.0}), gamma2=None, axes=("z",))
+        ham = np.diag([1.0, -1.0]).astype(complex)
+        ham[where] = ham[where[::-1]] = entry
+        with pytest.raises(ValueError, match="finite"):
+            build_generator(model, 0.5, hamiltonian=ham)
+
+    def test_hamiltonian_held_as_one_complex_array(self):
+        model = IndependentBath(gamma1=gamma_on("z", {("z", "z"): 1.0}), gamma2=None, axes=("z",))
+        gen = build_generator(model, 0.5, hamiltonian=np.diag([1, -1]))
+        assert gen.hamiltonian.dtype == np.complex128
+        assert gen.hamiltonian.flags.c_contiguous
+        assert gen.kernel_args[3] is gen.hamiltonian
+        assert gen.kernel_args[4] is True
+        assert build_generator(model, 0.5).kernel_args[3:] == (None, False)
 
     def test_self_adjoint_without_hamiltonian(self):
         model = CommonBath(gamma=np.diag([1.0, 0.5, 0.25]), lam=1.4, axes=("x", "y", "z"))
         assert build_generator(model, 1, 1).self_adjoint
-        assert not build_generator(model, 1, 1, hamiltonian=SpinOperator(np.eye(9), (3, 3))).self_adjoint
+        assert not build_generator(model, 1, 1, hamiltonian=np.eye(9)).self_adjoint
 
     @pytest.mark.parametrize("bath", ["common", "independent"])
     def test_no_n_by_n_array(self, bath):

@@ -20,7 +20,6 @@ from spinbath.generator import (
     default_step,
     evolve,
 )
-from spinbath.spin_algebra import SpinOperator
 from spinbath.states import coefficient_profile, density_from_pure, entangled_state
 from spinbath.states import EntangledStateSpec
 
@@ -42,8 +41,8 @@ class TestKernelAgreement:
         assert abs(np.trace(out)) <= 1e-12 * gen.dim
 
     def test_chunk_keeps_density_properties(self):
-        spec = EntangledStateSpec.make(1, 1, coefficient_profile("uniform", 1))
-        rho0 = density_from_pure(entangled_state(spec), (3, 3)).matrix
+        spec = EntangledStateSpec(1, 1, coefficient_profile("uniform", 1))
+        rho0 = density_from_pure(entangled_state(spec))
         gen, _ = _stacked_inputs()
         out = _kernels.rk4_chunk(rho0, *_args(gen), 0.01, 200)
         assert np.abs(out - out.conj().T).max() <= 1e-12
@@ -66,7 +65,7 @@ def _case(bath, j, with_ham, seed=11):
     j2 = None if j == 0.5 else j
     gen = build_generator(model, j, j2)
     if with_ham:
-        ham = SpinOperator(0.7 * random_hermitian(rng, gen.dim), gen.dims)
+        ham = 0.7 * random_hermitian(rng, gen.dim)
         gen = build_generator(model, j, j2, hamiltonian=ham)
     return gen, random_density(rng, gen.dim)
 
@@ -333,7 +332,7 @@ def _oracle_case(bath, j1, j2, with_ham, seed=23):
     dims = tuple(int(2 * j + 1) for j in (j1, j2) if j is not None)
     n = int(np.prod(dims))
     ham = 0.7 * random_hermitian(rng, n) if with_ham else None
-    gen = build_generator(model, j1, j2, hamiltonian=None if ham is None else SpinOperator(ham, dims))
+    gen = build_generator(model, j1, j2, hamiltonian=ham)
     lv = dense_liouvillian(coupling_sets(bath, j1, j2, GAMMA_A, GAMMA_B, 1.4), ham)
     return gen, lv, random_density(rng, n)
 

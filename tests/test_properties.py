@@ -36,7 +36,7 @@ from spinbath.generator import (
     evolve,
     rank_one_factors,
 )
-from spinbath.spin_algebra import SpinOperator, angular_momentum_ops, composite_coupling_ops, embed
+from spinbath.spin_algebra import angular_momentum_ops, composite_coupling_ops, embed
 from spinbath.states import EntangledStateSpec, coefficient_profile, entangled_state
 
 AXES = ("x", "y", "z")
@@ -73,7 +73,7 @@ def _generator(drawn, seed, with_ham):
     gen = build_generator(model, j1, j2)
     if with_ham:
         rng = np.random.default_rng(seed)
-        gen = build_generator(model, j1, j2, hamiltonian=SpinOperator(random_hermitian(rng, gen.dim), gen.dims))
+        gen = build_generator(model, j1, j2, hamiltonian=random_hermitian(rng, gen.dim))
     view = dense_generator(gen)
     scale = 1.0 + np.linalg.norm(view.ksum, 2) + (np.linalg.norm(view.ham, 2) if with_ham else 0.0)
     return gen, gen.kernel_args, scale
@@ -218,7 +218,7 @@ def test_singlet_is_certified_stationary_at_balanced_common_bath(gamma, j):
     # the paper's headline: at lambda = 1 every common-bath coupling is a
     # component of the total spin, which annihilates the singlet, so any
     # correlated gamma leaves it stationary (certificate bound 1e-12)
-    psi = entangled_state(EntangledStateSpec.make(j, j, coefficient_profile("singlet", j)))
+    psi = entangled_state(EntangledStateSpec(j, j, coefficient_profile("singlet", j)))
     assert certify_stationary([psi], CommonBath(gamma=gamma, lam=1.0, axes=AXES), j, j).certified
 
 
@@ -241,15 +241,15 @@ def _dense_builders(model, j1, j2):
     # the coupling matrices straight from the spin_algebra builders
     ops1 = angular_momentum_ops(j1)
     if j2 is None:
-        return [{a: getattr(ops1, a).matrix for a in AXES}]
+        return [{a: getattr(ops1, a) for a in AXES}]
     if isinstance(model, CommonBath):
         ops = composite_coupling_ops(j1, j2, model.lam)
-        return [{a: getattr(ops, a).matrix for a in AXES}]
+        return [{a: getattr(ops, a) for a in AXES}]
     ops2 = angular_momentum_ops(j2)
-    dims = (ops1.z.dim, ops2.z.dim)
-    sets = [{a: embed(getattr(ops1, a), 0, dims).matrix for a in AXES}]
+    dims = (ops1.z.shape[0], ops2.z.shape[0])
+    sets = [{a: embed(getattr(ops1, a), 0, dims) for a in AXES}]
     if model.gamma2 is not None:
-        sets.append({a: embed(getattr(ops2, a), 1, dims).matrix for a in AXES})
+        sets.append({a: embed(getattr(ops2, a), 1, dims) for a in AXES})
     return sets
 
 
@@ -349,7 +349,7 @@ def test_banded_rhs_matches_dense_assembly(drawn, seed, with_ham):
     gen = build_generator(model, j1, j2)
     rng = np.random.default_rng(seed)
     if with_ham:
-        gen = build_generator(model, j1, j2, hamiltonian=SpinOperator(random_hermitian(rng, gen.dim), gen.dims))
+        gen = build_generator(model, j1, j2, hamiltonian=random_hermitian(rng, gen.dim))
     _check_banded_rhs(gen, _non_hermitian(rng, gen.dim))
 
 
@@ -372,7 +372,7 @@ def test_banded_rhs_matches_dense_assembly_at_size(bath, j, with_ham):
     gen = build_generator(model, j, j)
     rng = np.random.default_rng(j)
     if with_ham:
-        gen = build_generator(model, j, j, hamiltonian=SpinOperator(random_hermitian(rng, gen.dim), gen.dims))
+        gen = build_generator(model, j, j, hamiltonian=random_hermitian(rng, gen.dim))
     assert max(len(offs) for offs in gen.kernel_args[1]) <= 5
     assert len(gen.kernel_args[2].offsets) <= 13
     _check_banded_rhs(gen, _non_hermitian(rng, gen.dim))
@@ -435,7 +435,7 @@ def test_default_step_matches_dense_svd(drawn, seed, with_ham):
     scale = sum(float(np.linalg.norm(dense(op), 2)) ** 2 for op in gen.jump_ops)
     if with_ham:
         ham = random_hermitian(np.random.default_rng(seed), gen.dim)
-        gen = build_generator(model, j1, j2, hamiltonian=SpinOperator(ham, gen.dims))
+        gen = build_generator(model, j1, j2, hamiltonian=ham)
         scale += float(np.linalg.norm(ham, 2))
     step = default_step(gen)
     if scale == 0.0:
@@ -472,9 +472,9 @@ def test_self_adjoint_flag_is_off_with_hamiltonian_or_raising_jump(drawn, seed, 
     if raising:
         ops = angular_momentum_ops(j1)
         y = None if j2 is None else np.zeros((gen.dims[1], gen.dims[1]))
-        gen = Generator(gen.jump_ops + [FactoredOperator(ops.x.matrix + 1j * ops.y.matrix, y, gen.dims)],
+        gen = Generator(gen.jump_ops + [FactoredOperator(ops.x + 1j * ops.y, y, gen.dims)],
                         None, gen.dims)
     else:
-        ham = SpinOperator(random_hermitian(np.random.default_rng(seed), gen.dim), gen.dims)
+        ham = random_hermitian(np.random.default_rng(seed), gen.dim)
         gen = Generator(gen.jump_ops, ham, gen.dims)
     assert not gen.self_adjoint

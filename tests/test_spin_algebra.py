@@ -49,7 +49,7 @@ class TestAngularMomentumOps:
         worst = 0.0
         for two_j in range(1, 31):
             ops = angular_momentum_ops(two_j / 2.0)
-            x, y, z = ops.x.matrix, ops.y.matrix, ops.z.matrix
+            x, y, z = ops.x, ops.y, ops.z
             worst = max(
                 worst,
                 np.abs(comm(x, y) - 1j * z).max(),
@@ -61,27 +61,26 @@ class TestAngularMomentumOps:
     def test_casimir_matches_sum_of_squares(self):
         for j in (0.5, 1, 2.5, 6):
             ops = angular_momentum_ops(j)
-            total = ops.x.matrix @ ops.x.matrix + ops.y.matrix @ ops.y.matrix + ops.z.matrix @ ops.z.matrix
-            expect = j * (j + 1) * np.eye(ops.z.matrix.shape[0])
-            assert np.abs(ops.sq.matrix - expect).max() <= 1e-12
+            total = ops.x @ ops.x + ops.y @ ops.y + ops.z @ ops.z
+            expect = j * (j + 1) * np.eye(ops.z.shape[0])
             assert np.abs(total - expect).max() <= 1e-12
 
     def test_jz_diagonal_descending(self):
         ops = angular_momentum_ops(1)
-        np.testing.assert_allclose(np.diag(ops.z.matrix).real, [1.0, 0.0, -1.0])
-        assert np.abs(ops.z.matrix - np.diag(np.diag(ops.z.matrix))).max() == 0.0
+        np.testing.assert_allclose(np.diag(ops.z).real, [1.0, 0.0, -1.0])
+        assert np.abs(ops.z - np.diag(np.diag(ops.z))).max() == 0.0
 
     def test_spin_half_matrices(self):
         ops = angular_momentum_ops(0.5)
-        np.testing.assert_allclose(ops.x.matrix, [[0, 0.5], [0.5, 0]], atol=1e-15)
-        np.testing.assert_allclose(ops.y.matrix, [[0, -0.5j], [0.5j, 0]], atol=1e-15)
+        np.testing.assert_allclose(ops.x, [[0, 0.5], [0.5, 0]], atol=1e-15)
+        np.testing.assert_allclose(ops.y, [[0, -0.5j], [0.5j, 0]], atol=1e-15)
 
     def test_hermitian(self):
         rng = np.random.default_rng(7)
         for j in rng.choice([0.5, 1.5, 3, 5.5, 9], size=3, replace=False):
             ops = angular_momentum_ops(float(j))
             for op in (ops.x, ops.y, ops.z):
-                assert np.abs(op.matrix - op.matrix.conj().T).max() <= 1e-14
+                assert np.abs(op - op.conj().T).max() <= 1e-14
 
     def test_bad_j_rejected(self):
         with pytest.raises(ValueError):
@@ -94,23 +93,19 @@ class TestEmbed:
     def test_acts_on_named_slot_only(self):
         a = angular_momentum_ops(0.5).z
         b = angular_momentum_ops(1).z
-        za = embed(a, 0, (2, 3)).matrix
-        zb = embed(b, 1, (2, 3)).matrix
-        np.testing.assert_allclose(za, np.kron(a.matrix, np.eye(3)))
-        np.testing.assert_allclose(zb, np.kron(np.eye(2), b.matrix))
+        za = embed(a, 0, (2, 3))
+        zb = embed(b, 1, (2, 3))
+        np.testing.assert_allclose(za, np.kron(a, np.eye(3)))
+        np.testing.assert_allclose(zb, np.kron(np.eye(2), b))
+        assert za.dtype == zb.dtype == np.complex128
         assert np.abs(comm(za, zb)).max() == 0.0
 
     def test_spectrum_multiplicity(self):
         op = angular_momentum_ops(1).z
-        emb = embed(op, 0, (3, 4)).matrix
+        emb = embed(op, 0, (3, 4))
         vals = np.sort(np.linalg.eigvalsh(emb))
         expect = np.sort(np.repeat([-1.0, 0.0, 1.0], 4))
         np.testing.assert_allclose(vals, expect, atol=1e-12)
-
-    def test_dims_recorded(self):
-        op = embed(angular_momentum_ops(0.5).x, 1, (3, 2))
-        assert op.dims == (3, 2)
-        assert op.matrix.shape == (6, 6)
 
     def test_slot_and_dim_errors(self):
         op = angular_momentum_ops(0.5).x
@@ -126,33 +121,33 @@ class TestCompositeCouplingOps:
         for j1, j2 in ((0.5, 0.5), (1, 1.5)):
             ops1 = angular_momentum_ops(j1)
             ops2 = angular_momentum_ops(j2)
-            dims = (ops1.z.matrix.shape[0], ops2.z.matrix.shape[0])
+            dims = (ops1.z.shape[0], ops2.z.shape[0])
             hi = composite_coupling_ops(j1, j2, 2.0)
             lo = composite_coupling_ops(j1, j2, 0.0)
             for axis, single1, single2 in (("x", ops1.x, ops2.x), ("y", ops1.y, ops2.y), ("z", ops1.z, ops2.z)):
-                assert np.array_equal(getattr(hi, axis).matrix, embed(single1, 0, dims).matrix)
-                assert np.array_equal(getattr(lo, axis).matrix, embed(single2, 1, dims).matrix)
+                assert np.array_equal(getattr(hi, axis), embed(single1, 0, dims))
+                assert np.array_equal(getattr(lo, axis), embed(single2, 1, dims))
 
     def test_balanced_point_is_half_total_spin(self):
         ops = composite_coupling_ops(1, 1, 1.0)
         single = angular_momentum_ops(1)
         dims = (3, 3)
         for axis in ("x", "y", "z"):
-            total = embed(getattr(single, axis), 0, dims).matrix + embed(getattr(single, axis), 1, dims).matrix
-            np.testing.assert_allclose(getattr(ops, axis).matrix, 0.5 * total, atol=1e-15)
+            total = embed(getattr(single, axis), 0, dims) + embed(getattr(single, axis), 1, dims)
+            np.testing.assert_allclose(getattr(ops, axis), 0.5 * total, atol=1e-15)
 
     def test_weighted_expectation_example(self):
         # lam=1.5 on |1/2, -1/2>: (1.5*(1/2) + 0.5*(-1/2))/2 = 0.25
         ops = composite_coupling_ops(0.5, 0.5, 1.5)
         psi = np.zeros(4, dtype=complex)
         psi[1] = 1.0
-        assert np.vdot(psi, ops.z.matrix @ psi).real == pytest.approx(0.25, abs=1e-15)
+        assert np.vdot(psi, ops.z @ psi).real == pytest.approx(0.25, abs=1e-15)
 
     def test_balanced_annihilates_singlet(self):
         ops = composite_coupling_ops(0.5, 0.5, 1.0)
         psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
         for axis in ("x", "y", "z"):
-            assert np.linalg.norm(getattr(ops, axis).matrix @ psi) <= 1e-15
+            assert np.linalg.norm(getattr(ops, axis) @ psi) <= 1e-15
 
     def test_lambda_range_enforced(self):
         for bad in (-0.1, 2.1, np.nan):
@@ -236,10 +231,10 @@ class TestCoupledBasisState:
         cases = [(0.5, 0.5), (1.0, 1.0), (1.5, 1.0), (2.0, 2.0)]
         for j1, j2 in cases:
             o1, o2 = angular_momentum_ops(j1), angular_momentum_ops(j2)
-            dims = (o1.z.matrix.shape[0], o2.z.matrix.shape[0])
-            tx = embed(o1.x, 0, dims).matrix + embed(o2.x, 1, dims).matrix
-            ty = embed(o1.y, 0, dims).matrix + embed(o2.y, 1, dims).matrix
-            tz = embed(o1.z, 0, dims).matrix + embed(o2.z, 1, dims).matrix
+            dims = (o1.z.shape[0], o2.z.shape[0])
+            tx = embed(o1.x, 0, dims) + embed(o2.x, 1, dims)
+            ty = embed(o1.y, 0, dims) + embed(o2.y, 1, dims)
+            tz = embed(o1.z, 0, dims) + embed(o2.z, 1, dims)
             jsq = tx @ tx + ty @ ty + tz @ tz
             lmax = j1 + j2
             ell = float(rng.integers(int(round(abs(j1 - j2))), int(lmax) + 1)) + (lmax % 1)

@@ -5,7 +5,6 @@ import pytest
 
 from spinbath.spin_algebra import SpinQuantum, angular_momentum_ops, coupled_basis_state
 from spinbath.states import (
-    DensityMatrix,
     EntangledStateSpec,
     coefficient_profile,
     coherent_x,
@@ -41,7 +40,7 @@ class TestCoherentX:
     def test_top_jx_eigenvector(self):
         for j in (1, 2.5, 4):
             vec = coherent_x(j)
-            jx = angular_momentum_ops(j).x.matrix
+            jx = angular_momentum_ops(j).x
             assert np.linalg.norm(jx @ vec - j * vec) <= 1e-12
             assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
 
@@ -105,29 +104,30 @@ class TestCoefficientProfile:
 class TestEntangledStateSpec:
     def test_parity_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            EntangledStateSpec.make(1, 1.5, [1.0, 0.0, 0.0])
+            EntangledStateSpec(1, 1.5, [1.0, 0.0, 0.0])
 
     def test_length_checked(self):
         with pytest.raises(ValueError):
-            EntangledStateSpec.make(1, 2, [1.0, 0.0])
+            EntangledStateSpec(1, 2, [1.0, 0.0])
 
     def test_norm_checked_with_hint(self):
-        with pytest.raises(ValueError, match="auto_normalize"):
-            EntangledStateSpec.make(0.5, 0.5, [1.0, 1.0])
+        with pytest.raises(ValueError, match=r'coefficient_profile\("custom", \.\.\., auto_normalize=True\)'):
+            EntangledStateSpec(0.5, 0.5, [1.0, 1.0])
 
-    def test_make_auto_normalize(self):
-        spec = EntangledStateSpec.make(0.5, 0.5, [1.0, 1.0], auto_normalize=True)
+    def test_auto_normalized_custom_profile(self):
+        coeffs = coefficient_profile("custom", 0.5, coeffs=[1.0, 1.0], auto_normalize=True)
+        spec = EntangledStateSpec(0.5, 0.5, coeffs)
         np.testing.assert_allclose(spec.coeffs, np.array([1, 1]) / np.sqrt(2), atol=1e-15)
 
     def test_n_tilde_is_smaller_spin(self):
-        spec = EntangledStateSpec.make(1, 3, coefficient_profile("uniform", 1))
+        spec = EntangledStateSpec(1, 3, coefficient_profile("uniform", 1))
         assert spec.n_tilde == SpinQuantum.of(1)
         np.testing.assert_array_equal(spec.m_values(), [1.0, 0.0, -1.0])
 
 
 class TestEntangledState:
     def test_uniform_pair_amplitudes(self):
-        spec = EntangledStateSpec.make(1, 1, coefficient_profile("uniform", 1))
+        spec = EntangledStateSpec(1, 1, coefficient_profile("uniform", 1))
         vec = entangled_state(spec)
         r = 1 / np.sqrt(3)
         # |1,-1>, |0,0>, |-1,1> at lexicographic indices 2, 4, 6
@@ -136,7 +136,7 @@ class TestEntangledState:
         np.testing.assert_allclose(vec, expect, atol=1e-15)
 
     def test_unequal_spins_three_nonzeros(self):
-        spec = EntangledStateSpec.make(1, 2, coefficient_profile("uniform", 1))
+        spec = EntangledStateSpec(1, 2, coefficient_profile("uniform", 1))
         vec = entangled_state(spec)
         assert vec.shape == (15,)
         nz = np.nonzero(vec)[0]
@@ -146,7 +146,8 @@ class TestEntangledState:
     def test_amplitude_matches_coefficient(self):
         rng = np.random.default_rng(23)
         raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-        spec = EntangledStateSpec.make(1.5, 1.5, raw, auto_normalize=True)
+        coeffs = coefficient_profile("custom", 1.5, coeffs=raw, auto_normalize=True)
+        spec = EntangledStateSpec(1.5, 1.5, coeffs)
         vec = entangled_state(spec)
         s = spec.j1
         for i, m in enumerate(spec.m_values()):
@@ -156,87 +157,70 @@ class TestEntangledState:
 
     def test_singlet_profile_matches_coupled_zero_state(self):
         for j in (0.5, 1, 1.5):
-            spec = EntangledStateSpec.make(j, j, coefficient_profile("singlet", j))
+            spec = EntangledStateSpec(j, j, coefficient_profile("singlet", j))
             vec = entangled_state(spec)
             ref = coupled_basis_state(j, j, 0, 0)
             assert abs(abs(np.vdot(ref, vec)) - 1.0) <= 1e-12
 
 
-class TestDensityMatrix:
-    def test_validate_accepts_proper_state(self):
-        DensityMatrix(np.eye(3) / 3.0, (3,)).validate()
-
-    def test_validate_rejects_non_hermitian(self):
-        mat = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(mat, (2,)).validate()
-
-    def test_validate_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(2), (2,)).validate()
-
-    def test_validate_rejects_negative_eigenvalue(self):
-        mat = np.diag([1.5, -0.5]).astype(complex)
-        with pytest.raises(ValueError, match="eigenvalue"):
-            DensityMatrix(mat, (2,)).validate()
-
-    def test_shape_must_match_dims(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.eye(4) / 4.0, (2, 3))
-
-
 class TestDensityFromPure:
     def test_rank_one_projector(self):
         psi = coherent_x(1)
-        rho = density_from_pure(psi, (3,))
-        assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
-        np.testing.assert_allclose(rho.matrix @ psi, psi, atol=1e-12)
+        rho = density_from_pure(psi)
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        np.testing.assert_allclose(rho @ psi, psi, atol=1e-12)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            density_from_pure(np.array([1.0, 1.0]), (2,))
+            density_from_pure(np.array([1.0, 1.0]))
 
 
 class TestPartialTrace:
     def test_singlet_marginals_maximally_mixed(self):
         psi = coupled_basis_state(0.5, 0.5, 0, 0)
-        rho = density_from_pure(psi, (2, 2))
+        rho = density_from_pure(psi)
         for keep in (0, 1):
-            red = partial_trace(rho, keep)
-            np.testing.assert_allclose(red.matrix, np.eye(2) / 2.0, atol=1e-14)
+            red = partial_trace(rho, (2, 2), keep)
+            np.testing.assert_allclose(red, np.eye(2) / 2.0, atol=1e-14)
 
     def test_uniform_marginal(self):
-        spec = EntangledStateSpec.make(1, 1, coefficient_profile("uniform", 1))
-        rho = density_from_pure(entangled_state(spec), (3, 3))
-        np.testing.assert_allclose(partial_trace(rho, 0).matrix, np.eye(3) / 3.0, atol=1e-14)
+        spec = EntangledStateSpec(1, 1, coefficient_profile("uniform", 1))
+        rho = density_from_pure(entangled_state(spec))
+        np.testing.assert_allclose(partial_trace(rho, (3, 3), 0), np.eye(3) / 3.0, atol=1e-14)
 
     def test_product_state_marginal_pure(self):
         psi = np.kron(coherent_x(0.5), fock_state(1, 0))
-        rho = density_from_pure(psi, (2, 3))
-        red = partial_trace(rho, 0)
-        assert abs(np.trace(red.matrix @ red.matrix).real - 1.0) <= 1e-12
+        rho = density_from_pure(psi)
+        red = partial_trace(rho, (2, 3), 0)
+        assert abs(np.trace(red @ red).real - 1.0) <= 1e-12
 
     def test_marginal_spectra_match_coefficient_weights(self):
         # both marginals of sum c_m |m,-m> carry eigenvalues |c_m|^2
         rng = np.random.default_rng(5)
         raw = rng.normal(size=5) + 1j * rng.normal(size=5)
-        spec = EntangledStateSpec.make(2, 2, raw, auto_normalize=True)
-        rho = density_from_pure(entangled_state(spec), (5, 5))
+        coeffs = coefficient_profile("custom", 2, coeffs=raw, auto_normalize=True)
+        spec = EntangledStateSpec(2, 2, coeffs)
+        rho = density_from_pure(entangled_state(spec))
         weights = np.sort(np.abs(spec.coeffs) ** 2)
         for keep in (0, 1):
-            vals = np.sort(np.linalg.eigvalsh(partial_trace(rho, keep).matrix))
+            vals = np.sort(np.linalg.eigvalsh(partial_trace(rho, (5, 5), keep)))
             np.testing.assert_allclose(vals, weights, atol=1e-12)
 
     def test_purity_of_marginal(self):
         raw = np.array([0.6, 0.0, 0.8])
-        spec = EntangledStateSpec.make(1, 1, raw)
-        red = partial_trace(density_from_pure(entangled_state(spec), (3, 3)), 1)
-        purity = np.trace(red.matrix @ red.matrix).real
+        spec = EntangledStateSpec(1, 1, raw)
+        red = partial_trace(density_from_pure(entangled_state(spec)), (3, 3), 1)
+        purity = np.trace(red @ red).real
         assert purity == pytest.approx(np.sum(np.abs(raw) ** 4), abs=1e-13)
 
     def test_needs_two_factors(self):
-        rho = DensityMatrix(np.eye(8) / 8.0, (2, 2, 2))
-        with pytest.raises(ValueError):
-            partial_trace(rho, 0)
-        with pytest.raises(ValueError):
-            partial_trace(DensityMatrix(np.eye(4) / 4.0, (2, 2)), 2)
+        with pytest.raises(ValueError, match="two factors"):
+            partial_trace(np.eye(8) / 8.0, (2, 2, 2), 0)
+        with pytest.raises(ValueError, match="keep"):
+            partial_trace(np.eye(4) / 4.0, (2, 2), 2)
+
+    def test_dims_must_match_shape(self):
+        with pytest.raises(ValueError, match="does not match"):
+            partial_trace(np.eye(4) / 4.0, (2, 3), 0)
+        with pytest.raises(ValueError, match="does not match"):
+            partial_trace(np.full(36, 1 / 6.0), (2, 3), 0)
