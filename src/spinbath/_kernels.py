@@ -263,7 +263,8 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
 
     ``lanczos_until``, a predicate on error functions, is for a generator
     that is self-adjoint in the Hilbert-Schmidt inner product <X, Y> =
-    tr(X^dag Y) (``Generator.self_adjoint``).  Then H is tridiagonal and the
+    tr(X^dag Y), as one without a Hamiltonian is (its jumps are Hermitian,
+    ``generator.Generator``).  Then H is tridiagonal and the
     basis follows the three-term recurrence beta_j v_{j+1} = L v_j -
     alpha_j v_j - beta_{j-1} v_{j-1} (Lanczos), which stays accurate for
     exp(tau L) rho without reorthogonalization (Druskin, Greenbaum and

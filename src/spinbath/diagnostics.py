@@ -58,8 +58,12 @@ __all__ = [
 ]
 
 _NORMALIZATIONS = ("composite", "total_spin")
-# largest |d S_lin / dt| that certify_stationary accepts as stationary
+# largest |d S_lin / dt|, and largest residual ||L(|psi_i><psi_j|)||_F, that
+# certify_stationary accepts as stationary
 STATIONARY_RATE_TOL = 1e-12
+STATIONARY_RESIDUAL_TOL = 1e-12
+# smallest Schmidt coefficient schmidt_number counts
+SCHMIDT_TOL = 1e-10
 
 
 def linear_entropy(rho) -> float:
@@ -207,19 +211,17 @@ def entanglement_entropy(psi, dims) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def schmidt_number(psi, dims, tol: float = 1e-10) -> int:
-    """Count of Schmidt coefficients above tol."""
-    return int(np.sum(_schmidt_values(psi, dims) > tol))
+def schmidt_number(psi, dims) -> int:
+    """Count of Schmidt coefficients above ``SCHMIDT_TOL``."""
+    return int(np.sum(_schmidt_values(psi, dims) > SCHMIDT_TOL))
 
 
 def variance_exact(op, psi) -> float:
-    """<op^2> - <op>^2 for a Hermitian FactoredOperator on a pure state.
+    """<op^2> - <op>^2 for a FactoredOperator (Hermitian) on a pure state.
 
     The operator acts on psi through its factors, so no n x n matrix is
     formed; the variance is ||(op - <op>) psi||^2.
     """
-    if any(float(np.max(np.abs(p - p.conj().T))) > 1e-12 for p in (op.x, op.y) if p is not None):
-        raise ValueError("variance_exact needs a Hermitian operator")
     if np.ndim(psi) != 1:
         raise ValueError("variance_exact needs a pure state vector")
     vec = _unit_vector(psi)
@@ -309,7 +311,6 @@ def certify_stationary(
     j1,
     j2=None,
     subspace: bool = False,
-    residual_tol: float = 1e-12,
 ) -> StationaryReport:
     """Check candidate pure states for stationarity under a decoherence model.
 
@@ -323,7 +324,8 @@ def certify_stationary(
     product of R factors.  Nothing is squared, unlike the Gram form
     tr((U^dag U)(V^dag V)), which cancels catastrophically near zero;
     Householder QR is backward stable, so the error stays of order
-    eps ||U|| ||V||, as for the assembled product.
+    eps ||U|| ||V||, as for the assembled product.  Residuals pass at most
+    ``STATIONARY_RESIDUAL_TOL``, a state's rate at most ``STATIONARY_RATE_TOL``.
     """
     jumps, dims = _canonical_jump_set(coupling_factors(model, j1, j2))
     vecs = [_check_length(_unit_vector(s), dims) for s in states]
@@ -346,9 +348,9 @@ def certify_stationary(
         norms = np.linalg.norm(np.einsum("ab,jcb->jac", r_u[i], r_v[i:stop]), axis=(1, 2))
         res = float(norms[0])
         residuals.append(res)
-        ok.append(res <= residual_tol and abs(rate) <= STATIONARY_RATE_TOL)
+        ok.append(res <= STATIONARY_RESIDUAL_TOL and abs(rate) <= STATIONARY_RATE_TOL)
         for jdx, pair_res in enumerate(norms[1:].tolist(), start=i + 1):
             pair_residuals[(i, jdx)] = pair_res
-            pair_ok[(i, jdx)] = pair_res <= residual_tol
+            pair_ok[(i, jdx)] = pair_res <= STATIONARY_RESIDUAL_TOL
     certified = bool(ok) and all(ok) and all(pair_ok.values())
     return StationaryReport(residuals, rates, ok, certified, pair_residuals, pair_ok)

@@ -92,12 +92,18 @@ def _check_axes(axes) -> tuple[str, ...]:
 
 # relative bounds: the asymmetry and lowest eigenvalue validate_damping allows,
 # the eigen-rate at or below which canonical_jumps drops a jump, and the
-# largest |H - H^dag| entry, relative to the largest |H| entry, a Generator
-# accepts in a Hamiltonian
+# largest |A - A^dag| entry, relative to the largest |A| entry, of an operator
+# taken as Hermitian (a jump factor or a Hamiltonian)
 DAMPING_SYM_TOL = 1e-12
 DAMPING_EIG_FLOOR = -1e-12
 JUMP_RATE_TOL = 1e-15
-HAMILTONIAN_HERMITIAN_TOL = 1e-12
+HERMITIAN_TOL = 1e-12
+
+
+def _check_hermitian(mat: np.ndarray, what: str) -> None:
+    """The one Hermiticity test: ValueError unless mat = mat^dag to ``HERMITIAN_TOL``."""
+    if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL * np.abs(mat).max():
+        raise ValueError(f"{what} is not Hermitian")
 
 
 def validate_damping(gamma, axes) -> np.ndarray:
@@ -172,13 +178,15 @@ class CommonBath:
 
 @dataclass(frozen=True, eq=False)
 class FactoredOperator:
-    """Operator X (x) I + I (x) Y on two ensembles, or X alone on one.
+    """Hermitian operator X (x) I + I (x) Y on two ensembles, or X alone on one.
 
     ``x`` acts on the first ensemble and ``y`` on the second (None when
     ``dims`` has one factor).  On a vector psi reshaped to (d1, d2) the
     operator acts as X psi + psi Y^T: O(n d) work, and no n x n matrix.
     Every coupling and canonical jump operator of the models here has this
-    form, and the library never builds its dense n x n view.
+    form, and the library never builds its dense n x n view.  Each factor
+    must be Hermitian (to ``HERMITIAN_TOL``), or ValueError is raised, so
+    the operator is its own adjoint.
     """
 
     x: np.ndarray
@@ -190,6 +198,8 @@ class FactoredOperator:
         parts = [np.ascontiguousarray(p, dtype=np.complex128) for p in (self.x, self.y) if p is not None]
         if [p.shape for p in parts] != [(d, d) for d in dims]:
             raise ValueError(f"factors of shapes {[p.shape for p in parts]} do not match dims {dims}")
+        for p in parts:
+            _check_hermitian(p, "factor")
         object.__setattr__(self, "x", parts[0])
         object.__setattr__(self, "y", parts[1] if len(parts) == 2 else None)
         object.__setattr__(self, "dims", dims)
@@ -204,13 +214,6 @@ class FactoredOperator:
             return self.x @ vec
         psi = vec.reshape(self.dims)
         return (self.x @ psi + psi @ self.y.T).reshape(-1)
-
-    def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
-        """The adjoint applied to a length-n vector."""
-        if self.y is None:
-            return self.x.conj().T @ vec
-        psi = vec.reshape(self.dims)
-        return (self.x.conj().T @ psi + psi @ self.y.conj()).reshape(-1)
 
 
 def coupling_factors(model, j1, j2=None) -> list[tuple[np.ndarray, dict[str, FactoredOperator]]]:
@@ -309,17 +312,15 @@ class Generator:
 
     Each jump X (x) I + I (x) Y is kept on its nonzero diagonals (at most 5:
     0, +-1 and +-d2, or those of X alone on one ensemble), stacked (k, n, w),
-    and -K/2 = -(1/2) sum_k A_k^dag A_k on its own (at most 13), expanded
-    from the factors as X^dag X (x) I + X^dag (x) Y + X (x) Y^dag +
-    I (x) Y^dag Y per jump.  No n x n matrix is built for either.  The
-    optional Hamiltonian is the one dense operator: an n x n array, held
-    contiguous complex128, whose entries must be finite and which must be
-    Hermitian (to ``HAMILTONIAN_HERMITIAN_TOL``), or ValueError is raised.
+    and -K/2 = -(1/2) sum_k A_k^2 on its own (at most 13), expanded from the
+    Hermitian factors as X^2 (x) I + 2 X (x) Y + I (x) Y^2 per jump.  No
+    n x n matrix is built for either.  The optional Hamiltonian is the one
+    dense operator: an n x n array, held contiguous complex128, whose
+    entries must be finite and which must be Hermitian (to
+    ``HERMITIAN_TOL``), or ValueError is raised.
 
-    ``self_adjoint`` is True when there is no Hamiltonian and every jump
-    factor equals its adjoint exactly, as for every generator
-    ``build_generator`` makes without a Hamiltonian: each jump then is
-    Hermitian and L = -(1/2) sum_k [A_k, [A_k, .]] is self-adjoint in the
+    Every jump is Hermitian (``FactoredOperator``), so without a
+    Hamiltonian L = -(1/2) sum_k [A_k, [A_k, .]] is self-adjoint in the
     Hilbert-Schmidt inner product, which lets ``evolve`` continue a Krylov
     basis by the Lanczos recurrence.
     """
@@ -327,7 +328,6 @@ class Generator:
     jump_ops: list[FactoredOperator]
     hamiltonian: np.ndarray | None
     dims: tuple[int, ...]
-    self_adjoint: bool = field(init=False)
     _jumps: np.ndarray = field(init=False, repr=False)
     _offsets: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     _drift: _kernels.Banded = field(init=False, repr=False)
@@ -344,24 +344,19 @@ class Generator:
                 raise ValueError(f"hamiltonian of shape {ham.shape} does not match dims {self.dims}")
             if not np.all(np.isfinite(ham)):
                 raise ValueError("hamiltonian entries must be finite")
-            if np.abs(ham - ham.conj().T).max() > HAMILTONIAN_HERMITIAN_TOL * np.abs(ham).max():
-                raise ValueError("hamiltonian is not Hermitian")
+            _check_hermitian(ham, "hamiltonian")
             self.hamiltonian = ham
-        self.self_adjoint = self.hamiltonian is None and all(
-            np.array_equal(p, p.conj().T) for op in self.jump_ops for p in (op.x, op.y) if p is not None
-        )
         # a single ensemble is X (x) I_1
         eye1, eye2 = np.eye(self.dims[0]), np.eye(self.dims[1] if len(self.dims) == 2 else 1)
         bands, drift_terms = [], []
         for op in self.jump_ops:
-            x, xh = op.x, op.x.conj().T
-            if op.y is None:
+            x, y = op.x, op.y
+            if y is None:
                 bands.append(_kernels.kron_banded([(x, eye2)], n))
-                drift_terms.append((xh @ x, eye2))
+                drift_terms.append((x @ x, eye2))
             else:
-                y, yh = op.y, op.y.conj().T
                 bands.append(_kernels.kron_banded([(x, eye2), (eye1, y)], n))
-                drift_terms += [(xh @ x, eye2), (xh, y), (x, yh), (eye1, yh @ y)]
+                drift_terms += [(x @ x, eye2), (x, y), (x, y), (eye1, y @ y)]
         self._jumps, self._offsets = _kernels.stack_banded(bands, n)
         self._drift = _kernels.kron_banded(drift_terms, n, -0.5)
 
@@ -401,18 +396,18 @@ def rank_one_factors(jumps, psi) -> tuple[np.ndarray, np.ndarray]:
     """Factors U, V, each n x (k + 2), with L(psi psi^dag) = U V^dag.
 
     U = [A_1 psi, ..., A_k psi, -K psi / 2, psi] and
-    V = [A_1 psi, ..., A_k psi, psi, -K psi / 2] for the ``FactoredOperator``
-    jumps A_k of a generator without a Hamiltonian.  L is linear, so the
-    cross image L(psi phi^dag) is U_psi V_phi^dag, U from psi's factors and
-    V from phi's.  Uses operator-vector products alone: K = sum_k A_k^dag
-    A_k is applied as sum_k A_k^dag (A_k psi) and never formed, and no
-    n x n matrix is built.
+    V = [A_1 psi, ..., A_k psi, psi, -K psi / 2] for the Hermitian
+    ``FactoredOperator`` jumps A_k of a generator without a Hamiltonian.  L
+    is linear, so the cross image L(psi phi^dag) is U_psi V_phi^dag, U from
+    psi's factors and V from phi's.  Uses operator-vector products alone:
+    K = sum_k A_k^2 is applied as sum_k A_k (A_k psi) and never formed, and
+    no n x n matrix is built.
     """
     applied = []
     drift = np.zeros(psi.shape, dtype=np.complex128)
     for a in jumps:
         ax = a.apply(psi)
-        drift -= 0.5 * a.apply_adjoint(ax)
+        drift -= 0.5 * a.apply(ax)
         applied.append(ax)
     return np.column_stack(applied + [drift, psi]), np.column_stack(applied + [psi, drift])
 
@@ -582,16 +577,15 @@ def evolve(
     (``_largest_step``, at no right-hand-side cost) takes the largest
     acceptable h <= t_final - t, to a relative precision of
     2^-``STEP_BISECTIONS``; each trial it refuses counts in
-    ``Trajectory.rejected``.  When ``gen.self_adjoint`` (no Hamiltonian,
-    Hermitian jumps: every generator ``build_generator`` makes without a
-    Hamiltonian), a basis whose first ``KRYLOV_DIM`` vectors do not reach
-    t_final - t grows by the Lanczos recurrence until the search would
-    pass every trial of its doubling ladder up to t_final - t
-    (``_reaches``), or until it has ``_kernels.LANCZOS_MAX`` vectors and
-    the next basis restarts.  Such a basis costs one right-hand side per
-    vector, and forming its state one more per vector past
-    ``KRYLOV_DIM``.  Any other generator restarts every ``KRYLOV_DIM``
-    vectors, as Lanczos needs a self-adjoint L.
+    ``Trajectory.rejected``.  Without a Hamiltonian L is self-adjoint (its
+    jumps are Hermitian, see ``Generator``): a basis whose first
+    ``KRYLOV_DIM`` vectors do not reach t_final - t grows by the Lanczos
+    recurrence until the search would pass every trial of its doubling
+    ladder up to t_final - t (``_reaches``), or until it has
+    ``_kernels.LANCZOS_MAX`` vectors and the next basis restarts.  Such a
+    basis costs one right-hand side per vector, and forming its state one
+    more per vector past ``KRYLOV_DIM``.  A generator with a Hamiltonian
+    restarts every ``KRYLOV_DIM`` vectors, as Lanczos needs a self-adjoint L.
 
     Parameters
     ----------
@@ -637,18 +631,19 @@ def evolve(
         raise ValueError("step must be finite and positive")
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
+    # the one copy, so no state aliases rho0; later states are kept as made
     rho = _as_matrix(rho0, gen.dim).copy()
     norm0 = float(np.linalg.norm(rho))
     norm_cap = 10.0 * max(norm0, 1e-300)
 
     times = [0.0]
-    states = [rho.copy()]
+    states = [rho]
     s_lin = [1.0 - _purity(rho)]
     args = gen.kernel_args
 
     def record(t: float, mat: np.ndarray) -> None:
         times.append(t)
-        states.append(mat.copy())
+        states.append(mat)
         s_lin.append(1.0 - _purity(mat))
 
     def check_blowup(t_good: float, mat: np.ndarray) -> None:
@@ -720,14 +715,14 @@ def evolve(
         return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, nsteps, rejected)
 
     # adaptive Krylov steps of exp(h L): one basis per accepted step, and on
-    # it the largest h the tolerance allows.  A self-adjoint generator's
+    # it the largest h the tolerance allows.  Without a Hamiltonian the
     # basis grows until that h is all of t_final - t
     accepted = 0
     while t < t_final * (1.0 - 1e-14):
         budget = tol * max(1.0, float(np.linalg.norm(rho)))
         remaining = t_final - t
         until = None
-        if gen.self_adjoint:
+        if gen.hamiltonian is None:
             until = functools.partial(_reaches, h=h, remaining=remaining, budget=budget, tiny=tiny)
         error, state, samples = propagator(rho, lanczos_until=until)
         h, refused = _largest_step(error, h, remaining, budget, tiny)

@@ -600,13 +600,9 @@ class TestDfsCommand:
     def test_pair_rows_carry_the_certificate_verdict(self, tmp_path, monkeypatch):
         # with a tolerance between the one-flip (1/2) and two-flip (1)
         # residuals, rows above it and the overall flag are false
-        import functools
+        import spinbath.diagnostics as diagnostics
 
-        import spinbath.cli as cli
-
-        monkeypatch.setattr(
-            cli, "certify_stationary", functools.partial(cli.certify_stationary, residual_tol=0.75)
-        )
+        monkeypatch.setattr(diagnostics, "STATIONARY_RESIDUAL_TOL", 0.75)
         doc = z_pair_doc(dfs={"candidates": "fock_basis", "subspace": True})
         doc["ensembles"] = {"j1": 0.5, "j2": 0.5}
         code, text = run_cli(tmp_path, doc, "dfs")

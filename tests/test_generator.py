@@ -297,16 +297,31 @@ class TestRankOneFactors:
 
 
 class TestFactoredOperator:
-    def test_apply_and_adjoint_match_dense_matrix(self):
+    def test_apply_matches_dense_matrix(self):
         rng = np.random.default_rng(17)
-        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        x, y = random_hermitian(rng, 3), random_hermitian(rng, 4)
         for op in (FactoredOperator(x, y, (3, 4)), FactoredOperator(x, None, (3,))):
             mat = dense(op)
             assert mat.shape == (op.dim, op.dim)
             v = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
             np.testing.assert_allclose(op.apply(v), mat @ v, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(op.apply_adjoint(v), mat.conj().T @ v, rtol=0, atol=1e-13)
+
+    def test_non_hermitian_factor_rejected(self):
+        # every factor is Hermitian to a relative HERMITIAN_TOL = 1e-12, so
+        # each operator is its own adjoint.  J+, i J_x and a nilpotent 2 x 2
+        # are refused in either slot; an asymmetry of 1e-13 of the largest
+        # entry is rounding, and passes
+        ops = angular_momentum_ops(1)
+        jz = ops.z.astype(complex)
+        for bad in (ops.x + 1j * ops.y, 1j * ops.x):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                FactoredOperator(bad, None, (3,))
+            with pytest.raises(ValueError, match="not Hermitian"):
+                FactoredOperator(jz, bad, (3, 3))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            FactoredOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), None, (2,))
+        nearly = np.array([[1.0, 0.5], [0.5 + 1e-13, -1.0]])
+        assert np.array_equal(FactoredOperator(nearly, None, (2,)).x, nearly)
 
     def test_factor_shapes_checked_against_dims(self):
         for y, dims in ((None, (2, 2)), (np.eye(2), (2,)), (np.eye(3), (2, 2))):
@@ -623,7 +638,6 @@ class TestEvolveAdaptive:
         model = CommonBath(gamma=np.diag([1.0, 0.5, 0.25]), lam=1.4, axes=("x", "y", "z"))
         ham = 0.7 * random_hermitian(np.random.default_rng(5), 9)
         gen = build_generator(model, 1, 1, hamiltonian=ham)
-        assert not gen.self_adjoint
         psi = np.kron(coherent_x(1), coherent_x(1))
         traj = evolve(gen, density_from_pure(psi), 8.0, step=8.0, tol=1e-12)
         assert traj.rejected >= 1
@@ -695,7 +709,6 @@ class TestBuildGenerator:
                 Generator([], bad, (2,))
         nearly = np.array([[1.0, 0.5], [0.5 + 1e-13, -1.0]])
         gen = Generator([], nearly, (2,))
-        assert not gen.self_adjoint
         assert default_step(gen) == pytest.approx(0.1 / math.sqrt(1.25), rel=1e-12)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -718,11 +731,6 @@ class TestBuildGenerator:
         assert gen.kernel_args[3] is gen.hamiltonian
         assert gen.kernel_args[4] is True
         assert build_generator(model, 0.5).kernel_args[3:] == (None, False)
-
-    def test_self_adjoint_without_hamiltonian(self):
-        model = CommonBath(gamma=np.diag([1.0, 0.5, 0.25]), lam=1.4, axes=("x", "y", "z"))
-        assert build_generator(model, 1, 1).self_adjoint
-        assert not build_generator(model, 1, 1, hamiltonian=np.eye(9)).self_adjoint
 
     @pytest.mark.parametrize("bath", ["common", "independent"])
     def test_no_n_by_n_array(self, bath):

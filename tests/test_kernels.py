@@ -8,12 +8,14 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from oracles import coupling_sets, dense_liouvillian, random_density, random_hermitian
+from oracles import coupling_sets, dense_liouvillian, independent_exact, random_density, random_hermitian
 from spinbath import _kernels, generator
 from spinbath.generator import (
     GRID_TOL,
     STEP_BISECTIONS,
     CommonBath,
+    FactoredOperator,
+    Generator,
     IndependentBath,
     IntegrationAbortError,
     build_generator,
@@ -504,7 +506,7 @@ LANCZOS_CASES = [
 
 def _self_adjoint_case(bath, j1, j2):
     gen, lv, rho0 = _oracle_case(bath, j1, j2, False)
-    assert gen.self_adjoint
+    assert gen.hamiltonian is None
     return gen, lv, rho0
 
 
@@ -590,6 +592,116 @@ def test_continued_basis_regenerates_its_vectors(monkeypatch):
         assert np.linalg.norm(row - want) <= _grid_bound(1e-10, tau, rho0)
     for i in (0, len(rows) // 2, len(rows) - 1):
         assert np.linalg.norm(rows[i] - state(times[i])) <= 1e-12 * max(1.0, np.linalg.norm(rho0))
+
+
+def test_factor_hermitian_to_roundoff_takes_the_lanczos_path(monkeypatch):
+    # a jump factor with a relative asymmetry of 1e-14 is Hermitian to
+    # HERMITIAN_TOL, so the generator, which has no Hamiltonian, is taken as
+    # self-adjoint: n = 25 to t = 3 at tol 1e-10, where the first KRYLOV_DIM
+    # vectors do not reach t_final, continues its basis by Lanczos.  The
+    # asymmetry moves L by about 1e-13, so the unperturbed model's dense
+    # Liouvillian is the oracle, with the bound of
+    # test_lanczos_evolve_matches_dense_expm
+    bases = _recorded_bases(monkeypatch, _counted_rhs(monkeypatch))
+    gen, lv, rho0 = _self_adjoint_case("common", 2, 2)
+    first = gen.jump_ops[0]
+    x = first.x.copy()
+    x[0, 1] += 1e-14 * np.abs(x).max()
+    assert not np.array_equal(x, x.conj().T)
+    skewed = Generator([FactoredOperator(x, first.y, first.dims)] + gen.jump_ops[1:], None, gen.dims)
+    tol, t_final = 1e-10, 3.0
+    traj = evolve(skewed, rho0, t_final, tol=tol)
+    assert all(rec["lanczos"] for rec in bases)
+    assert max(rec["vectors"] for rec in bases) > _kernels.KRYLOV_DIM
+    assert traj.times[-1] == t_final
+    for t, state, want in zip(traj.times, traj.states, _exact_rows(lv, rho0, traj.times)):
+        assert np.linalg.norm(state - want) <= _grid_bound(tol, t, rho0)
+
+
+# exact oracle for independent baths (``oracles.independent_exact``): the
+# seed-0 fixed benchmark's damping matrices GAMMA_A and GAMMA_B at n up to
+# 169, j1 != j2, one ensemble and an undamped second one
+INDEPENDENT_CASES = [
+    (6, 6, GAMMA_B),
+    (2, 3, GAMMA_B),
+    (6, None, None),
+    (3, 2, None),
+]
+
+
+def _independent_case(j1, j2, gamma2, seed=7):
+    model = IndependentBath(gamma1=GAMMA_A, gamma2=gamma2, axes=("x", "y", "z"))
+    gen = build_generator(model, j1, j2)
+    rho0 = random_density(np.random.default_rng(seed), gen.dim)
+    return gen, independent_exact(j1, j2, GAMMA_A, gamma2), rho0
+
+
+@pytest.mark.parametrize("j1,j2,gamma2", [(1, 1.5, GAMMA_B), (1.5, 1, None), (2, None, None)])
+def test_independent_oracle_matches_dense_liouvillian(j1, j2, gamma2):
+    # the oracle's E1 R E2^T against expm of the full n^2 x n^2 double-sum
+    # Liouvillian at n <= 12: one exponential each, so both round to about
+    # 1e-15; bound fixed before running
+    _, exact, rho0 = _independent_case(j1, j2, gamma2)
+    sets = coupling_sets("independent", j1, j2, GAMMA_A, np.zeros((3, 3)) if gamma2 is None else gamma2, 0.0)
+    lv = dense_liouvillian(sets)
+    for t in (0.3, 2.0):
+        assert np.abs(exact(rho0, t) - _exact(lv, rho0, t)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "fixed"])
+@pytest.mark.parametrize("j1,j2,gamma2", INDEPENDENT_CASES)
+def test_evolve_matches_independent_oracle(monkeypatch, mode, j1, j2, gamma2):
+    # adaptive: tol 1e-10 to t = 2, every accepted step a row; fixed: step
+    # 0.05 to t = 0.5, a row every step.  Bounds fixed before running: every
+    # row within tol t max(1, ||rho0||_F) + 1e-13 (Frobenius), tol =
+    # GRID_TOL in fixed mode.  At n = 169 an adaptive basis continues past
+    # KRYLOV_DIM vectors
+    bases = _recorded_bases(monkeypatch, _counted_rhs(monkeypatch))
+    gen, exact, rho0 = _independent_case(j1, j2, gamma2)
+    if mode == "adaptive":
+        tol, t_final = 1e-10, 2.0
+        traj = evolve(gen, rho0, t_final, tol=tol)
+        assert all(rec["lanczos"] for rec in bases)
+        if gen.dim == 169:
+            assert max(rec["vectors"] for rec in bases) > _kernels.KRYLOV_DIM
+    else:
+        tol, t_final = GRID_TOL, 0.5
+        traj = evolve(gen, rho0, t_final, step=0.05)
+        assert traj.times.tolist() == [k * 0.05 for k in range(10)] + [t_final]
+    assert traj.times[-1] == t_final
+    for t, state in zip(traj.times, traj.states):
+        assert np.linalg.norm(state - exact(rho0, t)) <= _grid_bound(tol, t, rho0)
+
+
+def test_many_rows_match_independent_oracle():
+    # 500 fixed-mode rows at n = 12 (j1 = 1, j2 = 3/2), a row every step of
+    # 0.002 to t = 1, each within _grid_bound(GRID_TOL) of the oracle
+    gen, exact, rho0 = _independent_case(1, 1.5, GAMMA_B)
+    traj = evolve(gen, rho0, 1.0, step=0.002)
+    assert len(traj.states) == 501
+    for t, state in zip(traj.times, traj.states):
+        assert np.linalg.norm(state - exact(rho0, t)) <= _grid_bound(GRID_TOL, t, rho0)
+
+
+def test_fixed_rows_are_not_copied():
+    # n = 49 (j1 = j2 = 3) to t = 0.2 in steps of 5e-4: 401 rows, most
+    # from one basis.  Each row is kept as the basis's samples made it, so
+    # the allocations peak below the rows plus KRYLOV_DIM + 10 states (the
+    # stored basis and a right-hand side's five n x n arrays fit); a copy of
+    # every row would take about twice the rows.  rho0 itself is copied
+    # once, so no state aliases it
+    gen, _, rho0 = _independent_case(3, 3, GAMMA_B, seed=5)
+    state = gen.dim**2 * 16
+    tracemalloc.start()
+    try:
+        traj = evolve(gen, rho0, 0.2, step=5e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.states) == 401
+    assert peak <= (len(traj.states) + _kernels.KRYLOV_DIM + 10) * state
+    assert not np.shares_memory(traj.states[0], rho0)
+    assert np.array_equal(traj.states[0], rho0)
 
 
 def test_continued_basis_memory_is_the_stored_prefix():
