@@ -130,21 +130,27 @@ def lindblad_rhs(rho, jumps, offsets, drift, ham, has_ham):
     rho G = (G rho^dag)^dag for the Hermitian G = -K/2, and
     (A rho) A^dag = (A (A rho)^dag)^dag, so the dissipator is
     G rho + (G rho^dag + sum_k A_k (A_k rho)^dag)^dag.
+
+    Three separate n x n buffers, so the result frees the others:
+    ``inner`` sums the bracket; ``applied`` holds A_k rho and is the
+    products' scratch once it has been transposed into ``adjoint``;
+    ``adjoint`` is the scratch while ``applied`` is formed, and is returned.
     """
     n = rho.shape[0]
-    tmp, applied, adjoint, inner = np.empty((4, n, n), dtype=np.complex128)
-    out = np.empty((n, n), dtype=np.complex128)  # not a view: it outlives the scratch
+    applied = np.empty((n, n), dtype=np.complex128)
+    adjoint = np.empty((n, n), dtype=np.complex128)
+    inner = np.empty((n, n), dtype=np.complex128)
     np.conjugate(rho.T, out=adjoint)
-    _banded_product(drift.diags, drift.offsets, adjoint, inner, tmp, False)
+    _banded_product(drift.diags, drift.offsets, adjoint, inner, applied, False)
     for k, offs in enumerate(offsets):
-        _banded_product(jumps[k], offs, rho, applied, tmp, False)
+        _banded_product(jumps[k], offs, rho, applied, adjoint, False)
         np.conjugate(applied.T, out=adjoint)
-        _banded_product(jumps[k], offs, adjoint, inner, tmp, True)
-    np.conjugate(inner.T, out=out)
-    _banded_product(drift.diags, drift.offsets, rho, out, tmp, True)
+        _banded_product(jumps[k], offs, adjoint, inner, applied, True)
+    np.conjugate(inner.T, out=adjoint)
+    _banded_product(drift.diags, drift.offsets, rho, adjoint, applied, True)
     if has_ham:
-        out += -1j * (ham @ rho - rho @ ham)
-    return out
+        adjoint += -1j * (ham @ rho - rho @ ham)
+    return adjoint
 
 
 # not called here: rk4_chunk and its own reference _rhs are kept because

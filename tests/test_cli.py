@@ -104,6 +104,25 @@ class TestRateCommand:
         assert comments["seed"] == "7"
         assert set(comments) == {"tool", "command", "config_sha256", "seed"}
 
+    def test_digest_leaves_out_openssl(self, tmp_path):
+        # hashlib loads OpenSSL (_hashlib), about 3.6 MB resident in every
+        # process; the digest takes CPython's built-in sha256 instead
+        script = (
+            "import sys, spinbath.cli\n"
+            "code = spinbath.cli.main(sys.argv[1:])\n"
+            "assert code == 0, code\n"
+            "assert '_hashlib' not in sys.modules\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        argv = ["rate", "--config", str(ROOT / "configs" / "rate_uniform.json"),
+                "--out", str(tmp_path / "out.csv")]
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        comments, _, _ = parse_csv((tmp_path / "out.csv").read_text(encoding="utf-8"))
+        assert len(comments["config_sha256"]) == 64
+
     def test_seed_defaults_to_none(self, tmp_path):
         _, text = run_cli(tmp_path, z_pair_doc(), "rate")
         comments, _, _ = parse_csv(text)

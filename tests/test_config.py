@@ -1,6 +1,8 @@
 """Scenario document parsing, round-trips and digests."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from spinbath.config import (
     parse_config,
 )
 from spinbath.generator import CommonBath, IndependentBath
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def base_doc(**extra):
@@ -330,6 +334,14 @@ class TestRoundTrip:
         assert a != b
         assert len(a) == 64
         assert a == config_digest(parse_config(base_doc()))
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_digest_is_hashlib_sha256(self, name):
+        # the built-in sha256 the digest takes gives hashlib's bytes, on every
+        # shipped config
+        cfg = load_config(CONFIGS / name)
+        blob = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+        assert config_digest(cfg) == hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class TestLoadConfig:

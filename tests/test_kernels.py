@@ -687,7 +687,7 @@ def test_fixed_rows_are_not_copied():
     # n = 49 (j1 = j2 = 3) to t = 0.2 in steps of 5e-4: 401 rows, most
     # from one basis.  Each row is kept as the basis's samples made it, so
     # the allocations peak below the rows plus KRYLOV_DIM + 10 states (the
-    # stored basis and a right-hand side's five n x n arrays fit); a copy of
+    # stored basis and a right-hand side's three n x n arrays fit); a copy of
     # every row would take about twice the rows.  rho0 itself is copied
     # once, so no state aliases it
     gen, _, rho0 = _independent_case(3, 3, GAMMA_B, seed=5)
@@ -707,7 +707,7 @@ def test_fixed_rows_are_not_copied():
 def test_continued_basis_memory_is_the_stored_prefix():
     # n = 121, grown to LANCZOS_MAX vectors and combined into one state:
     # the allocations peak below KRYLOV_DIM + 10 vectors of n^2 (the stored
-    # basis, two Lanczos buffers, the state and a right-hand side's five
+    # basis, two Lanczos buffers, the state and a right-hand side's three
     # n x n arrays fit), where keeping every vector would take LANCZOS_MAX
     model = CommonBath(gamma=GAMMA_A, lam=1.4, axes=("x", "y", "z"))
     gen = build_generator(model, 5, 5)
@@ -721,3 +721,24 @@ def test_continued_basis_memory_is_the_stored_prefix():
     finally:
         tracemalloc.stop()
     assert peak <= (_kernels.KRYLOV_DIM + 10) * vector
+
+
+@pytest.mark.parametrize("bath", ["common", "independent"])
+def test_rhs_allocates_three_buffers(bath):
+    # one right-hand side at n = 289 (j1 = j2 = 8) allocates three n x n
+    # buffers and returns one of them; the bound, 3 n^2 complex numbers
+    # plus 256 KiB for the small arrays, was fixed before the first run
+    if bath == "common":
+        model = CommonBath(gamma=GAMMA_A, lam=1.4, axes=("x", "y", "z"))
+    else:
+        model = IndependentBath(gamma1=GAMMA_A, gamma2=GAMMA_B, axes=("x", "y", "z"))
+    gen = build_generator(model, 8, 8)
+    rho = random_density(np.random.default_rng(3), gen.dim)
+    tracemalloc.start()
+    try:
+        out = _kernels.lindblad_rhs(rho, *_args(gen))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (gen.dim, gen.dim)
+    assert peak <= 3 * gen.dim**2 * 16 + 256 * 1024
