@@ -8,8 +8,8 @@ operator.  ``krylov_propagator`` projects exp(tau L) rho onto the Krylov
 space of ``rho``, one right-hand side per basis vector, with ``pade_expm``
 for the small exponential; both integration modes of ``generator.evolve``
 take their states from it, at one tau or at a grid of times.  Its first
-``KRYLOV_DIM`` vectors come from Arnoldi and are stored; for a generator
-that is self-adjoint in the Hilbert-Schmidt inner product, adaptive
+``KRYLOV_DIM`` vectors come from Arnoldi and are stored; every generator
+is self-adjoint in the Hilbert-Schmidt inner product, and adaptive
 ``evolve`` has the basis continue by the Lanczos three-term recurrence, up
 to ``LANCZOS_MAX`` vectors, until it reaches t_final, and the vectors past
 the stored ones are regenerated when a state is formed instead of kept.
@@ -20,10 +20,12 @@ Arrays are complex128, ``rho`` (n, n).  A banded operator is stored
 row-aligned: ``diags[i, s]`` = A[i, i + offsets[s]], 0 where i + offsets[s]
 falls outside the matrix.  ``jumps`` stacks the k jumps' diagonals as
 (k, n, w), w the most any jump has, and jump k uses the first
-``len(offsets[k])`` columns; ``drift`` is the ``Banded`` -K/2.  ``ham`` is
-the dense (n, n) Hamiltonian or None when there is none, and ``has_ham`` is
-``ham is not None``.  Superoperators act on the row-major vec(rho), of
-length n^2.
+``len(offsets[k])`` columns; ``drift`` is the ``Banded`` -K/2.  ``ham`` and
+``has_ham`` are placeholder slots, always ``None`` and ``False``
+(``generator.Generator.kernel_args``): the kernels ignore them, and they stay
+only because perfbench's tracer reads the kernels' arguments by position
+(``has_ham`` is ``args[5]``); they go when that tracer does.  Superoperators
+act on the row-major vec(rho), of length n^2.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def _banded_product(diags, offsets, x, out, tmp, add):
 
 
 def lindblad_rhs(rho, jumps, offsets, drift, ham, has_ham):
-    """drho/dt = -i[H, rho] + sum_k A_k rho A_k^dag - (1/2){K, rho}.
+    """drho/dt = sum_k A_k rho A_k^dag - (1/2){K, rho}; ``ham``, ``has_ham`` unused.
 
     Every right product is taken as a left one, with no assumption that rho
     is Hermitian (Krylov vectors are Hermitian only to roundoff):
@@ -148,8 +150,6 @@ def lindblad_rhs(rho, jumps, offsets, drift, ham, has_ham):
         _banded_product(jumps[k], offs, adjoint, inner, applied, True)
     np.conjugate(inner.T, out=adjoint)
     _banded_product(drift.diags, drift.offsets, rho, adjoint, applied, True)
-    if has_ham:
-        adjoint += -1j * (ham @ rho - rho @ ham)
     return adjoint
 
 
@@ -175,12 +175,12 @@ def rk4_chunk(rho, jumps, offsets, drift, ham, has_ham, h, nsteps):
 
 # Krylov dimension m of the stored prefix: every basis builds span{rho,
 # L rho, ..., L^(m-1) rho} by Arnoldi from m right-hand sides and holds these
-# m vectors of n^2.  A restarted basis (fixed mode, or a generator that is
-# not self-adjoint) is this long, and a larger one supports a longer step;
-# a Lanczos continuation grows past it without storing more.  Right-hand
-# sides per unit time of restarted bases (m / tau over every step but the
-# last, each tau the largest its basis supports) on the adaptive benchmark
-# scenario (n = 121, tol 1e-10, to t = 2) at its seeds 0-3:
+# m vectors of n^2.  A restarted basis (fixed mode) is this long, and a
+# larger one supports a longer step; a Lanczos continuation grows past it
+# without storing more.  Right-hand sides per unit time of restarted bases
+# (m / tau over every step but the last, each tau the largest its basis
+# supports) on the adaptive benchmark scenario (n = 121, tol 1e-10, to
+# t = 2) at its seeds 0-3:
 #
 #     m                     10    12    14    16    18    20    24
 #     seed 0               167   107    79    71    62    53    39
@@ -214,15 +214,15 @@ KRYLOV_DIM = 16
 # at n = 121, t = 20 it is the fastest at seed 0 and 12 % behind 48 at seed 1.
 LANCZOS_MAX = 64
 
-# h_{j+1,j} at or below this multiple of ||K||_F + ||ham||_F is roundoff:
-# the basis has closed and the projection is exact
+# h_{j+1,j} at or below this multiple of ||K||_F is roundoff: the basis has
+# closed and the projection is exact
 BREAKDOWN_TOL = 1e-14
 
-# largest ||K||_F + ||ham||_F a basis is built for.  A right-hand side of a
-# unit vector has norm at most (sqrt(n) + 1) ||K||_F + 2 ||ham||_F, and its
-# squared norm must stay inside the float range (1.8e308); past this the
-# kernel raises OverflowError instead of letting an infinite scale close
-# every basis after one vector, with error 0
+# largest ||K||_F a basis is built for.  A right-hand side of a unit vector
+# has norm at most (sqrt(n) + 1) ||K||_F, and its squared norm must stay
+# inside the float range (1.8e308); past this the kernel raises
+# OverflowError instead of letting an infinite scale close every basis after
+# one vector, with error 0
 SCALE_MAX = 1e150
 
 
@@ -267,11 +267,10 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
     every other time one product with exp(spacing H); all states come from
     one (rows x m)(m x n^2) product.
 
-    ``lanczos_until``, a predicate on error functions, is for a generator
-    that is self-adjoint in the Hilbert-Schmidt inner product <X, Y> =
-    tr(X^dag Y), as one without a Hamiltonian is (its jumps are Hermitian,
-    ``generator.Generator``).  Then H is tridiagonal and the
-    basis follows the three-term recurrence beta_j v_{j+1} = L v_j -
+    ``lanczos_until`` is a predicate on error functions.  The generator is
+    self-adjoint in the Hilbert-Schmidt inner product <X, Y> = tr(X^dag Y)
+    (its jumps are Hermitian, ``generator.Generator``), so H is tridiagonal
+    and the basis follows the three-term recurrence beta_j v_{j+1} = L v_j -
     alpha_j v_j - beta_{j-1} v_{j-1} (Lanczos), which stays accurate for
     exp(tau L) rho without reorthogonalization (Druskin, Greenbaum and
     Knizhnerman, SIAM J. Sci. Comput. 19 (1998) 38).  When the
@@ -287,7 +286,7 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
     When the basis closes early (an invariant subspace, e.g. a stationary
     state) the projection is exact and the error is 0; rho = 0 spans
     nothing, its states are 0 and take no right-hand side.  A generator
-    with ||K||_F + ||H||_F above ``SCALE_MAX`` raises OverflowError, and an
+    with ||K||_F above ``SCALE_MAX`` raises OverflowError, and an
     offset with ||tau H||_inf above ``EXPM_NORM_MAX`` fails whatever the
     estimate.  Nothing is Hermitized or renormalized.
     """
@@ -301,7 +300,7 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
         )
     args = (jumps, offsets, drift, ham, has_ham)
     # row-aligned diagonals hold each entry of K / 2 once
-    scale = 2.0 * _frobenius(drift.diags) + (_frobenius(ham) if has_ham else 0.0)
+    scale = 2.0 * _frobenius(drift.diags)
     if not scale <= SCALE_MAX:
         raise OverflowError(f"generator norm {scale:.3e} is past the float range of a Krylov basis")
     floor = BREAKDOWN_TOL * scale

@@ -17,7 +17,9 @@ factored (``FactoredOperator``, from ``coupling_factors``), the pure-state
 paths apply them without building an n x n matrix, the ``Generator`` keeps
 each jump, and -K/2, on its few nonzero diagonals for the banded kernel
 (``_kernels.lindblad_rhs``), and ``default_step`` norms them from their
-d x d factors.  The one dense n x n operator is an optional Hamiltonian.
+d x d factors.  The dissipator is the whole generator, and its jumps are
+Hermitian, so every generator is self-adjoint and negative semidefinite in
+the Hilbert-Schmidt inner product.
 """
 
 from __future__ import annotations
@@ -92,18 +94,12 @@ def _check_axes(axes) -> tuple[str, ...]:
 
 # relative bounds: the asymmetry and lowest eigenvalue validate_damping allows,
 # the eigen-rate at or below which canonical_jumps drops a jump, and the
-# largest |A - A^dag| entry, relative to the largest |A| entry, of an operator
-# taken as Hermitian (a jump factor or a Hamiltonian)
+# largest |A - A^dag| entry, relative to the largest |A| entry, of a
+# ``FactoredOperator`` factor
 DAMPING_SYM_TOL = 1e-12
 DAMPING_EIG_FLOOR = -1e-12
 JUMP_RATE_TOL = 1e-15
 HERMITIAN_TOL = 1e-12
-
-
-def _check_hermitian(mat: np.ndarray, what: str) -> None:
-    """The one Hermiticity test: ValueError unless mat = mat^dag to ``HERMITIAN_TOL``."""
-    if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL * np.abs(mat).max():
-        raise ValueError(f"{what} is not Hermitian")
 
 
 def validate_damping(gamma, axes) -> np.ndarray:
@@ -185,8 +181,8 @@ class FactoredOperator:
     operator acts as X psi + psi Y^T: O(n d) work, and no n x n matrix.
     Every coupling and canonical jump operator of the models here has this
     form, and the library never builds its dense n x n view.  Each factor
-    must be Hermitian (to ``HERMITIAN_TOL``), or ValueError is raised, so
-    the operator is its own adjoint.
+    must be finite and Hermitian (to ``HERMITIAN_TOL``), or ValueError is
+    raised, so the operator is its own adjoint.
     """
 
     x: np.ndarray
@@ -199,7 +195,11 @@ class FactoredOperator:
         if [p.shape for p in parts] != [(d, d) for d in dims]:
             raise ValueError(f"factors of shapes {[p.shape for p in parts]} do not match dims {dims}")
         for p in parts:
-            _check_hermitian(p, "factor")
+            # a NaN fails every comparison, so the Hermiticity test alone would pass it
+            if not np.all(np.isfinite(p)):
+                raise ValueError("factor entries must be finite")
+            if np.abs(p - p.conj().T).max() > HERMITIAN_TOL * np.abs(p).max():
+                raise ValueError("factor is not Hermitian")
         object.__setattr__(self, "x", parts[0])
         object.__setattr__(self, "y", parts[1] if len(parts) == 2 else None)
         object.__setattr__(self, "dims", dims)
@@ -314,19 +314,15 @@ class Generator:
     0, +-1 and +-d2, or those of X alone on one ensemble), stacked (k, n, w),
     and -K/2 = -(1/2) sum_k A_k^2 on its own (at most 13), expanded from the
     Hermitian factors as X^2 (x) I + 2 X (x) Y + I (x) Y^2 per jump.  No
-    n x n matrix is built for either.  The optional Hamiltonian is the one
-    dense operator: an n x n array, held contiguous complex128, whose
-    entries must be finite and which must be Hermitian (to
-    ``HERMITIAN_TOL``), or ValueError is raised.
+    n x n matrix is built for either.
 
-    Every jump is Hermitian (``FactoredOperator``), so without a
-    Hamiltonian L = -(1/2) sum_k [A_k, [A_k, .]] is self-adjoint in the
-    Hilbert-Schmidt inner product, which lets ``evolve`` continue a Krylov
-    basis by the Lanczos recurrence.
+    Every jump is Hermitian (``FactoredOperator``), so L = -(1/2) sum_k
+    [A_k, [A_k, .]] is self-adjoint and negative semidefinite in the
+    Hilbert-Schmidt inner product, <X, L X> = -(1/2) sum_k ||[A_k, X]||_F^2,
+    which lets ``evolve`` continue a Krylov basis by the Lanczos recurrence.
     """
 
     jump_ops: list[FactoredOperator]
-    hamiltonian: np.ndarray | None
     dims: tuple[int, ...]
     _jumps: np.ndarray = field(init=False, repr=False)
     _offsets: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
@@ -338,14 +334,6 @@ class Generator:
         for op in self.jump_ops:
             if op.dim != n:
                 raise ValueError("jump operator dimension does not match dims")
-        if self.hamiltonian is not None:
-            ham = np.ascontiguousarray(self.hamiltonian, dtype=np.complex128)
-            if ham.shape != (n, n):
-                raise ValueError(f"hamiltonian of shape {ham.shape} does not match dims {self.dims}")
-            if not np.all(np.isfinite(ham)):
-                raise ValueError("hamiltonian entries must be finite")
-            _check_hermitian(ham, "hamiltonian")
-            self.hamiltonian = ham
         # a single ensemble is X (x) I_1
         eye1, eye2 = np.eye(self.dims[0]), np.eye(self.dims[1] if len(self.dims) == 2 else 1)
         bands, drift_terms = [], []
@@ -366,15 +354,15 @@ class Generator:
 
     @property
     def kernel_args(self) -> tuple:
-        """``(jumps, offsets, drift, ham, has_ham)``, the arguments every kernel takes after rho."""
-        ham = self.hamiltonian
-        return (self._jumps, self._offsets, self._drift, ham, ham is not None)
+        """``(jumps, offsets, drift, None, False)``, the arguments every kernel
+        takes after rho; the last two fill the kernels' placeholder slots."""
+        return (self._jumps, self._offsets, self._drift, None, False)
 
 
-def build_generator(model, j1, j2=None, hamiltonian: np.ndarray | None = None) -> Generator:
+def build_generator(model, j1, j2=None) -> Generator:
     """Canonical-form generator for a decoherence model on one or two ensembles."""
     jumps, dims = _canonical_jump_set(coupling_factors(model, j1, j2))
-    return Generator(jumps, hamiltonian, dims)
+    return Generator(jumps, dims)
 
 
 def _as_matrix(rho, dim: int | None = None) -> np.ndarray:
@@ -397,9 +385,9 @@ def rank_one_factors(jumps, psi) -> tuple[np.ndarray, np.ndarray]:
 
     U = [A_1 psi, ..., A_k psi, -K psi / 2, psi] and
     V = [A_1 psi, ..., A_k psi, psi, -K psi / 2] for the Hermitian
-    ``FactoredOperator`` jumps A_k of a generator without a Hamiltonian.  L
-    is linear, so the cross image L(psi phi^dag) is U_psi V_phi^dag, U from
-    psi's factors and V from phi's.  Uses operator-vector products alone:
+    ``FactoredOperator`` jumps A_k of a generator.  L is linear, so the
+    cross image L(psi phi^dag) is U_psi V_phi^dag, U from psi's factors and
+    V from phi's.  Uses operator-vector products alone:
     K = sum_k A_k^2 is applied as sum_k A_k (A_k psi) and never formed, and
     no n x n matrix is built.
     """
@@ -413,7 +401,7 @@ def rank_one_factors(jumps, psi) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_step(gen: Generator) -> float | None:
-    """Step 0.1 / (sum_k ||A_k||^2 + ||H||), None if free.
+    """Step 0.1 / sum_k ||A_k||^2, None if free.
 
     ``evolve``'s default grid step, and its first adaptive trial h.  Each
     jump's 2-norm is taken from its d x d factors as ||X||_2 + ||Y||_2 (or
@@ -422,15 +410,11 @@ def default_step(gen: Generator) -> float | None:
     every jump built here has factors that are real multiples of n.J, with
     spectra symmetric about 0, so the sum is ||A_k||_2 exactly.  For any
     other jump it is the triangle-inequality bound, which gives a shorter
-    step that is still valid.  No n x n array is built for a jump; the
-    Hamiltonian, already dense and checked Hermitian by the ``Generator``,
-    is normed as its largest |eigenvalue| (``eigvalsh``, no SVD).
+    step that is still valid.  No n x n array is built.
     """
     scale = 0.0
     for op in gen.jump_ops:
         scale += sum(float(np.linalg.norm(p, 2)) for p in (op.x, op.y) if p is not None) ** 2
-    if gen.hamiltonian is not None:
-        scale += float(np.abs(np.linalg.eigvalsh(gen.hamiltonian)).max())
     if scale <= 0.0:
         return None
     return 0.1 / scale
@@ -577,15 +561,14 @@ def evolve(
     (``_largest_step``, at no right-hand-side cost) takes the largest
     acceptable h <= t_final - t, to a relative precision of
     2^-``STEP_BISECTIONS``; each trial it refuses counts in
-    ``Trajectory.rejected``.  Without a Hamiltonian L is self-adjoint (its
-    jumps are Hermitian, see ``Generator``): a basis whose first
-    ``KRYLOV_DIM`` vectors do not reach t_final - t grows by the Lanczos
-    recurrence until the search would pass every trial of its doubling
-    ladder up to t_final - t (``_reaches``), or until it has
-    ``_kernels.LANCZOS_MAX`` vectors and the next basis restarts.  Such a
+    ``Trajectory.rejected``.  L is self-adjoint (its jumps are Hermitian,
+    see ``Generator``), so a basis whose first ``KRYLOV_DIM`` vectors do
+    not reach t_final - t grows by the Lanczos recurrence until the search
+    would pass every trial of its doubling ladder up to t_final - t
+    (``_reaches``), or until it has ``_kernels.LANCZOS_MAX`` vectors and
+    the next basis restarts.  Such a
     basis costs one right-hand side per vector, and forming its state one
-    more per vector past ``KRYLOV_DIM``.  A generator with a Hamiltonian
-    restarts every ``KRYLOV_DIM`` vectors, as Lanczos needs a self-adjoint L.
+    more per vector past ``KRYLOV_DIM``.
 
     Parameters
     ----------
@@ -715,15 +698,13 @@ def evolve(
         return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, nsteps, rejected)
 
     # adaptive Krylov steps of exp(h L): one basis per accepted step, and on
-    # it the largest h the tolerance allows.  Without a Hamiltonian the
-    # basis grows until that h is all of t_final - t
+    # it the largest h the tolerance allows.  The basis grows until that h
+    # is all of t_final - t
     accepted = 0
     while t < t_final * (1.0 - 1e-14):
         budget = tol * max(1.0, float(np.linalg.norm(rho)))
         remaining = t_final - t
-        until = None
-        if gen.hamiltonian is None:
-            until = functools.partial(_reaches, h=h, remaining=remaining, budget=budget, tiny=tiny)
+        until = functools.partial(_reaches, h=h, remaining=remaining, budget=budget, tiny=tiny)
         error, state, samples = propagator(rho, lanczos_until=until)
         h, refused = _largest_step(error, h, remaining, budget, tiny)
         rejected += refused

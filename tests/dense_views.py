@@ -21,24 +21,21 @@ def dense(op) -> np.ndarray:
 class DenseGenerator(NamedTuple):
     jumps: list[np.ndarray]
     ksum: np.ndarray
-    ham: np.ndarray | None
 
 
 def dense_generator(gen) -> DenseGenerator:
-    """The jumps A_k, K = sum_k A_k^dag A_k and the Hamiltonian (or None), dense."""
+    """The jumps A_k and K = sum_k A_k^dag A_k, dense."""
     jumps = [dense(op) for op in gen.jump_ops]
     ksum = np.zeros((gen.dim, gen.dim), dtype=np.complex128)
     for a in jumps:
         ksum += a.conj().T @ a
-    return DenseGenerator(jumps, ksum, gen.hamiltonian)
+    return DenseGenerator(jumps, ksum)
 
 
 def dense_rhs(gen, x: np.ndarray) -> np.ndarray:
-    """sum_k A_k X A_k^dag - (1/2){K, X} - i[H, X] from the dense view."""
+    """sum_k A_k X A_k^dag - (1/2){K, X} from the dense view."""
     view = dense_generator(gen)
     out = -0.5 * (view.ksum @ x + x @ view.ksum)
     for a in view.jumps:
         out += a @ x @ a.conj().T
-    if view.ham is not None:
-        out += -1j * (view.ham @ x - x @ view.ham)
     return out

@@ -102,8 +102,8 @@ def coupling_sets(bath: str, j1: float, j2, gamma1, gamma2, lam: float) -> list:
     return [(gamma1, left), (gamma2, right)]
 
 
-def dense_liouvillian(sets, ham=None) -> np.ndarray:
-    """(n^2, n^2) matrix of -i[H, rho] + the double-sum dissipators.
+def dense_liouvillian(sets) -> np.ndarray:
+    """(n^2, n^2) matrix of the double-sum dissipators.
 
     Column k is the master equation applied to the k-th row-major unit
     matrix, so it acts on the row-major vec(rho).
@@ -114,8 +114,6 @@ def dense_liouvillian(sets, ham=None) -> np.ndarray:
         unit = np.zeros((n, n), dtype=complex)
         unit.flat[k] = 1.0
         out = sum(dissipator_double_sum(gamma, ops, unit) for gamma, ops in sets)
-        if ham is not None:
-            out = out - 1j * (ham @ unit - unit @ ham)
         cols.append(out.reshape(n * n))
     return np.array(cols).T
 

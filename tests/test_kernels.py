@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from oracles import coupling_sets, dense_liouvillian, independent_exact, random_density, random_hermitian
+from oracles import coupling_sets, dense_liouvillian, independent_exact, random_density
 from spinbath import _kernels, generator
 from spinbath.generator import (
     GRID_TOL,
@@ -57,19 +57,14 @@ GAMMA_A = np.array([[1.0, 0.0, 0.3], [0.0, 0.5, 0.0], [0.3, 0.0, 0.25]])
 GAMMA_B = np.array([[0.5, 0.0, -0.15], [0.0, 0.75, 0.0], [-0.15, 0.0, 0.5]])
 
 
-def _case(bath, j, with_ham, seed=11):
-    rng = np.random.default_rng(seed)
+def _case(bath, j, seed=11):
     axes = ("x", "y", "z")
     if bath == "common":
         model = CommonBath(gamma=GAMMA_A, lam=1.4, axes=axes)
     else:
         model = IndependentBath(gamma1=GAMMA_A, gamma2=None if j == 0.5 else GAMMA_B, axes=axes)
-    j2 = None if j == 0.5 else j
-    gen = build_generator(model, j, j2)
-    if with_ham:
-        ham = 0.7 * random_hermitian(rng, gen.dim)
-        gen = build_generator(model, j, j2, hamiltonian=ham)
-    return gen, random_density(rng, gen.dim)
+    gen = build_generator(model, j, None if j == 0.5 else j)
+    return gen, random_density(np.random.default_rng(seed), gen.dim)
 
 
 def _args(gen):
@@ -77,18 +72,18 @@ def _args(gen):
 
 
 @pytest.mark.parametrize(
-    "j,with_ham,steps,stride",
-    [(1, True, 37, 5), (2, False, 37, 5), (1, True, 1451, 8), (1, True, 1451, 200)],
+    "j,steps,stride",
+    [(1, 37, 5), (2, 37, 5), (1, 1451, 8), (1, 1451, 200)],
     ids=["n9-37steps-stride5", "n25-37steps-stride5", "n9-1451steps-stride8", "n9-1451steps-stride200"],
 )
-def test_fixed_step_evolve_is_linear(j, with_ham, steps, stride):
+def test_fixed_step_evolve_is_linear(j, steps, stride):
     # ``steps`` default steps in rows of ``stride``, then h_last = 0.4 h; at
-    # stride 200 no basis reaches the next row, so every row follows
+    # stride 200 the first bases reach no row, so the first rows follow
     # sub-steps.  The error estimate is linear in rho0 and the budget is
     # proportional to max(1, ||rho||_F), so on states of Frobenius norm 4
     # and 2 every test and every sub-step is the same.  Halving is exact in
     # floating point, so half of rho0 gives half the states bit for bit
-    gen, rho = _case("common", j, with_ham)
+    gen, rho = _case("common", j)
     rho0 = (4.0 / np.linalg.norm(rho)) * rho
     h = default_step(gen)
     one = evolve(gen, rho0, (steps + 0.4) * h, step=h, stride=stride)
@@ -152,15 +147,23 @@ def _recorded_bases(monkeypatch, calls=None):
     return bases
 
 
-# common bath with a Hamiltonian at n = 9: five steps, none of whose bases
-# closes, and the first trial (step = t_final) is too long for the tolerance
-SEARCH_CASE = dict(t_final=2.0, step=2.0, tol=1e-10)
+# common bath at n = 9 with bases capped at KRYLOV_DIM vectors
+# (``_krylov_dim_bases``): three steps, none of whose bases closes, and the
+# first trial (step = t_final) is too long for the tolerance
+SEARCH_CASE = dict(t_final=16.0, step=16.0, tol=1e-10)
+
+
+def _krylov_dim_bases(monkeypatch):
+    # no Lanczos continuation: every adaptive basis stops at KRYLOV_DIM
+    # vectors, so a long run takes several
+    monkeypatch.setattr(_kernels, "LANCZOS_MAX", _kernels.KRYLOV_DIM)
 
 
 def test_adaptive_rhs_cost_is_krylov_dim_per_accepted_step(monkeypatch):
     # a basis costs KRYLOV_DIM right-hand sides and its trial steps none
+    _krylov_dim_bases(monkeypatch)
     calls = _counted_rhs(monkeypatch)
-    gen, rho0 = _case("common", 1, True)
+    gen, rho0 = _case("common", 1)
     traj = evolve(gen, rho0, SEARCH_CASE["t_final"], step=SEARCH_CASE["step"], tol=SEARCH_CASE["tol"])
     assert traj.accepted >= 2
     assert len(calls) == _kernels.KRYLOV_DIM * traj.accepted
@@ -171,8 +174,9 @@ def test_adaptive_steps_are_the_largest_each_basis_supports(monkeypatch):
     # next larger trial, within the search's precision 2^-STEP_BISECTIONS,
     # fails it, as does tau (1 + 2^-STEP_BISECTIONS) itself.  rejected
     # counts the failed trials
+    _krylov_dim_bases(monkeypatch)
     bases = _recorded_bases(monkeypatch)
-    gen, rho0 = _case("common", 1, True)
+    gen, rho0 = _case("common", 1)
     t_final, tol = SEARCH_CASE["t_final"], SEARCH_CASE["tol"]
     traj = evolve(gen, rho0, t_final, step=SEARCH_CASE["step"], tol=tol)
     assert len(bases) == traj.accepted
@@ -193,8 +197,9 @@ def test_adaptive_steps_are_the_largest_each_basis_supports(monkeypatch):
     assert refused == traj.rejected >= 1
 
 
-def test_adaptive_max_steps_bounds_steps_and_refused_trials():
-    gen, rho0 = _case("common", 1, True)
+def test_adaptive_max_steps_bounds_steps_and_refused_trials(monkeypatch):
+    _krylov_dim_bases(monkeypatch)
+    gen, rho0 = _case("common", 1)
     run = lambda cap: evolve(gen, rho0, SEARCH_CASE["t_final"], step=SEARCH_CASE["step"],  # noqa: E731
                              tol=SEARCH_CASE["tol"], max_steps=cap)
     traj = run(10_000)
@@ -205,15 +210,15 @@ def test_adaptive_max_steps_bounds_steps_and_refused_trials():
 
 
 def test_fixed_rejected_counts_every_refused_offset(monkeypatch):
-    # rows 0.4 apart at n = 9, a little more than one basis reaches, so
-    # bases alternate between one row and a sub-step: every basis
-    # samples once, and the first row it cannot give counts once.  A basis
-    # that gives no row takes one sub-step; its search's first trial is that
-    # row, and each trial it fails counts once.  Bases plus refusals fit
-    # max_steps exactly
+    # rows 4 apart at n = 9: the first basis reaches no row and takes one
+    # sub-step; its search's first trial is that row, and each trial it
+    # fails counts once.  The later bases, from states nearer the
+    # stationary ones, each give rows up to the first they cannot give,
+    # which counts once.  Every basis samples once.  Bases plus refusals
+    # fit max_steps exactly
     bases = _recorded_bases(monkeypatch)
-    gen, rho0 = _case("common", 1, True)
-    run = lambda cap: evolve(gen, rho0, 2.0, step=0.4, max_steps=cap)  # noqa: E731
+    gen, rho0 = _case("common", 1)
+    run = lambda cap: evolve(gen, rho0, 20.0, step=4.0, max_steps=cap)  # noqa: E731
     traj = run(10_000)
     refused = 0
     for rec in bases:
@@ -223,7 +228,7 @@ def test_fixed_rejected_counts_every_refused_offset(monkeypatch):
         assert len(rec["taken"]) == (given == 0)
     assert 0 < sum(len(rec["taken"]) for rec in bases) < len(bases)
     assert refused == traj.rejected
-    assert traj.times.tolist() == [0.4 * k for k in range(6)]
+    assert traj.times.tolist() == [4.0 * k for k in range(6)]
     used = len(bases) + traj.rejected
     assert run(used).rejected == traj.rejected
     with pytest.raises(IntegrationAbortError, match="exceeded max_steps"):
@@ -234,7 +239,7 @@ def test_one_step_run_takes_one_basis(monkeypatch):
     # step >= t_final at n = 9: the grid is t_final alone, and one basis
     # gives it at its first offset, with no sub-step and no refusal
     bases = _recorded_bases(monkeypatch)
-    gen, rho0 = _case("common", 1, True)
+    gen, rho0 = _case("common", 1)
     t_final = 0.5 * default_step(gen)
     traj = evolve(gen, rho0, t_final, step=2.0 * t_final)
     assert (traj.accepted, traj.rejected) == (1, 0)
@@ -249,7 +254,7 @@ def test_evolve_of_zero_is_zero(monkeypatch, tol):
     # exp(tL) 0 = 0: the adaptive path takes t_final in one step on a basis
     # that spans nothing and costs no right-hand side
     calls = _counted_rhs(monkeypatch)
-    gen, _ = _case("common", 1, True)
+    gen, _ = _case("common", 1)
     zero = np.zeros((gen.dim, gen.dim), dtype=np.complex128)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -311,18 +316,18 @@ class TestPadeExpm:
         assert np.array_equal(_kernels.pade_expm(zero), np.eye(size))
 
 
-# (bath, j1, j2, Hamiltonian) at n <= 25: x, y and z couplings with an xz
-# cross term in every damping matrix
+# (bath, j1, j2) at n <= 25: x, y and z couplings with an xz cross term in
+# every damping matrix
 ORACLE_CASES = [
-    ("independent", 0.5, None, True),
-    ("common", 1, 1, True),
-    ("independent", 1, 1.5, False),
-    ("common", 1.5, 1, False),
-    ("common", 2, 2, True),
+    ("independent", 0.5, None),
+    ("common", 1, 1),
+    ("independent", 1, 1.5),
+    ("common", 1.5, 1),
+    ("common", 2, 2),
 ]
 
 
-def _oracle_case(bath, j1, j2, with_ham, seed=23):
+def _oracle_case(bath, j1, j2, seed=23):
     """A generator from the package, the same model's dense Liouvillian from
     the independent double-sum construction, and a random state."""
     rng = np.random.default_rng(seed)
@@ -331,12 +336,9 @@ def _oracle_case(bath, j1, j2, with_ham, seed=23):
         model = CommonBath(gamma=GAMMA_A, lam=1.4, axes=axes)
     else:
         model = IndependentBath(gamma1=GAMMA_A, gamma2=None if j2 is None else GAMMA_B, axes=axes)
-    dims = tuple(int(2 * j + 1) for j in (j1, j2) if j is not None)
-    n = int(np.prod(dims))
-    ham = 0.7 * random_hermitian(rng, n) if with_ham else None
-    gen = build_generator(model, j1, j2, hamiltonian=ham)
-    lv = dense_liouvillian(coupling_sets(bath, j1, j2, GAMMA_A, GAMMA_B, 1.4), ham)
-    return gen, lv, random_density(rng, n)
+    gen = build_generator(model, j1, j2)
+    lv = dense_liouvillian(coupling_sets(bath, j1, j2, GAMMA_A, GAMMA_B, 1.4))
+    return gen, lv, random_density(rng, gen.dim)
 
 
 def _exact(lv, rho0, t):
@@ -362,7 +364,7 @@ def _grid_bound(tol, t, rho0):
     return tol * t * max(1.0, np.linalg.norm(rho0)) + 1e-13
 
 
-@pytest.mark.parametrize("bath,j1,j2,with_ham", ORACLE_CASES)
+@pytest.mark.parametrize("bath,j1,j2", ORACLE_CASES)
 class TestDenseLiouvillianOracle:
     """Every propagator against scipy's expm (or expm_multiply) of the dense Liouvillian.
 
@@ -376,8 +378,8 @@ class TestDenseLiouvillianOracle:
     """
 
     @pytest.mark.parametrize("kind", ["stage"])
-    def test_rk4_step(self, bath, j1, j2, with_ham, kind):
-        gen, lv, rho = _oracle_case(bath, j1, j2, with_ham)
+    def test_rk4_step(self, bath, j1, j2, kind):
+        gen, lv, rho = _oracle_case(bath, j1, j2)
         n = gen.dim
         h = default_step(gen)
         exact_step = scipy.linalg.expm(h * lv)
@@ -389,14 +391,28 @@ class TestDenseLiouvillianOracle:
             assert np.linalg.norm(got - want) <= remainder * np.linalg.norm(rho) + 1e-13
             rho = got
 
-    def test_rhs_matches_dense_liouvillian(self, bath, j1, j2, with_ham):
-        gen, lv, rho = _oracle_case(bath, j1, j2, with_ham)
+    def test_dense_liouvillian_is_self_adjoint_and_dissipative(self, bath, j1, j2):
+        # what the Lanczos continuation of every adaptive basis relies on,
+        # checked over the whole spectrum of the independent double-sum
+        # construction: with a real symmetric PSD gamma and Hermitian C_a,
+        # L is Hermitian as an n^2 x n^2 matrix (self-adjoint in the
+        # Hilbert-Schmidt inner product), its eigenvalues are <= 0, and
+        # L(I) = 0 makes the largest exactly 0.  Bounds: entries agree to
+        # 1e-13 of the largest, as in test_rhs_matches_dense_liouvillian,
+        # and eigvalsh is backward stable, within 1e-12 ||L||_2
+        _, lv, _ = _oracle_case(bath, j1, j2)
+        assert np.abs(lv - lv.conj().T).max() <= 1e-13 * max(1.0, np.abs(lv).max())
+        top = np.linalg.eigvalsh((lv + lv.conj().T) / 2).max()
+        assert abs(top) <= 1e-12 * max(1.0, np.linalg.norm(lv, 2))
+
+    def test_rhs_matches_dense_liouvillian(self, bath, j1, j2):
+        gen, lv, rho = _oracle_case(bath, j1, j2)
         n = gen.dim
         got = _kernels.lindblad_rhs(rho, *_args(gen))
         want = (lv @ rho.reshape(n * n)).reshape(n, n)
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
-    def test_samples_stop_at_first_failing_time(self, bath, j1, j2, with_ham):
+    def test_samples_stop_at_first_failing_time(self, bath, j1, j2):
         # one basis at rho0, started at t0 = 0.03 and sampled at 0.05, 0.10,
         # ..., 1.50 and 1.52, as ``evolve`` samples a grid.  The rows given
         # are the times before the first whose error exceeds budget * tau;
@@ -404,7 +420,7 @@ class TestDenseLiouvillianOracle:
         # exponential per tau, so both sides of the threshold get 1e-9
         # relative slack.  Each row is state(tau) up to rounding (1e-12
         # ||rho0||_F) and within _grid_bound of exp(tau L) rho0
-        gen, lv, rho0 = _oracle_case(bath, j1, j2, with_ham)
+        gen, lv, rho0 = _oracle_case(bath, j1, j2)
         error, state, samples = _kernels.krylov_propagator(rho0, *_args(gen))
         t0, times = 0.03, np.append(np.arange(1, 31) * 0.05, 1.52)
         budget = GRID_TOL * max(1.0, np.linalg.norm(rho0))
@@ -422,26 +438,26 @@ class TestDenseLiouvillianOracle:
             assert np.linalg.norm(row - state(tau)) <= 1e-12 * max(1.0, np.linalg.norm(rho0))
             assert np.linalg.norm(row - want) <= _grid_bound(GRID_TOL, tau, rho0)
 
-    def test_krylov_evolve(self, bath, j1, j2, with_ham):
-        gen, lv, rho0 = _oracle_case(bath, j1, j2, with_ham)
+    def test_krylov_evolve(self, bath, j1, j2):
+        gen, lv, rho0 = _oracle_case(bath, j1, j2)
         tol, t_final = 1e-10, 2.0
         traj = evolve(gen, rho0, t_final, tol=tol, stride=4)
         assert traj.times[-1] == t_final
         for t, state in zip(traj.times, traj.states):
             assert np.linalg.norm(state - _exact(lv, rho0, t)) <= tol * t_final
 
-    def test_fixed_grid_evolve(self, bath, j1, j2, with_ham):
+    def test_fixed_grid_evolve(self, bath, j1, j2):
         # 29 steps of 0.07 to t = 2 (the last one 0.04), a row every third
-        gen, lv, rho0 = _oracle_case(bath, j1, j2, with_ham)
+        gen, lv, rho0 = _oracle_case(bath, j1, j2)
         traj = evolve(gen, rho0, 2.0, step=0.07, stride=3)
         assert traj.accepted == 29
         assert traj.times.tolist() == [0.0] + [k * 0.07 for k in range(3, 29, 3)] + [2.0]
         for t, state, want in zip(traj.times, traj.states, _exact_rows(lv, rho0, traj.times)):
             assert np.linalg.norm(state - want) <= _grid_bound(GRID_TOL, t, rho0)
 
-    def test_evolve_partial_last_step(self, bath, j1, j2, with_ham):
+    def test_evolve_partial_last_step(self, bath, j1, j2):
         # 37 default steps in rows of stride 5, then h_last = 0.4 h
-        gen, lv, rho0 = _oracle_case(bath, j1, j2, with_ham)
+        gen, lv, rho0 = _oracle_case(bath, j1, j2)
         h = default_step(gen)
         traj = evolve(gen, rho0, 37.4 * h, step=h, stride=5)
         assert traj.accepted == 38
@@ -449,8 +465,8 @@ class TestDenseLiouvillianOracle:
         (want,) = _exact_rows(lv, rho0, [37.4 * h])
         assert np.linalg.norm(traj.states[-1] - want) <= _grid_bound(GRID_TOL, 37.4 * h, rho0)
 
-    def test_fixed_grid_sub_steps(self, monkeypatch, bath, j1, j2, with_ham):
-        # a tighter GRID_TOL and a first row at 1.5: past the 0.11-1.2 a
+    def test_fixed_grid_sub_steps(self, monkeypatch, bath, j1, j2):
+        # a tighter GRID_TOL and a first row at 3: past the 0.48-2.3 a
         # basis of these cases reaches at 1e-13 unless it closes
         # (n^2 <= KRYLOV_DIM), so rows follow sub-steps from _largest_step,
         # whose refused trials count as rejected
@@ -463,20 +479,21 @@ class TestDenseLiouvillianOracle:
 
         monkeypatch.setattr(generator, "GRID_TOL", 1e-13)
         monkeypatch.setattr(generator, "_largest_step", counted)
-        gen, lv, rho0 = _oracle_case(bath, j1, j2, with_ham)
-        traj = evolve(gen, rho0, 2.0, step=0.5, stride=3)
+        gen, lv, rho0 = _oracle_case(bath, j1, j2)
+        traj = evolve(gen, rho0, 4.0, step=1.0, stride=3)
         closes = gen.dim**2 <= _kernels.KRYLOV_DIM
         assert (len(searches) > 0, traj.rejected > 0) == (not closes, not closes)
         assert traj.accepted == 4
-        assert traj.times.tolist() == [0.0, 1.5, 2.0]
+        assert traj.times.tolist() == [0.0, 3.0, 4.0]
         for t, state, want in zip(traj.times, traj.states, _exact_rows(lv, rho0, traj.times)):
             assert np.linalg.norm(state - want) <= _grid_bound(1e-13, t, rho0)
 
 
 # 1,451 default steps and a partial one of 0.4 h at n = 9 (1,452 steps, rows
 # at k stride h for k stride <= 1,451, then t_final): stride 1 records
-# every step, 3 and 8 leave a short last row gap, 200 puts rows past the
-# reach of one basis (they follow sub-steps), and 2,000 records t_final alone
+# every step, 3 and 8 leave a short last row gap, 200 puts the first rows
+# past the reach of one basis (they follow sub-steps), and 2,000 records
+# t_final alone
 POWER_STEPS = 1451
 
 
@@ -484,7 +501,7 @@ POWER_STEPS = 1451
 def test_strided_evolve_agrees_with_exact_rows(stride):
     # bound fixed before running, as in test_fixed_grid_evolve: every row
     # within _grid_bound of exp(t L) rho0 at its grid time k stride h
-    gen, lv, rho0 = _oracle_case("common", 1, 1, True)
+    gen, lv, rho0 = _oracle_case("common", 1, 1)
     h = default_step(gen)
     t_final = (POWER_STEPS + 0.4) * h
     traj = evolve(gen, rho0, t_final, step=h, stride=stride)
@@ -494,20 +511,15 @@ def test_strided_evolve_agrees_with_exact_rows(stride):
         assert np.linalg.norm(state - want) <= _grid_bound(GRID_TOL, t, rho0)
 
 
-# self-adjoint generators (no Hamiltonian) at n = 12 to 25: x, y and z
-# couplings with an xz cross term in every damping matrix
+# generators at n = 12 to 25, whose bases do not close within KRYLOV_DIM
+# vectors: x, y and z couplings with an xz cross term in every damping
+# matrix
 LANCZOS_CASES = [
     ("independent", 1, 1.5),
     ("common", 1.5, 1),
     ("common", 2, 2),
     ("independent", 2, 2),
 ]
-
-
-def _self_adjoint_case(bath, j1, j2):
-    gen, lv, rho0 = _oracle_case(bath, j1, j2, False)
-    assert gen.hamiltonian is None
-    return gen, lv, rho0
 
 
 @pytest.mark.parametrize("t_final", [3.0, 30.0])
@@ -521,7 +533,7 @@ def test_lanczos_evolve_matches_dense_expm(monkeypatch, bath, j1, j2, t_final):
     # as each step commits an estimated error of at most tol per unit time
     calls = _counted_rhs(monkeypatch)
     bases = _recorded_bases(monkeypatch, calls)
-    gen, lv, rho0 = _self_adjoint_case(bath, j1, j2)
+    gen, lv, rho0 = _oracle_case(bath, j1, j2)
     tol = 1e-10
     traj = evolve(gen, rho0, t_final, tol=tol)
     vectors = [rec["vectors"] for rec in bases]
@@ -540,7 +552,7 @@ def test_lanczos_basis_stops_at_its_cap_and_restarts(monkeypatch):
     # vectors.  Bound as in test_lanczos_evolve_matches_dense_expm
     calls = _counted_rhs(monkeypatch)
     bases = _recorded_bases(monkeypatch, calls)
-    gen, lv, rho0 = _self_adjoint_case("common", 2, 2)
+    gen, lv, rho0 = _oracle_case("common", 2, 2)
     tol, t_final = 1e-12, 30.0
     traj = evolve(gen, rho0, t_final, tol=tol)
     assert bases[0]["vectors"] == _kernels.LANCZOS_MAX
@@ -557,7 +569,7 @@ def test_basis_accepted_at_krylov_dim_is_the_arnoldi_basis(bath, j1, j2):
     # a predicate that accepts the first KRYLOV_DIM vectors is asked once
     # and leaves the basis, its error and its states as without one, bit
     # for bit
-    gen, _, rho0 = _self_adjoint_case(bath, j1, j2)
+    gen, _, rho0 = _oracle_case(bath, j1, j2)
     plain = _kernels.krylov_propagator(rho0, *_args(gen))
     asked = []
     kept = _kernels.krylov_propagator(rho0, *_args(gen), lanczos_until=lambda e: asked.append(e) or True)
@@ -576,7 +588,7 @@ def test_continued_basis_regenerates_its_vectors(monkeypatch):
     # state(tau) (bounds fixed before running, as in
     # TestDenseLiouvillianOracle)
     calls = _counted_rhs(monkeypatch)
-    gen, lv, rho0 = _self_adjoint_case("common", 2, 2)
+    gen, lv, rho0 = _oracle_case("common", 2, 2)
     asked = []
     error, state, samples = _kernels.krylov_propagator(
         rho0, *_args(gen), lanczos_until=lambda e: asked.append(e) or False
@@ -596,19 +608,19 @@ def test_continued_basis_regenerates_its_vectors(monkeypatch):
 
 def test_factor_hermitian_to_roundoff_takes_the_lanczos_path(monkeypatch):
     # a jump factor with a relative asymmetry of 1e-14 is Hermitian to
-    # HERMITIAN_TOL, so the generator, which has no Hamiltonian, is taken as
-    # self-adjoint: n = 25 to t = 3 at tol 1e-10, where the first KRYLOV_DIM
+    # HERMITIAN_TOL, so the generator is taken as self-adjoint: n = 25 to
+    # t = 3 at tol 1e-10, where the first KRYLOV_DIM
     # vectors do not reach t_final, continues its basis by Lanczos.  The
     # asymmetry moves L by about 1e-13, so the unperturbed model's dense
     # Liouvillian is the oracle, with the bound of
     # test_lanczos_evolve_matches_dense_expm
     bases = _recorded_bases(monkeypatch, _counted_rhs(monkeypatch))
-    gen, lv, rho0 = _self_adjoint_case("common", 2, 2)
+    gen, lv, rho0 = _oracle_case("common", 2, 2)
     first = gen.jump_ops[0]
     x = first.x.copy()
     x[0, 1] += 1e-14 * np.abs(x).max()
     assert not np.array_equal(x, x.conj().T)
-    skewed = Generator([FactoredOperator(x, first.y, first.dims)] + gen.jump_ops[1:], None, gen.dims)
+    skewed = Generator([FactoredOperator(x, first.y, first.dims)] + gen.jump_ops[1:], gen.dims)
     tol, t_final = 1e-10, 3.0
     traj = evolve(skewed, rho0, t_final, tol=tol)
     assert all(rec["lanczos"] for rec in bases)
@@ -655,7 +667,10 @@ def test_evolve_matches_independent_oracle(monkeypatch, mode, j1, j2, gamma2):
     # 0.05 to t = 0.5, a row every step.  Bounds fixed before running: every
     # row within tol t max(1, ||rho0||_F) + 1e-13 (Frobenius), tol =
     # GRID_TOL in fixed mode.  At n = 169 an adaptive basis continues past
-    # KRYLOV_DIM vectors
+    # KRYLOV_DIM vectors.  The exact purity never grows (<X, L X> <= 0), and
+    # a row within g of the exact state, of norm at most ||rho0||_F, has its
+    # S_lin within g (2 ||rho0||_F + g) of the exact one, so S_lin falls
+    # from row to row by no more than the two rows' sum of that
     bases = _recorded_bases(monkeypatch, _counted_rhs(monkeypatch))
     gen, exact, rho0 = _independent_case(j1, j2, gamma2)
     if mode == "adaptive":
@@ -669,6 +684,9 @@ def test_evolve_matches_independent_oracle(monkeypatch, mode, j1, j2, gamma2):
         traj = evolve(gen, rho0, t_final, step=0.05)
         assert traj.times.tolist() == [k * 0.05 for k in range(10)] + [t_final]
     assert traj.times[-1] == t_final
+    bound = _grid_bound(tol, traj.times, rho0)
+    slack = bound * (2.0 * np.linalg.norm(rho0) + bound)
+    assert np.all(np.diff(traj.s_lin) >= -(slack[:-1] + slack[1:]))
     for t, state in zip(traj.times, traj.states):
         assert np.linalg.norm(state - exact(rho0, t)) <= _grid_bound(tol, t, rho0)
 

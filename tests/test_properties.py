@@ -2,13 +2,13 @@
 
 Drawn: a random PSD damping matrix gamma = B B^T (rank 1 to 3), lambda in
 [0, 2], j1, j2 <= 2 (j1, j2 <= 1 for complete positivity, which evolves
-every matrix unit), both bath kinds, with or without a random Hamiltonian.
-Tolerances fixed before the first run; ``scale`` = 1 + ||ksum|| + ||H||
-bounds the generator's norm, so roundoff grows with it.  The factored
-operators (X (x) I + I (x) Y) are drawn at j1, j2 <= 3 for common,
-independent and single-ensemble baths and checked against the dense builders,
-the generator built from their jumps against the literal double sum, and
-``default_step`` against the SVD of each dense jump.
+every matrix unit), both bath kinds.  Tolerances fixed before the first
+run; ``scale`` = 1 + ||ksum|| bounds the generator's norm, so roundoff
+grows with it.  The factored operators (X (x) I + I (x) Y) are drawn at
+j1, j2 <= 3 for common, independent and single-ensemble baths and checked
+against the dense builders, the generator built from their jumps against
+the literal double sum, and ``default_step`` against the SVD of each dense
+jump.
 """
 
 import math
@@ -66,21 +66,17 @@ def models(draw, spins=SPINS):
     return model, j1, j2, float(np.trace(gamma1) + np.trace(gamma2))
 
 
-def _generator(drawn, seed, with_ham):
+def _generator(drawn):
     model, j1, j2, _ = drawn
     gen = build_generator(model, j1, j2)
-    if with_ham:
-        rng = np.random.default_rng(seed)
-        gen = build_generator(model, j1, j2, hamiltonian=random_hermitian(rng, gen.dim))
-    view = dense_generator(gen)
-    scale = 1.0 + np.linalg.norm(view.ksum, 2) + (np.linalg.norm(view.ham, 2) if with_ham else 0.0)
+    scale = 1.0 + np.linalg.norm(dense_generator(gen).ksum, 2)
     return gen, gen.kernel_args, scale
 
 
 @DETERMINISTIC
-@given(models(), SEEDS, st.booleans())
-def test_rhs_is_traceless_and_hermitian(drawn, seed, with_ham):
-    gen, args, scale = _generator(drawn, seed, with_ham)
+@given(models(), SEEDS)
+def test_rhs_is_traceless_and_hermitian(drawn, seed):
+    gen, args, scale = _generator(drawn)
     x = random_hermitian(np.random.default_rng(seed + 1), gen.dim)
     out = _kernels.lindblad_rhs(x, *args)
     tol = 1e-12 * scale * np.linalg.norm(x)
@@ -90,8 +86,8 @@ def test_rhs_is_traceless_and_hermitian(drawn, seed, with_ham):
 
 @pytest.mark.parametrize("kind", ["krylov", "samples", "stage"])
 @DETERMINISTIC
-@given(models(), SEEDS, st.booleans(), st.floats(0.01, 1.0))
-def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, with_ham, step):
+@given(models(), SEEDS, st.floats(0.01, 1.0))
+def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, step):
     # no renormalization on any step.  The jumps are Hermitian, so
     # ||L||_2 <= 2 scale and x = tau ||L|| <= 2 step.
     # Krylov: exp(tau L) keeps trace and Hermiticity, and the Krylov basis of
@@ -107,7 +103,7 @@ def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, with_ham, step):
     # norm at most e^x, with the right-hand side's roundoff 1e-12 scale ||X||
     # (test_rhs_is_traceless_and_hermitian) weighted by at most tau <=
     # step / scale <= 1 / scale: 4e-12 e^x in all
-    gen, args, scale = _generator(drawn, seed, with_ham)
+    gen, args, scale = _generator(drawn)
     rho = random_density(np.random.default_rng(seed + 1), gen.dim)
     tau = step / scale
     x = 2.0 * step
@@ -134,8 +130,8 @@ CHOI_SLACK = 10.0
 
 
 @DETERMINISTIC
-@given(models(st.sampled_from([0.5, 1])), SEEDS, st.booleans(), st.floats(0.01, 1.0))
-def test_adaptive_evolve_is_completely_positive(drawn, seed, with_ham, tau):
+@given(models(st.sampled_from([0.5, 1])), st.floats(0.01, 1.0))
+def test_adaptive_evolve_is_completely_positive(drawn, tau):
     # exp(tau L) is completely positive, so its Choi matrix
     # C = sum_ab E_ab (x) Phi(E_ab) is positive semidefinite (Choi, Linear
     # Algebra Appl. 10 (1975) 285); Phi is the adaptive evolve to tau.
@@ -145,7 +141,7 @@ def test_adaptive_evolve_is_completely_positive(drawn, seed, with_ham, tau):
     # the error of C is at most n 2 tol tau in Frobenius norm, and by Weyl
     # no eigenvalue moves further.  c = CHOI_SLACK = 10 leaves a factor 5
     # for the error estimate falling short of the true error
-    gen, _, _ = _generator(drawn, seed, with_ham)
+    gen, _, _ = _generator(drawn)
     n, tol = gen.dim, 1e-10
     choi = np.zeros((n, n, n, n), dtype=np.complex128)
     for a in range(n):
@@ -317,17 +313,14 @@ def test_generator_matches_double_sum_oracle(drawn, seed):
 
 
 # the banded kernel's bound against the dense assembly, fixed before its
-# first run: ||got - want||_F <= BANDED_RHS_TOL (1 + ||K||_F + ||H||_F) ||X||_F
+# first run: ||got - want||_F <= BANDED_RHS_TOL (1 + ||K||_F) ||X||_F
 BANDED_RHS_TOL = 1e-13
 
 
 def _check_banded_rhs(gen, x):
     # lindblad_rhs on the generator's nonzero diagonals against
-    # sum_k A_k X A_k^dag - (1/2){K, X} - i[H, X] assembled from
-    # dense_views.dense
-    view = dense_generator(gen)
-    ham = 0.0 if view.ham is None else np.linalg.norm(view.ham)
-    bound = BANDED_RHS_TOL * (1.0 + np.linalg.norm(view.ksum) + ham) * np.linalg.norm(x)
+    # sum_k A_k X A_k^dag - (1/2){K, X} assembled from dense_views.dense
+    bound = BANDED_RHS_TOL * (1.0 + np.linalg.norm(dense_generator(gen).ksum)) * np.linalg.norm(x)
     got = _kernels.lindblad_rhs(x, *gen.kernel_args)
     assert np.linalg.norm(got - dense_rhs(gen, x)) <= bound
 
@@ -337,17 +330,14 @@ def _non_hermitian(rng, n):
 
 
 @DETERMINISTIC
-@given(factor_models(), SEEDS, st.booleans())
-def test_banded_rhs_matches_dense_assembly(drawn, seed, with_ham):
+@given(factor_models(), SEEDS)
+def test_banded_rhs_matches_dense_assembly(drawn, seed):
     # correlated damping of rank 1-3, lambda in [0, 2], common, independent
-    # and single-ensemble baths at j <= 3, with or without a Hamiltonian, on
-    # a non-Hermitian X (no right product may assume X = X^dag)
+    # and single-ensemble baths at j <= 3, on a non-Hermitian X (no right
+    # product may assume X = X^dag)
     model, j1, j2 = drawn
     gen = build_generator(model, j1, j2)
-    rng = np.random.default_rng(seed)
-    if with_ham:
-        gen = build_generator(model, j1, j2, hamiltonian=random_hermitian(rng, gen.dim))
-    _check_banded_rhs(gen, _non_hermitian(rng, gen.dim))
+    _check_banded_rhs(gen, _non_hermitian(np.random.default_rng(seed), gen.dim))
 
 
 # x, y, z damping with an xz cross term: a common bath's x-z jumps lie on 5
@@ -356,11 +346,11 @@ GAMMA_XZ = np.array([[1.0, 0.0, 0.3], [0.0, 0.5, 0.0], [0.3, 0.0, 0.25]])
 
 
 @pytest.mark.parametrize(
-    "bath,j,with_ham",
-    [("common", 5, True), ("independent", 5, False), ("common", 8, False), ("independent", 8, True)],
-    ids=["common-n121-ham", "independent-n121", "common-n289", "independent-n289-ham"],
+    "bath,j",
+    [("common", 5), ("independent", 5), ("common", 8), ("independent", 8)],
+    ids=["common-n121", "independent-n121", "common-n289", "independent-n289"],
 )
-def test_banded_rhs_matches_dense_assembly_at_size(bath, j, with_ham):
+def test_banded_rhs_matches_dense_assembly_at_size(bath, j):
     # the property's bound at the sizes simulate runs
     if bath == "common":
         model = CommonBath(gamma=GAMMA_XZ, lam=1.4, axes=AXES)
@@ -368,8 +358,6 @@ def test_banded_rhs_matches_dense_assembly_at_size(bath, j, with_ham):
         model = IndependentBath(gamma1=GAMMA_XZ, gamma2=np.diag([0.5, 0.75, 0.5]), axes=AXES)
     gen = build_generator(model, j, j)
     rng = np.random.default_rng(j)
-    if with_ham:
-        gen = build_generator(model, j, j, hamiltonian=random_hermitian(rng, gen.dim))
     assert max(len(offs) for offs in gen.kernel_args[1]) <= 5
     assert len(gen.kernel_args[2].offsets) <= 13
     _check_banded_rhs(gen, _non_hermitian(rng, gen.dim))
@@ -423,17 +411,13 @@ DEFAULT_STEP_TOL = 1e-14
 
 
 @DETERMINISTIC
-@given(factor_models(), SEEDS, st.booleans())
-def test_default_step_matches_dense_svd(drawn, seed, with_ham):
-    # 0.1 / (sum_k ||A_k||_2^2 + ||H||_2) with each ||A_k||_2 the largest
-    # singular value of kron(X, I) + kron(I, Y); None when the scale is 0
+@given(factor_models())
+def test_default_step_matches_dense_svd(drawn):
+    # 0.1 / sum_k ||A_k||_2^2 with each ||A_k||_2 the largest singular value
+    # of kron(X, I) + kron(I, Y); None when the scale is 0
     model, j1, j2 = drawn
     gen = build_generator(model, j1, j2)
     scale = sum(float(np.linalg.norm(dense(op), 2)) ** 2 for op in gen.jump_ops)
-    if with_ham:
-        ham = random_hermitian(np.random.default_rng(seed), gen.dim)
-        gen = build_generator(model, j1, j2, hamiltonian=ham)
-        scale += float(np.linalg.norm(ham, 2))
     step = default_step(gen)
     if scale == 0.0:
         assert step is None
@@ -443,12 +427,13 @@ def test_default_step_matches_dense_svd(drawn, seed, with_ham):
 
 @DETERMINISTIC
 @given(factor_models(), SEEDS)
-def test_generator_without_hamiltonian_is_self_adjoint(drawn, seed):
-    # every jump the library builds is Hermitian, so L = -(1/2) sum_k [A_k,
-    # [A_k, .]] is self-adjoint in <X, Y> = tr(X^dag Y), which lets evolve
-    # continue a basis by Lanczos.  Bound fixed before the first run: both
-    # sides round by at most 1e-12 (1 + ||K||_F) ||X||_F ||Y||_F for random
-    # complex X and Y
+def test_generator_is_self_adjoint(drawn, seed):
+    # every jump is Hermitian, so L = -(1/2) sum_k [A_k, [A_k, .]] is
+    # self-adjoint in <X, Y> = tr(X^dag Y), which lets evolve continue a
+    # basis by Lanczos, and negative semidefinite: <X, L X> = -(1/2) sum_k
+    # ||[A_k, X]||_F^2 <= 0, so tr rho^2 never grows and S_lin(t) never
+    # falls.  Bound fixed before the first run: each side rounds by at most
+    # 1e-12 (1 + ||K||_F) ||X||_F ||Y||_F for random complex X and Y
     model, j1, j2 = drawn
     gen = build_generator(model, j1, j2)
     rng = np.random.default_rng(seed)
@@ -456,3 +441,4 @@ def test_generator_without_hamiltonian_is_self_adjoint(drawn, seed):
     gap = abs(np.vdot(x, apply_generator(gen, y)) - np.vdot(apply_generator(gen, x), y))
     scale = 1.0 + np.linalg.norm(dense_generator(gen).ksum)
     assert gap <= 1e-12 * scale * np.linalg.norm(x) * np.linalg.norm(y)
+    assert np.vdot(x, apply_generator(gen, x)).real <= 1e-12 * scale * np.linalg.norm(x) ** 2
