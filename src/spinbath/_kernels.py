@@ -4,17 +4,21 @@
 A_k, from its few nonzero diagonals: each jump X (x) I + I (x) Y of
 tridiagonal spin factors lies on at most 5 diagonals and K on at most 13,
 so a right-hand side costs O(n^2) per diagonal and never forms an n x n
-operator.  ``krylov_propagator`` projects exp(tau L) rho onto the Krylov
-space of ``rho``, one right-hand side per basis vector, with ``pade_expm``
-for the small exponential; both integration modes of ``generator.evolve``
-take their states from it, at one tau or at a grid of times.  Its first
-``KRYLOV_DIM`` vectors come from Arnoldi and are stored; every generator
-is self-adjoint in the Hilbert-Schmidt inner product, and adaptive
-``evolve`` has the basis continue by the Lanczos three-term recurrence, up
-to ``LANCZOS_MAX`` vectors, until it reaches t_final, and the vectors past
-the stored ones are regenerated when a state is formed instead of kept.
-Every state is a linear map of rho: nothing is Hermitized or renormalized,
-so trace and Hermiticity drift shows in the result.
+operator; given a workspace it allocates nothing.  ``krylov_propagator``
+projects exp(tau L) rho onto the Krylov space of ``rho``, one right-hand
+side per basis vector, all written into one workspace per basis; both
+integration modes of ``generator.evolve`` take their states from it, at
+one tau or at a grid of times.  Its first ``KRYLOV_DIM`` vectors come from
+Arnoldi and are stored; every generator is self-adjoint in the
+Hilbert-Schmidt inner product, and adaptive ``evolve`` has the basis
+continue by the Lanczos three-term recurrence, up to ``LANCZOS_MAX``
+vectors, until it reaches t_final, and the vectors past the stored ones
+are regenerated when a state is formed instead of kept.  The projected
+generator is then tridiagonal up to roundoff, and one ``eigh`` of its real
+tridiagonal part per basis length gives every state and error estimate in
+O(m) per time, with no matrix exponential.  Every state is a linear map of
+rho: nothing is Hermitized or renormalized, so trace and Hermiticity drift
+shows in the result.
 
 Arrays are complex128, ``rho`` (n, n).  A banded operator is stored
 row-aligned: ``diags[i, s]`` = A[i, i + offsets[s]], 0 where i + offsets[s]
@@ -43,7 +47,6 @@ __all__ = [
     "rk4_chunk",
     "KRYLOV_DIM",
     "krylov_propagator",
-    "pade_expm",
 ]
 
 
@@ -124,7 +127,7 @@ def _banded_product(diags, offsets, x, out, tmp, add):
         out.fill(0.0)
 
 
-def lindblad_rhs(rho, jumps, offsets, drift, ham, has_ham):
+def lindblad_rhs(rho, jumps, offsets, drift, ham, has_ham, *, work=None):
     """drho/dt = sum_k A_k rho A_k^dag - (1/2){K, rho}; ``ham``, ``has_ham`` unused.
 
     Every right product is taken as a left one, with no assumption that rho
@@ -133,15 +136,18 @@ def lindblad_rhs(rho, jumps, offsets, drift, ham, has_ham):
     (A rho) A^dag = (A (A rho)^dag)^dag, so the dissipator is
     G rho + (G rho^dag + sum_k A_k (A_k rho)^dag)^dag.
 
-    Three separate n x n buffers, so the result frees the others:
-    ``inner`` sums the bracket; ``applied`` holds A_k rho and is the
-    products' scratch once it has been transposed into ``adjoint``;
-    ``adjoint`` is the scratch while ``applied`` is formed, and is returned.
+    Three n x n buffers: ``inner`` sums the bracket; ``applied`` holds
+    A_k rho and is the products' scratch once it has been transposed into
+    ``adjoint``; ``adjoint`` is the scratch while ``applied`` is formed, and
+    is returned.  ``work``, a (3, n, n) complex array that does not overlap
+    ``rho``, holds them as ``adjoint, applied, inner``: nothing is
+    allocated and the result is ``work[0]``.  Without it the three are
+    allocated separately, so the result frees the others.
     """
     n = rho.shape[0]
-    applied = np.empty((n, n), dtype=np.complex128)
-    adjoint = np.empty((n, n), dtype=np.complex128)
-    inner = np.empty((n, n), dtype=np.complex128)
+    if work is None:
+        work = [np.empty((n, n), dtype=np.complex128) for _ in range(3)]
+    adjoint, applied, inner = work
     np.conjugate(rho.T, out=adjoint)
     _banded_product(drift.diags, drift.offsets, adjoint, inner, applied, False)
     for k, offs in enumerate(offsets):
@@ -195,24 +201,25 @@ KRYLOV_DIM = 16
 
 # most vectors a Lanczos continuation (``krylov_propagator``'s
 # ``lanczos_until``) grows a basis to.  Bases / right-hand sides, and the
-# evolve time in ms (best of 3, one BLAS thread, 2 vCPUs), of the adaptive
-# benchmark model (tol 1e-10) against the cap:
+# evolve time in ms (best of 5, of 3 at n = 289; one BLAS thread, 2 vCPUs),
+# of the adaptive benchmark model (tol 1e-10) against the cap:
 #
-#     cap                            32        48        64        96       128
-#     n = 121, t = 2, seeds 0-3    2/88-92   1/76-80   1/76-80   1/76-80   1/76-80
-#     n = 121, t = 20, seed 0      7/328     4/276     3/246     2/232     1/196
-#                                  654 ms    508 ms    488 ms    526 ms    560 ms
-#     n = 121, t = 20, seed 1      8/352     4/302     3/278     2/254     1/220
-#                                  873 ms    702 ms    788 ms    971 ms   1732 ms
-#     n = 289, t = 2, seed 0       4/176     2/150     2/144     1/132     1/132
-#                                 2645 ms   2043 ms   1853 ms   1757 ms   1447 ms
+#     cap                            48        64        96       128       192       256
+#     n = 121, t = 2, seeds 0-3    1/76-80   1/76-80   1/76-80   1/76-80   1/76-80   1/76-80
+#     n = 121, t = 20, seed 0      4/278     3/246     2/232     1/196     1/196     1/196
+#                                  397 ms    400 ms    392 ms    362 ms    391 ms    383 ms
+#     n = 121, t = 20, seed 1      4/302     3/278     2/254     1/220     1/220     1/220
+#                                  748 ms    628 ms    619 ms    541 ms    571 ms    609 ms
+#     n = 289, t = 2, seed 0       2/150     2/144     1/132     1/132     1/132     1/132
+#                                 2038 ms   1929 ms   1895 ms   1886 ms   1845 ms   1890 ms
 #
-# Right-hand sides fall with the cap, but every length past KRYLOV_DIM
-# costs its reach test an m x m exponential, O(m^3): at n = 121 past 64
-# these cost more than the right-hand sides they save, at n = 289 a larger
-# cap still gains 5-20 %.  64 takes the benchmark horizon in one basis, and
-# at n = 121, t = 20 it is the fastest at seed 0 and 12 % behind 48 at seed 1.
-LANCZOS_MAX = 64
+# The rule: the cap at which right-hand sides stop falling.  A continuation
+# stores no more vectors, and its reach test costs one m x m eigh a length,
+# small next to a right-hand side at these n, so a longer basis costs only
+# the right-hand sides it takes.  128 takes every horizon above in one
+# basis and is the fastest or within noise of it on every row; past it
+# nothing changes.
+LANCZOS_MAX = 128
 
 # h_{j+1,j} at or below this multiple of ||K||_F is roundoff: the basis has
 # closed and the projection is exact
@@ -226,12 +233,15 @@ BREAKDOWN_TOL = 1e-14
 SCALE_MAX = 1e150
 
 
-# pade_expm(tau H) squares s ~ log2(||tau H||_inf) times, and the rounding of
-# a mode with eigenvalue near 0 grows as 2^s u (u = 1.1e-16 the unit
-# roundoff): past ||tau H||_inf = 2^30, 2^32 u ~ 5e-7, such a mode (the trace
-# of a stationary state) is lost; at ||tau H|| ~ 1e100 it decays to exactly
-# 0.  ``error`` reports inf there and ``samples`` stops, so no such state is
-# taken
+# largest tau ||T||_2 at which a basis's states and error estimate are
+# trusted (T the projected generator, ``krylov_propagator``).  Nothing is
+# squared, but eigh gives each eigenvalue only to an absolute error of about
+# u ||T||_2 (u = 1.1e-16 the unit roundoff), so e^(tau lambda) carries a
+# relative error of about tau u ||T||_2: past 2^30 that is 1.2e-7 on a mode
+# whose eigenvalue is near 0 (the trace of a stationary state), and at
+# tau ||T|| ~ 1e100 such a mode decays to exactly 0, the state with it,
+# while the error estimate reads 0 too.  ``error`` reports inf there and
+# ``samples`` stops, so no such state is taken
 EXPM_NORM_MAX = 2.0**30
 
 
@@ -250,45 +260,55 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
     """Arnoldi on vec(rho), continued by Lanczos if asked; returns ``(error, state, samples)``.
 
     Builds an orthonormal basis V of span{rho, L rho, ..., L^(m-1) rho},
-    m = ``KRYLOV_DIM``, with Gram-Schmidt applied twice per vector, and the
-    Hessenberg matrix H = V^dag L V.  ``error(tau)`` is the estimate
-    beta h_{m+1,m} |[exp(tau H)]_{m1}|, beta = ||rho||_F, of the error of
-    ``state(tau)`` = beta V exp(tau H) e_1 ~ exp(tau L) rho (Saad, SIAM J.
-    Numer. Anal. 29 (1992) 209).  Both reuse the one basis and cost no
-    right-hand side: ``error`` takes only the m x m exponential, and
-    ``state`` also combines the basis into the n x n state.
+    m = ``KRYLOV_DIM``, with Gram-Schmidt applied twice per vector.  The
+    generator is self-adjoint in the Hilbert-Schmidt inner product
+    <X, Y> = tr(X^dag Y) (its jumps are Hermitian, ``generator.Generator``),
+    so H = V^dag L V is Hermitian and tridiagonal; its entries off the three
+    diagonals are roundoff (below 1e-16 ||H||_2 on the benchmark models) and
+    are dropped.  The small problem is T, the real symmetric tridiagonal part
+    of H, factored once as T = Q diag(lambda) Q^T by ``np.linalg.eigh``
+    (Hochbruck and Lubich, SIAM J. Numer. Anal. 34 (1997) 1911).
+    ``state(tau)`` = beta V Q e^(tau lambda) Q^T e_1 ~ exp(tau L) rho, beta =
+    ||rho||_F, and ``error(tau)`` is the estimate beta h |e_m^T exp(tau T)
+    e_1| of its error (Saad, SIAM J. Numer. Anal. 29 (1992) 209), h the norm
+    of the residual L v_m - V T e_m, evaluated as beta h |sum_i Q[m-1, i]
+    e^(tau lambda_i) Q[0, i]|.  That sum cancels to roundoff, about u, where
+    the exact value is far smaller, so it is capped by the exact bound
+    beta h (prod_j T[j+1, j]) tau^(m-1) e^(tau max(lambda, 0)) / (m-1)!
+    (e_m^T exp(tau T) e_1 is prod_j T[j+1, j] times the divided difference
+    of exp(tau x) over lambda); a short step then passes as it should.
+    Both reuse the one basis and cost no right-hand side: ``error`` is O(m)
+    and ``state`` combines the basis into the n x n state.
 
-    ``samples(times, t0, spacing, budget)`` evaluates the basis at many
-    times, as Expokit's ``expv`` does (Sidje, ACM TOMS 24 (1998) 130): the
-    states at offsets tau = times[i] - t0, in order, up to the first whose
-    error exceeds ``budget`` * tau, as a (rows, n, n) array.  ``times``
-    increase ``spacing`` apart, except that the last gap may be shorter.
-    The first offset and the last gap take one m x m exponential each and
-    every other time one product with exp(spacing H); all states come from
-    one (rows x m)(m x n^2) product.
+    ``samples(times, t0, budget)`` evaluates the basis at many times, as
+    Expokit's ``expv`` does (Sidje, ACM TOMS 24 (1998) 130): the states at
+    offsets tau = times[i] - t0, for increasing ``times``, up to the first
+    whose ``error`` exceeds ``budget`` * tau, as a (rows, n, n) array.  Each
+    row's test and coefficients take O(m) arithmetic, and all states come
+    from one (rows x m)(m x n^2) product.
 
-    ``lanczos_until`` is a predicate on error functions.  The generator is
-    self-adjoint in the Hilbert-Schmidt inner product <X, Y> = tr(X^dag Y)
-    (its jumps are Hermitian, ``generator.Generator``), so H is tridiagonal
-    and the basis follows the three-term recurrence beta_j v_{j+1} = L v_j -
-    alpha_j v_j - beta_{j-1} v_{j-1} (Lanczos), which stays accurate for
-    exp(tau L) rho without reorthogonalization (Druskin, Greenbaum and
-    Knizhnerman, SIAM J. Sci. Comput. 19 (1998) 38).  When the
-    predicate rejects the error function of the first ``KRYLOV_DIM``
-    vectors, the basis grows by that recurrence, one right-hand side a
-    vector, until it accepts the error function of the basis so far, or
-    the basis has ``LANCZOS_MAX`` vectors.  Only the first ``KRYLOV_DIM``
-    are stored: ``state`` and ``samples`` regenerate the others from the
-    last stored ones, repeating the same arithmetic, at one right-hand side
-    each (one per vector past ``KRYLOV_DIM``).  Memory stays that of
-    ``KRYLOV_DIM`` vectors and two n x n buffers.
+    ``lanczos_until`` is a predicate on error functions.  When it rejects
+    the error function of the first ``KRYLOV_DIM`` vectors, the basis grows
+    by the three-term recurrence beta_j v_{j+1} = L v_j - alpha_j v_j -
+    beta_{j-1} v_{j-1} (Lanczos), which stays accurate for exp(tau L) rho
+    without reorthogonalization (Druskin, Greenbaum and Knizhnerman, SIAM
+    J. Sci. Comput. 19 (1998) 38), one right-hand side and one m x m eigh a
+    vector, until it accepts the error function of the basis so far, or the
+    basis has ``LANCZOS_MAX`` vectors.  Only the first ``KRYLOV_DIM`` are
+    stored: ``state`` and ``samples`` regenerate the others from the last
+    stored ones, repeating the same arithmetic, at one right-hand side each
+    (one per vector past ``KRYLOV_DIM``).
 
-    When the basis closes early (an invariant subspace, e.g. a stationary
-    state) the projection is exact and the error is 0; rho = 0 spans
-    nothing, its states are 0 and take no right-hand side.  A generator
-    with ||K||_F above ``SCALE_MAX`` raises OverflowError, and an
-    offset with ||tau H||_inf above ``EXPM_NORM_MAX`` fails whatever the
-    estimate.  Nothing is Hermitized or renormalized.
+    Memory is that of ``KRYLOV_DIM`` vectors, two Lanczos vectors and one
+    (3, n, n) workspace, which every right-hand side writes into
+    (``lindblad_rhs``'s ``work``) and the Gram-Schmidt passes use as
+    scratch; no state aliases it, and a basis that does not continue past
+    ``KRYLOV_DIM`` vectors frees it once built.  When the basis closes early (an invariant
+    subspace, e.g. a stationary state) the projection is exact and the error
+    is 0; rho = 0 spans nothing, its states are 0 and take no right-hand
+    side.  A generator with ||K||_F above ``SCALE_MAX`` raises
+    OverflowError, and an offset with tau ||T||_2 above ``EXPM_NORM_MAX``
+    fails whatever the estimate.  Nothing is Hermitized or renormalized.
     """
     n = rho.shape[0]
     beta = float(np.linalg.norm(rho))
@@ -296,7 +316,7 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
         return (
             lambda tau: 0.0,
             lambda tau: np.zeros((n, n), dtype=np.complex128),
-            lambda times, t0, spacing, budget: np.zeros((len(times), n, n), dtype=np.complex128),
+            lambda times, t0, budget: np.zeros((len(times), n, n), dtype=np.complex128),
         )
     args = (jumps, offsets, drift, ham, has_ham)
     # row-aligned diagonals hold each entry of K / 2 once
@@ -306,75 +326,106 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
     floor = BREAKDOWN_TOL * scale
     size = KRYLOV_DIM if lanczos_until is None else LANCZOS_MAX
     basis = np.empty((KRYLOV_DIM, n * n), dtype=np.complex128)
-    hess = np.zeros((size, size), dtype=np.complex128)
-    basis[0] = rho.reshape(n * n) / beta
+    # every right-hand side writes into ``work`` and returns work[0], which
+    # holds L v until it becomes the next vector; work[1] is also the
+    # Gram-Schmidt scratch
+    work = np.empty((3, n, n), dtype=np.complex128)
+    scratch = work[1].reshape(n * n)
+    # T: alpha on its diagonal, sub[j] = T[j + 1, j] below it
+    alpha = np.zeros(size)
+    sub = np.zeros(size)
+    np.divide(rho.reshape(n * n), beta, out=basis[0])
+
+    def applied(vec):
+        return lindblad_rhs(vec.reshape(n, n), *args, work=work).reshape(n * n)
 
     def orthogonalized(j):
         # L v_j less its projection on v_0, ..., v_j, Gram-Schmidt applied
-        # twice, and the projection's coefficients (column j of H)
-        w = lindblad_rhs(basis[j].reshape(n, n), *args).reshape(n * n)
-        coeffs = np.zeros(j + 1, dtype=np.complex128)
+        # twice, and alpha_j (the projection's other coefficients are the
+        # roundoff off T)
+        w = applied(basis[j])
+        diag = 0.0
         for _ in range(2):
             # V^dag w without conjugating (copying) the basis
-            c = (basis[: j + 1] @ w.conj()).conj()
-            w -= c @ basis[: j + 1]
-            coeffs += c
-        return w, coeffs
+            c = (basis[: j + 1] @ np.conjugate(w, out=scratch)).conj()
+            w -= np.matmul(c, basis[: j + 1], out=scratch)
+            diag += c[j].real
+        return w, diag
 
     def lanczos_residual(prev, cur, spare, beta_prev):
         # L v_j - beta_{j-1} v_{j-1} - alpha_j v_j for v_j = cur, and alpha_j
         # (Paige's order).  ``spare`` is scratch and may be ``prev``
-        w = lindblad_rhs(cur.reshape(n, n), *args).reshape(n * n)
+        w = applied(cur)
         w -= np.multiply(prev, beta_prev, out=spare)
-        alpha = np.vdot(cur, w).real
-        w -= np.multiply(cur, alpha, out=spare)
-        return w, alpha
+        diag = np.vdot(cur, w).real
+        w -= np.multiply(cur, diag, out=spare)
+        return w, diag
 
-    def estimate(m, sub):
-        # the error function of the first m vectors, and the offsets whose
-        # m x m exponential it trusts
-        small = hess[:m, :m]
-        hnorm = float(np.abs(small).sum(axis=1).max())
+    def small_problem(m, resid):
+        # the first m vectors' T = Q diag(lam) Q^T (eigh reads its lower
+        # triangle); ``resid`` is the residual norm h
+        lam, q = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(sub[: m - 1], -1))
+        norm = float(np.abs(lam).max())
+        weights = (beta * resid) * q[m - 1] * q[0]
+        top = max(float(lam[-1]), 0.0)
+        if resid > 0.0:
+            # log of the cap's factors that do not depend on tau
+            log_cap = math.log(beta * resid) + float(np.log(sub[: m - 1]).sum()) - math.lgamma(m)
 
-        def trusted(tau):
-            return tau * hnorm <= EXPM_NORM_MAX
+        def trusted(taus):
+            # how many of the increasing offsets ``taus`` are trusted
+            return int(np.count_nonzero(taus * norm <= EXPM_NORM_MAX))
+
+        def errors(taus):
+            # the estimate at trusted offsets, one row of arithmetic each
+            est = np.abs((np.exp(np.multiply.outer(taus, lam)) * weights).sum(axis=-1))
+            if resid == 0.0:
+                return est
+            with np.errstate(divide="ignore", over="ignore"):
+                cap = np.exp(log_cap + (m - 1) * np.log(taus) + top * taus)
+            return np.minimum(est, cap)
 
         def error(tau):
-            if not trusted(tau):
-                return math.inf
-            return beta * sub * abs(pade_expm(tau * small)[m - 1, 0])
+            taus = np.array([tau], dtype=np.float64)
+            return float(errors(taus)[0]) if trusted(taus) else math.inf
 
-        return error, trusted
+        def coefficients(taus):
+            # (rows, m): beta Q e^(tau lam) Q^T e_1 for each offset
+            return (beta * np.exp(np.multiply.outer(taus, lam)) * q[0]) @ q.T
 
-    m, sub = KRYLOV_DIM, 0.0
+        return error, errors, trusted, coefficients
+
+    m, resid = KRYLOV_DIM, 0.0
     for j in range(KRYLOV_DIM):
-        w, hess[: j + 1, j] = orthogonalized(j)
-        sub = float(np.linalg.norm(w))  # the subdiagonal entry below column j
-        if sub <= floor:
-            m, sub = j + 1, 0.0
+        w, alpha[j] = orthogonalized(j)
+        resid = float(np.linalg.norm(w))  # the subdiagonal entry below column j
+        if resid <= floor:
+            m, resid = j + 1, 0.0
             break
         if j + 1 < KRYLOV_DIM:
-            hess[j + 1, j] = sub
-            np.divide(w, sub, out=basis[j + 1])
-            del w  # not alive through the next right-hand side
-    if lanczos_until is not None and sub > 0.0:
-        while m < LANCZOS_MAX and not lanczos_until(estimate(m, sub)[0]):
+            sub[j] = resid
+            np.divide(w, resid, out=basis[j + 1])
+    if lanczos_until is not None and resid > 0.0:
+        while m < LANCZOS_MAX and not lanczos_until(small_problem(m, resid)[0]):
             if m == KRYLOV_DIM:
                 # the two Lanczos vectors alive past the stored basis
                 pair = np.empty((2, n * n), dtype=np.complex128)
                 prev, cur, spare = basis[-1], pair[0], pair[1]
-            hess[m, m - 1] = hess[m - 1, m] = sub
-            np.divide(w, sub, out=cur)
-            del w
-            w, hess[m, m] = lanczos_residual(prev, cur, spare, sub)
+            sub[m - 1] = resid
+            np.divide(w, resid, out=cur)
+            w, alpha[m] = lanczos_residual(prev, cur, spare, resid)
             prev, cur, spare = cur, spare, cur
             m += 1
-            sub = float(np.linalg.norm(w))
-            if sub <= floor:
-                sub = 0.0
+            resid = float(np.linalg.norm(w))
+            if resid <= floor:
+                resid = 0.0
                 break
-    error, trusted = estimate(m, sub)
-    hess, stored = hess[:m, :m], basis[:m]
+    if m <= KRYLOV_DIM:
+        # ``combine`` regenerates no vector, so no state is formed with the
+        # workspace alive
+        del work, scratch
+    error, errors, trusted, coefficients = small_problem(m, resid)
+    stored = basis[:m]
 
     def combine(coeffs):
         # sum_i coeffs[..., i] v_i as (..., n^2): the stored vectors in one
@@ -385,63 +436,22 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
             w, _ = orthogonalized(KRYLOV_DIM - 1)
             prev, cur, spare = basis[-1], pair[0], pair[1]
             for j in range(KRYLOV_DIM, m):
-                beta_prev = hess[j, j - 1].real
-                np.divide(w, beta_prev, out=cur)
-                del w
+                np.divide(w, sub[j - 1], out=cur)
                 if j + 1 < m:
-                    w, _ = lanczos_residual(prev, cur, spare, beta_prev)
+                    w, _ = lanczos_residual(prev, cur, spare, sub[j - 1])
                 for row, c in zip(rows, cols[:, j]):
                     row += np.multiply(cur, c, out=spare)
                 prev, cur, spare = cur, spare, cur
         return out
 
     def state(tau):
-        return combine(beta * pade_expm(tau * hess)[:, 0]).reshape(n, n)
+        return combine(coefficients(np.array([tau], dtype=np.float64))[0]).reshape(n, n)
 
-    def samples(times, t0, spacing, budget):
-        coeffs = []
-        for i, t in enumerate(times):
-            if not trusted(t - t0):
-                break
-            if i == 0:
-                col = pade_expm((t - t0) * hess)[:, 0]
-            elif i == len(times) - 1:
-                col = pade_expm((t - times[i - 1]) * hess) @ col
-            else:
-                if i == 1:
-                    gap = pade_expm(spacing * hess)
-                col = gap @ col
-            # error(tau), evaluated as there, so the first offset fails here
-            # exactly when it fails error()
-            if beta * sub * abs(col[m - 1]) > budget * (t - t0):
-                break
-            coeffs.append(col)
-        return combine(beta * np.reshape(coeffs, (-1, m))).reshape(-1, n, n)
+    def samples(times, t0, budget):
+        taus = np.asarray(times, dtype=np.float64) - t0
+        taus = taus[: trusted(taus)]
+        passed = errors(taus) <= budget * taus
+        rows = len(taus) if passed.all() else int(np.argmin(passed))
+        return combine(coefficients(taus[:rows])).reshape(-1, n, n)
 
     return error, state, samples
-
-
-def pade_expm(a):
-    """exp(a) for a small square matrix by scaling and squaring.
-
-    The (6, 6) diagonal Pade approximant of exp(a / 2^s), squared s times
-    (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179).  s follows
-    Expokit's ``padm`` (Sidje, ACM TOMS 24 (1998) 130), which leaves
-    ||a / 2^s||_inf < 1/2.  With N(x) = V + U split into its even and odd
-    parts, the approximant N(x) / N(-x) is (V - U)^-1 (V + U).
-    """
-    norm = float(np.abs(a).sum(axis=1).max(initial=0.0))
-    s = max(0, int(math.log2(norm)) + 2) if norm > 0.0 else 0
-    x = a / 2.0**s
-    x2 = x @ x
-    eye = np.eye(a.shape[0])
-    # diagonal (6, 6) Pade coefficients
-    c = [1.0]
-    for k in range(1, 7):
-        c.append(c[-1] * (7 - k) / (k * (13 - k)))
-    even = c[0] * eye + x2 @ (c[2] * eye + x2 @ (c[4] * eye + c[6] * x2))
-    odd = x @ (c[1] * eye + x2 @ (c[3] * eye + c[5] * x2))
-    out = np.linalg.solve(even - odd, even + odd)
-    for _ in range(s):
-        out = out @ out
-    return out

@@ -550,10 +550,10 @@ def evolve(
     Fixed step (``tol`` None): the grid of ``nsteps`` = ceil(t_final / h)
     steps of h = ``step``, sampled every stride-th step, at done * h for
     done = stride, 2 stride, ... < nsteps, and at t_final.  The test runs
-    at tol = ``GRID_TOL``.  Each basis gives the next rows at one
-    exponential per spacing (``samples``) and ends at the last row that
-    passes, the first that fails counting in ``Trajectory.rejected``; when
-    even the next row fails, a step-size search (``_largest_step``) takes
+    at tol = ``GRID_TOL``.  Each basis gives the next rows at O(m)
+    arithmetic each (``samples``) and ends at the last row that passes,
+    the first that fails counting in ``Trajectory.rejected``; when even the
+    next row fails, a step-size search (``_largest_step``) takes
     the largest acceptable sub-step short of it.  ``Trajectory.accepted``
     is ``nsteps``.
 
@@ -671,7 +671,7 @@ def evolve(
         while row < len(grid):
             error, state, samples = propagator(rho)
             budget = GRID_TOL * max(1.0, float(np.linalg.norm(rho)))
-            sampled = samples(grid[row:], t, stride * h, budget)
+            sampled = samples(grid[row:], t, budget)
             bases += 1
             if len(sampled):
                 if row + len(sampled) < len(grid):  # the next row failed

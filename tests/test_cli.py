@@ -324,9 +324,9 @@ class TestExitCodes:
     )
     def test_huge_damping_aborts(self, tmp_path, capsys, mode, gamma_xx, reason):
         # gamma_xx = 1e160 puts entries near 6e159 in K, whose squares
-        # overflow; at 1e100 every usable tau ||H|| is far past what the
-        # scaled-and-squared exponential keeps.  Either run once wrote the
-        # zero state (s_lin 1, trace_dev 1, fidelity 0) and exited 0
+        # overflow; at 1e100 every usable tau ||T|| is far past what the
+        # small problem keeps (``_kernels.EXPM_NORM_MAX``).  Either run once
+        # wrote the zero state (s_lin 1, trace_dev 1, fidelity 0) and exited 0
         doc = {
             "model": {
                 "kind": "common",

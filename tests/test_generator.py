@@ -608,9 +608,9 @@ class TestZOnlyClosedForm:
         calls = []
         rhs = _kernels.lindblad_rhs
 
-        def counted(*a):
+        def counted(*a, **kw):
             calls.append(1)
-            return rhs(*a)
+            return rhs(*a, **kw)
 
         monkeypatch.setattr(_kernels, "lindblad_rhs", counted)
         model, baths = self._common(8)

@@ -115,7 +115,7 @@ def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, step):
         if kind == "krylov":
             outs = [state(tau)]
         else:
-            outs = samples([tau / 3.0, 2.0 * tau / 3.0, tau], 0.0, tau / 3.0, math.inf)
+            outs = samples([tau / 3.0, 2.0 * tau / 3.0, tau], 0.0, math.inf)
             assert len(outs) == 3
         m = _kernels.KRYLOV_DIM
         hermitian_tol = 1e-12 * m
