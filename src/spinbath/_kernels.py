@@ -256,6 +256,52 @@ def _frobenius(a) -> float:
     return norm
 
 
+def small_problem(alpha, sub, beta, resid):
+    """The small problem of a Krylov basis of m vectors; returns
+    ``(error, errors, trusted, coefficients)``.
+
+    T is the real symmetric tridiagonal matrix with ``alpha`` (m entries) on
+    its diagonal and ``sub`` (m - 1) beside it, factored once as
+    T = Q diag(lam) Q^T by ``np.linalg.eigh``; ``beta`` is ||rho||_F and
+    ``resid`` the residual norm h, 0 for a closed basis.  For increasing
+    offsets ``taus``, ``trusted(taus)`` counts those with
+    tau ||T||_2 <= ``EXPM_NORM_MAX``, ``errors(taus)`` is the estimate
+    beta h |e_m^T exp(tau T) e_1| at trusted ones, capped by its exact bound
+    (``krylov_propagator``), ``coefficients(taus)`` the (rows, m) array of
+    beta exp(tau T) e_1, and ``error(tau)`` the estimate at one offset, inf
+    where it is not trusted.  Each row costs O(m) arithmetic.
+    """
+    m = len(alpha)
+    # eigh reads the lower triangle
+    lam, q = np.linalg.eigh(np.diag(alpha) + np.diag(sub, -1))
+    norm = float(np.abs(lam).max())
+    weights = (beta * resid) * q[m - 1] * q[0]
+    top = max(float(lam[-1]), 0.0)
+    if resid > 0.0:
+        # log of the cap's factors that do not depend on tau
+        log_cap = math.log(beta * resid) + float(np.log(sub).sum()) - math.lgamma(m)
+
+    def trusted(taus):
+        return int(np.count_nonzero(taus * norm <= EXPM_NORM_MAX))
+
+    def errors(taus):
+        est = np.abs((np.exp(np.multiply.outer(taus, lam)) * weights).sum(axis=-1))
+        if resid == 0.0:
+            return est
+        with np.errstate(divide="ignore", over="ignore"):
+            cap = np.exp(log_cap + (m - 1) * np.log(taus) + top * taus)
+        return np.minimum(est, cap)
+
+    def error(tau):
+        taus = np.array([tau], dtype=np.float64)
+        return float(errors(taus)[0]) if trusted(taus) else math.inf
+
+    def coefficients(taus):
+        return (beta * np.exp(np.multiply.outer(taus, lam)) * q[0]) @ q.T
+
+    return error, errors, trusted, coefficients
+
+
 def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until=None):
     """Arnoldi on vec(rho), continued by Lanczos if asked; returns ``(error, state, samples)``.
 
@@ -267,7 +313,8 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
     diagonals are roundoff (below 1e-16 ||H||_2 on the benchmark models) and
     are dropped.  The small problem is T, the real symmetric tridiagonal part
     of H, factored once as T = Q diag(lambda) Q^T by ``np.linalg.eigh``
-    (Hochbruck and Lubich, SIAM J. Numer. Anal. 34 (1997) 1911).
+    (``small_problem``; Hochbruck and Lubich, SIAM J. Numer. Anal. 34
+    (1997) 1911).
     ``state(tau)`` = beta V Q e^(tau lambda) Q^T e_1 ~ exp(tau L) rho, beta =
     ||rho||_F, and ``error(tau)`` is the estimate beta h |e_m^T exp(tau T)
     e_1| of its error (Saad, SIAM J. Numer. Anal. 29 (1992) 209), h the norm
@@ -361,40 +408,6 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
         w -= np.multiply(cur, diag, out=spare)
         return w, diag
 
-    def small_problem(m, resid):
-        # the first m vectors' T = Q diag(lam) Q^T (eigh reads its lower
-        # triangle); ``resid`` is the residual norm h
-        lam, q = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(sub[: m - 1], -1))
-        norm = float(np.abs(lam).max())
-        weights = (beta * resid) * q[m - 1] * q[0]
-        top = max(float(lam[-1]), 0.0)
-        if resid > 0.0:
-            # log of the cap's factors that do not depend on tau
-            log_cap = math.log(beta * resid) + float(np.log(sub[: m - 1]).sum()) - math.lgamma(m)
-
-        def trusted(taus):
-            # how many of the increasing offsets ``taus`` are trusted
-            return int(np.count_nonzero(taus * norm <= EXPM_NORM_MAX))
-
-        def errors(taus):
-            # the estimate at trusted offsets, one row of arithmetic each
-            est = np.abs((np.exp(np.multiply.outer(taus, lam)) * weights).sum(axis=-1))
-            if resid == 0.0:
-                return est
-            with np.errstate(divide="ignore", over="ignore"):
-                cap = np.exp(log_cap + (m - 1) * np.log(taus) + top * taus)
-            return np.minimum(est, cap)
-
-        def error(tau):
-            taus = np.array([tau], dtype=np.float64)
-            return float(errors(taus)[0]) if trusted(taus) else math.inf
-
-        def coefficients(taus):
-            # (rows, m): beta Q e^(tau lam) Q^T e_1 for each offset
-            return (beta * np.exp(np.multiply.outer(taus, lam)) * q[0]) @ q.T
-
-        return error, errors, trusted, coefficients
-
     m, resid = KRYLOV_DIM, 0.0
     for j in range(KRYLOV_DIM):
         w, alpha[j] = orthogonalized(j)
@@ -406,7 +419,9 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
             sub[j] = resid
             np.divide(w, resid, out=basis[j + 1])
     if lanczos_until is not None and resid > 0.0:
-        while m < LANCZOS_MAX and not lanczos_until(small_problem(m, resid)[0]):
+        while m < LANCZOS_MAX:
+            if lanczos_until(small_problem(alpha[:m], sub[: m - 1], beta, resid)[0]):
+                break
             if m == KRYLOV_DIM:
                 # the two Lanczos vectors alive past the stored basis
                 pair = np.empty((2, n * n), dtype=np.complex128)
@@ -424,7 +439,7 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
         # ``combine`` regenerates no vector, so no state is formed with the
         # workspace alive
         del work, scratch
-    error, errors, trusted, coefficients = small_problem(m, resid)
+    error, errors, trusted, coefficients = small_problem(alpha[:m], sub[: m - 1], beta, resid)
     stored = basis[:m]
 
     def combine(coeffs):

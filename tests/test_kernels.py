@@ -270,6 +270,66 @@ def test_evolve_of_zero_is_zero(monkeypatch, tol):
         assert (traj.accepted, traj.rejected, len(calls)) == (1, 0, 0)
 
 
+def _tridiagonal(rng, size, norm, top):
+    """A random real symmetric tridiagonal T as ``(alpha, sub)``, with a
+    positive subdiagonal as a Krylov basis's, mapped affinely so that its
+    eigenvalues span [-norm, top] (a single one is ``top``)."""
+    alpha, sub = rng.normal(size=size), np.abs(rng.normal(size=size - 1))
+    lam = np.linalg.eigvalsh(np.diag(alpha) + np.diag(sub, 1) + np.diag(sub, -1))
+    spread = lam[-1] - lam[0]
+    scale = (top + norm) / spread if spread else 0.0
+    return scale * (alpha - lam[-1]) + top, scale * sub
+
+
+class TestSmallProblem:
+    """``small_problem`` against ``scipy.linalg.expm`` of the same T.
+
+    Random T of every basis length up to KRYLOV_DIM + 1 and of LANCZOS_MAX,
+    negative semidefinite as the projection of a self-adjoint dissipator
+    is, with ||T||_2 = norm: "stationary" ones have top eigenvalue 0 (the
+    trace mode of a stationary state), so exp(tau T) keeps a mode of norm
+    1; "decaying" ones have top eigenvalue -norm / 10.  At offsets tau = 1/4
+    and 1, so tau ||T||_2 runs from 2.5e-4 to 1e3, every one trusted.
+    Bounds fixed before running, as in test_small_problem_matches_expm:
+    the coefficients within 1e-13 beta (1 + tau ||T||_2) of
+    beta exp(tau T) e_1, and the error within h times that of
+    beta h |[exp(tau T)]_{m1}|.
+    """
+
+    @pytest.mark.parametrize("kind", ["stationary", "decaying"])
+    @pytest.mark.parametrize("size", [*range(1, _kernels.KRYLOV_DIM + 2), _kernels.LANCZOS_MAX])
+    @pytest.mark.parametrize("norm", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+    def test_matches_scipy(self, kind, size, norm):
+        rng = np.random.default_rng(size * 1000 + int(np.log10(norm)) + 3 + 100 * (kind == "decaying"))
+        top = 0.0 if kind == "stationary" else -0.1 * norm
+        alpha, sub = _tridiagonal(rng, size, norm, top)
+        beta, resid = rng.uniform(0.5, 2.0), norm * rng.uniform(0.5, 1.5)
+        error, errors, trusted, coefficients = _kernels.small_problem(alpha, sub, beta, resid)
+        small = np.diag(alpha) + np.diag(sub, 1) + np.diag(sub, -1)
+        taus = np.array([0.25, 1.0])
+        assert trusted(taus) == len(taus)
+        coeffs, ests = coefficients(taus), errors(taus)
+        assert coeffs.shape == (len(taus), size)
+        for tau, row, est in zip(taus, coeffs, ests):
+            exact = scipy.linalg.expm(tau * small)
+            bound = 1e-13 * beta * (1.0 + tau * norm)
+            assert np.linalg.norm(row - beta * exact[:, 0]) <= bound
+            assert abs(est - beta * resid * abs(exact[-1, 0])) <= resid * bound
+            assert error(tau) == est
+
+    @pytest.mark.parametrize("size", [1, 5, _kernels.KRYLOV_DIM + 1])
+    def test_zero_matrix_is_identity(self, size):
+        # T = 0 of a closed basis (h = 0): every state is exactly beta v_1
+        # and every error 0
+        zero = np.zeros(size)
+        error, errors, trusted, coefficients = _kernels.small_problem(zero, zero[1:], 1.5, 0.0)
+        taus = np.array([0.0, 1.0, 1e300])
+        assert trusted(taus) == len(taus)
+        assert np.array_equal(coefficients(taus), np.tile(1.5 * np.eye(size)[0], (len(taus), 1)))
+        assert not errors(taus).any()
+        assert error(1.0) == 0.0
+
+
 # (bath, j1, j2) at n <= 25: x, y and z couplings with an xz cross term in
 # every damping matrix
 ORACLE_CASES = [
