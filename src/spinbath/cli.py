@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import gc
 import json
+import os
 import sys
 
 import numpy as np
@@ -172,20 +173,25 @@ def cmd_rate(cfg: ScenarioConfig):
     return list(RATE_COLUMNS), [_rate_row(cfg)], [], None, EXIT_OK
 
 
+def _remodel(model, **changes):
+    """The bath rebuilt with some of its fields changed, so its validation reruns."""
+    return type(model)(**{**vars(model), **changes})
+
+
 def apply_sweep(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
     """Scenario with one grid value substituted; validation reruns."""
     if parameter == "lambda":
-        return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, lam=value))
+        return cfg._replace(model=_remodel(cfg.model, lam=value))
     if parameter == "Ntilde":
         nt = SpinQuantum.of(value)
-        return dataclasses.replace(cfg, j1=nt.j, j2=nt.j)
+        return cfg._replace(j1=nt.j, j2=nt.j)
     if parameter == "L":
-        return dataclasses.replace(cfg, state=dataclasses.replace(cfg.state, L=float(value)))
+        return cfg._replace(state=cfg.state._replace(L=float(value)))
     target, pair = damping_entry(parameter)
     i, jdx = AXIS_INDEX[pair[0]], AXIS_INDEX[pair[1]]
     gamma = getattr(cfg.model, target).copy()
     gamma[i, jdx] = gamma[jdx, i] = value
-    return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, **{target: gamma}))
+    return cfg._replace(model=_remodel(cfg.model, **{target: gamma}))
 
 
 def cmd_sweep(cfg: ScenarioConfig, threads: int):
@@ -261,7 +267,7 @@ def _dfs_candidates(cfg: ScenarioConfig):
     if kind == "singlet":
         if s2 is None or s1 != s2:
             raise ConfigError("singlet candidate needs two equal ensembles")
-        cfg = dataclasses.replace(cfg, state=StateConfig("singlet"))
+        cfg = cfg._replace(state=StateConfig("singlet"))
     psi, _dims, label, _spec = build_state(cfg)
     return [psi], [label]
 
@@ -418,21 +424,34 @@ def main(argv=None) -> int:
 
     columns, rows, extras, snapshots, code = result
     out_path = args.out if args.out is not None else cfg.output.path
-    if out_path is None:
-        write_table(sys.stdout, fmt, args.command, cfg, args.seed, columns, rows, extras, snapshots)
-        return code
+    table = (fmt, args.command, cfg, args.seed, columns, rows, extras, snapshots)
     try:
-        handle = open(out_path, "w", encoding="utf-8", newline="")
+        if out_path is None:
+            write_table(sys.stdout, *table)
+            sys.stdout.flush()
+        else:
+            with open(out_path, "w", encoding="utf-8", newline="") as handle:
+                write_table(handle, *table)
     except OSError as exc:
         print("spinbath: cannot write output: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    with handle:
-        write_table(handle, fmt, args.command, cfg, args.seed, columns, rows, extras, snapshots)
     return code
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    """The process entry point: ``main``, then exit with its code."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main has reported the failed write; what stdout still holds goes
+        # to the null device, or the flush at exit would report it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    # the heap is the OS's to reclaim: frozen, the collections at exit
+    # neither walk nor free it, and exit still runs atexit handlers and
+    # flushes the std streams.  main never freezes: programs call it in process
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

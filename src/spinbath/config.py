@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,8 +151,7 @@ def _parse_model(doc, where: str):
     _fail(where, f"unknown model kind {kind!r} (expected 'independent' or 'common')")
 
 
-@dataclass(frozen=True, eq=False)
-class StateConfig:
+class StateConfig(NamedTuple):
     kind: str
     width: float | None = None
     coeffs: tuple | None = None
@@ -213,8 +212,7 @@ def _parse_state(doc, where: str) -> StateConfig:
     return StateConfig(kind)
 
 
-@dataclass(frozen=True, eq=False)
-class EvolutionConfig:
+class EvolutionConfig(NamedTuple):
     t_final: float
     step: float | None = None
     tol: float | None = None
@@ -245,8 +243,7 @@ def _parse_evolution(doc, where: str) -> EvolutionConfig:
     return EvolutionConfig(t_final, step, tol, stride, snapshots)
 
 
-@dataclass(frozen=True, eq=False)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     parameter: str
     values: tuple[float, ...]
 
@@ -298,8 +295,7 @@ def _parse_sweep(doc, where: str, model, state: StateConfig | None) -> SweepConf
     return SweepConfig(param, values)
 
 
-@dataclass(frozen=True, eq=False)
-class DfsConfig:
+class DfsConfig(NamedTuple):
     candidates: str
     subspace: bool = False
 
@@ -315,8 +311,7 @@ def _parse_dfs(doc, where: str) -> DfsConfig:
     return DfsConfig(cand, subspace)
 
 
-@dataclass(frozen=True, eq=False)
-class OutputConfig:
+class OutputConfig(NamedTuple):
     path: str | None = None
     format: str = "csv"
 
@@ -332,8 +327,7 @@ def _parse_output(doc, where: str) -> OutputConfig:
     return OutputConfig(path, fmt)
 
 
-@dataclass(frozen=True, eq=False)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     model: IndependentBath | CommonBath
     j1: float
     j2: float | None

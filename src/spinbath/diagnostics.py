@@ -19,7 +19,6 @@ rounds nothing.  The factor applies to a common bath, never an independent one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,7 +98,6 @@ def _rate_factor(normalization: str, common: bool) -> float:
     return 4.0 if common and normalization == "total_spin" else 1.0
 
 
-@dataclass(eq=False)
 class RateReport:
     """Purity-loss rate of a pure state under one decoherence model.
 
@@ -111,9 +109,11 @@ class RateReport:
     pairs counted once with their symmetry factor absorbed.
     """
 
-    numeric_rate: float
-    analytic_rate: float
-    per_axis_contributions: dict[str, float]
+    def __init__(self, numeric_rate: float, analytic_rate: float,
+                 per_axis_contributions: dict[str, float]) -> None:
+        self.numeric_rate = numeric_rate
+        self.analytic_rate = analytic_rate
+        self.per_axis_contributions = per_axis_contributions
 
     @property
     def mismatch(self) -> float:
@@ -282,7 +282,6 @@ def coupled_state_rate(ell, gamma, axes, normalization: str = "total_spin") -> f
     return float(factor * 0.25 * (gamma[0, 0] + gamma[1, 1]) * ll)
 
 
-@dataclass(eq=False)
 class StationaryReport:
     """Stationarity certificate for a list of candidate pure states.
 
@@ -297,12 +296,15 @@ class StationaryReport:
     tr((U^dag U)(V^dag V)), squares nothing.
     """
 
-    residuals: list[float]
-    purity_rates: list[float]
-    state_ok: list[bool]
-    certified: bool
-    pair_residuals: dict[tuple[int, int], float] = field(default_factory=dict)
-    pair_ok: dict[tuple[int, int], bool] = field(default_factory=dict)
+    def __init__(self, residuals: list[float], purity_rates: list[float], state_ok: list[bool],
+                 certified: bool, pair_residuals: dict[tuple[int, int], float] | None = None,
+                 pair_ok: dict[tuple[int, int], bool] | None = None) -> None:
+        self.residuals = residuals
+        self.purity_rates = purity_rates
+        self.state_ok = state_ok
+        self.certified = certified
+        self.pair_residuals = {} if pair_residuals is None else pair_residuals
+        self.pair_ok = {} if pair_ok is None else pair_ok
 
 
 def certify_stationary(

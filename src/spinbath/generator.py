@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,7 +134,6 @@ def validate_damping(gamma, axes) -> np.ndarray:
     return gamma.copy()
 
 
-@dataclass(frozen=True, eq=False)
 class IndependentBath:
     """Each ensemble couples to its own bath.
 
@@ -142,37 +141,23 @@ class IndependentBath:
     with two ensembles it means the second one is undamped.
     """
 
-    gamma1: np.ndarray
-    gamma2: np.ndarray | None
-    axes: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        axes = _check_axes(self.axes)
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "gamma1", validate_damping(self.gamma1, axes))
-        if self.gamma2 is not None:
-            object.__setattr__(self, "gamma2", validate_damping(self.gamma2, axes))
+    def __init__(self, gamma1: np.ndarray, gamma2: np.ndarray | None, axes: tuple[str, ...]) -> None:
+        self.axes = _check_axes(axes)
+        self.gamma1 = validate_damping(gamma1, self.axes)
+        self.gamma2 = None if gamma2 is None else validate_damping(gamma2, self.axes)
 
 
-@dataclass(frozen=True, eq=False)
 class CommonBath:
     """Both ensembles couple to one bath through the weighted composite ops."""
 
-    gamma: np.ndarray
-    lam: float
-    axes: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        axes = _check_axes(self.axes)
-        lam = float(self.lam)
-        if not 0.0 <= lam <= 2.0:
-            raise ValueError(f"lam={lam} outside [0, 2]")
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "gamma", validate_damping(self.gamma, axes))
+    def __init__(self, gamma: np.ndarray, lam: float, axes: tuple[str, ...]) -> None:
+        self.axes = _check_axes(axes)
+        self.lam = float(lam)
+        if not 0.0 <= self.lam <= 2.0:
+            raise ValueError(f"lam={self.lam} outside [0, 2]")
+        self.gamma = validate_damping(gamma, self.axes)
 
 
-@dataclass(frozen=True, eq=False)
 class FactoredOperator:
     """Hermitian operator X (x) I + I (x) Y on two ensembles, or X alone on one.
 
@@ -185,13 +170,9 @@ class FactoredOperator:
     raised, so the operator is its own adjoint.
     """
 
-    x: np.ndarray
-    y: np.ndarray | None
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        parts = [np.ascontiguousarray(p, dtype=np.complex128) for p in (self.x, self.y) if p is not None]
+    def __init__(self, x: np.ndarray, y: np.ndarray | None, dims: tuple[int, ...]) -> None:
+        dims = tuple(int(d) for d in dims)
+        parts = [np.ascontiguousarray(p, dtype=np.complex128) for p in (x, y) if p is not None]
         if [p.shape for p in parts] != [(d, d) for d in dims]:
             raise ValueError(f"factors of shapes {[p.shape for p in parts]} do not match dims {dims}")
         for p in parts:
@@ -200,9 +181,9 @@ class FactoredOperator:
                 raise ValueError("factor entries must be finite")
             if np.abs(p - p.conj().T).max() > HERMITIAN_TOL * np.abs(p).max():
                 raise ValueError("factor is not Hermitian")
-        object.__setattr__(self, "x", parts[0])
-        object.__setattr__(self, "y", parts[1] if len(parts) == 2 else None)
-        object.__setattr__(self, "dims", dims)
+        self.x = parts[0]
+        self.y = parts[1] if len(parts) == 2 else None
+        self.dims = dims
 
     @property
     def dim(self) -> int:
@@ -306,7 +287,6 @@ def _canonical_jump_set(sets) -> tuple[list, tuple[int, ...]]:
     return jumps, next(iter(sets[0][1].values())).dims
 
 
-@dataclass(eq=False)
 class Generator:
     """Lindblad generator in canonical form, ready for the kernels.
 
@@ -322,13 +302,12 @@ class Generator:
     which lets ``evolve`` continue a Krylov basis by the Lanczos recurrence.
     """
 
-    jump_ops: list[FactoredOperator]
-    dims: tuple[int, ...]
-    _jumps: np.ndarray = field(init=False, repr=False)
-    _offsets: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    _drift: _kernels.Banded = field(init=False, repr=False)
+    def __init__(self, jump_ops: list[FactoredOperator], dims: tuple[int, ...]) -> None:
+        self.jump_ops, self.dims = jump_ops, dims
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        # a method of its own: perfbench/tracing.py wraps it to time the build
         self.dims = tuple(int(d) for d in self.dims)
         n = math.prod(self.dims)
         for op in self.jump_ops:
@@ -420,8 +399,7 @@ def default_step(gen: Generator) -> float | None:
     return 0.1 / scale
 
 
-@dataclass(eq=False)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sampled density-matrix evolution.
 
     ``states[i]`` is the sample at ``times[i]``; ``s_lin`` the matching

@@ -12,7 +12,6 @@ through floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,17 +45,17 @@ def _check_level(two_j: int, two_m: int, m_name: str, j_name: str) -> None:
         raise ValueError(f"{m_name}={two_m / 2} is not a level of {j_name}={two_j / 2}")
 
 
-@dataclass(frozen=True, order=True)
-class SpinQuantum:
-    """Spin magnitude j stored as the exact integer 2j."""
+class SpinQuantum(NamedTuple("SpinQuantum", [("two_j", int)])):
+    """Spin magnitude j stored as the exact integer 2j; equal, hashed and
+    ordered by it."""
 
-    two_j: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        two = int(self.two_j)
-        if two != self.two_j or two < 0:
-            raise ValueError(f"2j must be a non-negative integer, got {self.two_j!r}")
-        object.__setattr__(self, "two_j", two)
+    def __new__(cls, two_j: int) -> "SpinQuantum":
+        two = int(two_j)
+        if two != two_j or two < 0:
+            raise ValueError(f"2j must be a non-negative integer, got {two_j!r}")
+        return super().__new__(cls, two)
 
     @classmethod
     def of(cls, j) -> "SpinQuantum":
@@ -83,20 +82,17 @@ class SpinQuantum:
         return (self.two_j - two_m) // 2
 
 
-@dataclass(frozen=True)
-class CoupledLevel:
+class CoupledLevel(NamedTuple("CoupledLevel", [("two_l", int), ("two_m", int)])):
     """Total angular momentum level |L, M>, stored as doubled integers."""
 
-    two_l: int
-    two_m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        tl, tm = int(self.two_l), int(self.two_m)
-        if tl != self.two_l or tm != self.two_m or tl < 0:
+    def __new__(cls, two_l: int, two_m: int) -> "CoupledLevel":
+        tl, tm = int(two_l), int(two_m)
+        if tl != two_l or tm != two_m or tl < 0:
             raise ValueError("2L and 2M must be integers with L >= 0")
         _check_level(tl, tm, "M", "L")
-        object.__setattr__(self, "two_l", tl)
-        object.__setattr__(self, "two_m", tm)
+        return super().__new__(cls, tl, tm)
 
     @classmethod
     def of(cls, ell, em) -> "CoupledLevel":

@@ -7,7 +7,6 @@ n x n, in the basis conventions of :mod:`spinbath.spin_algebra`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -61,7 +60,6 @@ def _normalized(c: np.ndarray) -> np.ndarray:
     return c / norm
 
 
-@dataclass(frozen=True, eq=False)
 class EntangledStateSpec:
     """Coefficient profile c_m over the anticorrelated pairs |m, -m>.
 
@@ -70,28 +68,22 @@ class EntangledStateSpec:
     carries -m, so j1 - j2 must be an integer for the pairs to exist.
     """
 
-    j1: SpinQuantum
-    j2: SpinQuantum
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        s1 = SpinQuantum.of(self.j1)
-        s2 = SpinQuantum.of(self.j2)
+    def __init__(self, j1: SpinQuantum, j2: SpinQuantum, coeffs: np.ndarray) -> None:
+        s1 = SpinQuantum.of(j1)
+        s2 = SpinQuantum.of(j2)
         if (s1.two_j - s2.two_j) % 2:
             raise ValueError(
                 f"j1={s1.j} and j2={s2.j} have no |m, -m> pairs "
                 "(integer spins couple to integer, half-integer to half-integer)"
             )
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
+        coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
         expected = min(s1.two_j, s2.two_j) + 1
         if coeffs.ndim != 1 or coeffs.shape[0] != expected:
             raise ValueError(f"expected {expected} coefficients, got shape {coeffs.shape}")
         _check_normalized(
             coeffs, "coefficients", '; use coefficient_profile("custom", ..., auto_normalize=True)'
         )
-        object.__setattr__(self, "j1", s1)
-        object.__setattr__(self, "j2", s2)
-        object.__setattr__(self, "coeffs", coeffs)
+        self.j1, self.j2, self.coeffs = s1, s2, coeffs
 
     @property
     def n_tilde(self) -> SpinQuantum:

@@ -1,6 +1,7 @@
 """End-to-end command line tests: outputs, determinism, exit codes."""
 
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -14,6 +15,18 @@ from spinbath.cli import main
 from spinbath.diagnostics import RateReport
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(*argv, stdout=subprocess.PIPE):
+    """``python -m spinbath`` in a child process: ``main_entry``, as the console script runs it."""
+    return subprocess.run([sys.executable, "-m", "spinbath", *argv], env=child_env(), cwd=ROOT,
+                          stdout=stdout, stderr=subprocess.PIPE)
 
 
 def write_cfg(tmp_path, doc, name="scenario.json"):
@@ -113,15 +126,21 @@ class TestRateCommand:
             "assert code == 0, code\n"
             "assert '_hashlib' not in sys.modules\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         argv = ["rate", "--config", str(ROOT / "configs" / "rate_uniform.json"),
                 "--out", str(tmp_path / "out.csv")]
-        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=child_env(),
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         comments, _, _ = parse_csv((tmp_path / "out.csv").read_text(encoding="utf-8"))
         assert len(comments["config_sha256"]) == 64
+
+    def test_import_leaves_out_dataclasses(self):
+        # each @dataclass execs its generated methods at every import; the
+        # record types are named tuples and plain classes instead
+        script = "import sys, spinbath.cli\nassert 'dataclasses' not in sys.modules\n"
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_seed_defaults_to_none(self, tmp_path):
         _, text = run_cli(tmp_path, z_pair_doc(), "rate")
@@ -372,6 +391,52 @@ class TestExitCodes:
         _, _, rows = parse_csv(text)
         assert all(r["error"] for r in rows)
         assert all(r["rate_analytic"] == "" for r in rows)
+
+
+class TestProcessEntry:
+    CONFIG = str(ROOT / "configs" / "sweep_levels.json")
+
+    def test_outputs_match_in_process_main(self, tmp_path, capsys):
+        assert main(["sweep", "--config", self.CONFIG, "--out", str(tmp_path / "main.csv")]) == 0
+        expected = (tmp_path / "main.csv").read_bytes()
+        assert main(["sweep", "--config", self.CONFIG]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == expected
+        done = run_module("sweep", "--config", self.CONFIG, "--out", str(tmp_path / "child.csv"))
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "child.csv").read_bytes() == expected
+        done = run_module("sweep", "--config", self.CONFIG)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected
+        assert done.stderr == b""
+
+    def test_missing_config(self, tmp_path):
+        done = run_module("sweep", "--config", str(tmp_path / "nope.json"))
+        assert done.returncode == 2
+        assert done.stderr.decode().startswith("spinbath: config error")
+
+    def test_in_process_main_leaves_the_heap_unfrozen(self, tmp_path):
+        # main_entry freezes the heap for the exit; main runs inside other
+        # programs, which keep collecting
+        before = gc.get_freeze_count()
+        assert main(["sweep", "--config", self.CONFIG, "--out", str(tmp_path / "out.csv")]) == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("via", ["--out", "stdout", "unbuffered stdout"])
+    def test_failed_write_exits_2(self, via, monkeypatch):
+        # /dev/full opens, and every write to it fails with ENOSPC.  A
+        # buffered stdout still holds the table after the failed flush, and
+        # the flush at exit must not report it a second time
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        if via == "unbuffered stdout":
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        argv = ["rate", "--config", str(ROOT / "configs" / "rate_uniform.json")]
+        with open("/dev/full", "wb") as full:
+            done = run_module(*argv, "--out", "/dev/full") if via == "--out" else run_module(*argv, stdout=full)
+        assert done.returncode == 2
+        err = done.stderr.decode()
+        assert err.startswith("spinbath: cannot write output: [Errno 28]")  # ENOSPC
+        assert err.count("\n") == 1
 
 
 class TestSweepCommand:
