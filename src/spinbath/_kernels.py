@@ -10,15 +10,15 @@ side per basis vector, all written into one workspace per basis; both
 integration modes of ``generator.evolve`` take their states from it, at
 one tau or at a grid of times.  Its first ``KRYLOV_DIM`` vectors come from
 Arnoldi and are stored; every generator is self-adjoint in the
-Hilbert-Schmidt inner product, and adaptive ``evolve`` has the basis
-continue by the Lanczos three-term recurrence, up to ``LANCZOS_MAX``
-vectors, until it reaches t_final, and the vectors past the stored ones
-are regenerated when a state is formed instead of kept.  The projected
-generator is then tridiagonal up to roundoff, and one ``eigh`` of its real
-tridiagonal part per basis length gives every state and error estimate in
-O(m) per time, with no matrix exponential.  Every state is a linear map of
-rho: nothing is Hermitized or renormalized, so trace and Hermiticity drift
-shows in the result.
+Hilbert-Schmidt inner product, so the basis continues by the Lanczos
+three-term recurrence, up to ``LANCZOS_MAX`` vectors, until the first
+``need`` of the offsets its caller asks for pass, and the vectors past the
+stored ones are regenerated when a state is formed instead of kept.  The
+projected generator is then tridiagonal up to roundoff, and one ``eigh`` of
+its real tridiagonal part per basis length gives every state and error
+estimate in O(m) per time, with no matrix exponential.  Every state is a
+linear map of rho: nothing is Hermitized or renormalized, so trace and
+Hermiticity drift shows in the result.
 
 Arrays are complex128, ``rho`` (n, n).  A banded operator is stored
 row-aligned: ``diags[i, s]`` = A[i, i + offsets[s]], 0 where i + offsets[s]
@@ -181,12 +181,12 @@ def rk4_chunk(rho, jumps, offsets, drift, ham, has_ham, h, nsteps):
 
 # Krylov dimension m of the stored prefix: every basis builds span{rho,
 # L rho, ..., L^(m-1) rho} by Arnoldi from m right-hand sides and holds these
-# m vectors of n^2.  A restarted basis (fixed mode) is this long, and a
-# larger one supports a longer step; a Lanczos continuation grows past it
-# without storing more.  Right-hand sides per unit time of restarted bases
-# (m / tau over every step but the last, each tau the largest its basis
-# supports) on the adaptive benchmark scenario (n = 121, tol 1e-10, to
-# t = 2) at its seeds 0-3:
+# m vectors of n^2.  A basis asked for nothing past this prefix (``need``
+# = 0) is this long, and a larger one supports a longer step; a Lanczos
+# continuation grows past it without storing more.  Right-hand sides per
+# unit time of restarted bases of m vectors (m / tau over every step but
+# the last, each tau the largest its basis supports) on the adaptive
+# benchmark scenario (n = 121, tol 1e-10, to t = 2) at its seeds 0-3:
 #
 #     m                     10    12    14    16    18    20    24
 #     seed 0               167   107    79    71    62    53    39
@@ -199,10 +199,10 @@ def rk4_chunk(rho, jumps, offsets, drift, ham, has_ham, h, nsteps):
 # for 25 % more, and the basis at n = 1,089 is already 303 MB.
 KRYLOV_DIM = 16
 
-# most vectors a Lanczos continuation (``krylov_propagator``'s
-# ``lanczos_until``) grows a basis to.  Bases / right-hand sides, and the
-# evolve time in ms (best of 5, of 3 at n = 289; one BLAS thread, 2 vCPUs),
-# of the adaptive benchmark model (tol 1e-10) against the cap:
+# most vectors a Lanczos continuation (``krylov_propagator``'s ``need``)
+# grows a basis to.  Bases / right-hand sides, and the evolve time in ms
+# (best of 5, of 3 at n = 289; one BLAS thread, 2 vCPUs), of the adaptive
+# benchmark model (tol 1e-10) against the cap:
 #
 #     cap                            48        64        96       128       192       256
 #     n = 121, t = 2, seeds 0-3    1/76-80   1/76-80   1/76-80   1/76-80   1/76-80   1/76-80
@@ -214,7 +214,7 @@ KRYLOV_DIM = 16
 #                                 2038 ms   1929 ms   1895 ms   1886 ms   1845 ms   1890 ms
 #
 # The rule: the cap at which right-hand sides stop falling.  A continuation
-# stores no more vectors, and its reach test costs one m x m eigh a length,
+# stores no more vectors, and its stop test costs one m x m eigh a length,
 # small next to a right-hand side at these n, so a longer basis costs only
 # the right-hand sides it takes.  128 takes every horizon above in one
 # basis and is the fastest or within noise of it on every row; past it
@@ -265,17 +265,18 @@ def small_problem(alpha, sub, beta, resid):
     T = Q diag(lam) Q^T by ``np.linalg.eigh``; ``beta`` is ||rho||_F and
     ``resid`` the residual norm h, 0 for a closed basis.  For increasing
     offsets ``taus``, ``trusted(taus)`` counts those with
-    tau ||T||_2 <= ``EXPM_NORM_MAX``, ``errors(taus)`` is the estimate
-    beta h |e_m^T exp(tau T) e_1| at trusted ones, capped by its exact bound
-    (``krylov_propagator``), ``coefficients(taus)`` the (rows, m) array of
-    beta exp(tau T) e_1, and ``error(tau)`` the estimate at one offset, inf
-    where it is not trusted.  Each row costs O(m) arithmetic.
+    tau ||T||_2 <= ``EXPM_NORM_MAX``, ``errors(taus)`` the error estimate of
+    ``krylov_propagator`` at trusted ones, ``coefficients(taus)`` the
+    (rows, m) array of beta exp(tau T) e_1, and ``error(tau)`` the estimate
+    at one offset, inf where it is not trusted.  Each row costs O(m)
+    arithmetic.
     """
     m = len(alpha)
     # eigh reads the lower triangle
     lam, q = np.linalg.eigh(np.diag(alpha) + np.diag(sub, -1))
     norm = float(np.abs(lam).max())
     weights = (beta * resid) * q[m - 1] * q[0]
+    inverse = np.divide(1.0, lam, out=np.zeros(m), where=lam != 0.0)
     top = max(float(lam[-1]), 0.0)
     if resid > 0.0:
         # log of the cap's factors that do not depend on tau
@@ -285,12 +286,17 @@ def small_problem(alpha, sub, beta, resid):
         return int(np.count_nonzero(taus * norm <= EXPM_NORM_MAX))
 
     def errors(taus):
-        est = np.abs((np.exp(np.multiply.outer(taus, lam)) * weights).sum(axis=-1))
+        exponents = np.multiply.outer(taus, lam)
+        est = np.abs((np.exp(exponents) * weights).sum(axis=-1))
         if resid == 0.0:
             return est
+        # int_0^tau e^(s lam) ds, which is tau where lam = 0
+        integrals = np.where(lam != 0.0, np.expm1(exponents) * inverse, taus[:, None])
+        bound = np.abs((integrals * weights).sum(axis=-1))
         with np.errstate(divide="ignore", over="ignore"):
             cap = np.exp(log_cap + (m - 1) * np.log(taus) + top * taus)
-        return np.minimum(est, cap)
+            bound = np.minimum(bound, cap * taus / m)
+        return np.maximum(np.minimum(est, cap), bound)
 
     def error(tau):
         taus = np.array([tau], dtype=np.float64)
@@ -302,8 +308,16 @@ def small_problem(alpha, sub, beta, resid):
     return error, errors, trusted, coefficients
 
 
-def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until=None):
-    """Arnoldi on vec(rho), continued by Lanczos if asked; returns ``(error, state, samples)``.
+def _passing(problem, taus, budget) -> int:
+    """How many leading ``taus`` (increasing) are trusted and have an error <= ``budget`` * tau."""
+    _, errors, trusted, _ = problem
+    taus = taus[: trusted(taus)]
+    passed = errors(taus) <= budget * taus
+    return len(taus) if passed.all() else int(np.argmin(passed))
+
+
+def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, budget, need):
+    """Arnoldi on vec(rho), continued by Lanczos; returns ``(error, state, samples)``.
 
     Builds an orthonormal basis V of span{rho, L rho, ..., L^(m-1) rho},
     m = ``KRYLOV_DIM``, with Gram-Schmidt applied twice per vector.  The
@@ -316,54 +330,55 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
     (``small_problem``; Hochbruck and Lubich, SIAM J. Numer. Anal. 34
     (1997) 1911).
     ``state(tau)`` = beta V Q e^(tau lambda) Q^T e_1 ~ exp(tau L) rho, beta =
-    ||rho||_F, and ``error(tau)`` is the estimate beta h |e_m^T exp(tau T)
-    e_1| of its error (Saad, SIAM J. Numer. Anal. 29 (1992) 209), h the norm
-    of the residual L v_m - V T e_m, evaluated as beta h |sum_i Q[m-1, i]
-    e^(tau lambda_i) Q[0, i]|.  That sum cancels to roundoff, about u, where
-    the exact value is far smaller, so it is capped by the exact bound
-    beta h (prod_j T[j+1, j]) tau^(m-1) e^(tau max(lambda, 0)) / (m-1)!
-    (e_m^T exp(tau T) e_1 is prod_j T[j+1, j] times the divided difference
-    of exp(tau x) over lambda); a short step then passes as it should.
-    Both reuse the one basis and cost no right-hand side: ``error`` is O(m)
-    and ``state`` combines the basis into the n x n state.
+    ||rho||_F.  With h the norm of the residual L v_m - V T e_m and
+    f(s) = e_m^T exp(s T) e_1 > 0, its error is at most
+    beta h int_0^tau f(s) ds, as ||exp(r L)|| <= 1 for a self-adjoint
+    dissipative L.  ``error(tau)`` is the larger of that bound and Saad's
+    estimate beta h f(tau) (SIAM J. Numer. Anal. 29 (1992) 209), which
+    alone falls short of the error once f has passed its peak.  Both are
+    eigen-sums beta h |sum_i Q[m-1, i] Q[0, i] g(lambda_i)|, g(x) =
+    e^(tau x) and (e^(tau x) - 1) / x, which cancel to roundoff, about u,
+    where the exact values are far smaller, so each is capped by its exact
+    bound: beta h (prod_j T[j+1, j]) tau^(m-1) e^(tau max(lambda, 0)) /
+    (m-1)! for the estimate, and tau / m times that for the bound; a short
+    step then passes as it should.  Both reuse the one basis and cost no
+    right-hand side: ``error`` is O(m) and ``state`` combines the basis
+    into the n x n state.
 
-    ``samples(times, t0, budget)`` evaluates the basis at many times, as
-    Expokit's ``expv`` does (Sidje, ACM TOMS 24 (1998) 130): the states at
-    offsets tau = times[i] - t0, for increasing ``times``, up to the first
-    whose ``error`` exceeds ``budget`` * tau, as a (rows, n, n) array.  Each
-    row's test and coefficients take O(m) arithmetic, and all states come
-    from one (rows x m)(m x n^2) product.
-
-    ``lanczos_until`` is a predicate on error functions.  When it rejects
-    the error function of the first ``KRYLOV_DIM`` vectors, the basis grows
-    by the three-term recurrence beta_j v_{j+1} = L v_j - alpha_j v_j -
-    beta_{j-1} v_{j-1} (Lanczos), which stays accurate for exp(tau L) rho
-    without reorthogonalization (Druskin, Greenbaum and Knizhnerman, SIAM
-    J. Sci. Comput. 19 (1998) 38), one right-hand side and one m x m eigh a
-    vector, until it accepts the error function of the basis so far, or the
-    basis has ``LANCZOS_MAX`` vectors.  Only the first ``KRYLOV_DIM`` are
-    stored: ``state`` and ``samples`` regenerate the others from the last
-    stored ones, repeating the same arithmetic, at one right-hand side each
-    (one per vector past ``KRYLOV_DIM``).
+    ``samples()`` gives, as a (rows, n, n) array, the states at the leading
+    offsets of the increasing ``taus`` that are trusted and have an
+    ``error`` of at most ``budget`` * tau (``_passing``), as Expokit's
+    ``expv`` gives a time grid from one basis (Sidje, ACM TOMS 24 (1998)
+    130): O(m) arithmetic a row, and one (rows x m)(m x n^2) product.
+    While that count is below ``need``, the basis grows past ``KRYLOV_DIM``
+    vectors by the Lanczos recurrence beta_j v_{j+1} = L v_j - alpha_j v_j
+    - beta_{j-1} v_{j-1}, accurate for exp(tau L) rho without
+    reorthogonalization (Druskin, Greenbaum and Knizhnerman, SIAM J. Sci.
+    Comput. 19 (1998) 38), at one right-hand side and one m x m eigh a
+    vector, up to ``LANCZOS_MAX``: ``need`` = 0 keeps the stored prefix.
+    Only the first ``KRYLOV_DIM`` are stored; ``state`` and ``samples``
+    regenerate the others from the last stored ones, repeating the same
+    arithmetic, at one right-hand side each.
 
     Memory is that of ``KRYLOV_DIM`` vectors, two Lanczos vectors and one
     (3, n, n) workspace, which every right-hand side writes into
     (``lindblad_rhs``'s ``work``) and the Gram-Schmidt passes use as
-    scratch; no state aliases it, and a basis that does not continue past
-    ``KRYLOV_DIM`` vectors frees it once built.  When the basis closes early (an invariant
-    subspace, e.g. a stationary state) the projection is exact and the error
-    is 0; rho = 0 spans nothing, its states are 0 and take no right-hand
-    side.  A generator with ||K||_F above ``SCALE_MAX`` raises
+    scratch; no state aliases it, and a basis of at most ``KRYLOV_DIM``
+    vectors frees it once built.  When the basis closes early (an invariant
+    subspace, e.g. a stationary state) the projection is exact and the
+    error is 0; rho = 0 spans nothing, its states are 0 and take no
+    right-hand side.  A generator with ||K||_F above ``SCALE_MAX`` raises
     OverflowError, and an offset with tau ||T||_2 above ``EXPM_NORM_MAX``
     fails whatever the estimate.  Nothing is Hermitized or renormalized.
     """
     n = rho.shape[0]
+    taus = np.asarray(taus, dtype=np.float64)
     beta = float(np.linalg.norm(rho))
     if beta == 0.0:
         return (
             lambda tau: 0.0,
             lambda tau: np.zeros((n, n), dtype=np.complex128),
-            lambda times, t0, budget: np.zeros((len(times), n, n), dtype=np.complex128),
+            lambda: np.zeros((len(taus), n, n), dtype=np.complex128),
         )
     args = (jumps, offsets, drift, ham, has_ham)
     # row-aligned diagonals hold each entry of K / 2 once
@@ -371,7 +386,6 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
     if not scale <= SCALE_MAX:
         raise OverflowError(f"generator norm {scale:.3e} is past the float range of a Krylov basis")
     floor = BREAKDOWN_TOL * scale
-    size = KRYLOV_DIM if lanczos_until is None else LANCZOS_MAX
     basis = np.empty((KRYLOV_DIM, n * n), dtype=np.complex128)
     # every right-hand side writes into ``work`` and returns work[0], which
     # holds L v until it becomes the next vector; work[1] is also the
@@ -379,8 +393,8 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
     work = np.empty((3, n, n), dtype=np.complex128)
     scratch = work[1].reshape(n * n)
     # T: alpha on its diagonal, sub[j] = T[j + 1, j] below it
-    alpha = np.zeros(size)
-    sub = np.zeros(size)
+    alpha = np.zeros(LANCZOS_MAX)
+    sub = np.zeros(LANCZOS_MAX)
     np.divide(rho.reshape(n * n), beta, out=basis[0])
 
     def applied(vec):
@@ -418,28 +432,26 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
         if j + 1 < KRYLOV_DIM:
             sub[j] = resid
             np.divide(w, resid, out=basis[j + 1])
-    if lanczos_until is not None and resid > 0.0:
-        while m < LANCZOS_MAX:
-            if lanczos_until(small_problem(alpha[:m], sub[: m - 1], beta, resid)[0]):
-                break
-            if m == KRYLOV_DIM:
-                # the two Lanczos vectors alive past the stored basis
-                pair = np.empty((2, n * n), dtype=np.complex128)
-                prev, cur, spare = basis[-1], pair[0], pair[1]
-            sub[m - 1] = resid
-            np.divide(w, resid, out=cur)
-            w, alpha[m] = lanczos_residual(prev, cur, spare, resid)
-            prev, cur, spare = cur, spare, cur
-            m += 1
-            resid = float(np.linalg.norm(w))
-            if resid <= floor:
-                resid = 0.0
-                break
+    problem = small_problem(alpha[:m], sub[: m - 1], beta, resid)
+    while resid > 0.0 and m < LANCZOS_MAX and _passing(problem, taus[:need], budget) < need:
+        if m == KRYLOV_DIM:
+            # the two Lanczos vectors alive past the stored basis
+            pair = np.empty((2, n * n), dtype=np.complex128)
+            prev, cur, spare = basis[-1], pair[0], pair[1]
+        sub[m - 1] = resid
+        np.divide(w, resid, out=cur)
+        w, alpha[m] = lanczos_residual(prev, cur, spare, resid)
+        prev, cur, spare = cur, spare, cur
+        m += 1
+        resid = float(np.linalg.norm(w))
+        if resid <= floor:
+            resid = 0.0
+        problem = small_problem(alpha[:m], sub[: m - 1], beta, resid)
     if m <= KRYLOV_DIM:
         # ``combine`` regenerates no vector, so no state is formed with the
         # workspace alive
         del work, scratch
-    error, errors, trusted, coefficients = small_problem(alpha[:m], sub[: m - 1], beta, resid)
+    error, _, _, coefficients = problem
     stored = basis[:m]
 
     def combine(coeffs):
@@ -462,11 +474,7 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, lanczos_until
     def state(tau):
         return combine(coefficients(np.array([tau], dtype=np.float64))[0]).reshape(n, n)
 
-    def samples(times, t0, budget):
-        taus = np.asarray(times, dtype=np.float64) - t0
-        taus = taus[: trusted(taus)]
-        passed = errors(taus) <= budget * taus
-        rows = len(taus) if passed.all() else int(np.argmin(passed))
-        return combine(coefficients(taus[:rows])).reshape(-1, n, n)
+    def samples():
+        return combine(coefficients(taus[: _passing(problem, taus, budget)])).reshape(-1, n, n)
 
     return error, state, samples

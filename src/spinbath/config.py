@@ -401,6 +401,8 @@ def load_config(path) -> ScenarioConfig:
         # bad JSON, text that is not UTF-8, or an integer literal past
         # Python's digit limit
         raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply to parse") from None
     return parse_config(doc)
 
 

@@ -24,7 +24,6 @@ the Hilbert-Schmidt inner product.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -442,15 +441,15 @@ def _ladder(h, remaining, tiny) -> list[float]:
     return trials
 
 
-def _largest_step(error, h, remaining, budget, tiny):
-    """Largest trial h <= ``remaining`` with error(h) <= budget * h.
+def _largest_step(error, ladder, budget, tiny):
+    """Largest trial h <= ``ladder[-1]`` with error(h) <= budget * h.
 
-    The first trial is h clipped to [tiny, remaining].  A passing trial
-    doubles until one fails or ``remaining`` passes (``_ladder``); a failing
-    one halves until one passes.  ``STEP_BISECTIONS`` bisections of the
-    bracket between the last pass and the last failure follow.  The search
-    is deterministic and calls ``error`` at most 2 + log2(remaining / tiny)
-    + ``STEP_BISECTIONS`` times.  Returns (h, refused): the accepted trial,
+    The trials double through ``ladder`` (``_ladder``) until one fails or
+    the last passes; a failing first trial halves until one passes.
+    ``STEP_BISECTIONS`` bisections of the bracket between the last pass and
+    the last failure follow.  The search is deterministic and calls
+    ``error`` at most 2 + log2(ladder[-1] / tiny) + ``STEP_BISECTIONS``
+    times.  Returns (h, refused): the accepted trial,
     None when every trial down to ``tiny`` fails, and the number of failed
     trials.
     """
@@ -463,7 +462,6 @@ def _largest_step(error, h, remaining, budget, tiny):
         refused += 1
         return False
 
-    ladder = _ladder(h, remaining, tiny)
     if passes(ladder[0]):
         lo = ladder[0]
         for hi in ladder[1:]:
@@ -490,15 +488,6 @@ def _largest_step(error, h, remaining, budget, tiny):
     return lo, refused
 
 
-def _reaches(error, h, remaining, budget, tiny) -> bool:
-    """Whether ``_largest_step`` from h takes all of ``remaining`` in one
-    step on a basis with this ``error``: every trial of its ladder passes.
-    The longest trial is tested first, as it fails soonest; the shorter
-    ones stay, because error(remaining) alone can pass where exp(tau H)
-    underflows while a shorter trial fails."""
-    return all(error(x) <= budget * x for x in reversed(_ladder(h, remaining, tiny)))
-
-
 def _purity(mat: np.ndarray) -> float:
     # tr(rho^2) = ||rho||_F^2 for Hermitian rho
     return float(np.real(np.vdot(mat, mat)))
@@ -517,36 +506,36 @@ def evolve(
 
     L does not depend on time, so every state is exp(t L) rho0, projected
     onto the Krylov space of the state at the start of a step
-    (``_kernels.krylov_propagator``, ``_kernels.KRYLOV_DIM`` right-hand
-    sides per basis, fewer when the basis closes, more when an adaptive
-    basis continues by Lanczos, below).  A state at offset tau
-    from its basis is acceptable when the Krylov error estimate is at most
-    tol * tau * max(1, ||rho||_F), rho the basis's start.  Both modes are
-    linear maps of rho0: nothing is Hermitized or renormalized, so trace and
-    Hermiticity drift shows in the states.
+    (``_kernels.krylov_propagator``).  A state at offset tau from its basis
+    is acceptable when the Krylov error estimate is at most
+    tol * tau * max(1, ||rho||_F), rho the basis's start.  L is self-adjoint
+    (its jumps are Hermitian, see ``Generator``), so a basis whose first
+    ``KRYLOV_DIM`` vectors do not pass the offsets it needs grows by the
+    Lanczos recurrence until they pass, or until it has
+    ``_kernels.LANCZOS_MAX`` vectors and the next basis restarts.  A basis
+    costs one right-hand side per vector, and forming its states one more
+    per vector past ``KRYLOV_DIM``.  Both modes are linear maps of rho0:
+    nothing is Hermitized or renormalized, so trace and Hermiticity drift
+    shows in the states.
 
     Fixed step (``tol`` None): the grid of ``nsteps`` = ceil(t_final / h)
     steps of h = ``step``, sampled every stride-th step, at done * h for
     done = stride, 2 stride, ... < nsteps, and at t_final.  The test runs
-    at tol = ``GRID_TOL``.  Each basis gives the next rows at O(m)
-    arithmetic each (``samples``) and ends at the last row that passes,
-    the first that fails counting in ``Trajectory.rejected``; when even the
-    next row fails, a step-size search (``_largest_step``) takes
-    the largest acceptable sub-step short of it.  ``Trajectory.accepted``
-    is ``nsteps``.
+    at tol = ``GRID_TOL``.  A basis needs the next ``KRYLOV_DIM`` rows, or
+    every row left if fewer.  It gives the next rows at O(m) arithmetic
+    each (``samples``) and ends at the last row that passes, the first that
+    fails counting in ``Trajectory.rejected``; when even the next row fails
+    at ``LANCZOS_MAX`` vectors, a step-size search (``_largest_step``)
+    takes the largest acceptable sub-step short of it.
+    ``Trajectory.accepted`` is ``nsteps``.
 
     Adaptive (``tol`` given): on each basis a search over trial h
     (``_largest_step``, at no right-hand-side cost) takes the largest
     acceptable h <= t_final - t, to a relative precision of
     2^-``STEP_BISECTIONS``; each trial it refuses counts in
-    ``Trajectory.rejected``.  L is self-adjoint (its jumps are Hermitian,
-    see ``Generator``), so a basis whose first ``KRYLOV_DIM`` vectors do
-    not reach t_final - t grows by the Lanczos recurrence until the search
-    would pass every trial of its doubling ladder up to t_final - t
-    (``_reaches``), or until it has ``_kernels.LANCZOS_MAX`` vectors and
-    the next basis restarts.  Such a
-    basis costs one right-hand side per vector, and forming its state one
-    more per vector past ``KRYLOV_DIM``.
+    ``Trajectory.rejected``.  A basis needs every trial of the search's
+    doubling ladder up to t_final - t (``_ladder``), so that, once it has
+    them, the search takes t_final - t in one step.
 
     Parameters
     ----------
@@ -647,9 +636,10 @@ def evolve(
         grid = np.append(np.arange(stride, nsteps, stride) * h, t_final)
         bases = row = 0  # row: the next grid time to record
         while row < len(grid):
-            error, state, samples = propagator(rho)
             budget = GRID_TOL * max(1.0, float(np.linalg.norm(rho)))
-            sampled = samples(grid[row:], t, budget)
+            need = min(len(grid) - row, _kernels.KRYLOV_DIM)  # rows, or every row left
+            error, state, samples = propagator(rho, taus=grid[row:] - t, budget=budget, need=need)
+            sampled = samples()
             bases += 1
             if len(sampled):
                 if row + len(sampled) < len(grid):  # the next row failed
@@ -662,8 +652,7 @@ def evolve(
                     row += 1
                 rho = sampled[-1]
             else:
-                remaining = float(grid[row]) - t
-                sub, refused = _largest_step(error, remaining, remaining, budget, tiny)
+                sub, refused = _largest_step(error, [float(grid[row]) - t], budget, tiny)
                 rejected += refused
                 if sub is None:
                     raise IntegrationAbortError(f"step size underflow at t={t:.6g}", t_last=t)
@@ -676,15 +665,15 @@ def evolve(
         return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, nsteps, rejected)
 
     # adaptive Krylov steps of exp(h L): one basis per accepted step, and on
-    # it the largest h the tolerance allows.  The basis grows until that h
-    # is all of t_final - t
+    # it the largest h the tolerance allows.  The basis grows until every
+    # trial of the search's doubling ladder passes, so that h is all of
+    # t_final - t
     accepted = 0
     while t < t_final * (1.0 - 1e-14):
         budget = tol * max(1.0, float(np.linalg.norm(rho)))
-        remaining = t_final - t
-        until = functools.partial(_reaches, h=h, remaining=remaining, budget=budget, tiny=tiny)
-        error, state, samples = propagator(rho, lanczos_until=until)
-        h, refused = _largest_step(error, h, remaining, budget, tiny)
+        ladder = _ladder(h, t_final - t, tiny)
+        error, state, samples = propagator(rho, taus=ladder, budget=budget, need=len(ladder))
+        h, refused = _largest_step(error, ladder, budget, tiny)
         rejected += refused
         if h is None:
             raise IntegrationAbortError(f"step size underflow at t={t:.6g}", t_last=t)

@@ -414,6 +414,19 @@ class TestProcessEntry:
         assert done.returncode == 2
         assert done.stderr.decode().startswith("spinbath: config error")
 
+    @pytest.mark.parametrize("nested", ["[", '{"a": '])
+    def test_deeply_nested_config(self, tmp_path, nested):
+        # json.load raises RecursionError past the interpreter's recursion
+        # limit; the run reports it as a config error on one line
+        cfg = tmp_path / "deep.json"
+        close = "]" if nested == "[" else "}"
+        cfg.write_text(nested * 100_000 + "1" + close * 100_000, encoding="utf-8")
+        done = run_module("rate", "--config", str(cfg))
+        assert done.returncode == 2
+        err = done.stderr.decode()
+        assert err.startswith("spinbath: config error")
+        assert err.count("\n") == 1
+
     def test_in_process_main_leaves_the_heap_unfrozen(self, tmp_path):
         # main_entry freezes the heap for the exit; main runs inside other
         # programs, which keep collecting

@@ -77,17 +77,23 @@ def _args(gen):
 
 
 @pytest.mark.parametrize(
-    "j,steps,stride",
-    [(1, 37, 5), (2, 37, 5), (1, 1451, 8), (1, 1451, 200)],
-    ids=["n9-37steps-stride5", "n25-37steps-stride5", "n9-1451steps-stride8", "n9-1451steps-stride200"],
+    "j,steps,stride,restarted",
+    [(1, 37, 5, False), (2, 37, 5, False), (1, 1451, 8, False), (1, 1451, 200, False),
+     (1, 1451, 200, True)],
+    ids=["n9-37steps-stride5", "n25-37steps-stride5", "n9-1451steps-stride8", "n9-1451steps-stride200",
+         "n9-1451steps-stride200-restarted"],
 )
-def test_fixed_step_evolve_is_linear(j, steps, stride):
+def test_fixed_step_evolve_is_linear(monkeypatch, j, steps, stride, restarted):
     # ``steps`` default steps in rows of ``stride``, then h_last = 0.4 h; at
-    # stride 200 the first bases reach no row, so the first rows follow
-    # sub-steps.  The error estimate is linear in rho0 and the budget is
-    # proportional to max(1, ||rho||_F), so on states of Frobenius norm 4
-    # and 2 every test and every sub-step is the same.  Halving is exact in
-    # floating point, so half of rho0 gives half the states bit for bit
+    # stride 200 one basis continues past KRYLOV_DIM vectors to give every
+    # row, and on bases capped at KRYLOV_DIM (``restarted``) the first bases
+    # reach no row, so the first rows follow sub-steps.  The error estimate
+    # is linear in rho0 and the budget is proportional to
+    # max(1, ||rho||_F), so on states of Frobenius norm 4 and 2 every test
+    # and every sub-step is the same.  Halving is exact in floating point,
+    # so half of rho0 gives half the states bit for bit
+    if restarted:
+        _krylov_dim_bases(monkeypatch)
     gen, rho = _case("common", j)
     rho0 = (4.0 / np.linalg.norm(rho)) * rho
     h = default_step(gen)
@@ -116,19 +122,19 @@ def _counted_rhs(monkeypatch):
 
 def _recorded_bases(monkeypatch, calls=None):
     """One record per Krylov basis evolve builds: the norm of the state it
-    spans, whether it was asked to continue by Lanczos, the right-hand sides
-    its build took (one per basis vector, counted in ``calls`` from
-    ``_counted_rhs``), its own error function, every trial (tau, error) of
-    the search, the tau its state was formed at, and per ``samples`` call
-    the number of times asked for and of states given."""
+    spans, the offsets it was given and how many of them it needs, the
+    right-hand sides its build took (one per basis vector, counted in
+    ``calls`` from ``_counted_rhs``), its own error function, every trial
+    (tau, error) of the search, the tau its state was formed at, and per
+    ``samples`` call the number of offsets and of states given."""
     bases = []
     build = _kernels.krylov_propagator
     calls = [] if calls is None else calls
 
-    def recorded(rho, *args, **kw):
+    def recorded(rho, *args, taus, budget, need):
         before = len(calls)
-        error, state, samples = build(rho, *args, **kw)
-        rec = {"norm": float(np.linalg.norm(rho)), "lanczos": kw.get("lanczos_until") is not None,
+        error, state, samples = build(rho, *args, taus=taus, budget=budget, need=need)
+        rec = {"norm": float(np.linalg.norm(rho)), "taus": np.asarray(taus), "need": need,
                "vectors": len(calls) - before, "error": error, "trials": [], "taken": [],
                "sampled": []}
         bases.append(rec)
@@ -141,9 +147,9 @@ def _recorded_bases(monkeypatch, calls=None):
             rec["taken"].append(tau)
             return state(tau)
 
-        def traced_samples(times, *a):
-            out = samples(times, *a)
-            rec["sampled"].append((len(times), len(out)))
+        def traced_samples():
+            out = samples()
+            rec["sampled"].append((len(taus), len(out)))
             return out
 
         return traced_error, traced_state, traced_samples
@@ -159,8 +165,8 @@ SEARCH_CASE = dict(t_final=16.0, step=16.0, tol=1e-10)
 
 
 def _krylov_dim_bases(monkeypatch):
-    # no Lanczos continuation: every adaptive basis stops at KRYLOV_DIM
-    # vectors, so a long run takes several
+    # no Lanczos continuation: every basis stops at KRYLOV_DIM vectors, so
+    # a long run takes several
     monkeypatch.setattr(_kernels, "LANCZOS_MAX", _kernels.KRYLOV_DIM)
 
 
@@ -215,12 +221,14 @@ def test_adaptive_max_steps_bounds_steps_and_refused_trials(monkeypatch):
 
 
 def test_fixed_rejected_counts_every_refused_offset(monkeypatch):
-    # rows 4 apart at n = 9: the first basis reaches no row and takes one
-    # sub-step; its search's first trial is that row, and each trial it
-    # fails counts once.  The later bases, from states nearer the
+    # rows 4 apart at n = 9 on bases capped at KRYLOV_DIM vectors (a
+    # continued basis reaches every row): the first basis reaches no row and
+    # takes one sub-step; its search's first trial is that row, and each
+    # trial it fails counts once.  The later bases, from states nearer the
     # stationary ones, each give rows up to the first they cannot give,
     # which counts once.  Every basis samples once.  Bases plus refusals
     # fit max_steps exactly
+    _krylov_dim_bases(monkeypatch)
     bases = _recorded_bases(monkeypatch)
     gen, rho0 = _case("common", 1)
     run = lambda cap: evolve(gen, rho0, 20.0, step=4.0, max_steps=cap)  # noqa: E731
@@ -281,6 +289,21 @@ def _tridiagonal(rng, size, norm, top):
     return scale * (alpha - lam[-1]) + top, scale * sub
 
 
+def _error_reference(small, beta, h, tau):
+    """beta h times the larger of |[exp(tau T)]_{m1}| and
+    |[int_0^tau exp(s T) ds]_{m1}|, T = ``small``, both by scipy's expm:
+    the integral's column int_0^tau exp(s T) e_1 ds is the last column of
+    exp(tau [[T, e_1], [0, 0]]) (Van Loan, IEEE Trans. Autom. Control 23
+    (1978) 395)."""
+    m = len(small)
+    augmented = np.zeros((m + 1, m + 1))
+    augmented[:m, :m] = small
+    augmented[0, m] = 1.0
+    point = scipy.linalg.expm(tau * small)[m - 1, 0]
+    integral = scipy.linalg.expm(tau * augmented)[m - 1, m]
+    return beta * h * max(abs(point), abs(integral))
+
+
 class TestSmallProblem:
     """``small_problem`` against ``scipy.linalg.expm`` of the same T.
 
@@ -292,8 +315,8 @@ class TestSmallProblem:
     and 1, so tau ||T||_2 runs from 2.5e-4 to 1e3, every one trusted.
     Bounds fixed before running, as in test_small_problem_matches_expm:
     the coefficients within 1e-13 beta (1 + tau ||T||_2) of
-    beta exp(tau T) e_1, and the error within h times that of
-    beta h |[exp(tau T)]_{m1}|.
+    beta exp(tau T) e_1, and the error within h (1 + tau) times that of
+    ``_error_reference``.
     """
 
     @pytest.mark.parametrize("kind", ["stationary", "decaying"])
@@ -314,7 +337,7 @@ class TestSmallProblem:
             exact = scipy.linalg.expm(tau * small)
             bound = 1e-13 * beta * (1.0 + tau * norm)
             assert np.linalg.norm(row - beta * exact[:, 0]) <= bound
-            assert abs(est - beta * resid * abs(exact[-1, 0])) <= resid * bound
+            assert abs(est - _error_reference(small, beta, resid, tau)) <= resid * bound * (1.0 + tau)
             assert error(tau) == est
 
     @pytest.mark.parametrize("size", [1, 5, _kernels.KRYLOV_DIM + 1])
@@ -434,12 +457,14 @@ class TestDenseLiouvillianOracle:
         # the threshold is exact.  Each row is state(tau) up to rounding
         # (1e-12 ||rho0||_F) and within _grid_bound of exp(tau L) rho0
         gen, lv, rho0 = _oracle_case(bath, j1, j2)
-        error, state, samples = _kernels.krylov_propagator(rho0, *_args(gen))
         t0, times = 0.03, np.append(np.arange(1, 31) * 0.05, 1.52)
         budget = GRID_TOL * max(1.0, np.linalg.norm(rho0))
-        rows = samples(times, t0, budget)
-        given = len(rows)
         taus = times - t0
+        error, state, samples = _kernels.krylov_propagator(
+            rho0, *_args(gen), taus=taus, budget=budget, need=0
+        )
+        rows = samples()
+        given = len(rows)
         assert given >= 1
         if gen.dim**2 <= _kernels.KRYLOV_DIM:
             assert given == len(times)
@@ -480,9 +505,11 @@ class TestDenseLiouvillianOracle:
 
     def test_fixed_grid_sub_steps(self, monkeypatch, bath, j1, j2):
         # a tighter GRID_TOL and a first row at 3: past the 0.48-2.3 a
-        # basis of these cases reaches at 1e-13 unless it closes
-        # (n^2 <= KRYLOV_DIM), so rows follow sub-steps from _largest_step,
-        # whose refused trials count as rejected
+        # basis of these cases reaches at 1e-13 with KRYLOV_DIM vectors
+        # unless it closes (n^2 <= KRYLOV_DIM), so on bases capped there
+        # rows follow sub-steps from _largest_step, whose refused trials
+        # count as rejected
+        _krylov_dim_bases(monkeypatch)
         searches = []
         search = generator._largest_step
 
@@ -504,9 +531,9 @@ class TestDenseLiouvillianOracle:
 
 # 1,451 default steps and a partial one of 0.4 h at n = 9 (1,452 steps, rows
 # at k stride h for k stride <= 1,451, then t_final): stride 1 records
-# every step, 3 and 8 leave a short last row gap, 200 puts the first rows
-# past the reach of one basis (they follow sub-steps), and 2,000 records
-# t_final alone
+# every step, 3 and 8 leave a short last row gap, 200 puts the rows past
+# the reach of KRYLOV_DIM vectors (one continued basis gives them all),
+# and 2,000 records t_final alone
 POWER_STEPS = 1451
 
 
@@ -535,22 +562,26 @@ LANCZOS_CASES = [
 ]
 
 
-@pytest.mark.parametrize("t_final", [3.0, 30.0])
+@pytest.mark.parametrize("t_final", [3.0, 30.0, 83.0])
 @pytest.mark.parametrize("bath,j1,j2", LANCZOS_CASES)
 def test_lanczos_evolve_matches_dense_expm(monkeypatch, bath, j1, j2, t_final):
     # horizons the first KRYLOV_DIM vectors do not reach at tol 1e-10, so
     # some basis grows past them.  Its build takes one right-hand side per
     # vector and its state one per vector past KRYLOV_DIM, which is every
-    # right-hand side of the run.  Bound fixed before running: every row
-    # within tol t max(1, ||rho0||_F) + 1e-13 of exp(t L) rho0 (Frobenius),
-    # as each step commits an estimated error of at most tol per unit time
+    # right-hand side of the run.  At t = 83 one basis takes the whole
+    # horizon, tau ||T||_2 of order 100, long after e_m^T exp(s T) e_1 has
+    # peaked: accepted on Saad's point estimate alone, the common-bath
+    # steps there ended 1.3-1.5 times past the bound below.  Bound fixed
+    # before running: every row within tol t max(1, ||rho0||_F) + 1e-13 of
+    # exp(t L) rho0 (Frobenius), as each step commits an estimated error of
+    # at most tol per unit time
     calls = _counted_rhs(monkeypatch)
     bases = _recorded_bases(monkeypatch, calls)
     gen, lv, rho0 = _oracle_case(bath, j1, j2)
     tol = 1e-10
     traj = evolve(gen, rho0, t_final, tol=tol)
     vectors = [rec["vectors"] for rec in bases]
-    assert all(rec["lanczos"] for rec in bases)
+    assert all(rec["need"] == len(rec["taus"]) for rec in bases)
     assert _kernels.KRYLOV_DIM < max(vectors) <= _kernels.LANCZOS_MAX
     assert len(calls) == sum(v + max(0, v - _kernels.KRYLOV_DIM) for v in vectors)
     assert traj.times[-1] == t_final
@@ -579,41 +610,45 @@ def test_lanczos_basis_stops_at_its_cap_and_restarts(monkeypatch):
 
 
 @pytest.mark.parametrize("bath,j1,j2", LANCZOS_CASES)
-def test_basis_accepted_at_krylov_dim_is_the_arnoldi_basis(bath, j1, j2):
-    # a predicate that accepts the first KRYLOV_DIM vectors is asked once
-    # and leaves the basis, its error and its states as without one, bit
-    # for bit
+def test_basis_accepted_at_krylov_dim_is_the_arnoldi_basis(monkeypatch, bath, j1, j2):
+    # a basis whose first KRYLOV_DIM vectors pass the offsets it needs
+    # (every trusted offset passes an infinite budget) stops there, at
+    # KRYLOV_DIM right-hand sides, and is the basis that needs nothing, its
+    # error and its states bit for bit
+    calls = _counted_rhs(monkeypatch)
     gen, _, rho0 = _oracle_case(bath, j1, j2)
-    plain = _kernels.krylov_propagator(rho0, *_args(gen))
-    asked = []
-    kept = _kernels.krylov_propagator(rho0, *_args(gen), lanczos_until=lambda e: asked.append(e) or True)
-    assert len(asked) == 1
+    plain = _kernels.krylov_propagator(rho0, *_args(gen), taus=[], budget=0.0, need=0)
+    assert len(calls) == _kernels.KRYLOV_DIM
+    kept = _kernels.krylov_propagator(rho0, *_args(gen), taus=[0.3, 3.0], budget=math.inf, need=2)
+    assert len(calls) == 2 * _kernels.KRYLOV_DIM
     for tau in (0.01, 0.3, 3.0):
-        assert kept[0](tau) == plain[0](tau) == asked[0](tau)
+        assert kept[0](tau) == plain[0](tau)
         assert np.array_equal(kept[1](tau), plain[1](tau))
 
 
 def test_continued_basis_regenerates_its_vectors(monkeypatch):
-    # a predicate that never accepts grows the basis to LANCZOS_MAX, here
-    # 64, so that the rows to t = 60 outrun it (this n = 25 basis does not
-    # close first).  ``samples`` and ``state`` rebuild the vectors past
-    # KRYLOV_DIM from the stored ones: every row whose estimate passes tol
-    # 1e-10 within _grid_bound of exp(tau L) rho0, and the first, middle
-    # and last rows within 1e-12 ||rho0||_F of state(tau) (bounds fixed
-    # before running, as in TestDenseLiouvillianOracle).  The vectors
-    # regenerated at the full cap are checked by
-    # test_small_problem_matches_expm[adaptive-continued]
+    # a basis that needs more offsets than it is given grows to
+    # LANCZOS_MAX, here 64, so that the rows to t = 60 outrun it (this
+    # n = 25 basis does not close first), with one small problem a length.
+    # ``samples`` and ``state`` rebuild the vectors past KRYLOV_DIM from the
+    # stored ones: every row whose estimate passes tol 1e-10 within
+    # _grid_bound of exp(tau L) rho0, and the first, middle and last rows
+    # within 1e-12 ||rho0||_F of state(tau) (bounds fixed before running, as
+    # in TestDenseLiouvillianOracle).  The vectors regenerated at the full
+    # cap are checked by test_small_problem_matches_expm[adaptive-continued]
     monkeypatch.setattr(_kernels, "LANCZOS_MAX", 64)
     calls = _counted_rhs(monkeypatch)
+    problems = []
+    small_problem = _kernels.small_problem
+    monkeypatch.setattr(_kernels, "small_problem", lambda *a: problems.append(1) or small_problem(*a))
     gen, lv, rho0 = _oracle_case("common", 2, 2)
-    asked = []
+    times = np.arange(1, 31) * 2.0
     error, state, samples = _kernels.krylov_propagator(
-        rho0, *_args(gen), lanczos_until=lambda e: asked.append(e) or False
+        rho0, *_args(gen), taus=times, budget=1e-10 * max(1.0, np.linalg.norm(rho0)), need=len(times) + 1
     )
     assert len(calls) == _kernels.LANCZOS_MAX
-    assert len(asked) == _kernels.LANCZOS_MAX - _kernels.KRYLOV_DIM
-    times = np.arange(1, 31) * 2.0
-    rows = samples(times, 0.0, 1e-10 * max(1.0, np.linalg.norm(rho0)))
+    assert len(problems) == _kernels.LANCZOS_MAX - _kernels.KRYLOV_DIM + 1
+    rows = samples()
     assert len(calls) == 2 * _kernels.LANCZOS_MAX - _kernels.KRYLOV_DIM
     assert 2 <= len(rows) < len(times)
     for tau, row, want in zip(times, rows, _exact_rows(lv, rho0, times[: len(rows)])):
@@ -640,11 +675,45 @@ def test_factor_hermitian_to_roundoff_takes_the_lanczos_path(monkeypatch):
     skewed = Generator([FactoredOperator(x, first.y, first.dims)] + gen.jump_ops[1:], gen.dims)
     tol, t_final = 1e-10, 3.0
     traj = evolve(skewed, rho0, t_final, tol=tol)
-    assert all(rec["lanczos"] for rec in bases)
+    assert all(rec["need"] == len(rec["taus"]) for rec in bases)
     assert max(rec["vectors"] for rec in bases) > _kernels.KRYLOV_DIM
     assert traj.times[-1] == t_final
     for t, state, want in zip(traj.times, traj.states, _exact_rows(lv, rho0, traj.times)):
         assert np.linalg.norm(state - want) <= _grid_bound(tol, t, rho0)
+
+
+def test_fixed_basis_continues_until_it_gives_krylov_dim_rows(monkeypatch):
+    # n = 25, a row every 0.2 to t = 8: KRYLOV_DIM vectors give fewer than
+    # KRYLOV_DIM of the 40 rows, so the first basis continues by Lanczos and
+    # stops at the first length that gives KRYLOV_DIM rows, as one vector
+    # fewer shows; the last basis needs only the rows left.  No basis gives
+    # fewer rows than it needs, and each costs one right-hand side a vector
+    # and, for its rows, one more a vector past KRYLOV_DIM.  Bound fixed
+    # before running: every row within _grid_bound(GRID_TOL) of
+    # exp(t L) rho0
+    build = _kernels.krylov_propagator
+    calls = _counted_rhs(monkeypatch)
+    bases = _recorded_bases(monkeypatch, calls)
+    gen, lv, rho0 = _oracle_case("common", 2, 2)
+    traj = evolve(gen, rho0, 8.0, step=0.2)
+    dim = _kernels.KRYLOV_DIM
+    assert len(traj.times) == 41
+    left = 40
+    for rec in bases:
+        ((offsets, given),) = rec["sampled"]
+        assert offsets == left
+        assert rec["need"] == min(left, dim) <= given
+        left -= given
+    assert left == 0
+    assert len(calls) == sum(rec["vectors"] + max(0, rec["vectors"] - dim) for rec in bases)
+    first = bases[0]
+    assert first["vectors"] > dim
+    monkeypatch.setattr(_kernels, "LANCZOS_MAX", first["vectors"] - 1)
+    budget = GRID_TOL * max(1.0, first["norm"])
+    _, _, samples = build(rho0, *_args(gen), taus=first["taus"], budget=budget, need=dim)
+    assert len(samples()) < dim
+    for t, state, want in zip(traj.times, traj.states, _exact_rows(lv, rho0, traj.times)):
+        assert np.linalg.norm(state - want) <= _grid_bound(GRID_TOL, t, rho0)
 
 
 # exact oracle for independent baths (``oracles.independent_exact``): the
@@ -684,7 +753,8 @@ def test_evolve_matches_independent_oracle(monkeypatch, mode, j1, j2, gamma2):
     # 0.05 to t = 0.5, a row every step.  Bounds fixed before running: every
     # row within tol t max(1, ||rho0||_F) + 1e-13 (Frobenius), tol =
     # GRID_TOL in fixed mode.  At n = 169 an adaptive basis continues past
-    # KRYLOV_DIM vectors.  The exact purity never grows (<X, L X> <= 0), and
+    # KRYLOV_DIM vectors, and in fixed mode every case's one basis does, to
+    # give all 10 rows.  The exact purity never grows (<X, L X> <= 0), and
     # a row within g of the exact state, of norm at most ||rho0||_F, has its
     # S_lin within g (2 ||rho0||_F + g) of the exact one, so S_lin falls
     # from row to row by no more than the two rows' sum of that
@@ -693,13 +763,15 @@ def test_evolve_matches_independent_oracle(monkeypatch, mode, j1, j2, gamma2):
     if mode == "adaptive":
         tol, t_final = 1e-10, 2.0
         traj = evolve(gen, rho0, t_final, tol=tol)
-        assert all(rec["lanczos"] for rec in bases)
+        assert all(rec["need"] == len(rec["taus"]) for rec in bases)
         if gen.dim == 169:
             assert max(rec["vectors"] for rec in bases) > _kernels.KRYLOV_DIM
     else:
         tol, t_final = GRID_TOL, 0.5
         traj = evolve(gen, rho0, t_final, step=0.05)
         assert traj.times.tolist() == [k * 0.05 for k in range(10)] + [t_final]
+        assert [rec["sampled"] for rec in bases] == [[(10, 10)]]
+        assert bases[0]["vectors"] > _kernels.KRYLOV_DIM
     assert traj.times[-1] == t_final
     bound = _grid_bound(tol, traj.times, rho0)
     slack = bound * (2.0 * np.linalg.norm(rho0) + bound)
@@ -750,7 +822,7 @@ def test_continued_basis_memory_is_the_stored_prefix():
     vector = gen.dim**2 * 16
     tracemalloc.start()
     try:
-        _, state, _ = _kernels.krylov_propagator(rho0, *_args(gen), lanczos_until=lambda e: False)
+        _, state, _ = _kernels.krylov_propagator(rho0, *_args(gen), taus=[0.1], budget=0.0, need=2)
         state(0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -830,10 +902,11 @@ def _benchmark_case(name):
     return gen, density_from_pure(cli.build_state(cfg)[0])
 
 
-def _recorded_build(monkeypatch, gen, rho0, **kw):
+def _recorded_build(monkeypatch, gen, rho0, taus=(), budget=0.0, need=0):
     """A Krylov basis of rho0, with what its build used: the vectors L was
     applied to, as rows of V (n^2 columns), their images L V, and the
-    matrix the last eigh factored (the small problem, lower triangle)."""
+    matrix the last eigh factored (the small problem, lower triangle).  By
+    default the basis needs no offset, so it is the stored prefix."""
     vectors, images, factored = [], [], []
     rhs, eigh = _kernels.lindblad_rhs, np.linalg.eigh
 
@@ -850,7 +923,7 @@ def _recorded_build(monkeypatch, gen, rho0, **kw):
     with monkeypatch.context() as patch:
         patch.setattr(_kernels, "lindblad_rhs", recorded_rhs)
         patch.setattr(np.linalg, "eigh", recorded_eigh)
-        propagator = _kernels.krylov_propagator(rho0, *_args(gen), **kw)
+        propagator = _kernels.krylov_propagator(rho0, *_args(gen), taus=taus, budget=budget, need=need)
     small = np.tril(factored[-1])
     return propagator, np.array(vectors), np.array(images), small + np.tril(small, -1).T
 
@@ -884,22 +957,24 @@ def _offsets(norm):
 def test_small_problem_matches_expm(monkeypatch, name):
     # error(tau) and the states' coefficients against scipy's expm of the
     # same small problem T (the matrix eigh factored), at offsets across
-    # the trusted range and none past it.  Reference: error_ref = beta h
-    # |[exp(tau T)]_{m1}|, h the norm of L v_m less its projection (on
+    # the trusted range and none past it.  Reference: error_ref as in
+    # ``_error_reference``, h the norm of L v_m less its projection (on
     # every v_i for the stored prefix; on v_m and v_(m-1), by the
     # recurrence, for a continued basis), and the state beta V exp(tau T)
     # e_1, V the vectors the build applied L to.  A basis that closed
     # (the fixed model, at 11 vectors) is exact: its error is 0.  Bounds
     # fixed before running: both within 1e-13 beta (1 + tau ||T||_2), the
-    # error scaled by h, covering the rounding of the eigen-sums and of
-    # e^(tau lambda), whose eigenvalues carry about u ||T||_2 each
+    # error scaled by h (1 + tau), covering the rounding of the eigen-sums
+    # and of e^(tau lambda), whose eigenvalues carry about u ||T||_2 each,
+    # and the integral's scale beta h tau.  A continued basis needs more
+    # offsets than it is given, so it grows to LANCZOS_MAX
     gen, rho0 = _benchmark_case(name.split("-")[0])
-    kw = {"lanczos_until": lambda e: False} if name.endswith("continued") else {}
-    (error, state, samples), vectors, images, small = _recorded_build(monkeypatch, gen, rho0, **kw)
+    need = 1 if name.endswith("continued") else 0
+    (error, state, _), vectors, images, small = _recorded_build(monkeypatch, gen, rho0, need=need)
     m = len(small)
     beta = np.linalg.norm(rho0)
     norm = np.abs(np.linalg.eigvalsh(small)).max()
-    if kw:
+    if need:
         assert m == _kernels.LANCZOS_MAX
         resid = images[-1] - small[-1, -1] * vectors[-1] - small[-1, -2] * vectors[-2]
     else:
@@ -908,7 +983,15 @@ def test_small_problem_matches_expm(monkeypatch, name):
     closed = m < _kernels.KRYLOV_DIM
     assert closed == (name == "fixed")
     taus = _offsets(norm)
-    rows = samples(taus, 0.0, math.inf)
+    past = 1.001 * _kernels.EXPM_NORM_MAX / norm
+    assert error(past) == math.inf
+    # the same basis again, given the offsets and one past the trusted
+    # range: its samples stop before that one
+    offsets = np.append(taus, past)
+    _, _, samples = _kernels.krylov_propagator(
+        rho0, *_args(gen), taus=offsets, budget=math.inf, need=need and len(offsets) + 1
+    )
+    rows = samples()
     assert len(rows) == len(taus)
     for tau, row in zip(taus, rows):
         exact = scipy.linalg.expm(tau * small)
@@ -916,15 +999,12 @@ def test_small_problem_matches_expm(monkeypatch, name):
         if closed:
             assert error(tau) == 0.0
         else:
-            assert abs(error(tau) - beta * h * abs(exact[-1, 0])) <= h * bound
+            assert abs(error(tau) - _error_reference(small, beta, h, tau)) <= h * bound * (1.0 + tau)
         want = beta * (exact[:, 0] @ vectors)
         assert np.linalg.norm(row.reshape(-1) - want) <= bound
     tau = taus[4]
     want = beta * (scipy.linalg.expm(tau * small)[:, 0] @ vectors)
     assert np.linalg.norm(state(tau).reshape(-1) - want) <= 1e-13 * beta * (1.0 + tau * norm)
-    past = 1.001 * _kernels.EXPM_NORM_MAX / norm
-    assert error(past) == math.inf
-    assert len(samples([taus[-1], past], 0.0, math.inf)) == 1
 
 
 @pytest.mark.parametrize("name", ["adaptive", "sweep", "dfs"])
@@ -935,13 +1015,14 @@ def test_short_offsets_pass(monkeypatch, name):
     # 1e-2 / ||T|| passes the fixed-grid test GRID_TOL tau max(1, beta),
     # in ``error`` and in ``samples``
     gen, rho0 = _benchmark_case(name)
-    (error, _, samples), _, _, small = _recorded_build(monkeypatch, gen, rho0)
+    (error, _, _), _, _, small = _recorded_build(monkeypatch, gen, rho0)
     norm = np.abs(np.linalg.eigvalsh(small)).max()
     budget = GRID_TOL * max(1.0, np.linalg.norm(rho0))
     assert error(0.0) == 0.0
     taus = 10.0 ** np.arange(-12.0, -1.0) / norm
     assert all(error(tau) <= budget * tau for tau in taus)
-    assert len(samples(taus, 0.0, budget)) == len(taus)
+    _, _, samples = _kernels.krylov_propagator(rho0, *_args(gen), taus=taus, budget=budget, need=0)
+    assert len(samples()) == len(taus)
 
 
 def test_continued_basis_uses_one_workspace(monkeypatch):

@@ -111,11 +111,12 @@ def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, step):
         outs = [_kernels.rk4_chunk(rho, *args, tau, 1)]
         hermitian_tol = trace_tol = 4e-12 * math.exp(x)
     else:
-        _, state, samples = _kernels.krylov_propagator(rho, *args)
+        taus = [tau / 3.0, 2.0 * tau / 3.0, tau]
+        _, state, samples = _kernels.krylov_propagator(rho, *args, taus=taus, budget=math.inf, need=0)
         if kind == "krylov":
             outs = [state(tau)]
         else:
-            outs = samples([tau / 3.0, 2.0 * tau / 3.0, tau], 0.0, math.inf)
+            outs = samples()
             assert len(outs) == 3
         m = _kernels.KRYLOV_DIM
         hermitian_tol = 1e-12 * m
