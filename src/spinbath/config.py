@@ -234,6 +234,8 @@ def _parse_evolution(doc, where: str) -> EvolutionConfig:
         tol = _number(doc["tol"], f"{where}.tol")
         if tol <= 0.0:
             _fail(where, "tol must be positive")
+    if step is not None and tol is not None:
+        _fail(where, "step and tol are exclusive")
     stride = doc.get("stride", 1)
     if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
         _fail(where, f"stride must be a positive integer, got {stride!r}")

@@ -381,9 +381,9 @@ def rank_one_factors(jumps, psi) -> tuple[np.ndarray, np.ndarray]:
 def default_step(gen: Generator) -> float | None:
     """Step 0.1 / sum_k ||A_k||^2, None if free.
 
-    ``evolve``'s default grid step, and its first adaptive trial h.  Each
-    jump's 2-norm is taken from its d x d factors as ||X||_2 + ||Y||_2 (or
-    ||X||_2 on one ensemble).  The eigenvalues of X (x) I + I (x) Y are the
+    ``evolve``'s default grid step in fixed mode.  Each jump's 2-norm is
+    taken from its d x d factors as ||X||_2 + ||Y||_2 (or ||X||_2 on one
+    ensemble).  The eigenvalues of X (x) I + I (x) Y are the
     sums x_i + y_j (Horn & Johnson, Topics in Matrix Analysis, 4.4), and
     every jump built here has factors that are real multiples of n.J, with
     spectra symmetric about 0, so the sum is ||A_k||_2 exactly.  For any
@@ -423,35 +423,21 @@ class Trajectory(NamedTuple):
 GRID_TOL = 1e-12
 
 
-# bisections that end a step-size search: its bracket starts at most a factor
-# 2 wide, so the accepted h is within a factor 1 + 2^-STEP_BISECTIONS of a
-# refused trial
+# bisections that end a sub-step search: its bracket starts a factor 2 wide,
+# so the accepted h is within a factor 1 + 2^-STEP_BISECTIONS of a refused
+# trial
 STEP_BISECTIONS = 12
 
 
-def _ladder(h, remaining, tiny) -> list[float]:
-    """The trials ``_largest_step`` doubles through while they pass: h
-    clipped to [tiny, remaining], then doubled, the last one clipped to
-    ``remaining``."""
-    x = min(max(h, tiny), remaining)
-    trials = [x]
-    while x < remaining:
-        x = min(2.0 * x, remaining)
-        trials.append(x)
-    return trials
+def _largest_step(error, offset, budget, tiny):
+    """Largest trial h <= ``offset`` with error(h) <= budget * h.
 
-
-def _largest_step(error, ladder, budget, tiny):
-    """Largest trial h <= ``ladder[-1]`` with error(h) <= budget * h.
-
-    The trials double through ``ladder`` (``_ladder``) until one fails or
-    the last passes; a failing first trial halves until one passes.
-    ``STEP_BISECTIONS`` bisections of the bracket between the last pass and
-    the last failure follow.  The search is deterministic and calls
-    ``error`` at most 2 + log2(ladder[-1] / tiny) + ``STEP_BISECTIONS``
-    times.  Returns (h, refused): the accepted trial,
-    None when every trial down to ``tiny`` fails, and the number of failed
-    trials.
+    The first trial is ``offset``; when it fails, the trial halves until one
+    passes, and ``STEP_BISECTIONS`` bisections of the bracket between that
+    pass and the last failure follow.  The search is deterministic and calls
+    ``error`` at most 2 + log2(offset / tiny) + ``STEP_BISECTIONS`` times.
+    Returns (h, refused): the accepted trial, None when every trial down to
+    ``tiny`` fails, and the number of failed trials.
     """
     refused = 0
 
@@ -462,23 +448,16 @@ def _largest_step(error, ladder, budget, tiny):
         refused += 1
         return False
 
-    if passes(ladder[0]):
-        lo = ladder[0]
-        for hi in ladder[1:]:
-            if not passes(hi):
-                break
-            lo = hi
-        else:
-            return lo, refused
-    else:
-        hi = ladder[0]
-        while True:
-            lo = 0.5 * hi
-            if lo < tiny:
-                return None, refused
-            if passes(lo):
-                break
-            hi = lo
+    if passes(offset):
+        return offset, refused
+    hi = offset
+    while True:
+        lo = 0.5 * hi
+        if lo < tiny:
+            return None, refused
+        if passes(lo):
+            break
+        hi = lo
     for _ in range(STEP_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if passes(mid):
@@ -518,24 +497,24 @@ def evolve(
     nothing is Hermitized or renormalized, so trace and Hermiticity drift
     shows in the states.
 
+    Both modes run one loop over bases on a grid of rows.  Each basis needs
+    the next ``KRYLOV_DIM`` rows, or every row left if fewer.  It gives the
+    next rows at O(m) arithmetic each (``samples``) and ends at the last row
+    that passes, the first that fails counting in ``Trajectory.rejected``.
+    When even the next row fails at ``LANCZOS_MAX`` vectors, a sub-step
+    search (``_largest_step``, at no right-hand-side cost) takes the largest
+    acceptable sub-step short of it, to a relative precision of
+    2^-``STEP_BISECTIONS``, each trial it refuses counting in
+    ``Trajectory.rejected``, and the next basis starts there.
+
     Fixed step (``tol`` None): the grid of ``nsteps`` = ceil(t_final / h)
     steps of h = ``step``, sampled every stride-th step, at done * h for
     done = stride, 2 stride, ... < nsteps, and at t_final.  The test runs
-    at tol = ``GRID_TOL``.  A basis needs the next ``KRYLOV_DIM`` rows, or
-    every row left if fewer.  It gives the next rows at O(m) arithmetic
-    each (``samples``) and ends at the last row that passes, the first that
-    fails counting in ``Trajectory.rejected``; when even the next row fails
-    at ``LANCZOS_MAX`` vectors, a step-size search (``_largest_step``)
-    takes the largest acceptable sub-step short of it.
-    ``Trajectory.accepted`` is ``nsteps``.
+    at tol = ``GRID_TOL``.  ``Trajectory.accepted`` is ``nsteps``.
 
-    Adaptive (``tol`` given): on each basis a search over trial h
-    (``_largest_step``, at no right-hand-side cost) takes the largest
-    acceptable h <= t_final - t, to a relative precision of
-    2^-``STEP_BISECTIONS``; each trial it refuses counts in
-    ``Trajectory.rejected``.  A basis needs every trial of the search's
-    doubling ladder up to t_final - t (``_ladder``), so that, once it has
-    them, the search takes t_final - t in one step.
+    Adaptive (``tol`` given): the grid is t_final alone, so a basis that
+    reaches it takes all of t_final - t in one step.  ``Trajectory.accepted``
+    counts the bases, and every stride-th sub-step is a row.
 
     Parameters
     ----------
@@ -545,13 +524,13 @@ def evolve(
     t_final : float
         Integration horizon (>= 0).
     step : float, optional
-        Fixed step size; defaults to ``default_step(gen)``.  In adaptive
-        mode this is the first trial h of the first search; later searches
-        start from the h last accepted.
+        Fixed step size; defaults to ``default_step(gen)``.  Fixed mode
+        only: ``step`` together with ``tol`` raises ValueError.
     tol : float, optional
         Local error per unit time; selects adaptive Krylov steps.
     stride : int
-        Record every stride-th step (t = 0 and t_final always).
+        Record every stride-th step, or sub-step in adaptive mode (t = 0
+        and t_final always).
     max_steps : int
         Abort guard: the fixed-step count, and the Krylov bases plus the
         refused trials, never exceed it.
@@ -564,19 +543,21 @@ def evolve(
     ------
     ValueError
         When ``t_final``, ``step`` or ``tol`` is not finite or out of range,
-        or ``stride`` < 1.
+        both ``step`` and ``tol`` are given, or ``stride`` < 1.
     IntegrationAbortError
         When a fixed step needs more than ``max_steps`` steps (raised before
         any step, ``t_last`` = 0), the generator is too large for a Krylov
         basis (``_kernels.SCALE_MAX``), the state norm blows up beyond 10x
         its initial value, the bases plus refused trials exceed ``max_steps``,
-        or no trial h down to 1e-15 max(t_final, 1) is acceptable.
+        or no sub-step down to 1e-15 max(t_final, 1) is acceptable.
         ``t_last`` is the last time whose state passed every check.
     """
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ValueError("t_final must be finite and non-negative")
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    if step is not None and tol is not None:
+        raise ValueError("step and tol are exclusive")
     if step is not None and not (math.isfinite(step) and step > 0.0):
         raise ValueError("step must be finite and positive")
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
@@ -609,10 +590,20 @@ def evolve(
     if t_final == 0.0:
         return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, 0, 0)
 
-    # fixed step, or the initial step in adaptive mode
-    h = step if step is not None else default_step(gen)
-    if h is None or h > t_final:
-        h = t_final
+    adaptive = tol is not None
+    if not adaptive:
+        h = step if step is not None else default_step(gen)
+        if h is None or h > t_final:
+            h = t_final
+        nsteps = max(1, math.ceil(t_final / h - 1e-12))
+        if nsteps > max_steps:
+            raise IntegrationAbortError(
+                f"fixed step {h} needs {nsteps} steps > max_steps={max_steps}", t_last=0.0
+            )
+        grid = np.append(np.arange(stride, nsteps, stride) * h, t_final)
+        tol = GRID_TOL
+    else:
+        grid = np.array([t_final])
     t = 0.0
     rejected = 0
     tiny = 1e-15 * max(t_final, 1.0)
@@ -627,65 +618,36 @@ def evolve(
         if bases + rejected > max_steps:
             raise IntegrationAbortError(f"exceeded max_steps={max_steps} at t={t:.6g}", t_last=t)
 
-    if tol is None:
-        nsteps = max(1, math.ceil(t_final / h - 1e-12))
-        if nsteps > max_steps:
-            raise IntegrationAbortError(
-                f"fixed step {h} needs {nsteps} steps > max_steps={max_steps}", t_last=0.0
-            )
-        grid = np.append(np.arange(stride, nsteps, stride) * h, t_final)
-        bases = row = 0  # row: the next grid time to record
-        while row < len(grid):
-            budget = GRID_TOL * max(1.0, float(np.linalg.norm(rho)))
-            need = min(len(grid) - row, _kernels.KRYLOV_DIM)  # rows, or every row left
-            error, state, samples = propagator(rho, taus=grid[row:] - t, budget=budget, need=need)
-            sampled = samples()
-            bases += 1
-            if len(sampled):
-                if row + len(sampled) < len(grid):  # the next row failed
-                    rejected += 1
-                check_budget(bases)
-                for mat in sampled:
-                    check_blowup(t, mat)
-                    t = float(grid[row])
-                    record(t, mat)
-                    row += 1
-                rho = sampled[-1]
-            else:
-                sub, refused = _largest_step(error, [float(grid[row]) - t], budget, tiny)
-                rejected += refused
-                if sub is None:
-                    raise IntegrationAbortError(f"step size underflow at t={t:.6g}", t_last=t)
-                check_budget(bases)
-                rho = state(sub)
-                check_blowup(t, rho)
-                t += sub
-            # the next basis is built without this one alive
-            del error, state, samples, sampled
-        return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, nsteps, rejected)
-
-    # adaptive Krylov steps of exp(h L): one basis per accepted step, and on
-    # it the largest h the tolerance allows.  The basis grows until every
-    # trial of the search's doubling ladder passes, so that h is all of
-    # t_final - t
-    accepted = 0
-    while t < t_final * (1.0 - 1e-14):
+    bases = row = 0  # row: the next grid time to record
+    while row < len(grid):
         budget = tol * max(1.0, float(np.linalg.norm(rho)))
-        ladder = _ladder(h, t_final - t, tiny)
-        error, state, samples = propagator(rho, taus=ladder, budget=budget, need=len(ladder))
-        h, refused = _largest_step(error, ladder, budget, tiny)
-        rejected += refused
-        if h is None:
-            raise IntegrationAbortError(f"step size underflow at t={t:.6g}", t_last=t)
-        check_budget(accepted + 1)
-        del rho  # the state is formed without the basis's start alive
-        rho = state(h)
+        need = min(len(grid) - row, _kernels.KRYLOV_DIM)  # rows, or every row left
+        error, state, samples = propagator(rho, taus=grid[row:] - t, budget=budget, need=need)
+        sampled = samples()
+        bases += 1
+        if len(sampled):
+            if row + len(sampled) < len(grid):  # the next row failed
+                rejected += 1
+            check_budget(bases)
+            for mat in sampled:
+                check_blowup(t, mat)
+                t = float(grid[row])
+                record(t, mat)
+                row += 1
+            rho = sampled[-1]
+        else:
+            sub, refused = _largest_step(error, float(grid[row]) - t, budget, tiny)
+            rejected += refused
+            if sub is None:
+                raise IntegrationAbortError(f"step size underflow at t={t:.6g}", t_last=t)
+            check_budget(bases)
+            del rho  # the state is formed without the basis's start alive
+            rho = state(sub)
+            check_blowup(t, rho)
+            t += sub
+            if adaptive and bases % stride == 0:
+                record(t, rho)
         # the next basis is built without this one alive
-        del error, state, samples
-        check_blowup(t, rho)
-        t += h
-        accepted += 1
-        if accepted % stride == 0 and t < t_final * (1.0 - 1e-14):
-            record(t, rho)
-    record(t_final, rho)
+        del error, state, samples, sampled
+    accepted = bases if adaptive else nsteps
     return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, accepted, rejected)

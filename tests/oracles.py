@@ -1,9 +1,9 @@
 """Independent reference constructions for the test suite.
 
 Everything here is derived directly from ladder-operator matrix elements
-with plain numpy (and scipy's expm for ``independent_exact``), deliberately
-not reusing the package's constructors, so each comparison pits two
-separate derivations against each other.
+with plain numpy (and scipy's expm for ``independent_exact`` and
+``common_exact``), deliberately not reusing the package's constructors, so
+each comparison pits two separate derivations against each other.
 """
 
 import numpy as np
@@ -140,6 +140,53 @@ def independent_exact(j1: float, j2, gamma1, gamma2):
         r = rho0.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
         out = (e1 @ r @ e2.T).reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3)
         return out.reshape(d1 * d2, d1 * d2)
+
+    return exact
+
+
+def common_exact(j1: float, j2: float, gamma):
+    """exp(t L) rho0 for a common bath at lam = 1, as a function of (rho0, t).
+
+    At lam = 1 each coupling operator is C_a = (J1a + J2a) / 2 = J_a / 2,
+    block-diagonal in the coupled basis |L, M> of ``ladder_coupled_table``
+    (levels L = j1 + j2 down to |j1 - j2|, M descending): on level L it is
+    ``spin_matrices(L)`` / 2, as the table lowers with Condon-Shortley
+    phases.  So L maps each block R_LL' of R = U^T rho U (U the real
+    orthogonal table) to itself, as the literal double sum on a d_L x d_L'
+    block.  Each block pair's (d_L d_L')^2 superoperator is exponentiated by
+    ``scipy.linalg.expm``, and the result transformed back.  The cost is one
+    expm per block pair and time, with no basis and no tolerance.
+    """
+    table = ladder_coupled_table(j1, j2)
+    levels = sorted({two_l for two_l, _ in table}, reverse=True)
+    u = np.column_stack([table[(two_l, two_m)] for two_l in levels for two_m in range(two_l, -two_l - 1, -2)])
+    halves = [[op / 2.0 for op in spin_matrices(two_l / 2.0)] for two_l in levels]
+    ends = np.cumsum([two_l + 1 for two_l in levels])
+    spans = [slice(end - (two_l + 1), end) for two_l, end in zip(levels, ends)]
+
+    def block(left, right):
+        # vec(A X B) = (A (x) B^T) vec(X) on the row-major vec of a d_L x d_L' block
+        eye_l, eye_r = np.eye(left[0].shape[0]), np.eye(right[0].shape[0])
+        out = 0.0
+        for a in range(3):
+            for b in range(3):
+                if gamma[a, b] != 0.0:
+                    out = out + gamma[a, b] * (
+                        np.kron(left[b], right[a].T)
+                        - 0.5 * np.kron(left[a] @ left[b], eye_r)
+                        - 0.5 * np.kron(eye_l, (right[a] @ right[b]).T)
+                    )
+        return out
+
+    supers = {(p, q): block(halves[p], halves[q]) for p in range(len(levels)) for q in range(len(levels))}
+
+    def exact(rho0: np.ndarray, t: float) -> np.ndarray:
+        r = u.T @ rho0 @ u
+        out = np.empty_like(r)
+        for (p, q), sup in supers.items():
+            blk = r[spans[p], spans[q]]
+            out[spans[p], spans[q]] = (scipy.linalg.expm(t * sup) @ blk.reshape(-1)).reshape(blk.shape)
+        return u @ out @ u.T
 
     return exact
 

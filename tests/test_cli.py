@@ -427,6 +427,15 @@ class TestProcessEntry:
         assert err.startswith("spinbath: config error")
         assert err.count("\n") == 1
 
+    def test_step_with_tol_is_a_config_error(self, tmp_path):
+        cfg = write_cfg(tmp_path, z_pair_doc(evolution={"t_final": 1.0, "step": 0.1, "tol": 1e-10}))
+        done = run_module("simulate", "--config", str(cfg), "--out", str(tmp_path / "out.csv"))
+        assert done.returncode == 2
+        err = done.stderr.decode()
+        assert err.startswith("spinbath: config error") and "step and tol are exclusive" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
     def test_in_process_main_leaves_the_heap_unfrozen(self, tmp_path):
         # main_entry freezes the heap for the exit; main runs inside other
         # programs, which keep collecting

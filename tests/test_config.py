@@ -226,6 +226,11 @@ class TestParseEvolution:
         with pytest.raises(ConfigError):
             parse_config(base_doc(evolution={"t_final": float("inf")}))
 
+    def test_step_and_tol_are_exclusive(self):
+        # adaptive mode has no grid step, so a step beside tol would do nothing
+        with pytest.raises(ConfigError, match="evolution: step and tol are exclusive"):
+            parse_config(base_doc(evolution={"t_final": 1.0, "step": 0.1, "tol": 1e-10}))
+
 
 class TestParseSweep:
     def test_lambda_sweep_requires_common(self):

@@ -476,7 +476,7 @@ class TestEvolveFixedStep:
         gen = dephasing_generator()
         gen._drift = _kernels.Banded(-gen._drift.diags, gen._drift.offsets)
         with pytest.raises(IntegrationAbortError, match=f"last good time t={t_last:.6g}") as info:
-            evolve(gen, plus_x_density(), 6.0, step=0.6, tol=tol)
+            evolve(gen, plus_x_density(), 6.0, **({"step": 0.6} if tol is None else {"tol": tol}))
         assert info.value.t_last == t_last
 
     def test_step_budget_enforced(self):
@@ -510,18 +510,22 @@ class TestEvolveFixedStep:
             (math.inf, {}),
             (1.0, {"step": math.nan}),
             (1.0, {"step": math.inf}),
-            # an adaptive NaN step once halved NaN forever in _largest_step
-            (1.0, {"step": math.nan, "tol": 1e-10}),
-            (1.0, {"step": math.inf, "tol": 1e-10}),
             (1.0, {"tol": math.nan}),
             (1.0, {"tol": math.inf}),
         ],
         ids=["adaptive-t_final-nan", "adaptive-t_final-inf", "fixed-t_final-nan", "fixed-t_final-inf",
-             "fixed-step-nan", "fixed-step-inf", "adaptive-step-nan", "adaptive-step-inf", "tol-nan", "tol-inf"],
+             "fixed-step-nan", "fixed-step-inf", "tol-nan", "tol-inf"],
     )
     def test_non_finite_arguments_rejected(self, t_final, kwargs):
         with pytest.raises(ValueError, match="must be finite"):
             evolve(dephasing_generator(), plus_x_density(), t_final, **kwargs)
+
+    @pytest.mark.parametrize("step", [0.1, 1.0, math.nan])
+    def test_step_and_tol_are_exclusive(self, step):
+        # adaptive mode has no grid step, so a step beside tol would be
+        # silently ignored; any step, even one equal to t_final, is refused
+        with pytest.raises(ValueError, match="step and tol are exclusive"):
+            evolve(dephasing_generator(), plus_x_density(), 1.0, step=step, tol=1e-10)
 
 
 class TestZOnlyClosedForm:
@@ -640,15 +644,15 @@ class TestEvolveAdaptive:
         assert overlap >= 1.0 - 1e-12
 
     def test_rejections_counted_for_rough_start(self, monkeypatch):
-        # a first step of t_final: the Krylov basis of this state does not
-        # close, and capped at KRYLOV_DIM vectors (no Lanczos continuation)
-        # it does not reach t = 8 at tol 1e-12, so the step is too long for
-        # the tolerance
+        # the first trial is t_final: the Krylov basis of this state does
+        # not close, and capped at KRYLOV_DIM vectors (no Lanczos
+        # continuation) it does not reach t = 8 at tol 1e-12, so the step is
+        # too long for the tolerance
         monkeypatch.setattr(_kernels, "LANCZOS_MAX", _kernels.KRYLOV_DIM)
         model = CommonBath(gamma=np.diag([1.0, 0.5, 0.25]), lam=1.4, axes=("x", "y", "z"))
         gen = build_generator(model, 1, 1)
         psi = np.kron(coherent_x(1), coherent_x(1))
-        traj = evolve(gen, density_from_pure(psi), 8.0, step=8.0, tol=1e-12)
+        traj = evolve(gen, density_from_pure(psi), 8.0, tol=1e-12)
         assert traj.rejected >= 1
         assert traj.times[-1] == 8.0
 

@@ -35,6 +35,9 @@ CASES = [
     ("state_singlet", "rate"),
     ("state_singlet", "dfs"),
     ("state_singlet", "state"),
+    ("common_adaptive", "rate"),
+    ("common_adaptive", "simulate"),
+    ("common_adaptive", "state"),
 ]
 
 REL = 1e-12

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from oracles import coupling_sets, dense_liouvillian, independent_exact, random_density
+from oracles import common_exact, coupling_sets, dense_liouvillian, independent_exact, random_density
 from spinbath import _kernels, cli, generator
 from spinbath.config import parse_config
 from spinbath.generator import (
@@ -125,7 +125,8 @@ def _recorded_bases(monkeypatch, calls=None):
     spans, the offsets it was given and how many of them it needs, the
     right-hand sides its build took (one per basis vector, counted in
     ``calls`` from ``_counted_rhs``), its own error function, every trial
-    (tau, error) of the search, the tau its state was formed at, and per
+    (tau, error) of the search, the offsets taken (the tau a ``state`` was
+    formed at, and the offsets ``samples`` gave states for), and per
     ``samples`` call the number of offsets and of states given."""
     bases = []
     build = _kernels.krylov_propagator
@@ -150,6 +151,7 @@ def _recorded_bases(monkeypatch, calls=None):
         def traced_samples():
             out = samples()
             rec["sampled"].append((len(taus), len(out)))
+            rec["taken"] += np.asarray(taus)[: len(out)].tolist()
             return out
 
         return traced_error, traced_state, traced_samples
@@ -160,8 +162,8 @@ def _recorded_bases(monkeypatch, calls=None):
 
 # common bath at n = 9 with bases capped at KRYLOV_DIM vectors
 # (``_krylov_dim_bases``): three steps, none of whose bases closes, and the
-# first trial (step = t_final) is too long for the tolerance
-SEARCH_CASE = dict(t_final=16.0, step=16.0, tol=1e-10)
+# first trial (t_final) is too long for the tolerance
+SEARCH_CASE = dict(t_final=16.0, tol=1e-10)
 
 
 def _krylov_dim_bases(monkeypatch):
@@ -175,7 +177,7 @@ def test_adaptive_rhs_cost_is_krylov_dim_per_accepted_step(monkeypatch):
     _krylov_dim_bases(monkeypatch)
     calls = _counted_rhs(monkeypatch)
     gen, rho0 = _case("common", 1)
-    traj = evolve(gen, rho0, SEARCH_CASE["t_final"], step=SEARCH_CASE["step"], tol=SEARCH_CASE["tol"])
+    traj = evolve(gen, rho0, SEARCH_CASE["t_final"], tol=SEARCH_CASE["tol"])
     assert traj.accepted >= 2
     assert len(calls) == _kernels.KRYLOV_DIM * traj.accepted
 
@@ -189,7 +191,7 @@ def test_adaptive_steps_are_the_largest_each_basis_supports(monkeypatch):
     bases = _recorded_bases(monkeypatch)
     gen, rho0 = _case("common", 1)
     t_final, tol = SEARCH_CASE["t_final"], SEARCH_CASE["tol"]
-    traj = evolve(gen, rho0, t_final, step=SEARCH_CASE["step"], tol=tol)
+    traj = evolve(gen, rho0, t_final, tol=tol)
     assert len(bases) == traj.accepted
     t, refused, short = 0.0, 0, 0
     for rec in bases:
@@ -208,11 +210,59 @@ def test_adaptive_steps_are_the_largest_each_basis_supports(monkeypatch):
     assert refused == traj.rejected >= 1
 
 
+@pytest.mark.parametrize("offset", [0.75, 1.0, 3.0, math.inf])
+def test_sub_step_search_tries_the_offset_then_halves_and_bisects(offset):
+    # error(h) = h^2 against budget 1 passes exactly h <= 1: an offset that
+    # passes is taken whole; one that fails halves until a trial passes,
+    # and STEP_BISECTIONS bisections leave the step within a factor
+    # 1 + 2^-STEP_BISECTIONS of a refused trial.  Every failed trial counts
+    # once; with every trial failing down to tiny there is no step
+    trials = []
+
+    def error(h):
+        trials.append(h)
+        return h * h if math.isfinite(offset) else math.inf
+
+    h, refused = generator._largest_step(error, 3.0 if math.isinf(offset) else offset, 1.0, 1e-15)
+    assert trials[0] == (3.0 if math.isinf(offset) else offset)
+    if math.isinf(offset):
+        assert h is None and refused == len(trials)
+        assert 0.5 * trials[-1] < 1e-15 <= trials[-1]
+    elif offset <= 1.0:
+        assert (h, refused, len(trials)) == (offset, 0, 1)
+    else:
+        assert trials[1:3] == [1.5, 0.75]
+        assert len(trials) == 3 + STEP_BISECTIONS
+        assert refused == sum(x * x > x for x in trials)
+        assert h <= 1.0 < h * (1.0 + 2.0**-STEP_BISECTIONS)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_adaptive_records_every_stride_th_sub_step(monkeypatch, stride):
+    # on bases capped at KRYLOV_DIM vectors each basis is one accepted step:
+    # every basis but the last takes one sub-step, the stride-th ones are
+    # rows at the sum of the sub-steps so far, and the last basis gives the
+    # row at t_final
+    _krylov_dim_bases(monkeypatch)
+    bases = _recorded_bases(monkeypatch)
+    gen, rho0 = _case("common", 1)
+    t_final = SEARCH_CASE["t_final"]
+    traj = evolve(gen, rho0, t_final, tol=SEARCH_CASE["tol"], stride=stride)
+    assert traj.accepted == len(bases) >= 3
+    t, want = 0.0, [0.0]
+    for k, rec in enumerate(bases[:-1], start=1):
+        (sub,) = rec["taken"]
+        t += sub
+        if k % stride == 0:
+            want.append(t)
+    assert bases[-1]["taken"] == [t_final - t]
+    assert traj.times.tolist() == want + [t_final]
+
+
 def test_adaptive_max_steps_bounds_steps_and_refused_trials(monkeypatch):
     _krylov_dim_bases(monkeypatch)
     gen, rho0 = _case("common", 1)
-    run = lambda cap: evolve(gen, rho0, SEARCH_CASE["t_final"], step=SEARCH_CASE["step"],  # noqa: E731
-                             tol=SEARCH_CASE["tol"], max_steps=cap)
+    run = lambda cap: evolve(gen, rho0, SEARCH_CASE["t_final"], tol=SEARCH_CASE["tol"], max_steps=cap)  # noqa: E731
     traj = run(10_000)
     used = traj.accepted + traj.rejected
     assert run(used).accepted == traj.accepted
@@ -233,13 +283,15 @@ def test_fixed_rejected_counts_every_refused_offset(monkeypatch):
     gen, rho0 = _case("common", 1)
     run = lambda cap: evolve(gen, rho0, 20.0, step=4.0, max_steps=cap)  # noqa: E731
     traj = run(10_000)
-    refused = 0
+    refused = substeps = 0
     for rec in bases:
         ((asked, given),) = rec["sampled"]
         refused += 0 < given < asked
         refused += sum(err > GRID_TOL * max(1.0, rec["norm"]) * x for x, err in rec["trials"])
-        assert len(rec["taken"]) == (given == 0)
-    assert 0 < sum(len(rec["taken"]) for rec in bases) < len(bases)
+        # the rows given, or else one sub-step
+        assert len(rec["taken"]) == max(given, 1)
+        substeps += given == 0
+    assert 0 < substeps < len(bases)
     assert refused == traj.rejected
     assert traj.times.tolist() == [4.0 * k for k in range(6)]
     used = len(bases) + traj.rejected
@@ -259,7 +311,7 @@ def test_one_step_run_takes_one_basis(monkeypatch):
     assert traj.times.tolist() == [0.0, t_final]
     ((rec,),) = [bases]
     assert rec["sampled"] == [(1, 1)]
-    assert rec["taken"] == []
+    assert rec["taken"] == [t_final]
 
 
 @pytest.mark.parametrize("tol", [None, 1e-10])
@@ -788,6 +840,57 @@ def test_many_rows_match_independent_oracle():
     assert len(traj.states) == 501
     for t, state in zip(traj.times, traj.states):
         assert np.linalg.norm(state - exact(rho0, t)) <= _grid_bound(GRID_TOL, t, rho0)
+
+
+# a full x, y, z damping matrix with every off-diagonal entry, for the
+# common-bath oracle at lam = 1 (``oracles.common_exact``)
+GAMMA_FULL = np.array([[1.0, 0.2, 0.3], [0.2, 0.5, 0.1], [0.3, 0.1, 0.25]])
+
+
+def _common_case(j1, j2, seed=5):
+    # lam = 1 from a random pure state
+    gen = build_generator(CommonBath(gamma=GAMMA_FULL, lam=1.0, axes=("x", "y", "z")), j1, j2)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
+    psi /= np.linalg.norm(psi)
+    return gen, common_exact(j1, j2, GAMMA_FULL), np.outer(psi, psi.conj())
+
+
+@pytest.mark.parametrize("j1,j2", [(1, 2), (1.5, 1)])
+def test_common_oracle_matches_dense_liouvillian(j1, j2):
+    # the oracle's total-spin blocks against expm of the full n^2 x n^2
+    # double-sum Liouvillian at n <= 15, j1 != j2 in both orders: one
+    # exponential each, so both round to about 1e-15; bound fixed before
+    # running
+    _, exact, rho0 = _common_case(j1, j2)
+    lv = dense_liouvillian(coupling_sets("common", j1, j2, GAMMA_FULL, None, 1.0))
+    for t in (0.3, 2.0):
+        assert np.abs(exact(rho0, t) - _exact(lv, rho0, t)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("j1,j2,mode", [(1, 2, "adaptive"), (1, 2, "fixed"), (4, 4, "adaptive")])
+def test_evolve_matches_common_oracle(monkeypatch, j1, j2, mode):
+    # the common bath at lam = 1 against its exact total-spin oracle:
+    # adaptive tol 1e-10 to t = 2, fixed step 0.05 to t = 0.5 (a row every
+    # step).  j1 != j2 catches a level-ordering error; at n = 81 the one
+    # adaptive basis continues past KRYLOV_DIM vectors.  Bounds fixed before
+    # running: every row within tol t max(1, ||rho0||_F) + 1e-13
+    # (Frobenius), tol = GRID_TOL in fixed mode.  The n = 81 case takes
+    # about 0.8 s, most of it the oracle's 81 block exponentials a time
+    bases = _recorded_bases(monkeypatch, _counted_rhs(monkeypatch))
+    gen, exact, rho0 = _common_case(j1, j2)
+    if mode == "adaptive":
+        tol, t_final = 1e-10, 2.0
+        traj = evolve(gen, rho0, t_final, tol=tol)
+        if gen.dim == 81:
+            assert max(rec["vectors"] for rec in bases) > _kernels.KRYLOV_DIM
+    else:
+        tol, t_final = GRID_TOL, 0.5
+        traj = evolve(gen, rho0, t_final, step=0.05)
+        assert traj.times.tolist() == [k * 0.05 for k in range(10)] + [t_final]
+    assert traj.times[-1] == t_final
+    for t, state in zip(traj.times, traj.states):
+        assert np.linalg.norm(state - exact(rho0, t)) <= _grid_bound(tol, t, rho0)
 
 
 def test_fixed_rows_are_not_copied():
