@@ -11,9 +11,10 @@ integration modes of ``generator.evolve`` take their states from it, at
 one tau or at a grid of times.  Its first ``KRYLOV_DIM`` vectors come from
 Arnoldi and are stored; every generator is self-adjoint in the
 Hilbert-Schmidt inner product, so the basis continues by the Lanczos
-three-term recurrence, up to ``LANCZOS_MAX`` vectors, until the first
-``need`` of the offsets its caller asks for pass, and the vectors past the
-stored ones are regenerated when a state is formed instead of kept.  The
+three-term recurrence, up to ``LANCZOS_MAX`` vectors, until the next
+``KRYLOV_DIM`` of the offsets its caller asks for pass (or every one, if
+fewer), and the vectors past the stored ones are regenerated when a state
+is formed instead of kept.  The
 projected generator is then tridiagonal up to roundoff, and one ``eigh`` of
 its real tridiagonal part per basis length gives every state and error
 estimate in O(m) per time, with no matrix exponential.  Every state is a
@@ -181,8 +182,8 @@ def rk4_chunk(rho, jumps, offsets, drift, ham, has_ham, h, nsteps):
 
 # Krylov dimension m of the stored prefix: every basis builds span{rho,
 # L rho, ..., L^(m-1) rho} by Arnoldi from m right-hand sides and holds these
-# m vectors of n^2.  A basis asked for nothing past this prefix (``need``
-# = 0) is this long, and a larger one supports a longer step; a Lanczos
+# m vectors of n^2.  A basis asked for no offset, or whose offsets pass
+# on this prefix, is this long, and a larger one supports a longer step; a Lanczos
 # continuation grows past it without storing more.  Right-hand sides per
 # unit time of restarted bases of m vectors (m / tau over every step but
 # the last, each tau the largest its basis supports) on the adaptive
@@ -199,8 +200,8 @@ def rk4_chunk(rho, jumps, offsets, drift, ham, has_ham, h, nsteps):
 # for 25 % more, and the basis at n = 1,089 is already 303 MB.
 KRYLOV_DIM = 16
 
-# most vectors a Lanczos continuation (``krylov_propagator``'s ``need``)
-# grows a basis to.  Bases / right-hand sides, and the evolve time in ms
+# most vectors a Lanczos continuation (``krylov_propagator``) grows a
+# basis to.  Bases / right-hand sides, and the evolve time in ms
 # (best of 5, of 3 at n = 289; one BLAS thread, 2 vCPUs), of the adaptive
 # benchmark model (tol 1e-10) against the cap:
 #
@@ -240,8 +241,8 @@ SCALE_MAX = 1e150
 # relative error of about tau u ||T||_2: past 2^30 that is 1.2e-7 on a mode
 # whose eigenvalue is near 0 (the trace of a stationary state), and at
 # tau ||T|| ~ 1e100 such a mode decays to exactly 0, the state with it,
-# while the error estimate reads 0 too.  ``error`` reports inf there and
-# ``samples`` stops, so no such state is taken
+# while the error estimate reads 0 too.  No offset passes there
+# (``_passing``), so no such state is taken
 EXPM_NORM_MAX = 2.0**30
 
 
@@ -258,7 +259,7 @@ def _frobenius(a) -> float:
 
 def small_problem(alpha, sub, beta, resid):
     """The small problem of a Krylov basis of m vectors; returns
-    ``(error, errors, trusted, coefficients)``.
+    ``(errors, trusted, coefficients)``.
 
     T is the real symmetric tridiagonal matrix with ``alpha`` (m entries) on
     its diagonal and ``sub`` (m - 1) beside it, factored once as
@@ -266,10 +267,9 @@ def small_problem(alpha, sub, beta, resid):
     ``resid`` the residual norm h, 0 for a closed basis.  For increasing
     offsets ``taus``, ``trusted(taus)`` counts those with
     tau ||T||_2 <= ``EXPM_NORM_MAX``, ``errors(taus)`` the error estimate of
-    ``krylov_propagator`` at trusted ones, ``coefficients(taus)`` the
-    (rows, m) array of beta exp(tau T) e_1, and ``error(tau)`` the estimate
-    at one offset, inf where it is not trusted.  Each row costs O(m)
-    arithmetic.
+    ``krylov_propagator`` at trusted ones, and ``coefficients(taus)`` the
+    (rows, m) array of beta exp(tau T) e_1.  Each row costs O(m)
+    arithmetic; ``_passing`` is where trust and error meet.
     """
     m = len(alpha)
     # eigh reads the lower triangle
@@ -298,26 +298,22 @@ def small_problem(alpha, sub, beta, resid):
             bound = np.minimum(bound, cap * taus / m)
         return np.maximum(np.minimum(est, cap), bound)
 
-    def error(tau):
-        taus = np.array([tau], dtype=np.float64)
-        return float(errors(taus)[0]) if trusted(taus) else math.inf
-
     def coefficients(taus):
         return (beta * np.exp(np.multiply.outer(taus, lam)) * q[0]) @ q.T
 
-    return error, errors, trusted, coefficients
+    return errors, trusted, coefficients
 
 
 def _passing(problem, taus, budget) -> int:
     """How many leading ``taus`` (increasing) are trusted and have an error <= ``budget`` * tau."""
-    _, errors, trusted, _ = problem
+    errors, trusted, _ = problem
     taus = taus[: trusted(taus)]
     passed = errors(taus) <= budget * taus
     return len(taus) if passed.all() else int(np.argmin(passed))
 
 
-def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, budget, need):
-    """Arnoldi on vec(rho), continued by Lanczos; returns ``(error, state, samples)``.
+def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
+    """Arnoldi on vec(rho), continued by Lanczos; returns ``(passes, state, samples)``.
 
     Builds an orthonormal basis V of span{rho, L rho, ..., L^(m-1) rho},
     m = ``KRYLOV_DIM``, with Gram-Schmidt applied twice per vector.  The
@@ -333,53 +329,53 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, budget,
     ||rho||_F.  With h the norm of the residual L v_m - V T e_m and
     f(s) = e_m^T exp(s T) e_1 > 0, its error is at most
     beta h int_0^tau f(s) ds, as ||exp(r L)|| <= 1 for a self-adjoint
-    dissipative L.  ``error(tau)`` is the larger of that bound and Saad's
-    estimate beta h f(tau) (SIAM J. Numer. Anal. 29 (1992) 209), which
-    alone falls short of the error once f has passed its peak.  Both are
-    eigen-sums beta h |sum_i Q[m-1, i] Q[0, i] g(lambda_i)|, g(x) =
+    dissipative L.  The error estimate is the larger of that bound and
+    Saad's estimate beta h f(tau) (SIAM J. Numer. Anal. 29 (1992) 209),
+    which alone falls short of the error once f has passed its peak.  Both
+    are eigen-sums beta h |sum_i Q[m-1, i] Q[0, i] g(lambda_i)|, g(x) =
     e^(tau x) and (e^(tau x) - 1) / x, which cancel to roundoff, about u,
     where the exact values are far smaller, so each is capped by its exact
     bound: beta h (prod_j T[j+1, j]) tau^(m-1) e^(tau max(lambda, 0)) /
     (m-1)! for the estimate, and tau / m times that for the bound; a short
-    step then passes as it should.  Both reuse the one basis and cost no
-    right-hand side: ``error`` is O(m) and ``state`` combines the basis
-    into the n x n state.
+    step then passes as it should.
 
-    ``samples()`` gives, as a (rows, n, n) array, the states at the leading
-    offsets of the increasing ``taus`` that are trusted and have an
-    ``error`` of at most ``budget`` * tau (``_passing``), as Expokit's
-    ``expv`` gives a time grid from one basis (Sidje, ACM TOMS 24 (1998)
-    130): O(m) arithmetic a row, and one (rows x m)(m x n^2) product.
-    While that count is below ``need``, the basis grows past ``KRYLOV_DIM``
-    vectors by the Lanczos recurrence beta_j v_{j+1} = L v_j - alpha_j v_j
-    - beta_{j-1} v_{j-1}, accurate for exp(tau L) rho without
+    An offset tau passes when tau ||T||_2 <= ``EXPM_NORM_MAX`` and its
+    estimate is at most tol max(1, beta) tau (``_passing``); ``passes(tau)``
+    tests one, at O(m).  ``samples()`` gives, as a (rows, n, n) array, the
+    states at the leading offsets of the increasing ``taus`` that pass, as
+    Expokit's ``expv`` gives a time grid from one basis (Sidje, ACM TOMS 24
+    (1998) 130): O(m) arithmetic a row, and one (rows x m)(m x n^2)
+    product.  While fewer than min(len(taus), ``KRYLOV_DIM``) pass, the
+    basis grows by the Lanczos recurrence beta_j v_{j+1} = L v_j - alpha_j
+    v_j - beta_{j-1} v_{j-1}, accurate for exp(tau L) rho without
     reorthogonalization (Druskin, Greenbaum and Knizhnerman, SIAM J. Sci.
     Comput. 19 (1998) 38), at one right-hand side and one m x m eigh a
-    vector, up to ``LANCZOS_MAX``: ``need`` = 0 keeps the stored prefix.
-    Only the first ``KRYLOV_DIM`` are stored; ``state`` and ``samples``
-    regenerate the others from the last stored ones, repeating the same
-    arithmetic, at one right-hand side each.
+    vector, up to ``LANCZOS_MAX``.  Only the first ``KRYLOV_DIM`` vectors
+    are stored; ``state`` and ``samples`` regenerate the others by the same
+    Lanczos step, at one right-hand side each.
 
     Memory is that of ``KRYLOV_DIM`` vectors, two Lanczos vectors and one
     (3, n, n) workspace, which every right-hand side writes into
-    (``lindblad_rhs``'s ``work``) and the Gram-Schmidt passes use as
-    scratch; no state aliases it, and a basis of at most ``KRYLOV_DIM``
-    vectors frees it once built.  When the basis closes early (an invariant
-    subspace, e.g. a stationary state) the projection is exact and the
-    error is 0; rho = 0 spans nothing, its states are 0 and take no
-    right-hand side.  A generator with ||K||_F above ``SCALE_MAX`` raises
-    OverflowError, and an offset with tau ||T||_2 above ``EXPM_NORM_MAX``
-    fails whatever the estimate.  Nothing is Hermitized or renormalized.
+    (``lindblad_rhs``'s ``work``) and the Gram-Schmidt passes and Lanczos
+    steps use as scratch; no state aliases it, and a basis of at most
+    ``KRYLOV_DIM`` vectors frees it once built.  When the basis closes early
+    (an invariant subspace, e.g. a stationary state) the projection is
+    exact and the error is 0; rho = 0 spans nothing, its states are 0, every
+    offset passes and none takes a right-hand side.  A generator with
+    ||K||_F above ``SCALE_MAX`` raises OverflowError.  Nothing is
+    Hermitized or renormalized.
     """
     n = rho.shape[0]
     taus = np.asarray(taus, dtype=np.float64)
     beta = float(np.linalg.norm(rho))
     if beta == 0.0:
         return (
-            lambda tau: 0.0,
+            lambda tau: True,
             lambda tau: np.zeros((n, n), dtype=np.complex128),
             lambda: np.zeros((len(taus), n, n), dtype=np.complex128),
         )
+    budget = tol * max(1.0, beta)
+    need = min(len(taus), KRYLOV_DIM)  # the leading offsets the basis grows to pass
     args = (jumps, offsets, drift, ham, has_ham)
     # row-aligned diagonals hold each entry of K / 2 once
     scale = 2.0 * _frobenius(drift.diags)
@@ -389,7 +385,7 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, budget,
     basis = np.empty((KRYLOV_DIM, n * n), dtype=np.complex128)
     # every right-hand side writes into ``work`` and returns work[0], which
     # holds L v until it becomes the next vector; work[1] is also the
-    # Gram-Schmidt scratch
+    # Gram-Schmidt and Lanczos scratch
     work = np.empty((3, n, n), dtype=np.complex128)
     scratch = work[1].reshape(n * n)
     # T: alpha on its diagonal, sub[j] = T[j + 1, j] below it
@@ -413,14 +409,19 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, budget,
             diag += c[j].real
         return w, diag
 
-    def lanczos_residual(prev, cur, spare, beta_prev):
-        # L v_j - beta_{j-1} v_{j-1} - alpha_j v_j for v_j = cur, and alpha_j
-        # (Paige's order).  ``spare`` is scratch and may be ``prev``
-        w = applied(cur)
-        w -= np.multiply(prev, beta_prev, out=spare)
-        diag = np.vdot(cur, w).real
-        w -= np.multiply(cur, diag, out=spare)
-        return w, diag
+    def lanczos_step(prev, w, norm, last=False):
+        # the vector after ``prev``, v = w / norm, into the Lanczos buffer
+        # ``prev`` is not in, and unless ``last`` its residual
+        # L v - norm prev - alpha v and alpha (Paige's order)
+        vec = lanczos[1] if prev is lanczos[0] else lanczos[0]
+        np.divide(w, norm, out=vec)
+        if last:
+            return vec, None, 0.0
+        w = applied(vec)
+        w -= np.multiply(prev, norm, out=scratch)
+        diag = np.vdot(vec, w).real
+        w -= np.multiply(vec, diag, out=scratch)
+        return vec, w, diag
 
     m, resid = KRYLOV_DIM, 0.0
     for j in range(KRYLOV_DIM):
@@ -433,15 +434,13 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, budget,
             sub[j] = resid
             np.divide(w, resid, out=basis[j + 1])
     problem = small_problem(alpha[:m], sub[: m - 1], beta, resid)
+    vec = basis[-1]
     while resid > 0.0 and m < LANCZOS_MAX and _passing(problem, taus[:need], budget) < need:
         if m == KRYLOV_DIM:
             # the two Lanczos vectors alive past the stored basis
-            pair = np.empty((2, n * n), dtype=np.complex128)
-            prev, cur, spare = basis[-1], pair[0], pair[1]
+            lanczos = tuple(np.empty((2, n * n), dtype=np.complex128))
         sub[m - 1] = resid
-        np.divide(w, resid, out=cur)
-        w, alpha[m] = lanczos_residual(prev, cur, spare, resid)
-        prev, cur, spare = cur, spare, cur
+        vec, w, alpha[m] = lanczos_step(vec, w, resid)
         m += 1
         resid = float(np.linalg.norm(w))
         if resid <= floor:
@@ -451,7 +450,7 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, budget,
         # ``combine`` regenerates no vector, so no state is formed with the
         # workspace alive
         del work, scratch
-    error, _, _, coefficients = problem
+    _, _, coefficients = problem
     stored = basis[:m]
 
     def combine(coeffs):
@@ -460,16 +459,15 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, budget,
         out = coeffs[..., :KRYLOV_DIM] @ stored
         if m > KRYLOV_DIM and out.size:
             rows, cols = out.reshape(-1, n * n), coeffs.reshape(-1, m)
-            w, _ = orthogonalized(KRYLOV_DIM - 1)
-            prev, cur, spare = basis[-1], pair[0], pair[1]
+            vec, (w, _) = basis[-1], orthogonalized(KRYLOV_DIM - 1)
             for j in range(KRYLOV_DIM, m):
-                np.divide(w, sub[j - 1], out=cur)
-                if j + 1 < m:
-                    w, _ = lanczos_residual(prev, cur, spare, sub[j - 1])
+                vec, w, _ = lanczos_step(vec, w, sub[j - 1], last=j + 1 == m)
                 for row, c in zip(rows, cols[:, j]):
-                    row += np.multiply(cur, c, out=spare)
-                prev, cur, spare = cur, spare, cur
+                    row += np.multiply(vec, c, out=scratch)
         return out
+
+    def passes(tau):
+        return _passing(problem, np.array([tau], dtype=np.float64), budget) == 1
 
     def state(tau):
         return combine(coefficients(np.array([tau], dtype=np.float64))[0]).reshape(n, n)
@@ -477,4 +475,4 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, budget,
     def samples():
         return combine(coefficients(taus[: _passing(problem, taus, budget)])).reshape(-1, n, n)
 
-    return error, state, samples
+    return passes, state, samples

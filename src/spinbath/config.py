@@ -87,6 +87,8 @@ def _number(value, where: str) -> float:
 def _half_integer(value, where: str) -> float:
     value = _number(value, where)
     twice = 2.0 * value
+    if not math.isfinite(twice):
+        _fail(where, f"twice {value} is not a finite number")
     if twice != round(twice):
         _fail(where, f"expected a half-integer, got {value}")
     return value

@@ -429,27 +429,16 @@ GRID_TOL = 1e-12
 STEP_BISECTIONS = 12
 
 
-def _largest_step(error, offset, budget, tiny):
-    """Largest trial h <= ``offset`` with error(h) <= budget * h.
+def _largest_step(passes, offset, tiny):
+    """Largest trial h < ``offset`` with passes(h), for an ``offset`` that failed.
 
-    The first trial is ``offset``; when it fails, the trial halves until one
-    passes, and ``STEP_BISECTIONS`` bisections of the bracket between that
-    pass and the last failure follow.  The search is deterministic and calls
-    ``error`` at most 2 + log2(offset / tiny) + ``STEP_BISECTIONS`` times.
-    Returns (h, refused): the accepted trial, None when every trial down to
-    ``tiny`` fails, and the number of failed trials.
+    Trials halve from offset / 2 until one passes; ``STEP_BISECTIONS``
+    bisections of the bracket between it and the last failure (at first the
+    offset) follow, at most 1 + log2(offset / tiny) + ``STEP_BISECTIONS``
+    trials.  Returns (h, refused): the accepted trial, None when every
+    trial down to ``tiny`` fails, and the number of failed trials.
     """
     refused = 0
-
-    def passes(x):
-        nonlocal refused
-        if error(x) <= budget * x:
-            return True
-        refused += 1
-        return False
-
-    if passes(offset):
-        return offset, refused
     hi = offset
     while True:
         lo = 0.5 * hi
@@ -457,12 +446,14 @@ def _largest_step(error, offset, budget, tiny):
             return None, refused
         if passes(lo):
             break
+        refused += 1
         hi = lo
     for _ in range(STEP_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if passes(mid):
             lo = mid
         else:
+            refused += 1
             hi = mid
     return lo, refused
 
@@ -504,8 +495,9 @@ def evolve(
     When even the next row fails at ``LANCZOS_MAX`` vectors, a sub-step
     search (``_largest_step``, at no right-hand-side cost) takes the largest
     acceptable sub-step short of it, to a relative precision of
-    2^-``STEP_BISECTIONS``, each trial it refuses counting in
-    ``Trajectory.rejected``, and the next basis starts there.
+    2^-``STEP_BISECTIONS``, and the next basis starts there.  The search
+    starts below that row, which is not tried again; each trial it refuses
+    counts in ``Trajectory.rejected``.
 
     Fixed step (``tol`` None): the grid of ``nsteps`` = ceil(t_final / h)
     steps of h = ``step``, sampled every stride-th step, at done * h for
@@ -608,21 +600,16 @@ def evolve(
     rejected = 0
     tiny = 1e-15 * max(t_final, 1.0)
 
-    def propagator(mat: np.ndarray, **kw):
-        try:
-            return _kernels.krylov_propagator(mat, *args, **kw)
-        except OverflowError as exc:
-            raise IntegrationAbortError(f"{exc}; last good time t={t:.6g}", t_last=t) from None
-
     def check_budget(bases: int) -> None:
         if bases + rejected > max_steps:
             raise IntegrationAbortError(f"exceeded max_steps={max_steps} at t={t:.6g}", t_last=t)
 
     bases = row = 0  # row: the next grid time to record
     while row < len(grid):
-        budget = tol * max(1.0, float(np.linalg.norm(rho)))
-        need = min(len(grid) - row, _kernels.KRYLOV_DIM)  # rows, or every row left
-        error, state, samples = propagator(rho, taus=grid[row:] - t, budget=budget, need=need)
+        try:
+            passes, state, samples = _kernels.krylov_propagator(rho, *args, taus=grid[row:] - t, tol=tol)
+        except OverflowError as exc:
+            raise IntegrationAbortError(f"{exc}; last good time t={t:.6g}", t_last=t) from None
         sampled = samples()
         bases += 1
         if len(sampled):
@@ -636,7 +623,7 @@ def evolve(
                 row += 1
             rho = sampled[-1]
         else:
-            sub, refused = _largest_step(error, float(grid[row]) - t, budget, tiny)
+            sub, refused = _largest_step(passes, float(grid[row]) - t, tiny)
             rejected += refused
             if sub is None:
                 raise IntegrationAbortError(f"step size underflow at t={t:.6g}", t_last=t)
@@ -648,6 +635,6 @@ def evolve(
             if adaptive and bases % stride == 0:
                 record(t, rho)
         # the next basis is built without this one alive
-        del error, state, samples, sampled
+        del passes, state, samples, sampled
     accepted = bases if adaptive else nsteps
     return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, accepted, rejected)

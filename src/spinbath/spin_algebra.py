@@ -31,6 +31,8 @@ __all__ = [
 def _twice(value, name: str = "j", allow_negative: bool = False) -> int:
     """Return 2*value as an exact integer, rejecting non-half-integers."""
     two = 2.0 * float(value)
+    if not math.isfinite(two):
+        raise ValueError(f"{name}={value!r}: 2{name} is not a finite number")
     rounded = int(round(two))
     if abs(two - rounded) > 1e-9:
         raise ValueError(f"{name}={value!r} is not a half-integer")

@@ -7,7 +7,7 @@ n x n, in the basis conventions of :mod:`spinbath.spin_algebra`
 
 from __future__ import annotations
 
-from math import comb
+from math import ldexp, sqrt
 
 import numpy as np
 
@@ -39,12 +39,20 @@ def fock_state(j, m) -> np.ndarray:
 def coherent_x(j) -> np.ndarray:
     """Spin coherent state polarized along +x (top Jx eigenvector).
 
-    Amplitudes on |m> are 2^-j sqrt(C(2j, j-m)), all positive.
+    Amplitudes on |m> are 2^-j sqrt(C(2j, j-m)), all positive.  C = C(2j, k)
+    passes the float range from j = 515, so it is divided, exactly rounded,
+    by the power 4^e that leaves it in [1/2, 2): sqrt(C / 4^e) 2^(e - j) is
+    2^-j sqrt(C) bit for bit wherever C fits.
     """
     s = SpinQuantum.of(j)
-    amps = np.array([comb(s.two_j, k) for k in range(s.dim)], dtype=np.float64)
-    vec = np.sqrt(amps) * 2.0 ** (-s.j)
-    return vec.astype(np.complex128)
+    whole = s.two_j // 2
+    frac = 2.0 ** (whole - s.j)  # 1, or 2^-1/2 at a half-integer j
+    amps, c = [], 1  # c = C(2j, k), exact
+    for k in range(s.dim):
+        e = c.bit_length() // 2
+        amps.append(ldexp(sqrt(c / (1 << 2 * e)) * frac, e - whole))
+        c = c * (s.two_j - k) // (k + 1)
+    return np.array(amps, dtype=np.complex128)
 
 
 def _check_normalized(c: np.ndarray, what: str, hint: str = "") -> None:

@@ -86,6 +86,15 @@ def dephasing_doc(**extra):
 
 
 class TestRateCommand:
+    def test_plus_x_past_the_float_range_of_the_binomial(self, tmp_path):
+        # j1 = 600 (n = 1,201), where C(2j, j) exceeds 1.8e308; the
+        # numeric and analytic rates agree to 1e-9, a bound fixed before
+        # running
+        code, text = run_cli(tmp_path, dephasing_doc(ensembles={"j1": 600}), "rate")
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        assert float(rows[0]["rate_numeric"]) == pytest.approx(float(rows[0]["rate_analytic"]), rel=1e-9)
+
     def test_uniform_pair_values(self, tmp_path):
         code, text = run_cli(tmp_path, z_pair_doc(), "rate")
         assert code == 0
@@ -427,6 +436,14 @@ class TestProcessEntry:
         assert err.startswith("spinbath: config error")
         assert err.count("\n") == 1
 
+    def test_spin_whose_double_overflows_is_a_config_error(self, tmp_path):
+        cfg = write_cfg(tmp_path, z_pair_doc(ensembles={"j1": 1e308, "j2": 1}))
+        done = run_module("rate", "--config", str(cfg))
+        assert done.returncode == 2
+        err = done.stderr.decode()
+        assert err.startswith("spinbath: config error") and "ensembles.j1" in err
+        assert err.count("\n") == 1
+
     def test_step_with_tol_is_a_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, z_pair_doc(evolution={"t_final": 1.0, "step": 0.1, "tol": 1e-10}))
         done = run_module("simulate", "--config", str(cfg), "--out", str(tmp_path / "out.csv"))
@@ -474,6 +491,17 @@ class TestSweepCommand:
             assert float(row["rate_analytic"]) == pytest.approx(4 * nt * (nt + 1) / 3, rel=1e-12)
             assert float(row["rate_estimate"]) == pytest.approx(4 * nt * nt / 3, rel=1e-12)
             assert row["error"] == ""
+
+    def test_ntilde_whose_double_overflows_is_an_error_row(self, tmp_path):
+        # the point fails on its own and the sweep still exits 0
+        doc = z_pair_doc(sweep={"parameter": "Ntilde", "values": [1, 1e308]})
+        code, text = run_cli(tmp_path, doc, "sweep")
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        assert rows[0]["error"] == ""
+        assert float(rows[0]["rate_analytic"]) == pytest.approx(8 / 3, rel=1e-12)
+        assert rows[1]["error"].startswith("ValueError: ") and "not a finite number" in rows[1]["error"]
+        assert rows[1]["rate_analytic"] == ""
 
     def test_lambda_grid_symmetric_about_balance(self, tmp_path):
         doc = {

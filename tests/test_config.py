@@ -135,6 +135,10 @@ class TestParseScenario:
         doc["ensembles"]["j1"] = -1
         with pytest.raises(ConfigError):
             parse_config(doc)
+        # 1e308 is finite, 2 x 1e308 is not
+        doc["ensembles"]["j1"] = 1e308
+        with pytest.raises(ConfigError, match="ensembles.j1.*not a finite number"):
+            parse_config(doc)
 
     def test_common_needs_j2(self):
         doc = common_doc()

@@ -112,7 +112,7 @@ def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, step):
         hermitian_tol = trace_tol = 4e-12 * math.exp(x)
     else:
         taus = [tau / 3.0, 2.0 * tau / 3.0, tau]
-        _, state, samples = _kernels.krylov_propagator(rho, *args, taus=taus, budget=math.inf, need=0)
+        _, state, samples = _kernels.krylov_propagator(rho, *args, taus=taus, tol=math.inf)
         if kind == "krylov":
             outs = [state(tau)]
         else:

@@ -27,7 +27,8 @@ class TestSpinQuantum:
             assert q.dim == int(2 * j) + 1
 
     def test_non_half_integer_rejected(self):
-        for bad in (0.3, -0.5, 1.25, np.nan):
+        # 2 x 1e308 overflows to inf, which no integer holds
+        for bad in (0.3, -0.5, 1.25, np.nan, 1e308, -1e308, np.inf):
             with pytest.raises(ValueError):
                 SpinQuantum.of(bad)
 

@@ -44,6 +44,18 @@ class TestCoherentX:
             assert np.linalg.norm(jx @ vec - j * vec) <= 1e-12
             assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("j", [520, 600])
+    def test_past_the_float_range_of_the_binomial(self, j):
+        # C(2j, j) is above 1.8e308 from j = 515.  Bounds fixed before
+        # running: the norm within 1e-12 of 1, and ||Jx v - j v|| within
+        # 1e-12 j, about 1e3 times the rounding of a row of Jx v
+        vec = coherent_x(j)
+        assert vec.shape == (2 * j + 1,)
+        assert np.all(vec.real >= 0.0) and not vec.imag.any()
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+        jx = angular_momentum_ops(j).x
+        assert np.linalg.norm(jx @ vec - j * vec) <= 1e-12 * j
+
 
 class TestCoefficientProfile:
     def test_uniform(self):
