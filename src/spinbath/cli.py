@@ -151,7 +151,7 @@ def _rate_row(cfg: ScenarioConfig) -> dict:
     closed = None
     if coupled and isinstance(cfg.model, CommonBath) and cfg.model.lam == 1.0 and cfg.state.M == 0.0:
         closed = coupled_state_rate(cfg.state.L, cfg.model.gamma, cfg.model.axes)
-    if report.mismatch > RATE_MISMATCH_TOL:
+    if not report.mismatch <= RATE_MISMATCH_TOL:  # NaN trips too
         raise RateMismatchError(
             "numeric rate %.17g and analytic rate %.17g disagree (relative %.3e)"
             % (report.numeric_rate, report.analytic_rate, report.mismatch)

@@ -26,7 +26,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .generator import AXIS_INDEX, CommonBath, IndependentBath, _check_axes
+from .generator import AXIS_INDEX, CommonBath, IndependentBath, _check_axes, _check_evolution
+from .spin_algebra import _twice
 from .states import PROFILE_KINDS as PROFILE_STATE_KINDS
 
 __all__ = [
@@ -84,20 +85,12 @@ def _number(value, where: str) -> float:
     return value
 
 
-def _half_integer(value, where: str) -> float:
+def _half_integer(value, where: str, allow_negative: bool = True) -> float:
     value = _number(value, where)
-    twice = 2.0 * value
-    if not math.isfinite(twice):
-        _fail(where, f"twice {value} is not a finite number")
-    if twice != round(twice):
-        _fail(where, f"expected a half-integer, got {value}")
-    return value
-
-
-def _spin(value, where: str) -> float:
-    value = _half_integer(value, where)
-    if value < 0.0:
-        _fail(where, f"spin must be non-negative, got {value}")
+    try:
+        _twice(value, where.rpartition(".")[2], allow_negative)
+    except ValueError as exc:
+        _fail(where, str(exc))
     return value
 
 
@@ -207,7 +200,7 @@ def _parse_state(doc, where: str) -> StateConfig:
         _check_keys(doc, where, required=("kind", "L"), optional=("M",))
         return StateConfig(
             kind,
-            L=_spin(doc["L"], f"{where}.L"),
+            L=_half_integer(doc["L"], f"{where}.L", allow_negative=False),
             M=_half_integer(doc.get("M", 0.0), f"{where}.M"),
         )
     _check_keys(doc, where, required=("kind",))
@@ -225,25 +218,18 @@ class EvolutionConfig(NamedTuple):
 def _parse_evolution(doc, where: str) -> EvolutionConfig:
     _check_keys(doc, where, required=("t_final",), optional=("step", "tol", "stride", "snapshots"))
     t_final = _number(doc["t_final"], f"{where}.t_final")
-    if t_final < 0.0:
-        _fail(where, "t_final must be non-negative")
-    step = tol = None
-    if doc.get("step") is not None:
-        step = _number(doc["step"], f"{where}.step")
-        if step <= 0.0:
-            _fail(where, "step must be positive")
-    if doc.get("tol") is not None:
-        tol = _number(doc["tol"], f"{where}.tol")
-        if tol <= 0.0:
-            _fail(where, "tol must be positive")
-    if step is not None and tol is not None:
-        _fail(where, "step and tol are exclusive")
+    step = _number(doc["step"], f"{where}.step") if doc.get("step") is not None else None
+    tol = _number(doc["tol"], f"{where}.tol") if doc.get("tol") is not None else None
     stride = doc.get("stride", 1)
-    if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
-        _fail(where, f"stride must be a positive integer, got {stride!r}")
+    if isinstance(stride, bool) or not isinstance(stride, int):
+        _fail(where, f"stride must be an integer, got {stride!r}")
     snapshots = doc.get("snapshots", False)
     if not isinstance(snapshots, bool):
         _fail(where, "snapshots must be a boolean")
+    try:
+        _check_evolution(t_final, step, tol, stride)
+    except ValueError as exc:
+        _fail(where, str(exc))
     return EvolutionConfig(t_final, step, tol, stride, snapshots)
 
 
@@ -277,9 +263,11 @@ def _parse_sweep(doc, where: str, model, state: StateConfig | None) -> SweepConf
     if param == "lambda":
         if not isinstance(model, CommonBath):
             _fail(where, "lambda sweep needs a common-bath model")
-        for v in values:
-            if not 0.0 <= v <= 2.0:
-                _fail(where, f"lambda value {v} outside [0, 2]")
+        for i, v in enumerate(values):
+            try:
+                CommonBath(model.gamma, v, model.axes)
+            except ValueError as exc:
+                _fail(f"{where}.values[{i}]", str(exc))
     if param == "Ntilde":
         if state is None or state.kind not in PROFILE_STATE_KINDS:
             _fail(where, "Ntilde sweep needs a coefficient-profile state block")
@@ -353,8 +341,8 @@ def parse_config(doc) -> ScenarioConfig:
     model = _parse_model(doc["model"], "model")
     ens = doc["ensembles"]
     _check_keys(ens, "ensembles", required=("j1",), optional=("j2",))
-    j1 = _spin(ens["j1"], "ensembles.j1")
-    j2 = _spin(ens["j2"], "ensembles.j2") if ens.get("j2") is not None else None
+    j1 = _half_integer(ens["j1"], "ensembles.j1", allow_negative=False)
+    j2 = _half_integer(ens["j2"], "ensembles.j2", allow_negative=False) if ens.get("j2") is not None else None
 
     if isinstance(model, CommonBath) and j2 is None:
         _fail("ensembles", "a common-bath model needs j2")

@@ -266,7 +266,7 @@ def canonical_jumps(gamma, ops: dict) -> list:
     for k in range(len(axes)):
         rate = float(evals[k])
         if rate <= JUMP_RATE_TOL * max(top, 1.0):
-            if rate < -1e-10 * max(top, 1.0):
+            if rate < DAMPING_EIG_FLOOR * max(top, 1.0):
                 raise NotPositiveSemidefiniteError(f"negative canonical rate {rate:.3e}")
             continue
         root = math.sqrt(rate)
@@ -463,6 +463,20 @@ def _purity(mat: np.ndarray) -> float:
     return float(np.real(np.vdot(mat, mat)))
 
 
+def _check_evolution(t_final, step, tol, stride) -> None:
+    """Raise ValueError unless ``evolve``'s t_final, step, tol and stride are valid."""
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError("t_final must be finite and non-negative")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if step is not None and tol is not None:
+        raise ValueError("step and tol are exclusive")
+    if step is not None and not (math.isfinite(step) and step > 0.0):
+        raise ValueError("step must be finite and positive")
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
+
+
 def evolve(
     gen: Generator,
     rho0,
@@ -544,16 +558,7 @@ def evolve(
         or no sub-step down to 1e-15 max(t_final, 1) is acceptable.
         ``t_last`` is the last time whose state passed every check.
     """
-    if not (math.isfinite(t_final) and t_final >= 0.0):
-        raise ValueError("t_final must be finite and non-negative")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if step is not None and tol is not None:
-        raise ValueError("step and tol are exclusive")
-    if step is not None and not (math.isfinite(step) and step > 0.0):
-        raise ValueError("step must be finite and positive")
-    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be finite and positive")
+    _check_evolution(t_final, step, tol, stride)
     # the one copy, so no state aliases rho0; later states are kept as made
     rho = _as_matrix(rho0, gen.dim).copy()
     norm0 = float(np.linalg.norm(rho))

@@ -29,12 +29,16 @@ __all__ = [
 
 
 def _twice(value, name: str = "j", allow_negative: bool = False) -> int:
-    """Return 2*value as an exact integer, rejecting non-half-integers."""
-    two = 2.0 * float(value)
+    """Return 2*value as an exact integer (doubling a float is exact),
+    rejecting non-half-integers."""
+    try:
+        two = 2.0 * float(value)
+    except OverflowError:  # an int past the float range
+        two = math.inf
     if not math.isfinite(two):
         raise ValueError(f"{name}={value!r}: 2{name} is not a finite number")
-    rounded = int(round(two))
-    if abs(two - rounded) > 1e-9:
+    rounded = int(two)
+    if two != rounded:
         raise ValueError(f"{name}={value!r} is not a half-integer")
     if not allow_negative and rounded < 0:
         raise ValueError(f"{name}={value!r} must be non-negative")

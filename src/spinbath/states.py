@@ -55,14 +55,22 @@ def coherent_x(j) -> np.ndarray:
     return np.array(amps, dtype=np.complex128)
 
 
-def _check_normalized(c: np.ndarray, what: str, hint: str = "") -> None:
-    norm_dev = abs(float(np.sum(np.abs(c) ** 2)) - 1.0)
-    if norm_dev > 1e-12:
+def _unit_vector(psi, what: str = "state vector", hint: str = "") -> np.ndarray:
+    """psi flattened to complex128; raises unless sum |psi_i|^2 (tr |psi><psi|)
+    is 1 within 1e-12."""
+    vec = np.ascontiguousarray(np.asarray(psi).reshape(-1), dtype=np.complex128)
+    norm_dev = abs(float(np.sum(np.abs(vec) ** 2)) - 1.0)
+    if not norm_dev <= 1e-12:
         raise ValueError(f"{what} not normalized (|1 - sum| = {norm_dev:.3e}){hint}")
+    return vec
 
 
 def _normalized(c: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(c))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(c))
+    if (norm == 0.0 or norm == np.inf) and c.any():  # the squares underflowed or overflowed
+        c = c / np.abs(c).max()
+        norm = float(np.linalg.norm(c))
     if norm == 0.0:
         raise ValueError("cannot normalize a zero coefficient vector")
     return c / norm
@@ -88,9 +96,7 @@ class EntangledStateSpec:
         expected = min(s1.two_j, s2.two_j) + 1
         if coeffs.ndim != 1 or coeffs.shape[0] != expected:
             raise ValueError(f"expected {expected} coefficients, got shape {coeffs.shape}")
-        _check_normalized(
-            coeffs, "coefficients", '; use coefficient_profile("custom", ..., auto_normalize=True)'
-        )
+        _unit_vector(coeffs, "coefficients", '; use coefficient_profile("custom", ..., auto_normalize=True)')
         self.j1, self.j2, self.coeffs = s1, s2, coeffs
 
     @property
@@ -136,7 +142,8 @@ def coefficient_profile(
         if width is None or float(width) <= 0.0:
             raise ValueError("gaussian profile needs width > 0")
         m = nt.m_values()
-        c = np.exp(-(m**2) / (2.0 * float(width) ** 2)).astype(np.complex128)
+        with np.errstate(over="ignore"):  # (m / width)^2 = inf gives c_m = 0
+            c = np.exp(-((m / float(width)) ** 2) / 2.0).astype(np.complex128)
     elif kind == "custom":
         if coeffs is None:
             raise ValueError("custom profile needs coeffs")
@@ -144,7 +151,7 @@ def coefficient_profile(
         if c.ndim != 1 or c.shape[0] != nt.dim:
             raise ValueError(f"expected {nt.dim} coefficients, got shape {c.shape}")
         if not auto_normalize:
-            _check_normalized(c, "custom coefficients")
+            _unit_vector(c, "custom coefficients")
             return c
     else:
         raise ValueError(f"unknown profile kind {kind!r}")
@@ -161,15 +168,6 @@ def entangled_state(spec: EntangledStateSpec) -> np.ndarray:
         i1 = s1.index_of(two_m)
         i2 = s2.index_of(-two_m)
         vec[i1 * s2.dim + i2] = cm
-    return vec
-
-
-def _unit_vector(psi) -> np.ndarray:
-    """psi flattened to complex128; raises unless its norm is 1 within 1e-12."""
-    vec = np.ascontiguousarray(np.asarray(psi).reshape(-1), dtype=np.complex128)
-    norm_dev = abs(float(np.linalg.norm(vec)) - 1.0)
-    if norm_dev > 1e-12:
-        raise ValueError(f"state vector not normalized (|1 - norm| = {norm_dev:.3e})")
     return vec
 
 

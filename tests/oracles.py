@@ -1,9 +1,9 @@
 """Independent reference constructions for the test suite.
 
 Everything here is derived directly from ladder-operator matrix elements
-with plain numpy (and scipy's expm for ``independent_exact`` and
-``common_exact``), deliberately not reusing the package's constructors, so
-each comparison pits two separate derivations against each other.
+with plain numpy (and scipy's expm for ``independent_exact``), deliberately
+not reusing the package's constructors, so each comparison pits two
+separate derivations against each other.
 """
 
 import numpy as np
@@ -163,9 +163,10 @@ def common_exact(j1: float, j2: float, gamma):
     ``spin_matrices(L)`` / 2, as the table lowers with Condon-Shortley
     phases.  So L maps each block R_LL' of R = U^T rho U (U the real
     orthogonal table) to itself, as the literal double sum on a d_L x d_L'
-    block.  Each block pair's (d_L d_L')^2 superoperator is exponentiated by
-    ``scipy.linalg.expm``, and the result transformed back.  The cost is one
-    expm per block pair and time, with no basis and no tolerance.
+    block.  Each block pair's (d_L d_L')^2 superoperator is Hermitian, as
+    every C_a is, so it is diagonalized by one ``eigh`` when the oracle is
+    built; exp(t L) on the block is then V exp(t w) V^dag at every t, and
+    the result is transformed back.  No basis and no tolerance.
     """
     table = ladder_coupled_table(j1, j2)
     levels = sorted({two_l for two_l, _ in table}, reverse=True)
@@ -188,14 +189,19 @@ def common_exact(j1: float, j2: float, gamma):
                     )
         return out
 
-    supers = {(p, q): block(halves[p], halves[q]) for p in range(len(levels)) for q in range(len(levels))}
+    def eig(sup):
+        # eigh reads one triangle, so a non-Hermitian block would go unnoticed
+        assert np.abs(sup - sup.conj().T).max() <= 1e-12 * max(1.0, np.abs(sup).max())
+        return np.linalg.eigh(sup)
+
+    eigs = {(p, q): eig(block(halves[p], halves[q])) for p in range(len(levels)) for q in range(len(levels))}
 
     def exact(rho0: np.ndarray, t: float) -> np.ndarray:
         r = u.T @ rho0 @ u
         out = np.empty_like(r)
-        for (p, q), sup in supers.items():
+        for (p, q), (w, v) in eigs.items():
             blk = r[spans[p], spans[q]]
-            out[spans[p], spans[q]] = (scipy.linalg.expm(t * sup) @ blk.reshape(-1)).reshape(blk.shape)
+            out[spans[p], spans[q]] = (v @ (np.exp(t * w) * (v.conj().T @ blk.reshape(-1)))).reshape(blk.shape)
         return u @ out @ u.T
 
     return exact

@@ -393,6 +393,28 @@ class TestExitCodes:
         assert f"duplicate key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_rate_trips_the_self_check(self, tmp_path, capsys):
+        # gamma_xx = 1e308 at j1 = j2 = 4 overflows the numeric rate to nan
+        # and the analytic one to inf.  A NaN mismatch fails every
+        # comparison, so a tripwire tested with ">" let rate exit 0 with nan
+        # and sweep write the row with an empty error column
+        doc = {
+            "model": {"kind": "common", "axes": ["x"], "gamma": {"xx": 1e308}, "lambda": 1.0},
+            "ensembles": {"j1": 4, "j2": 4},
+            "state": {"kind": "uniform"},
+            "sweep": {"parameter": "Ntilde", "values": [4]},
+        }
+        code, text = run_cli(tmp_path, doc, "rate")
+        assert code == 3
+        assert text == ""
+        assert "self-check failed" in capsys.readouterr().err
+        code, text = run_cli(tmp_path, doc, "sweep")
+        assert code == 5
+        _, _, rows = parse_csv(text)
+        assert rows[0]["error"].startswith("RateMismatchError: ")
+        assert rows[0]["rate_numeric"] == rows[0]["rate_analytic"] == ""
+
     def test_all_sweep_points_failed(self, tmp_path):
         doc = z_pair_doc(sweep={"parameter": "gamma1.zz", "values": [-1.0, -2.0]})
         code, text = run_cli(tmp_path, doc, "sweep")
@@ -501,6 +523,20 @@ class TestSweepCommand:
         assert rows[0]["error"] == ""
         assert float(rows[0]["rate_analytic"]) == pytest.approx(8 / 3, rel=1e-12)
         assert rows[1]["error"].startswith("ValueError: ") and "not a finite number" in rows[1]["error"]
+        assert rows[1]["rate_analytic"] == ""
+
+    @pytest.mark.parametrize("parameter", ["Ntilde", "L"])
+    def test_value_off_a_half_integer_is_an_error_row(self, tmp_path, parameter):
+        # doubling is exact, so 1 + 1e-10 is no half-integer: the point once
+        # ran at 1 under the label 1.0000000001
+        doc = z_pair_doc(sweep={"parameter": parameter, "values": [1, 1.0000000001]})
+        if parameter == "L":
+            doc["state"] = {"kind": "coupled", "L": 1}
+        code, text = run_cli(tmp_path, doc, "sweep")
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        assert rows[0]["error"] == ""
+        assert "=1.0000000001 is not a half-integer" in rows[1]["error"]
         assert rows[1]["rate_analytic"] == ""
 
     def test_lambda_grid_symmetric_about_balance(self, tmp_path):
@@ -855,6 +891,32 @@ class TestStateCommand:
         assert comments["state"] == "gaussian(width=2;Ntilde=2)"
         total = sum(float(r["weight"]) for r in rows)
         assert total == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "width,same_as",
+        [(1e-300, {"kind": "custom", "coeffs": [0, 0, 1, 0, 0]}), (1e300, {"kind": "uniform"})],
+        ids=["narrow", "wide"],
+    )
+    def test_gaussian_at_the_float_extremes(self, tmp_path, width, same_as):
+        # (m / width)^2 is inf for every m != 0 at width 1e-300, leaving the
+        # m = 0 pair, and 0 at width 1e300, leaving the uniform profile.
+        # m^2 / (2 width^2) divided by 0 (nan rates, an SVD failure) or
+        # overflowed (OverflowError)
+        doc = z_pair_doc(ensembles={"j1": 2, "j2": 2}, state={"kind": "gaussian", "width": width})
+        for command in ("rate", "state"):
+            code, text = run_cli(tmp_path, doc, command, outname=f"gaussian.{command}")
+            assert code == 0
+            _, _, rows = parse_csv(text)
+            _, _, want = parse_csv(run_cli(tmp_path, {**doc, "state": same_as}, command,
+                                           outname=f"reference.{command}")[1])
+            assert [{**r, "state": ""} for r in rows] == [{**r, "state": ""} for r in want]
+
+    def test_narrow_gaussian_without_an_m0_pair(self, tmp_path, capsys):
+        # at half-integer Ntilde every coefficient underflows to 0
+        doc = z_pair_doc(ensembles={"j1": 2.5, "j2": 2.5}, state={"kind": "gaussian", "width": 1e-300})
+        code, _ = run_cli(tmp_path, doc, "state")
+        assert code == 2
+        assert "zero coefficient vector" in capsys.readouterr().err
 
 
 class TestArgumentParsing:

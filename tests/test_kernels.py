@@ -889,7 +889,7 @@ def test_evolve_matches_common_oracle(monkeypatch, j1, j2, mode):
     # adaptive basis continues past KRYLOV_DIM vectors.  Bounds fixed before
     # running: every row within tol t max(1, ||rho0||_F) + 1e-13
     # (Frobenius), tol = GRID_TOL in fixed mode.  The n = 81 case takes
-    # about 0.8 s, most of it the oracle's 81 block exponentials a time
+    # about 0.4 s, most of it the oracle's 81 block diagonalizations
     bases = _recorded_bases(monkeypatch, _counted_rhs(monkeypatch))
     gen, exact, rho0 = _common_case(j1, j2)
     if mode == "adaptive":
@@ -912,8 +912,7 @@ def test_common_singlet_is_stationary_against_the_oracle():
     # and fixed (step 1 to t = 2).  Bounds fixed before running: every row
     # within tol t max(1, ||rho0||_F) + 1e-13 (Frobenius) of the exact
     # oracle and of rho0 itself, tol = GRID_TOL in fixed mode.  The oracle's
-    # 81 block exponentials at each of the three row times take most of
-    # the test's 0.9 s
+    # 81 block diagonalizations take most of the test's 0.3 s
     j = 4
     gen = build_generator(CommonBath(gamma=GAMMA_FULL, lam=1.0, axes=("x", "y", "z")), j, j)
     rho0 = density_from_pure(entangled_state(EntangledStateSpec(j, j, coefficient_profile("singlet", j))))

@@ -27,8 +27,10 @@ class TestSpinQuantum:
             assert q.dim == int(2 * j) + 1
 
     def test_non_half_integer_rejected(self):
-        # 2 x 1e308 overflows to inf, which no integer holds
-        for bad in (0.3, -0.5, 1.25, np.nan, 1e308, -1e308, np.inf):
+        # 2 x 1e308 overflows to inf, which no integer holds, and an int past
+        # the float range has no float to double; doubling is exact, so a
+        # value 1e-10 off a half-integer is refused too
+        for bad in (0.3, -0.5, 1.25, np.nan, 1e308, -1e308, np.inf, 10**400, 1.0000000001, 0.5 + 2**-40):
             with pytest.raises(ValueError):
                 SpinQuantum.of(bad)
 

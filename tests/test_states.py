@@ -100,6 +100,13 @@ class TestCoefficientProfile:
         c = coefficient_profile("custom", 1, coeffs=[1.0, 1.0, 0.0], auto_normalize=True)
         np.testing.assert_allclose(c, [1 / np.sqrt(2), 1 / np.sqrt(2), 0], atol=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-170], ids=["squares-overflow", "squares-underflow"])
+    def test_auto_normalize_past_the_range_of_the_squares(self, scale):
+        # 3 scale^2 overflows or underflows, so dividing by the plain norm
+        # gave a zero vector or refused a nonzero one
+        c = coefficient_profile("custom", 1, coeffs=[scale] * 3, auto_normalize=True)
+        np.testing.assert_array_equal(c, coefficient_profile("uniform", 1))
+
     def test_custom_length_checked(self):
         with pytest.raises(ValueError):
             coefficient_profile("custom", 1, coeffs=[1.0, 0.0])
@@ -185,6 +192,19 @@ class TestDensityFromPure:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             density_from_pure(np.array([1.0, 1.0]))
+        # NaN fails every comparison, so a bound tested with ">" passed it
+        with pytest.raises(ValueError, match="not normalized"):
+            density_from_pure(np.array([np.nan, 0.0]))
+
+    def test_refuses_what_a_custom_profile_refuses(self):
+        # sum |c|^2 - 1 = 1.5e-12 is past the 1e-12 bound on tr rho, while
+        # ||c|| - 1 = 7.5e-13 is inside it: one rule, on the squared norm
+        c = coefficient_profile("uniform", 1) * np.sqrt(1.0 + 1.5e-12)
+        assert 1.4e-12 < float(np.sum(np.abs(c) ** 2)) - 1.0 < 1.6e-12
+        with pytest.raises(ValueError, match="not normalized"):
+            coefficient_profile("custom", 1, coeffs=c)
+        with pytest.raises(ValueError, match="not normalized"):
+            density_from_pure(c)
 
 
 class TestPartialTrace:
