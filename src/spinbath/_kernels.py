@@ -8,13 +8,13 @@ operator; given a workspace it allocates nothing.  ``krylov_propagator``
 projects exp(tau L) rho onto the Krylov space of ``rho``, one right-hand
 side per basis vector, all written into one workspace per basis; both
 integration modes of ``generator.evolve`` take their states from it, at
-one tau or at a grid of times.  Its first ``KRYLOV_DIM`` vectors come from
-Arnoldi and are stored; every generator is self-adjoint in the
-Hilbert-Schmidt inner product, so the basis continues by the Lanczos
-three-term recurrence, up to ``LANCZOS_MAX`` vectors, until the next
-``KRYLOV_DIM`` of the offsets its caller asks for pass (or every one, if
-fewer), and the vectors past the stored ones are regenerated when a state
-is formed instead of kept.  The
+one tau or at a grid of times.  It stores the first vectors that
+``BASIS_BYTES`` holds, from Arnoldi, and every generator is self-adjoint
+in the Hilbert-Schmidt inner product, so the basis continues by the
+Lanczos three-term recurrence to at least ``KRYLOV_DIM`` vectors, and up
+to ``LANCZOS_MAX`` until the next ``KRYLOV_DIM`` of the offsets its caller
+asks for pass (or every one, if fewer); the vectors past the stored ones
+are regenerated when a state is formed instead of kept.  The
 projected generator is then tridiagonal up to roundoff, and one ``eigh`` of
 its real tridiagonal part per basis length gives every state and error
 estimate in O(m) per time, with no matrix exponential.  Every state is a
@@ -180,11 +180,10 @@ def rk4_chunk(rho, jumps, offsets, drift, ham, has_ham, h, nsteps):
     return rho
 
 
-# Krylov dimension m of the stored prefix: every basis builds span{rho,
-# L rho, ..., L^(m-1) rho} by Arnoldi from m right-hand sides and holds these
-# m vectors of n^2.  A basis asked for no offset, or whose offsets pass
-# on this prefix, is this long, and a larger one supports a longer step; a Lanczos
-# continuation grows past it without storing more.  Right-hand sides per
+# shortest Krylov basis m: every basis spans at least {rho, L rho, ...,
+# L^(m-1) rho}, m right-hand sides, unless it closes first.  A basis asked
+# for no offset, or whose offsets pass at this length, stops here, and a
+# basis whose offsets do not pass grows past it.  Right-hand sides per
 # unit time of restarted bases of m vectors (m / tau over every step but
 # the last, each tau the largest its basis supports) on the adaptive
 # benchmark scenario (n = 121, tol 1e-10, to t = 2) at its seeds 0-3:
@@ -194,11 +193,35 @@ def rk4_chunk(rho, jumps, offsets, drift, ham, has_ham, h, nsteps):
 #     seeds 1-3, lowest    170   109    82    64    54    56    42
 #     seeds 1-3, highest   180   116    84    66    56    57    43
 #
-# The rate keeps falling with m while the basis grows as m n^2 complex
-# numbers, 19 MB a vector at n = 1,089.  m = 16 takes the steep part:
-# 12 -> 16 cuts the rate by 34-44 % for 33 % more basis, 16 -> 20 by 13-25 %
-# for 25 % more, and the basis at n = 1,089 is already 303 MB.
+# The rate keeps falling with m, but a basis whose offsets pass sooner
+# still pays for all m.  m = 16 takes the steep part: 12 -> 16 cuts the
+# rate by 34-44 %, 16 -> 20 by 13-25 %.  How many of the m vectors are
+# stored is ``BASIS_BYTES``'s to set, not m's.
 KRYLOV_DIM = 16
+
+# most bytes of Arnoldi vectors one basis stores: min(KRYLOV_DIM,
+# max(1, BASIS_BYTES // (16 n^2))) vectors of n^2 complex numbers, all
+# KRYLOV_DIM up to n = 64, 4 at n = 121 and 1 from n = 256.  The vectors
+# past them come from the Lanczos step, in the build and again when a
+# state is formed, so a basis of m vectors costs m + max(0, m - stored)
+# right-hand sides.  KRYLOV_DIM stored vectors would take 303 MB at
+# n = 1,089 and 4.6 GB at n = 4,225 (j1 = j2 = 32), more than any other
+# array of a run; under the budget a basis holds, beside the stored
+# vectors, the (3, n, n) workspace and two Lanczos vectors, 6 n^2 complex
+# numbers in all at large n.  ``simulate`` of the seed-0 adaptive
+# benchmark model, KRYLOV_DIM stored against the budget:
+#
+#     n       t_final   stored    right-hand sides   process peak
+#     121     2         16 -> 4   76 -> 88           37 -> 35 MB
+#     289     0.5       16 -> 1   68 -> 83           63 -> 44 MB
+#     1,089   0.05      16 -> 1   48 -> 63           467 -> 195 MB
+#
+# 1 MiB leaves every n up to 64, the shipped configs (n <= 25) among them,
+# with all KRYLOV_DIM stored and the arithmetic they had.  Past the stored
+# vectors the basis loses orthogonality, so one that closes there may not
+# see its breakdown: it costs right-hand sides, not accuracy (the
+# recurrence stays accurate for exp(tau L) rho, ``krylov_propagator``).
+BASIS_BYTES = 2**20
 
 # most vectors a Lanczos continuation (``krylov_propagator``) grows a
 # basis to.  Bases / right-hand sides, and the evolve time in ms
@@ -315,13 +338,16 @@ def _passing(problem, taus, budget) -> int:
 def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
     """Arnoldi on vec(rho), continued by Lanczos; returns ``(passes, state, samples)``.
 
-    Builds an orthonormal basis V of span{rho, L rho, ..., L^(m-1) rho},
-    m = ``KRYLOV_DIM``, with Gram-Schmidt applied twice per vector.  The
-    generator is self-adjoint in the Hilbert-Schmidt inner product
-    <X, Y> = tr(X^dag Y) (its jumps are Hermitian, ``generator.Generator``),
-    so H = V^dag L V is Hermitian and tridiagonal; its entries off the three
-    diagonals are roundoff (below 1e-16 ||H||_2 on the benchmark models) and
-    are dropped.  The small problem is T, the real symmetric tridiagonal part
+    Builds a basis V of span{rho, L rho, ..., L^(m-1) rho}, m at least
+    ``KRYLOV_DIM``: its first ``stored`` vectors by Arnoldi, with
+    Gram-Schmidt applied twice per vector, the rest by the Lanczos
+    recurrence below.  The generator is self-adjoint in the Hilbert-Schmidt
+    inner product <X, Y> = tr(X^dag Y) (its jumps are Hermitian,
+    ``generator.Generator``), so H = V^dag L V is Hermitian and
+    tridiagonal; its entries off the three diagonals are roundoff (below
+    1e-16 ||H||_2 on the benchmark models over Arnoldi vectors, about
+    3e-13 ||H||_2 once Lanczos vectors lose orthogonality) and are
+    dropped.  The small problem is T, the real symmetric tridiagonal part
     of H, factored once as T = Q diag(lambda) Q^T by ``np.linalg.eigh``
     (``small_problem``; Hochbruck and Lubich, SIAM J. Numer. Anal. 34
     (1997) 1911).
@@ -345,20 +371,22 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
     states at the leading offsets of the increasing ``taus`` that pass, as
     Expokit's ``expv`` gives a time grid from one basis (Sidje, ACM TOMS 24
     (1998) 130): O(m) arithmetic a row, and one (rows x m)(m x n^2)
-    product.  While fewer than min(len(taus), ``KRYLOV_DIM``) pass, the
-    basis grows by the Lanczos recurrence beta_j v_{j+1} = L v_j - alpha_j
-    v_j - beta_{j-1} v_{j-1}, accurate for exp(tau L) rho without
-    reorthogonalization (Druskin, Greenbaum and Knizhnerman, SIAM J. Sci.
-    Comput. 19 (1998) 38), at one right-hand side and one m x m eigh a
-    vector, up to ``LANCZOS_MAX``.  Only the first ``KRYLOV_DIM`` vectors
-    are stored; ``state`` and ``samples`` regenerate the others by the same
-    Lanczos step, at one right-hand side each.
+    product.  Past the stored vectors the basis grows by the Lanczos
+    recurrence beta_j v_{j+1} = L v_j - alpha_j v_j - beta_{j-1} v_{j-1},
+    accurate for exp(tau L) rho without reorthogonalization (Druskin,
+    Greenbaum and Knizhnerman, SIAM J. Sci. Comput. 19 (1998) 38), at one
+    right-hand side a vector: to ``KRYLOV_DIM`` vectors, and then, at one
+    m x m eigh more a vector, while fewer than min(len(taus),
+    ``KRYLOV_DIM``) offsets pass, up to ``LANCZOS_MAX``.  ``state`` and
+    ``samples`` regenerate the vectors past the stored ones by the same
+    Lanczos step, from the last stored one, at one right-hand side each.
 
-    Memory is that of ``KRYLOV_DIM`` vectors, two Lanczos vectors and one
+    Memory is that of the ``stored`` = min(``KRYLOV_DIM``, max(1,
+    ``BASIS_BYTES`` // (16 n^2))) vectors, two Lanczos vectors and one
     (3, n, n) workspace, which every right-hand side writes into
     (``lindblad_rhs``'s ``work``) and the Gram-Schmidt passes and Lanczos
     steps use as scratch; no state aliases it, and a basis of at most
-    ``KRYLOV_DIM`` vectors frees it once built.  When the basis closes early
+    ``stored`` vectors frees it once built.  When the basis closes early
     (an invariant subspace, e.g. a stationary state) the projection is
     exact and the error is 0; rho = 0 spans nothing, its states are 0, every
     offset passes and none takes a right-hand side.  A generator with
@@ -382,7 +410,8 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
     if not scale <= SCALE_MAX:
         raise OverflowError(f"generator norm {scale:.3e} is past the float range of a Krylov basis")
     floor = BREAKDOWN_TOL * scale
-    basis = np.empty((KRYLOV_DIM, n * n), dtype=np.complex128)
+    stored = min(KRYLOV_DIM, max(1, BASIS_BYTES // (16 * n * n)))
+    basis = np.empty((stored, n * n), dtype=np.complex128)
     # every right-hand side writes into ``work`` and returns work[0], which
     # holds L v until it becomes the next vector; work[1] is also the
     # Gram-Schmidt and Lanczos scratch
@@ -423,20 +452,26 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
         w -= np.multiply(vec, diag, out=scratch)
         return vec, w, diag
 
-    m, resid = KRYLOV_DIM, 0.0
-    for j in range(KRYLOV_DIM):
+    m, resid = stored, 0.0
+    for j in range(stored):
         w, alpha[j] = orthogonalized(j)
         resid = float(np.linalg.norm(w))  # the subdiagonal entry below column j
         if resid <= floor:
             m, resid = j + 1, 0.0
             break
-        if j + 1 < KRYLOV_DIM:
+        if j + 1 < stored:
             sub[j] = resid
             np.divide(w, resid, out=basis[j + 1])
-    problem = small_problem(alpha[:m], sub[: m - 1], beta, resid)
     vec = basis[-1]
-    while resid > 0.0 and m < LANCZOS_MAX and _passing(problem, taus[:need], budget) < need:
-        if m == KRYLOV_DIM:
+    # Lanczos to at least KRYLOV_DIM vectors, then until ``need`` offsets
+    # pass; a ``break`` leaves the final length's small problem factored,
+    # and the ``else`` factors it otherwise
+    while resid > 0.0 and m < LANCZOS_MAX:
+        if m >= KRYLOV_DIM:
+            problem = small_problem(alpha[:m], sub[: m - 1], beta, resid)
+            if _passing(problem, taus[:need], budget) >= need:
+                break
+        if m == stored:
             # the two Lanczos vectors alive past the stored basis
             lanczos = tuple(np.empty((2, n * n), dtype=np.complex128))
         sub[m - 1] = resid
@@ -445,22 +480,22 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
         resid = float(np.linalg.norm(w))
         if resid <= floor:
             resid = 0.0
+    else:
         problem = small_problem(alpha[:m], sub[: m - 1], beta, resid)
-    if m <= KRYLOV_DIM:
+    if m <= stored:
         # ``combine`` regenerates no vector, so no state is formed with the
         # workspace alive
         del work, scratch
     _, _, coefficients = problem
-    stored = basis[:m]
 
     def combine(coeffs):
         # sum_i coeffs[..., i] v_i as (..., n^2): the stored vectors in one
         # product, then each later one regenerated as the build made it
-        out = coeffs[..., :KRYLOV_DIM] @ stored
-        if m > KRYLOV_DIM and out.size:
+        out = coeffs[..., :stored] @ basis[:m]
+        if m > stored and out.size:
             rows, cols = out.reshape(-1, n * n), coeffs.reshape(-1, m)
-            vec, (w, _) = basis[-1], orthogonalized(KRYLOV_DIM - 1)
-            for j in range(KRYLOV_DIM, m):
+            vec, (w, _) = basis[-1], orthogonalized(stored - 1)
+            for j in range(stored, m):
                 vec, w, _ = lanczos_step(vec, w, sub[j - 1], last=j + 1 == m)
                 for row, c in zip(rows, cols[:, j]):
                     row += np.multiply(vec, c, out=scratch)

@@ -52,7 +52,7 @@ from .generator import (
     build_generator,
     evolve,
 )
-from .spin_algebra import SpinQuantum, angular_momentum_ops, coupled_basis_state
+from .spin_algebra import SpinQuantum, _twice, angular_momentum_ops, coupled_basis_state
 
 # not called here: kept because perfbench/tracing.py wraps cli.embed
 from .spin_algebra import embed
@@ -144,13 +144,16 @@ def _rate_row(cfg: ScenarioConfig) -> dict:
     # forms; everything else reports the physical composite-operator rate
     coupled = cfg.state.kind == "coupled"
     normalization = "total_spin" if coupled else "composite"
-    report = entropy_rate_analytic(psi, cfg.model, cfg.j1, cfg.j2, normalization=normalization)
-    estimate = None
-    if spec is not None and spec.n_tilde.two_j >= 2:
-        estimate = entropy_rate_estimate(spec.n_tilde.j, cfg.model)
-    closed = None
-    if coupled and isinstance(cfg.model, CommonBath) and cfg.model.lam == 1.0 and cfg.state.M == 0.0:
-        closed = coupled_state_rate(cfg.state.L, cfg.model.gamma, cfg.model.axes)
+    # a rate past the float range is reported by the tripwire below (exit
+    # 3, or the sweep point's error), not by numpy's RuntimeWarnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        report = entropy_rate_analytic(psi, cfg.model, cfg.j1, cfg.j2, normalization=normalization)
+        estimate = None
+        if spec is not None and spec.n_tilde.two_j >= 2:
+            estimate = entropy_rate_estimate(spec.n_tilde.j, cfg.model)
+        closed = None
+        if coupled and isinstance(cfg.model, CommonBath) and cfg.model.lam == 1.0 and cfg.state.M == 0.0:
+            closed = coupled_state_rate(cfg.state.L, cfg.model.gamma, cfg.model.axes)
     if not report.mismatch <= RATE_MISMATCH_TOL:  # NaN trips too
         raise RateMismatchError(
             "numeric rate %.17g and analytic rate %.17g disagree (relative %.3e)"
@@ -183,8 +186,12 @@ def apply_sweep(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioCo
     if parameter == "lambda":
         return cfg._replace(model=_remodel(cfg.model, lam=value))
     if parameter == "Ntilde":
-        nt = SpinQuantum.of(value)
-        return cfg._replace(j1=nt.j, j2=nt.j)
+        # the library's spin rule, mapped as ``build_state`` maps it for L
+        try:
+            j = _twice(value, "Ntilde") / 2.0
+        except ValueError as exc:
+            raise ConfigError(f"sweep: {exc}") from exc
+        return cfg._replace(j1=j, j2=j)
     if parameter == "L":
         return cfg._replace(state=cfg.state._replace(L=float(value)))
     target, pair = damping_entry(parameter)

@@ -498,9 +498,9 @@ def evolve(
     Lanczos recurrence until they pass, or until it has
     ``_kernels.LANCZOS_MAX`` vectors and the next basis restarts.  A basis
     costs one right-hand side per vector, and forming its states one more
-    per vector past ``KRYLOV_DIM``.  Both modes are linear maps of rho0:
-    nothing is Hermitized or renormalized, so trace and Hermiticity drift
-    shows in the states.
+    per vector past those it stores (``_kernels.BASIS_BYTES``).  Both modes
+    are linear maps of rho0: nothing is Hermitized or renormalized, so
+    trace and Hermiticity drift shows in the states.
 
     Both modes run one loop over bases on a grid of rows.  Each basis needs
     the next ``KRYLOV_DIM`` rows, or every row left if fewer.  It gives the

@@ -393,12 +393,13 @@ class TestExitCodes:
         assert f"duplicate key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_rate_trips_the_self_check(self, tmp_path, capsys):
         # gamma_xx = 1e308 at j1 = j2 = 4 overflows the numeric rate to nan
         # and the analytic one to inf.  A NaN mismatch fails every
         # comparison, so a tripwire tested with ">" let rate exit 0 with nan
-        # and sweep write the row with an empty error column
+        # and sweep write the row with an empty error column.  The rate is
+        # computed with numpy's overflow warnings off (a RuntimeWarning fails
+        # any test here), so the tripwire alone reports it
         doc = {
             "model": {"kind": "common", "axes": ["x"], "gamma": {"xx": 1e308}, "lambda": 1.0},
             "ensembles": {"j1": 4, "j2": 4},
@@ -457,6 +458,21 @@ class TestProcessEntry:
         err = done.stderr.decode()
         assert err.startswith("spinbath: config error")
         assert err.count("\n") == 1
+
+    def test_overflowing_rate_exits_3_with_one_message(self, tmp_path):
+        # gamma_xx = 1e308 at j1 = j2 = 4 (test_overflowing_rate_trips_the_self_check):
+        # the process exits 3 and stderr carries the tripwire's line alone,
+        # with no RuntimeWarning from numpy before it
+        doc = {
+            "model": {"kind": "common", "axes": ["x", "y", "z"], "gamma": {"xx": 1e308}, "lambda": 1.4},
+            "ensembles": {"j1": 4, "j2": 4},
+            "state": {"kind": "uniform"},
+        }
+        done = run_module("rate", "--config", str(write_cfg(tmp_path, doc)))
+        assert done.returncode == 3
+        err = done.stderr.decode()
+        assert "RuntimeWarning" not in err
+        assert err.startswith("spinbath: self-check failed") and err.count("\n") == 1
 
     def test_spin_whose_double_overflows_is_a_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, z_pair_doc(ensembles={"j1": 1e308, "j2": 1}))
@@ -522,13 +538,15 @@ class TestSweepCommand:
         _, _, rows = parse_csv(text)
         assert rows[0]["error"] == ""
         assert float(rows[0]["rate_analytic"]) == pytest.approx(8 / 3, rel=1e-12)
-        assert rows[1]["error"].startswith("ValueError: ") and "not a finite number" in rows[1]["error"]
+        assert rows[1]["error"].startswith("ConfigError: sweep: Ntilde=") and "not a finite number" in rows[1]["error"]
         assert rows[1]["rate_analytic"] == ""
 
     @pytest.mark.parametrize("parameter", ["Ntilde", "L"])
     def test_value_off_a_half_integer_is_an_error_row(self, tmp_path, parameter):
         # doubling is exact, so 1 + 1e-10 is no half-integer: the point once
-        # ran at 1 under the label 1.0000000001
+        # ran at 1 under the label 1.0000000001.  Both parameters break the
+        # library's one spin rule and report it in one form, as a config
+        # error of the block the value lands in
         doc = z_pair_doc(sweep={"parameter": parameter, "values": [1, 1.0000000001]})
         if parameter == "L":
             doc["state"] = {"kind": "coupled", "L": 1}
@@ -536,7 +554,8 @@ class TestSweepCommand:
         assert code == 0
         _, _, rows = parse_csv(text)
         assert rows[0]["error"] == ""
-        assert "=1.0000000001 is not a half-integer" in rows[1]["error"]
+        block = "sweep" if parameter == "Ntilde" else "state"
+        assert rows[1]["error"] == f"ConfigError: {block}: {parameter}=1.0000000001 is not a half-integer"
         assert rows[1]["rate_analytic"] == ""
 
     def test_lambda_grid_symmetric_about_balance(self, tmp_path):

@@ -186,14 +186,29 @@ def _krylov_dim_bases(monkeypatch):
     monkeypatch.setattr(_kernels, "LANCZOS_MAX", _kernels.KRYLOV_DIM)
 
 
-def test_adaptive_rhs_cost_is_krylov_dim_per_accepted_step(monkeypatch):
-    # a basis costs KRYLOV_DIM right-hand sides and its trial steps none
+def _stored(n):
+    # the Arnoldi vectors a basis of n x n states stores under BASIS_BYTES
+    return min(_kernels.KRYLOV_DIM, max(1, _kernels.BASIS_BYTES // (16 * n * n)))
+
+
+def _store(monkeypatch, n, count):
+    # a byte budget that stores ``count`` vectors of n x n states
+    monkeypatch.setattr(_kernels, "BASIS_BYTES", count * 16 * n * n)
+    assert _stored(n) == count
+
+
+@pytest.mark.parametrize("stored", [16, 4, 1])
+def test_adaptive_rhs_cost_is_krylov_dim_per_accepted_step(monkeypatch, stored):
+    # a basis costs KRYLOV_DIM right-hand sides, its state one more per
+    # vector past the ``stored`` ones, and its trial steps none
     _krylov_dim_bases(monkeypatch)
     calls = _counted_rhs(monkeypatch)
     gen, rho0 = _case("common", 1)
+    _store(monkeypatch, gen.dim, stored)
     traj = evolve(gen, rho0, SEARCH_CASE["t_final"], tol=SEARCH_CASE["tol"])
     assert traj.accepted >= 2
-    assert len(calls) == _kernels.KRYLOV_DIM * traj.accepted
+    dim = _kernels.KRYLOV_DIM
+    assert len(calls) == (dim + dim - stored) * traj.accepted
 
 
 def test_adaptive_steps_are_the_largest_each_basis_supports(monkeypatch):
@@ -633,7 +648,7 @@ LANCZOS_CASES = [
 def test_lanczos_evolve_matches_dense_expm(monkeypatch, bath, j1, j2, t_final):
     # horizons the first KRYLOV_DIM vectors do not reach at tol 1e-10, so
     # some basis grows past them.  Its build takes one right-hand side per
-    # vector and its state one per vector past KRYLOV_DIM, which is every
+    # vector and its state one per vector past the stored ones, which is every
     # right-hand side of the run.  At t = 83 one basis takes the whole
     # horizon, tau ||T||_2 of order 100, long after e_m^T exp(s T) e_1 has
     # peaked: accepted on Saad's point estimate alone, the common-bath
@@ -649,7 +664,7 @@ def test_lanczos_evolve_matches_dense_expm(monkeypatch, bath, j1, j2, t_final):
     vectors = [rec["vectors"] for rec in bases]
     assert all(len(rec["taus"]) == 1 for rec in bases)
     assert _kernels.KRYLOV_DIM < max(vectors) <= _kernels.LANCZOS_MAX
-    assert len(calls) == sum(v + max(0, v - _kernels.KRYLOV_DIM) for v in vectors)
+    assert len(calls) == sum(v + max(0, v - _stored(gen.dim)) for v in vectors)
     assert traj.times[-1] == t_final
     for t, state, want in zip(traj.times, traj.states, _exact_rows(lv, rho0, traj.times)):
         assert np.linalg.norm(state - want) <= _grid_bound(tol, t, rho0)
@@ -696,12 +711,14 @@ def test_basis_accepted_at_krylov_dim_is_the_arnoldi_basis(monkeypatch, bath, j1
         assert np.array_equal(kept[1](tau), plain[1](tau))
 
 
-def test_continued_basis_regenerates_its_vectors(monkeypatch):
+@pytest.mark.parametrize("stored", [16, 1])
+def test_continued_basis_regenerates_its_vectors(monkeypatch, stored):
     # a basis whose first KRYLOV_DIM rows, one every 4 to t = 64, do not
     # all pass grows to LANCZOS_MAX, here 64, so that the rows outrun it
     # (this n = 25 basis does not close first), with one small problem a
-    # length.  ``samples`` and ``state`` rebuild the vectors past KRYLOV_DIM from the
-    # stored ones: every row whose estimate passes tol 1e-10 within
+    # length from KRYLOV_DIM on, however many vectors are stored.
+    # ``samples`` and ``state`` rebuild the vectors past the ``stored`` ones
+    # from the last of them: every row whose estimate passes tol 1e-10 within
     # _grid_bound of exp(tau L) rho0, and the first, middle and last rows
     # within 1e-12 ||rho0||_F of state(tau) (bounds fixed before running, as
     # in TestDenseLiouvillianOracle).  The vectors regenerated at the full
@@ -710,12 +727,13 @@ def test_continued_basis_regenerates_its_vectors(monkeypatch):
     calls = _counted_rhs(monkeypatch)
     problems = _recorded_small_problems(monkeypatch)
     gen, lv, rho0 = _oracle_case("common", 2, 2)
+    _store(monkeypatch, gen.dim, stored)
     times = np.arange(1, 31) * 4.0
     passes, state, samples = _kernels.krylov_propagator(rho0, *_args(gen), taus=times, tol=1e-10)
     assert len(calls) == _kernels.LANCZOS_MAX
     assert len(problems) == _kernels.LANCZOS_MAX - _kernels.KRYLOV_DIM + 1
     rows = samples()
-    assert len(calls) == 2 * _kernels.LANCZOS_MAX - _kernels.KRYLOV_DIM
+    assert len(calls) == 2 * _kernels.LANCZOS_MAX - stored
     assert 2 <= len(rows) < len(times)
     for tau, row, want in zip(times, rows, _exact_rows(lv, rho0, times[: len(rows)])):
         assert passes(tau)
@@ -748,19 +766,21 @@ def test_factor_hermitian_to_roundoff_takes_the_lanczos_path(monkeypatch):
         assert np.linalg.norm(state - want) <= _grid_bound(tol, t, rho0)
 
 
-def test_fixed_basis_continues_until_it_gives_krylov_dim_rows(monkeypatch):
+@pytest.mark.parametrize("stored", [16, 1])
+def test_fixed_basis_continues_until_it_gives_krylov_dim_rows(monkeypatch, stored):
     # n = 25, a row every 0.2 to t = 8: KRYLOV_DIM vectors give fewer than
     # KRYLOV_DIM of the 40 rows, so the first basis continues by Lanczos and
     # stops at the first length that gives KRYLOV_DIM rows, as one vector
     # fewer shows; the last basis needs only the rows left.  No basis gives
     # fewer rows than it needs, and each costs one right-hand side a vector
-    # and, for its rows, one more a vector past KRYLOV_DIM.  Bound fixed
-    # before running: every row within _grid_bound(GRID_TOL) of
+    # and, for its rows, one more a vector past the ``stored`` ones.  Bound
+    # fixed before running: every row within _grid_bound(GRID_TOL) of
     # exp(t L) rho0
     build = _kernels.krylov_propagator
     calls = _counted_rhs(monkeypatch)
     bases = _recorded_bases(monkeypatch, calls)
     gen, lv, rho0 = _oracle_case("common", 2, 2)
+    _store(monkeypatch, gen.dim, stored)
     traj = evolve(gen, rho0, 8.0, step=0.2)
     dim = _kernels.KRYLOV_DIM
     assert len(traj.times) == 41
@@ -771,7 +791,7 @@ def test_fixed_basis_continues_until_it_gives_krylov_dim_rows(monkeypatch):
         assert min(left, dim) <= given
         left -= given
     assert left == 0
-    assert len(calls) == sum(rec["vectors"] + max(0, rec["vectors"] - dim) for rec in bases)
+    assert len(calls) == sum(rec["vectors"] + max(0, rec["vectors"] - stored) for rec in bases)
     first = bases[0]
     assert first["vectors"] > dim
     monkeypatch.setattr(_kernels, "LANCZOS_MAX", first["vectors"] - 1)
@@ -779,6 +799,63 @@ def test_fixed_basis_continues_until_it_gives_krylov_dim_rows(monkeypatch):
     assert len(samples()) < dim
     for t, state, want in zip(traj.times, traj.states, _exact_rows(lv, rho0, traj.times)):
         assert np.linalg.norm(state - want) <= _grid_bound(GRID_TOL, t, rho0)
+
+
+@pytest.mark.parametrize("stored", [4, 1])
+@pytest.mark.parametrize("mode", ["adaptive", "restarted", "fixed"])
+@pytest.mark.parametrize("j", [1, 2], ids=["n9", "n25"])
+def test_fewer_stored_vectors_keep_every_step(monkeypatch, j, mode, stored):
+    # a basis that stores ``stored`` vectors and regenerates the rest by
+    # the Lanczos step against one that stores all KRYLOV_DIM: adaptive to
+    # t = 30 at tol 1e-10 (one continued basis), the same on bases capped
+    # at KRYLOV_DIM to t = 16 (sub-step searches and refused trials), and
+    # fixed steps of 0.2 to t = 8 (continued bases that give rows).  The
+    # acceptance decisions are taken at KRYLOV_DIM vectors and more, so the
+    # two runs have the same row times, steps and refused trials.  Bound
+    # fixed before running: every row within tol t max(1, ||rho0||_F) +
+    # 1e-13 of the all-stored one, tol = GRID_TOL in fixed mode
+    gen, _, rho0 = _oracle_case("common", j, j)
+    if mode == "restarted":
+        _krylov_dim_bases(monkeypatch)
+    t_final, kw = {"adaptive": (30.0, {"tol": 1e-10}), "restarted": (16.0, {"tol": 1e-10}),
+                   "fixed": (8.0, {"step": 0.2})}[mode]
+    tol = kw.get("tol", GRID_TOL)
+    runs = []
+    for count in (_kernels.KRYLOV_DIM, stored):
+        _store(monkeypatch, gen.dim, count)
+        runs.append(evolve(gen, rho0, t_final, **kw))
+    full, fewer = runs
+    assert np.array_equal(fewer.times, full.times)
+    assert (fewer.accepted, fewer.rejected) == (full.accepted, full.rejected)
+    for t, a, b in zip(full.times, full.states, fewer.states):
+        assert np.linalg.norm(b - a) <= _grid_bound(tol, t, rho0)
+
+
+def test_closure_past_the_stored_vectors_costs_right_hand_sides(monkeypatch):
+    # the seed-0 fixed benchmark run (n = 9, steps of 1e-3 to t = 20, a row
+    # every 200): its one basis closes at 11 vectors when all are stored,
+    # exact and with no vector to regenerate, 11 right-hand sides.  With 4
+    # stored, the Lanczos vectors past them lose orthogonality and the
+    # residual never falls to BREAKDOWN_TOL, so the basis grows to
+    # KRYLOV_DIM, passes there and regenerates 12 vectors for its rows:
+    # 16 + 12 right-hand sides.  A lost closure costs right-hand sides, not
+    # accuracy: the rows moved by at most 1.7e-14 in Frobenius norm (6e-15
+    # entrywise) when this was written.  Bound as in
+    # test_fewer_stored_vectors_keep_every_step
+    gen, rho0 = _benchmark_case("fixed")
+    calls = _counted_rhs(monkeypatch)
+    runs = []
+    for count, cost in ((_kernels.KRYLOV_DIM, 11), (4, 28)):
+        _store(monkeypatch, gen.dim, count)
+        del calls[:]
+        runs.append(evolve(gen, rho0, 20.0, step=1e-3, stride=200))
+        assert len(calls) == cost
+    full, fewer = runs
+    assert len(full.times) == 101
+    assert np.array_equal(fewer.times, full.times)
+    assert (fewer.accepted, fewer.rejected) == (full.accepted, full.rejected)
+    for t, a, b in zip(full.times, full.states, fewer.states):
+        assert np.linalg.norm(b - a) <= _grid_bound(GRID_TOL, t, rho0)
 
 
 # exact oracle for independent baths (``oracles.independent_exact``): the
@@ -1077,11 +1154,16 @@ BENCHMARK_MODELS = ["adaptive", "fixed", "sweep", "dfs"]
 @pytest.mark.parametrize("name", BENCHMARK_MODELS)
 def test_stored_prefix_is_tridiagonal(monkeypatch, name):
     # the small problem keeps only the tridiagonal part of H = V^dag L V
-    # for the stored Arnoldi prefix; L is self-adjoint, so the rest is
-    # roundoff.  Bound fixed before running: every entry off the three
-    # diagonals within 1e-14 ||H||_2 (measured below 1e-16 ||H||_2 on
-    # these bases)
+    # for an Arnoldi prefix; L is self-adjoint, so the rest is roundoff.
+    # The budget is raised to store all KRYLOV_DIM vectors: the default
+    # stores fewer from n = 81 on, and the Lanczos vectors past them keep
+    # orthogonality only to about 1e-11 (3e-13 ||H||_2 off the three
+    # diagonals at n = 121 with 4 stored), which the recurrence tolerates
+    # (test_fewer_stored_vectors_keep_every_step).  Bound fixed before
+    # running: every entry off the three diagonals within 1e-14 ||H||_2
+    # (measured below 1e-16 ||H||_2 on these bases)
     gen, rho0 = _benchmark_case(name)
+    _store(monkeypatch, gen.dim, _kernels.KRYLOV_DIM)
     _, vectors, images, _, _ = _recorded_build(monkeypatch, gen, rho0)
     h = vectors.conj() @ images.T
     m = len(h)
@@ -1181,9 +1263,9 @@ def test_short_offsets_pass(monkeypatch, name):
 
 def test_continued_basis_uses_one_workspace(monkeypatch):
     # the seed-0 adaptive benchmark run (n = 121, to t = 2) takes one
-    # basis continued by Lanczos; its build and its state's regenerated
-    # vectors write every right-hand side into one workspace, and no state
-    # of the run shares memory with it
+    # basis continued by Lanczos to 46 vectors, of which it stores 4; its
+    # build and its state's 42 regenerated vectors write every right-hand
+    # side into one workspace, and no state of the run shares memory with it
     works = []
     rhs = _kernels.lindblad_rhs
 
@@ -1196,7 +1278,29 @@ def test_continued_basis_uses_one_workspace(monkeypatch):
     gen, rho0 = _benchmark_case("adaptive")
     traj = evolve(gen, rho0, 2.0, tol=1e-10)
     assert len(bases) == traj.accepted == 1
-    assert len(works) == 76
+    assert _stored(gen.dim) == 4
+    assert len(works) == 46 + 42
     assert works[0] is not None and all(w is works[0] for w in works)
     assert works[0].shape == (3, gen.dim, gen.dim)
     assert not any(np.shares_memory(state, works[0]) for state in traj.states)
+
+
+def test_adaptive_run_memory_is_the_stored_prefix():
+    # the seed-0 adaptive benchmark run (n = 121, to t = 2, one basis of 46
+    # vectors): the allocations peak within the stored vectors (4 here),
+    # the (3, n, n) workspace, the two Lanczos vectors and the rows (t = 0
+    # and t = 2), each n^2 complex numbers, plus 256 KiB for the small
+    # arrays and numpy's ufunc buffer (8,192 elements, 128 KiB of complex
+    # numbers, taken by a right-hand side's transposes).  Bound fixed before
+    # running; storing all KRYLOV_DIM vectors would take 12 more vectors of
+    # n^2
+    gen, rho0 = _benchmark_case("adaptive")
+    vector = gen.dim**2 * 16
+    tracemalloc.start()
+    try:
+        traj = evolve(gen, rho0, 2.0, tol=1e-10, stride=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.states) == 2 and _stored(gen.dim) == 4
+    assert peak <= (_stored(gen.dim) + 3 + 2 + len(traj.states)) * vector + 256 * 1024
