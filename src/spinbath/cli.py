@@ -3,11 +3,12 @@ parameter sweeps, stationarity certification, and state inspection.
 
 Every subcommand reads one JSON scenario (--config), writes one table
 (--out, default stdout) as CSV or JSON, and exits 0 on success, 2 on a
-configuration defect or an unwritable output, 3 when the numeric/analytic
-rate self-check trips, 4 when the integrator aborts, 5 when every sweep
-point fails.  Output is deterministic: fixed row order, 17-significant-digit
-floats, provenance comments (tool version, config digest, seed) and no
-timestamps, so equal configs give byte-identical files.
+configuration defect, an allocation numpy refuses or an unwritable output,
+3 when the numeric/analytic rate self-check trips, 4 when the integrator
+aborts, 5 when every sweep point fails.  Output is deterministic: fixed row
+order, 17-significant-digit floats, provenance comments (tool version,
+config digest, seed) and no timestamps, so equal configs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -210,8 +211,10 @@ def cmd_sweep(cfg: ScenarioConfig, threads: int):
     def point(value: float):
         try:
             return _rate_row(apply_sweep(cfg, parameter, value)), None
-        except (ValueError, RuntimeError) as exc:
-            return None, f"{type(exc).__name__}: {exc}"
+        except (ValueError, RuntimeError, MemoryError) as exc:
+            # numpy's refused allocation is a private subclass of MemoryError
+            kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+            return None, f"{kind}: {exc}"
 
     if threads == 1:
         results = [point(v) for v in values]
@@ -238,23 +241,33 @@ def cmd_simulate(cfg: ScenarioConfig, fmt: str):
     if ev.snapshots and fmt != "json":
         raise ConfigError("evolution.snapshots requires JSON output (set output.format or --format)")
     psi, _dims, label, _spec = build_state(cfg)
-    gen = build_generator(cfg.model, cfg.j1, cfg.j2)
-    rho0 = density_from_pure(psi)
-    traj = evolve(gen, rho0, ev.t_final, step=ev.step, tol=ev.tol, stride=ev.stride)
     rows = []
     snapshots = [] if ev.snapshots else None
-    for t, mat, s in zip(traj.times, traj.states, traj.s_lin):
-        rows.append(
-            {
-                "t": float(t),
-                "s_lin": float(s),
-                "trace_dev": abs(float(np.real(np.trace(mat))) - 1.0),
-                "min_eig": float(np.linalg.eigvalsh(mat).min()),
-                "fidelity": pure_fidelity(psi, mat),
-            }
-        )
+    caller_errstate = np.geterr()
+
+    def tabulate(t, mat, s):
+        # each row's cells as it arrives; no state is kept past its row
+        # unless snapshots asks for it.  The rows run inside evolve, so
+        # they restore the caller's numpy error handling
+        with np.errstate(**caller_errstate):
+            rows.append(
+                {
+                    "t": t,
+                    "s_lin": s,
+                    "trace_dev": abs(float(np.real(np.trace(mat))) - 1.0),
+                    "min_eig": float(np.linalg.eigvalsh(mat).min()),
+                    "fidelity": pure_fidelity(psi, mat),
+                }
+            )
         if snapshots is not None:
-            snapshots.append({"t": float(t), "re": mat.real.tolist(), "im": mat.imag.tolist()})
+            snapshots.append({"t": t, "re": mat.real.tolist(), "im": mat.imag.tolist()})
+
+    # an overflowing model is reported by the integrator's checks (exit 4),
+    # not by numpy's RuntimeWarnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gen = build_generator(cfg.model, cfg.j1, cfg.j2)
+        traj = evolve(gen, density_from_pure(psi), ev.t_final, step=ev.step, tol=ev.tol,
+                      stride=ev.stride, consumer=tabulate)
     extras = [
         ("state", label),
         ("accepted_steps", traj.accepted),
@@ -279,25 +292,40 @@ def _dfs_candidates(cfg: ScenarioConfig):
     return [psi], [label]
 
 
+class _Rows:
+    """A table's ``count`` rows, each made by ``make()``'s iterator only when
+    the writer reaches it: sized, and never held together."""
+
+    def __init__(self, count: int, make) -> None:
+        self._count, self._make = count, make
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        return self._make()
+
+
 def cmd_dfs(cfg: ScenarioConfig):
     if cfg.dfs is None:
         raise ConfigError("dfs command needs a dfs block")
     vecs, labels = _dfs_candidates(cfg)
-    report = certify_stationary(vecs, cfg.model, cfg.j1, cfg.j2, subspace=cfg.dfs.subspace)
-    rows = []
-    for label, res, rate, ok in zip(labels, report.residuals, report.purity_rates, report.state_ok):
-        rows.append({"candidate": label, "residual": res, "purity_rate": rate, "certified": ok})
-    for (i, jdx), res in sorted(report.pair_residuals.items()):
-        rows.append(
-            {
-                "candidate": f"pair({labels[i]}|{labels[jdx]})",
-                "residual": res,
-                "purity_rate": None,
-                "certified": report.pair_ok[(i, jdx)],
-            }
-        )
+    # an overflowing model shows as inf and nan residuals, not as numpy's
+    # RuntimeWarnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        report = certify_stationary(vecs, cfg.model, cfg.j1, cfg.j2, subspace=cfg.dfs.subspace)
+    del vecs  # the table needs the labels and the report alone
+
+    def rows():
+        for label, res, rate, ok in zip(labels, report.residuals, report.purity_rates, report.state_ok):
+            yield {"candidate": label, "residual": res, "purity_rate": rate, "certified": ok}
+        for (i, jdx), res, ok in report.iter_pairs():
+            yield {"candidate": f"pair({labels[i]}|{labels[jdx]})", "residual": res,
+                   "purity_rate": None, "certified": ok}
+
     extras = [("certified", report.certified)]
-    return ["candidate", "residual", "purity_rate", "certified"], rows, extras, None, EXIT_OK
+    table = _Rows(len(labels) + len(report.pairs), rows)
+    return ["candidate", "residual", "purity_rate", "certified"], table, extras, None, EXIT_OK
 
 
 def cmd_state(cfg: ScenarioConfig):
@@ -428,6 +456,11 @@ def main(argv=None) -> int:
     except IntegrationAbortError as exc:
         print("spinbath: integration aborted: %s" % exc, file=sys.stderr)
         return EXIT_ABORT
+    except MemoryError as exc:
+        # an allocation numpy refuses (a state past the address space) is
+        # the scenario's size at fault, as a config error is
+        print("spinbath: cannot allocate: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
 
     columns, rows, extras, snapshots, code = result
     out_path = args.out if args.out is not None else cfg.output.path

@@ -287,24 +287,45 @@ class StationaryReport:
 
     ``residuals[i]`` is the Frobenius norm of the generator applied to the
     i-th projector, ``purity_rates[i]`` the matching d S_lin / dt.  With
-    ``pair_residuals`` present the candidates were also checked as a
-    subspace: every cross projector |psi_i><psi_j| must be annihilated, and
-    ``pair_ok`` holds the verdict on each against the same tolerance.
-    Every residual is ||R_Ui R_Vj^dag||_F from the thin-QR R factors of the
+    ``pairs`` nonempty the candidates were also checked as a subspace:
+    every cross projector |psi_i><psi_j| must be annihilated.  Every
+    residual is ||R_Ui R_Vj^dag||_F from the thin-QR R factors of the
     rank-one generator images (``certify_stationary``), which equals
     ||L(|psi_i><psi_j|)||_F exactly and, unlike the Gram trace
     tr((U^dag U)(V^dag V)), squares nothing.
+
+    ``pairs`` holds the pair residuals as one float64 array, 8 bytes a
+    pair, in the order (0, 1), (0, 2), ..., (0, N - 1), (1, 2), ...
+    ``iter_pairs`` walks it one pair at a time, and ``pair_residuals`` and
+    ``pair_ok`` are dicts keyed by (i, j), i < j, in the same order, built
+    from it each time they are read.  A pair passes at most
+    ``STATIONARY_RESIDUAL_TOL``.
     """
 
     def __init__(self, residuals: list[float], purity_rates: list[float], state_ok: list[bool],
-                 certified: bool, pair_residuals: dict[tuple[int, int], float] | None = None,
-                 pair_ok: dict[tuple[int, int], bool] | None = None) -> None:
+                 certified: bool, pairs: np.ndarray | None = None) -> None:
         self.residuals = residuals
         self.purity_rates = purity_rates
         self.state_ok = state_ok
         self.certified = certified
-        self.pair_residuals = {} if pair_residuals is None else pair_residuals
-        self.pair_ok = {} if pair_ok is None else pair_ok
+        self.pairs = np.zeros(0) if pairs is None else pairs
+
+    def iter_pairs(self):
+        """((i, j), residual, verdict) for every pair, in ``pairs`` order, each
+        made only when it is reached."""
+        count = len(self.residuals) if len(self.pairs) else 0
+        keys = ((i, j) for i in range(count) for j in range(i + 1, count))
+        for key, res in zip(keys, self.pairs):
+            res = float(res)
+            yield key, res, res <= STATIONARY_RESIDUAL_TOL
+
+    @property
+    def pair_residuals(self) -> dict[tuple[int, int], float]:
+        return {key: res for key, res, _ in self.iter_pairs()}
+
+    @property
+    def pair_ok(self) -> dict[tuple[int, int], bool]:
+        return {key: ok for key, _, ok in self.iter_pairs()}
 
 
 def certify_stationary(
@@ -328,31 +349,34 @@ def certify_stationary(
     Householder QR is backward stable, so the error stays of order
     eps ||U|| ||V||, as for the assembled product.  Residuals pass at most
     ``STATIONARY_RESIDUAL_TOL``, a state's rate at most ``STATIONARY_RATE_TOL``.
+
+    Memory: the N candidates' vectors and R factors, and one float64 array
+    of the N (N - 1) / 2 pair residuals, filled a row i at a time; the
+    verdicts and ``certified`` are computed from the arrays, and no
+    per-pair object is made (``StationaryReport``).
     """
     jumps, dims = _canonical_jump_set(coupling_factors(model, j1, j2))
     vecs = [_check_length(_unit_vector(s), dims) for s in states]
-    rates = []
+    count = len(vecs)
+    rates = np.empty(count)
     r_u = []
     r_v = []
-    for vec in vecs:
+    for i, vec in enumerate(vecs):
         u, v = rank_one_factors(jumps, vec)
-        rates.append(_pure_rate(vec, u, v))
+        rates[i] = _pure_rate(vec, u, v)
         r_u.append(np.linalg.qr(u, mode="r"))
         r_v.append(np.linalg.qr(v, mode="r"))
-    residuals = []
-    ok = []
-    pair_residuals: dict[tuple[int, int], float] = {}
-    pair_ok: dict[tuple[int, int], bool] = {}
+    residuals = np.empty(count)
+    pairs = np.empty(count * (count - 1) // 2 if subspace else 0)
     r_v = np.conj(r_v)
-    for i, rate in enumerate(rates):
+    start = 0
+    for i in range(count):
         # ||R_Ui R_Vj^dag||_F for j = i and, as a subspace, every j > i
-        stop = len(vecs) if subspace else i + 1
+        stop = count if subspace else i + 1
         norms = np.linalg.norm(np.einsum("ab,jcb->jac", r_u[i], r_v[i:stop]), axis=(1, 2))
-        res = float(norms[0])
-        residuals.append(res)
-        ok.append(res <= STATIONARY_RESIDUAL_TOL and abs(rate) <= STATIONARY_RATE_TOL)
-        for jdx, pair_res in enumerate(norms[1:].tolist(), start=i + 1):
-            pair_residuals[(i, jdx)] = pair_res
-            pair_ok[(i, jdx)] = pair_res <= STATIONARY_RESIDUAL_TOL
-    certified = bool(ok) and all(ok) and all(pair_ok.values())
-    return StationaryReport(residuals, rates, ok, certified, pair_residuals, pair_ok)
+        residuals[i] = norms[0]
+        pairs[start:start + len(norms) - 1] = norms[1:]
+        start += len(norms) - 1
+    ok = (residuals <= STATIONARY_RESIDUAL_TOL) & (np.abs(rates) <= STATIONARY_RATE_TOL)
+    certified = bool(count) and bool(ok.all()) and bool((pairs <= STATIONARY_RESIDUAL_TOL).all())
+    return StationaryReport(residuals.tolist(), rates.tolist(), ok.tolist(), certified, pairs)

@@ -401,7 +401,8 @@ def default_step(gen: Generator) -> float | None:
 class Trajectory(NamedTuple):
     """Sampled density-matrix evolution.
 
-    ``states[i]`` is the sample at ``times[i]``; ``s_lin`` the matching
+    ``states[i]`` is the sample at ``times[i]``, or ``states`` is empty
+    when ``evolve`` handed the rows to a consumer; ``s_lin`` the matching
     linear entropies 1 - tr(rho^2).  ``accepted`` counts steps: in fixed
     mode the steps of size ``step`` to t_final, each exp(step L), and in
     adaptive mode the Krylov bases.  ``rejected`` counts the trial offsets
@@ -485,6 +486,7 @@ def evolve(
     tol: float | None = None,
     stride: int = 1,
     max_steps: int = 10_000_000,
+    consumer=None,
 ) -> Trajectory:
     """Integrate d rho/dt = L(rho): exp(t L) rho0 on a time grid, or adaptively.
 
@@ -540,10 +542,20 @@ def evolve(
     max_steps : int
         Abort guard: the fixed-step count, and the Krylov bases plus the
         refused trials, never exceed it.
+    consumer : callable, optional
+        Called as ``consumer(t, state, s_lin)`` once a row, in time order.
+        A basis's rows are handed over only once the basis is freed, the
+        t = 0 row with the first basis's, so the consumer never runs beside
+        a basis's working set.  The states are then not kept: each is
+        alive until its basis's rows have been handed over, and after that
+        only if the consumer keeps it.  Without a consumer every state is
+        collected into ``Trajectory.states``.
 
     Returns
     -------
     Trajectory
+        With a ``consumer``, ``states`` is empty; the times, linear
+        entropies and step counts are those of the collected run.
 
     Raises
     ------
@@ -564,15 +576,27 @@ def evolve(
     norm0 = float(np.linalg.norm(rho))
     norm_cap = 10.0 * max(norm0, 1e-300)
 
-    times = [0.0]
-    states = [rho]
-    s_lin = [1.0 - _purity(rho)]
+    times = []
+    states = []
+    s_lin = []
+    pending = []  # the rows of the basis being built
     args = gen.kernel_args
+    streamed = consumer is not None
+    if not streamed:
+        def consumer(t, mat, s):
+            states.append(mat)
 
     def record(t: float, mat: np.ndarray) -> None:
         times.append(t)
-        states.append(mat)
         s_lin.append(1.0 - _purity(mat))
+        pending.append((t, mat, s_lin[-1]))
+
+    def hand_over() -> None:
+        for row in pending:
+            consumer(*row)
+        pending.clear()
+
+    record(0.0, rho)
 
     def check_blowup(t_good: float, mat: np.ndarray) -> None:
         # t_good: the time of the last state that passed
@@ -585,6 +609,7 @@ def evolve(
             )
 
     if t_final == 0.0:
+        hand_over()
         return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, 0, 0)
 
     adaptive = tol is not None
@@ -626,7 +651,10 @@ def evolve(
                 t = float(grid[row])
                 record(t, mat)
                 row += 1
+            # the loop's last row is the next basis's start; the name ``mat``
+            # would keep the block of rows alive through that basis
             rho = sampled[-1]
+            del mat
         else:
             sub, refused = _largest_step(passes, float(grid[row]) - t, tiny)
             rejected += refused
@@ -639,7 +667,13 @@ def evolve(
             t += sub
             if adaptive and bases % stride == 0:
                 record(t, rho)
-        # the next basis is built without this one alive
+        # the next basis is built without this one alive, and its rows (the
+        # first basis's with the t = 0 row) are handed over only now
         del passes, state, samples, sampled
+        hand_over()
+        if streamed:
+            # a row of the block just handed over: a copy of its own lets
+            # the block go before the next basis is built
+            rho = rho.copy()
     accepted = bases if adaptive else nsteps
     return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, accepted, rejected)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +475,76 @@ class TestProcessEntry:
         assert "RuntimeWarning" not in err
         assert err.startswith("spinbath: self-check failed") and err.count("\n") == 1
 
+    OVERFLOWING = {
+        "model": {"kind": "common", "axes": ["x"], "gamma": {"xx": 1e308}, "lambda": 1.0},
+        "ensembles": {"j1": 4, "j2": 4},
+        "state": {"kind": "uniform"},
+        "evolution": {"t_final": 1.0, "tol": 1e-10},
+        "dfs": {"candidates": "fock_basis"},
+    }
+
+    def test_overflowing_simulate_exits_4_with_one_message(self, tmp_path):
+        # the generator's drift overflows while it is built, and the Krylov
+        # basis refuses its norm: exit 4 and that line alone on stderr, with
+        # no RuntimeWarning from numpy before it
+        out = tmp_path / "out.csv"
+        done = run_module("simulate", "--config", str(write_cfg(tmp_path, self.OVERFLOWING)), "--out", str(out))
+        assert done.returncode == 4
+        err = done.stderr.decode()
+        assert "RuntimeWarning" not in err
+        assert err.startswith("spinbath: integration aborted: generator norm nan") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflowing_dfs_writes_its_table_without_warnings(self, tmp_path):
+        # 81 Fock candidates whose generator images overflow: the table is
+        # the one written with the warnings (4 rows inf, 77 nan, none
+        # certified) and stderr is empty
+        out = tmp_path / "out.csv"
+        done = run_module("dfs", "--config", str(write_cfg(tmp_path, self.OVERFLOWING)), "--out", str(out))
+        assert done.returncode == 0
+        assert done.stderr == b""
+        comments, _, rows = parse_csv(out.read_text(encoding="utf-8"))
+        assert comments["certified"] == "false"
+        cells = [(r["residual"], r["purity_rate"], r["certified"]) for r in rows]
+        assert sorted(set(cells)) == [("inf", "inf", "false"), ("nan", "nan", "false")]
+        assert cells.count(("inf", "inf", "false")) == 4 and len(cells) == 81
+
+    # j1 = j2 = 3,000,000: the state is a vector of (6,000,001)^2 complex
+    # numbers, 524 TiB, more than the address space holds, so numpy refuses
+    # it whatever the host's overcommit setting.  The coupled level and the
+    # Fock product allocate little before that
+    HUGE = {"j1": 3_000_000, "j2": 3_000_000}
+
+    @pytest.mark.parametrize("command,extra", [
+        ("rate", {"state": {"kind": "coupled", "L": 0, "M": 0}}),
+        ("state", {"state": {"kind": "coupled", "L": 0, "M": 0}}),
+        ("simulate", {"state": {"kind": "fock", "m1": 0, "m2": 0}, "evolution": {"t_final": 1.0}}),
+        ("dfs", {"dfs": {"candidates": "singlet"}}),
+    ])
+    def test_refused_allocation_exits_2_with_one_message(self, tmp_path, command, extra):
+        doc = {"model": {"kind": "common", "axes": ["z"], "gamma": {"zz": 1.0}, "lambda": 1.0},
+               "ensembles": self.HUGE, **extra}
+        out = tmp_path / "out.csv"
+        done = run_module(command, "--config", str(write_cfg(tmp_path, doc)), "--out", str(out))
+        assert done.returncode == 2
+        err = done.stderr.decode()
+        assert err.startswith("spinbath: cannot allocate: Unable to allocate 524. TiB") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_refused_allocation_is_a_sweep_error_row(self, tmp_path):
+        doc = {"model": {"kind": "common", "axes": ["z"], "gamma": {"zz": 1.0}, "lambda": 1.4},
+               "ensembles": {"j1": 1, "j2": 1},
+               "state": {"kind": "uniform"},
+               "sweep": {"parameter": "Ntilde", "values": [1, self.HUGE["j1"]]}}
+        out = tmp_path / "out.csv"
+        done = run_module("sweep", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out))
+        assert done.returncode == 0
+        assert done.stderr == b""
+        _, _, rows = parse_csv(out.read_text(encoding="utf-8"))
+        assert rows[0]["error"] == "" and rows[0]["rate_analytic"] != ""
+        assert rows[1]["error"].startswith("MemoryError: Unable to allocate 524. TiB")
+        assert rows[1]["rate_analytic"] == ""
+
     def test_spin_whose_double_overflows_is_a_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, z_pair_doc(ensembles={"j1": 1e308, "j2": 1}))
         done = run_module("rate", "--config", str(cfg))
@@ -736,6 +807,22 @@ class TestSimulateCommand:
         assert re.shape == (2, 2)
         np.testing.assert_allclose(re + 1j * im, np.full((2, 2), 0.5), atol=1e-12)
 
+    def test_row_cells_keep_the_callers_warnings(self, tmp_path, monkeypatch):
+        # the integration runs with numpy's overflow warnings off, and the
+        # rows are computed inside it; a row cell that overflows still warns
+        import spinbath.cli as cli
+
+        def overflowing_fidelity(psi, mat):
+            return float(np.float64(1e308) * 10.0)
+
+        monkeypatch.setattr(cli, "pure_fidelity", overflowing_fidelity)
+        doc = dephasing_doc(evolution={"t_final": 0.1, "step": 0.05})
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, text = run_cli(tmp_path, doc, "simulate")
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        assert [row["fidelity"] for row in rows] == ["inf"] * 3
+
     def test_zero_horizon_single_row(self, tmp_path):
         doc = dephasing_doc(evolution={"t_final": 0.0})
         code, text = run_cli(tmp_path, doc, "simulate")
@@ -802,6 +889,33 @@ class TestDfsCommand:
         verdicts = sorted((float(r["residual"]), r["certified"]) for r in pair_rows)
         assert [v for _, v in verdicts] == ["true"] * 4 + ["false"] * 2
         assert all(row["certified"] == "true" for row in rows if row not in pair_rows)
+
+    def test_subspace_table_memory_is_the_pair_array(self, tmp_path):
+        # j1 = j2 = 8 under the z-only common bath at lambda = 1: N = 289
+        # Fock candidates of n = 289 and N (N - 1) / 2 = 41,616 pair rows.
+        # The traced peak of main stays below the pair residuals (8 bytes a
+        # pair), the candidates' vectors (16 n bytes each), their two R
+        # factors and the conjugated copy of the R_V ((k + 2)^2 complex
+        # numbers each, k = 1 jump), and 1 MiB of slack for the config, the
+        # labels and one row's temporaries.  Bound fixed before the first
+        # run; a table held as row dicts takes about 23 MB here
+        doc = {"model": {"kind": "common", "axes": ["z"], "gamma": {"zz": 1.0}, "lambda": 1.0},
+               "ensembles": {"j1": 8, "j2": 8},
+               "dfs": {"candidates": "fock_basis", "subspace": True}}
+        cfg, out = write_cfg(tmp_path, doc), tmp_path / "out.csv"
+        count = dim = 17 * 17
+        pairs = count * (count - 1) // 2
+        tracemalloc.start()
+        try:
+            code = main(["dfs", "--config", str(cfg), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 8 * pairs + 16 * count * dim + 3 * count * 3**2 * 16 + 2**20
+        comments, _, rows = parse_csv(out.read_text(encoding="utf-8"))
+        assert len(rows) == count + pairs
+        assert comments["certified"] == "false"
 
     def test_transverse_damping_breaks_certification(self, tmp_path):
         doc = z_pair_doc(dfs={"candidates": "fock_basis"})

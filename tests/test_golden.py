@@ -21,6 +21,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = [
     ("dfs_fock", "dfs"),
+    ("dfs_subspace", "dfs"),
     ("rate_uniform", "rate"),
     ("rate_uniform", "state"),
     ("sweep_lambda", "rate"),

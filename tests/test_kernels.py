@@ -5,6 +5,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -829,6 +830,56 @@ def test_fewer_stored_vectors_keep_every_step(monkeypatch, j, mode, stored):
     assert (fewer.accepted, fewer.rejected) == (full.accepted, full.rejected)
     for t, a, b in zip(full.times, full.states, fewer.states):
         assert np.linalg.norm(b - a) <= _grid_bound(tol, t, rho0)
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "restarted", "fixed"])
+@pytest.mark.parametrize("j", [1, 2], ids=["n9", "n25"])
+def test_consumer_gets_every_row_once_with_no_basis_alive(monkeypatch, j, mode):
+    # the runs of test_fewer_stored_vectors_keep_every_step, once collected
+    # and once handed to a row consumer.  The consumer is called once a
+    # row, in time order, with the collected run's time, state and s_lin
+    # bit for bit, and never while a Krylov basis is alive (the closures of
+    # every basis built so far are gone).  The streamed Trajectory keeps no
+    # state, and its times, s_lin and step counts are the collected ones
+    gen, _, rho0 = _oracle_case("common", j, j)
+    if mode == "restarted":
+        _krylov_dim_bases(monkeypatch)
+    t_final, kw = {"adaptive": (30.0, {"tol": 1e-10}), "restarted": (16.0, {"tol": 1e-10}),
+                   "fixed": (8.0, {"step": 0.2})}[mode]
+    collected = evolve(gen, rho0, t_final, **kw)
+    bases = []
+    build = _kernels.krylov_propagator
+
+    def tracked(*args, **kwargs):
+        closures = build(*args, **kwargs)
+        bases.append([weakref.ref(f) for f in closures])
+        return closures
+
+    monkeypatch.setattr(_kernels, "krylov_propagator", tracked)
+    rows = []
+
+    def consumer(t, state, s_lin):
+        assert bases and all(ref() is None for refs in bases for ref in refs)
+        rows.append((t, state, s_lin))
+
+    streamed = evolve(gen, rho0, t_final, consumer=consumer, **kw)
+    assert streamed.states == []
+    assert [t for t, _, _ in rows] == collected.times.tolist()
+    assert np.array_equal(streamed.times, collected.times)
+    assert np.array_equal(streamed.s_lin, collected.s_lin)
+    assert (streamed.accepted, streamed.rejected) == (collected.accepted, collected.rejected)
+    for (_, state, s_lin), want, s_want in zip(rows, collected.states, collected.s_lin):
+        assert np.array_equal(state, want) and s_lin == s_want
+    assert not np.shares_memory(rows[0][1], rho0)
+
+
+def test_consumer_gets_the_one_row_of_a_zero_horizon():
+    gen, _, rho0 = _oracle_case("common", 1, 1)
+    rows = []
+    traj = evolve(gen, rho0, 0.0, consumer=lambda *row: rows.append(row))
+    assert traj.states == [] and traj.times.tolist() == [0.0]
+    [(t, state, s_lin)] = rows
+    assert t == 0.0 and np.array_equal(state, rho0) and s_lin == traj.s_lin[0]
 
 
 def test_closure_past_the_stored_vectors_costs_right_hand_sides(monkeypatch):
