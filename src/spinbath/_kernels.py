@@ -160,22 +160,16 @@ def lindblad_rhs(rho, jumps, offsets, drift, ham, has_ham, *, work=None):
     return adjoint
 
 
-# not called here: rk4_chunk and its own reference _rhs are kept because
-# perfbench/tracing.py wraps _kernels.rk4_chunk by name.  Profilers wrap the
-# public lindblad_rhs, so a stage step counts once as an RK4 step;
-# krylov_propagator calls the public name, so each basis vector counts as a
-# right-hand side
-_rhs = lindblad_rhs
-
-
+# not called here: kept because perfbench/tracing.py wraps _kernels.rk4_chunk
+# by name, and tests check it against the dense exponential
 def rk4_chunk(rho, jumps, offsets, drift, ham, has_ham, h, nsteps):
     """``nsteps`` classic RK4 steps of size ``h``, evaluated stage by stage."""
     args = (jumps, offsets, drift, ham, has_ham)
     for _ in range(nsteps):
-        k1 = _rhs(rho, *args)
-        k2 = _rhs(rho + (0.5 * h) * k1, *args)
-        k3 = _rhs(rho + (0.5 * h) * k2, *args)
-        k4 = _rhs(rho + h * k3, *args)
+        k1 = lindblad_rhs(rho, *args)
+        k2 = lindblad_rhs(rho + (0.5 * h) * k1, *args)
+        k3 = lindblad_rhs(rho + (0.5 * h) * k2, *args)
+        k4 = lindblad_rhs(rho + h * k3, *args)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return rho
 
@@ -208,19 +202,13 @@ KRYLOV_DIM = 16
 # n = 1,089 and 4.6 GB at n = 4,225 (j1 = j2 = 32), more than any other
 # array of a run; under the budget a basis holds, beside the stored
 # vectors, the (3, n, n) workspace and two Lanczos vectors, 6 n^2 complex
-# numbers in all at large n.  ``simulate`` of the seed-0 adaptive
-# benchmark model, KRYLOV_DIM stored against the budget:
-#
-#     n       t_final   stored    right-hand sides   process peak
-#     121     2         16 -> 4   76 -> 88           37 -> 35 MB
-#     289     0.5       16 -> 1   68 -> 83           63 -> 44 MB
-#     1,089   0.05      16 -> 1   48 -> 63           467 -> 195 MB
-#
-# 1 MiB leaves every n up to 64, the shipped configs (n <= 25) among them,
-# with all KRYLOV_DIM stored and the arithmetic they had.  Past the stored
-# vectors the basis loses orthogonality, so one that closes there may not
-# see its breakdown: it costs right-hand sides, not accuracy (the
-# recurrence stays accurate for exp(tau L) rho, ``krylov_propagator``).
+# numbers in all at large n (README tabulates KRYLOV_DIM stored against the
+# budget on the seed-0 adaptive benchmark model).  1 MiB leaves every n up
+# to 64, the shipped configs (n <= 25) among them, with all KRYLOV_DIM
+# stored and the arithmetic they had.  Past the stored vectors the basis
+# loses orthogonality, so one that closes there may not see its breakdown:
+# it costs right-hand sides, not accuracy (the recurrence stays accurate
+# for exp(tau L) rho, ``krylov_propagator``).
 BASIS_BYTES = 2**20
 
 # most vectors a Lanczos continuation (``krylov_propagator``) grows a
@@ -328,11 +316,18 @@ def small_problem(alpha, sub, beta, resid):
 
 
 def _passing(problem, taus, budget) -> int:
-    """How many leading ``taus`` (increasing) are trusted and have an error <= ``budget`` * tau."""
+    """How many leading ``taus`` (increasing) are trusted and have an error <= ``budget`` * tau,
+    tested in blocks doubling from ``KRYLOV_DIM`` up to the first failure."""
     errors, trusted, _ = problem
     taus = taus[: trusted(taus)]
-    passed = errors(taus) <= budget * taus
-    return len(taus) if passed.all() else int(np.argmin(passed))
+    done, size = 0, KRYLOV_DIM
+    while done < len(taus):
+        block = taus[done : done + size]
+        passed = errors(block) <= budget * block
+        if not passed.all():
+            return done + int(np.argmin(passed))
+        done, size = done + len(block), 2 * size
+    return done
 
 
 def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):

@@ -17,6 +17,7 @@ import argparse
 import csv
 import gc
 import json
+import math
 import os
 import sys
 
@@ -50,6 +51,7 @@ from .generator import (
     CommonBath,
     FactoredOperator,
     IntegrationAbortError,
+    _physical_memory,
     build_generator,
     evolve,
 )
@@ -97,6 +99,25 @@ def _fock(s1: SpinQuantum, s2: SpinQuantum | None, m1, m2):
     return np.kron(fock_state(s1, m1), fock_state(s2, m2)), "fock(m1=%g;m2=%g)" % (m1, m2)
 
 
+def _spins(cfg: ScenarioConfig):
+    """The ensembles' spins (the second None on one ensemble) and dims; MemoryError,
+    naming the size, when a state vector (16 n bytes) is more than the physical memory."""
+    s1 = SpinQuantum.of(cfg.j1)
+    s2 = SpinQuantum.of(cfg.j2) if cfg.j2 is not None else None
+    dims = (s1.dim,) if s2 is None else (s1.dim, s2.dim)
+    n, memory = math.prod(dims), _physical_memory()
+    if 16 * n > memory:
+        raise MemoryError(f"a state of {_sci(n)} amplitudes needs {_sci(16 * n)} bytes, "
+                          f"more than the {memory:.3g} bytes of the machine's physical memory")
+    return s1, s2, dims
+
+
+def _sci(count: int) -> str:
+    # three digits of an exact int, also past the float range (16 n passes it from j ~ 1e153)
+    exp = len(str(count)) - 1
+    return f"{count / 10**exp:.2f}e+{exp:02d}"
+
+
 def build_state(cfg: ScenarioConfig):
     """Construct the configured initial state.
 
@@ -106,9 +127,7 @@ def build_state(cfg: ScenarioConfig):
     st = cfg.state
     if st is None:
         raise ConfigError("this command needs a state block")
-    s1 = SpinQuantum.of(cfg.j1)
-    s2 = SpinQuantum.of(cfg.j2) if cfg.j2 is not None else None
-    dims = (s1.dim,) if s2 is None else (s1.dim, s2.dim)
+    s1, s2, dims = _spins(cfg)
     try:
         if st.kind in PROFILE_STATE_KINDS:
             nt = min(s1, s2)
@@ -186,15 +205,15 @@ def apply_sweep(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioCo
     """Scenario with one grid value substituted; validation reruns."""
     if parameter == "lambda":
         return cfg._replace(model=_remodel(cfg.model, lam=value))
-    if parameter == "Ntilde":
-        # the library's spin rule, mapped as ``build_state`` maps it for L
+    if parameter in ("Ntilde", "L"):
+        # the library's spin rule, one message for both spins
         try:
-            j = _twice(value, "Ntilde") / 2.0
+            spin = _twice(value, parameter) / 2.0
         except ValueError as exc:
             raise ConfigError(f"sweep: {exc}") from exc
-        return cfg._replace(j1=j, j2=j)
-    if parameter == "L":
-        return cfg._replace(state=cfg.state._replace(L=float(value)))
+        if parameter == "L":
+            return cfg._replace(state=cfg.state._replace(L=spin))
+        return cfg._replace(j1=spin, j2=spin)
     target, pair = damping_entry(parameter)
     i, jdx = AXIS_INDEX[pair[0]], AXIS_INDEX[pair[1]]
     gamma = getattr(cfg.model, target).copy()
@@ -278,8 +297,7 @@ def cmd_simulate(cfg: ScenarioConfig, fmt: str):
 
 def _dfs_candidates(cfg: ScenarioConfig):
     kind = cfg.dfs.candidates
-    s1 = SpinQuantum.of(cfg.j1)
-    s2 = SpinQuantum.of(cfg.j2) if cfg.j2 is not None else None
+    s1, s2, _dims = _spins(cfg)
     if kind == "fock_basis":
         m2_values = [None] if s2 is None else s2.m_values()
         vecs, labels = zip(*(_fock(s1, s2, m1, m2) for m1 in s1.m_values() for m2 in m2_values))

@@ -16,15 +16,15 @@ matrices, and this module has no other operator form: jumps are built
 factored (``FactoredOperator``, from ``coupling_factors``), the pure-state
 paths apply them without building an n x n matrix, the ``Generator`` keeps
 each jump, and -K/2, on its few nonzero diagonals for the banded kernel
-(``_kernels.lindblad_rhs``), and ``default_step`` norms them from their
-d x d factors.  The dissipator is the whole generator, and its jumps are
-Hermitian, so every generator is self-adjoint and negative semidefinite in
-the Hilbert-Schmidt inner product.
+(``_kernels.lindblad_rhs``).  The dissipator is the whole generator, and its
+jumps are Hermitian, so every generator is self-adjoint and negative
+semidefinite in the Hilbert-Schmidt inner product.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +52,6 @@ __all__ = [
     "build_generator",
     "apply_generator",
     "rank_one_factors",
-    "default_step",
     "evolve",
 ]
 
@@ -230,13 +229,6 @@ def coupling_factors(model, j1, j2=None) -> list[tuple[np.ndarray, dict[str, Fac
     return [(gamma, {a: factored(a, w1, w2) for a in model.axes}) for gamma, w1, w2 in weighted]
 
 
-def _weighted_sum(weights, mats) -> np.ndarray:
-    out = np.zeros(mats[0].shape, dtype=np.complex128)
-    for w, m in zip(weights, mats):
-        out += w * m
-    return out
-
-
 def canonical_jumps(gamma, ops: dict) -> list:
     """Diagonalize gamma and absorb the rates into jump operators.
 
@@ -270,8 +262,8 @@ def canonical_jumps(gamma, ops: dict) -> list:
                 raise NotPositiveSemidefiniteError(f"negative canonical rate {rate:.3e}")
             continue
         root = math.sqrt(rate)
-        x = root * _weighted_sum(evecs[:, k], [ops[a].x for a in axes])
-        y = None if first.y is None else root * _weighted_sum(evecs[:, k], [ops[a].y for a in axes])
+        x = root * sum(w * ops[a].x for w, a in zip(evecs[:, k], axes))
+        y = None if first.y is None else root * sum(w * ops[a].y for w, a in zip(evecs[:, k], axes))
         jumps.append(FactoredOperator(x, y, first.dims))
     return jumps
 
@@ -378,26 +370,6 @@ def rank_one_factors(jumps, psi) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack(applied + [drift, psi]), np.column_stack(applied + [psi, drift])
 
 
-def default_step(gen: Generator) -> float | None:
-    """Step 0.1 / sum_k ||A_k||^2, None if free.
-
-    ``evolve``'s default grid step in fixed mode.  Each jump's 2-norm is
-    taken from its d x d factors as ||X||_2 + ||Y||_2 (or ||X||_2 on one
-    ensemble).  The eigenvalues of X (x) I + I (x) Y are the
-    sums x_i + y_j (Horn & Johnson, Topics in Matrix Analysis, 4.4), and
-    every jump built here has factors that are real multiples of n.J, with
-    spectra symmetric about 0, so the sum is ||A_k||_2 exactly.  For any
-    other jump it is the triangle-inequality bound, which gives a shorter
-    step that is still valid.  No n x n array is built.
-    """
-    scale = 0.0
-    for op in gen.jump_ops:
-        scale += sum(float(np.linalg.norm(p, 2)) for p in (op.x, op.y) if p is not None) ** 2
-    if scale <= 0.0:
-        return None
-    return 0.1 / scale
-
-
 class Trajectory(NamedTuple):
     """Sampled density-matrix evolution.
 
@@ -428,6 +400,20 @@ GRID_TOL = 1e-12
 # so the accepted h is within a factor 1 + 2^-STEP_BISECTIONS of a refused
 # trial
 STEP_BISECTIONS = 12
+
+# fixed mode's grid when ``step`` is unset: t_final / DEFAULT_ROWS, whatever the generator
+DEFAULT_ROWS = 100
+
+# the abort guard: fixed steps, or Krylov bases plus refused trials, never exceed it
+MAX_STEPS = 10_000_000
+
+
+def _physical_memory() -> float:
+    """Bytes of the machine's physical memory; inf where the OS does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 def _largest_step(passes, offset, tiny):
@@ -485,24 +471,17 @@ def evolve(
     step: float | None = None,
     tol: float | None = None,
     stride: int = 1,
-    max_steps: int = 10_000_000,
     consumer=None,
 ) -> Trajectory:
     """Integrate d rho/dt = L(rho): exp(t L) rho0 on a time grid, or adaptively.
 
     L does not depend on time, so every state is exp(t L) rho0, projected
     onto the Krylov space of the state at the start of a step
-    (``_kernels.krylov_propagator``).  A state at offset tau from its basis
-    is acceptable when the Krylov error estimate is at most
-    tol * tau * max(1, ||rho||_F), rho the basis's start.  L is self-adjoint
-    (its jumps are Hermitian, see ``Generator``), so a basis whose first
-    ``KRYLOV_DIM`` vectors do not pass the offsets it needs grows by the
-    Lanczos recurrence until they pass, or until it has
-    ``_kernels.LANCZOS_MAX`` vectors and the next basis restarts.  A basis
-    costs one right-hand side per vector, and forming its states one more
-    per vector past those it stores (``_kernels.BASIS_BYTES``).  Both modes
-    are linear maps of rho0: nothing is Hermitized or renormalized, so
-    trace and Hermiticity drift shows in the states.
+    (``_kernels.krylov_propagator``, which says how a basis grows and what
+    it costs).  A state at offset tau from its basis is acceptable when the
+    Krylov error estimate is at most tol * tau * max(1, ||rho||_F), rho the
+    basis's start.  Nothing is Hermitized or renormalized, so trace and
+    Hermiticity drift shows in the states.
 
     Both modes run one loop over bases on a grid of rows.  Each basis needs
     the next ``KRYLOV_DIM`` rows, or every row left if fewer.  It gives the
@@ -516,9 +495,10 @@ def evolve(
     counts in ``Trajectory.rejected``.
 
     Fixed step (``tol`` None): the grid of ``nsteps`` = ceil(t_final / h)
-    steps of h = ``step``, sampled every stride-th step, at done * h for
-    done = stride, 2 stride, ... < nsteps, and at t_final.  The test runs
-    at tol = ``GRID_TOL``.  ``Trajectory.accepted`` is ``nsteps``.
+    steps of h = ``step``, or of h = t_final / ``DEFAULT_ROWS`` when
+    ``step`` is None, sampled every stride-th step, at done * h for done =
+    stride, 2 stride, ... < nsteps, and at t_final.  The test runs at
+    tol = ``GRID_TOL``.  ``Trajectory.accepted`` is ``nsteps``.
 
     Adaptive (``tol`` given): the grid is t_final alone, so a basis that
     reaches it takes all of t_final - t in one step.  ``Trajectory.accepted``
@@ -528,20 +508,19 @@ def evolve(
     ----------
     gen : Generator
     rho0 : ndarray
-        Initial state, an n x n density matrix.
+        Initial state, an n x n density matrix, copied; a temporary one is
+        freed before the first basis.
     t_final : float
         Integration horizon (>= 0).
     step : float, optional
-        Fixed step size; defaults to ``default_step(gen)``.  Fixed mode
-        only: ``step`` together with ``tol`` raises ValueError.
+        Fixed step size; defaults to t_final / ``DEFAULT_ROWS`` (100 steps,
+        101 rows at stride 1).  Fixed mode only: ``step`` together with
+        ``tol`` raises ValueError.
     tol : float, optional
         Local error per unit time; selects adaptive Krylov steps.
     stride : int
         Record every stride-th step, or sub-step in adaptive mode (t = 0
         and t_final always).
-    max_steps : int
-        Abort guard: the fixed-step count, and the Krylov bases plus the
-        refused trials, never exceed it.
     consumer : callable, optional
         Called as ``consumer(t, state, s_lin)`` once a row, in time order.
         A basis's rows are handed over only once the basis is freed, the
@@ -563,16 +542,19 @@ def evolve(
         When ``t_final``, ``step`` or ``tol`` is not finite or out of range,
         both ``step`` and ``tol`` are given, or ``stride`` < 1.
     IntegrationAbortError
-        When a fixed step needs more than ``max_steps`` steps (raised before
-        any step, ``t_last`` = 0), the generator is too large for a Krylov
-        basis (``_kernels.SCALE_MAX``), the state norm blows up beyond 10x
-        its initial value, the bases plus refused trials exceed ``max_steps``,
+        Before any right-hand side (``t_last`` = 0) when a fixed grid needs
+        more than ``MAX_STEPS`` steps, or would keep (no consumer) rows x
+        n^2 x 16 bytes, more than the physical memory (``os.sysconf``); or
+        when the generator is too large for a Krylov basis
+        (``_kernels.SCALE_MAX``), the state norm blows up beyond 10x its
+        initial value, the bases plus refused trials exceed ``MAX_STEPS``,
         or no sub-step down to 1e-15 max(t_final, 1) is acceptable.
         ``t_last`` is the last time whose state passed every check.
     """
     _check_evolution(t_final, step, tol, stride)
-    # the one copy, so no state aliases rho0; later states are kept as made
+    # the one copy, so no state aliases rho0 and a temporary rho0 is freed
     rho = _as_matrix(rho0, gen.dim).copy()
+    del rho0
     norm0 = float(np.linalg.norm(rho))
     norm_cap = 10.0 * max(norm0, 1e-300)
 
@@ -614,15 +596,18 @@ def evolve(
 
     adaptive = tol is not None
     if not adaptive:
-        h = step if step is not None else default_step(gen)
-        if h is None or h > t_final:
-            h = t_final
+        h = min(step if step is not None else t_final / DEFAULT_ROWS, t_final)
         nsteps = max(1, math.ceil(t_final / h - 1e-12))
-        if nsteps > max_steps:
+        if nsteps > MAX_STEPS:
             raise IntegrationAbortError(
-                f"fixed step {h} needs {nsteps} steps > max_steps={max_steps}", t_last=0.0
+                f"fixed step {h} needs {nsteps} steps > max_steps={MAX_STEPS}", t_last=0.0
             )
         grid = np.append(np.arange(stride, nsteps, stride) * h, t_final)
+        kept = 16 * gen.dim**2 * (len(grid) + 1)
+        if not streamed and kept > _physical_memory():
+            raise IntegrationAbortError(f"{len(grid) + 1} kept rows of {gen.dim} x {gen.dim} states need "
+                                        f"{kept:.3g} bytes, more than the machine's physical memory; pass "
+                                        "a consumer or a longer step", t_last=0.0)
         tol = GRID_TOL
     else:
         grid = np.array([t_final])
@@ -631,8 +616,8 @@ def evolve(
     tiny = 1e-15 * max(t_final, 1.0)
 
     def check_budget(bases: int) -> None:
-        if bases + rejected > max_steps:
-            raise IntegrationAbortError(f"exceeded max_steps={max_steps} at t={t:.6g}", t_last=t)
+        if bases + rejected > MAX_STEPS:
+            raise IntegrationAbortError(f"exceeded max_steps={MAX_STEPS} at t={t:.6g}", t_last=t)
 
     bases = row = 0  # row: the next grid time to record
     while row < len(grid):

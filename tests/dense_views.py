@@ -39,3 +39,12 @@ def dense_rhs(gen, x: np.ndarray) -> np.ndarray:
     for a in view.jumps:
         out += a @ x @ a.conj().T
     return out
+
+
+def rk4_step(gen) -> float:
+    """0.1 / sum_k (||X_k||_2 + ||Y_k||_2)^2 over the jumps' factors (||X_k||_2 alone
+    on one ensemble): an RK4 stability scale that tests keep their grids on."""
+    scale = 0.0
+    for op in gen.jump_ops:
+        scale += sum(float(np.linalg.norm(p, 2)) for p in (op.x, op.y) if p is not None) ** 2
+    return 0.1 / scale

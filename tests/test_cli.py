@@ -510,16 +510,18 @@ class TestProcessEntry:
         assert cells.count(("inf", "inf", "false")) == 4 and len(cells) == 81
 
     # j1 = j2 = 3,000,000: the state is a vector of (6,000,001)^2 complex
-    # numbers, 524 TiB, more than the address space holds, so numpy refuses
-    # it whatever the host's overcommit setting.  The coupled level and the
-    # Fock product allocate little before that
+    # numbers, 524 TiB, more than any machine's physical memory, so it is
+    # refused before numpy is asked for it.  The coupled level and the Fock
+    # product allocate little before that
     HUGE = {"j1": 3_000_000, "j2": 3_000_000}
+    REFUSED = "cannot allocate: a state of 3.60e+13 amplitudes needs 5.76e+14 bytes, more than the "
 
     @pytest.mark.parametrize("command,extra", [
         ("rate", {"state": {"kind": "coupled", "L": 0, "M": 0}}),
         ("state", {"state": {"kind": "coupled", "L": 0, "M": 0}}),
         ("simulate", {"state": {"kind": "fock", "m1": 0, "m2": 0}, "evolution": {"t_final": 1.0}}),
         ("dfs", {"dfs": {"candidates": "singlet"}}),
+        ("dfs", {"dfs": {"candidates": "fock_basis"}}),
     ])
     def test_refused_allocation_exits_2_with_one_message(self, tmp_path, command, extra):
         doc = {"model": {"kind": "common", "axes": ["z"], "gamma": {"zz": 1.0}, "lambda": 1.0},
@@ -528,21 +530,40 @@ class TestProcessEntry:
         done = run_module(command, "--config", str(write_cfg(tmp_path, doc)), "--out", str(out))
         assert done.returncode == 2
         err = done.stderr.decode()
-        assert err.startswith("spinbath: cannot allocate: Unable to allocate 524. TiB") and err.count("\n") == 1
+        assert err.startswith("spinbath: " + self.REFUSED) and err.count("\n") == 1
         assert not out.exists()
 
-    def test_refused_allocation_is_a_sweep_error_row(self, tmp_path):
+    # numpy refused the state at 1e18 as too big for its size type, and at
+    # 1e300 as past its dimension limit, both as ValueError (config errors
+    # "state: ..."); at 3e6 it raised MemoryError.  The one refusal names
+    # each size, computed in exact integers: 16 n bytes is past the float
+    # range at 1e300
+    @pytest.mark.parametrize("j,size", [
+        (1e300, "a state of 4.00e+600 amplitudes needs 6.40e+601 bytes"),
+        (1e18, "a state of 4.00e+36 amplitudes needs 6.40e+37 bytes"),
+        (3e6, "a state of 3.60e+13 amplitudes needs 5.76e+14 bytes"),
+    ])
+    def test_refused_allocation_names_the_size_at_any_spin(self, tmp_path, j, size):
+        doc = z_pair_doc(ensembles={"j1": j, "j2": j})
+        done = run_module("rate", "--config", str(write_cfg(tmp_path, doc)))
+        assert done.returncode == 2
+        err = done.stderr.decode()
+        assert err.startswith(f"spinbath: cannot allocate: {size}, more than the ") and err.count("\n") == 1
+        assert err.rstrip().endswith("bytes of the machine's physical memory")
+
+    @pytest.mark.parametrize("value,size", [(HUGE["j1"], "3.60e+13"), (1e300, "4.00e+600")])
+    def test_refused_allocation_is_a_sweep_error_row(self, tmp_path, value, size):
         doc = {"model": {"kind": "common", "axes": ["z"], "gamma": {"zz": 1.0}, "lambda": 1.4},
                "ensembles": {"j1": 1, "j2": 1},
                "state": {"kind": "uniform"},
-               "sweep": {"parameter": "Ntilde", "values": [1, self.HUGE["j1"]]}}
+               "sweep": {"parameter": "Ntilde", "values": [1, value]}}
         out = tmp_path / "out.csv"
         done = run_module("sweep", "--config", str(write_cfg(tmp_path, doc)), "--out", str(out))
         assert done.returncode == 0
         assert done.stderr == b""
         _, _, rows = parse_csv(out.read_text(encoding="utf-8"))
         assert rows[0]["error"] == "" and rows[0]["rate_analytic"] != ""
-        assert rows[1]["error"].startswith("MemoryError: Unable to allocate 524. TiB")
+        assert rows[1]["error"].startswith(f"MemoryError: a state of {size} amplitudes needs ")
         assert rows[1]["rate_analytic"] == ""
 
     def test_spin_whose_double_overflows_is_a_config_error(self, tmp_path):
@@ -617,17 +638,17 @@ class TestSweepCommand:
         # doubling is exact, so 1 + 1e-10 is no half-integer: the point once
         # ran at 1 under the label 1.0000000001.  Both parameters break the
         # library's one spin rule and report it in one form, as a config
-        # error of the block the value lands in
-        doc = z_pair_doc(sweep={"parameter": parameter, "values": [1, 1.0000000001]})
+        # error of the sweep (a bad L read "ConfigError: state: L=...")
+        doc = z_pair_doc(sweep={"parameter": parameter, "values": [1, 1.0000000001, 0.3]})
         if parameter == "L":
             doc["state"] = {"kind": "coupled", "L": 1}
         code, text = run_cli(tmp_path, doc, "sweep")
         assert code == 0
         _, _, rows = parse_csv(text)
         assert rows[0]["error"] == ""
-        block = "sweep" if parameter == "Ntilde" else "state"
-        assert rows[1]["error"] == f"ConfigError: {block}: {parameter}=1.0000000001 is not a half-integer"
-        assert rows[1]["rate_analytic"] == ""
+        for row, value in zip(rows[1:], ("1.0000000001", "0.3")):
+            assert row["error"] == f"ConfigError: sweep: {parameter}={value} is not a half-integer"
+            assert row["rate_analytic"] == ""
 
     def test_lambda_grid_symmetric_about_balance(self, tmp_path):
         doc = {

@@ -17,9 +17,10 @@ from oracles import (
     random_hermitian,
     z_damping_closed_form,
 )
-from spinbath import _kernels
+from spinbath import _kernels, generator
 from spinbath.generator import (
     AXIS_INDEX,
+    DEFAULT_ROWS,
     GRID_TOL,
     CommonBath,
     FactoredOperator,
@@ -32,7 +33,6 @@ from spinbath.generator import (
     build_generator,
     canonical_jumps,
     coupling_factors,
-    default_step,
     evolve,
     rank_one_factors,
     validate_damping,
@@ -364,40 +364,6 @@ class TestStationaryResidual:
         assert np.linalg.norm(apply_generator(gen, rho)) <= 1e-12
 
 
-class TestDefaultStep:
-    def test_dephasing_scale(self):
-        assert default_step(dephasing_generator()) == pytest.approx(0.4, abs=1e-14)
-
-    def test_free_generator_has_no_scale(self):
-        assert default_step(Generator([], (2,))) is None
-
-    @pytest.mark.parametrize("bath", ["common", "independent"])
-    def test_no_n_by_n_array(self, bath):
-        # j1 = j2 = 20, n = 1,681: one dense jump is 45 MB.  Every jump is
-        # sqrt(d_k) (w1 n.J1 + w2 n.J2) for a unit n, of 2-norm
-        # sqrt(d_k) (|w1| + |w2|) j, so the step is 0.1 / (tr(gamma) j^2) for
-        # the common bath (w1 + w2 = 1) and 0.1 / (1.5 tr(g) j^2) for baths
-        # g and g / 2.  Bounds fixed before the first run: the step peaks
-        # below 1 MB and is within 1e-14 of that closed form
-        g = np.array([[1.0, 0.0, 0.3], [0.0, 0.5, 0.0], [0.3, 0.0, 0.25]])
-        j = 20
-        if bath == "common":
-            model, weight = CommonBath(gamma=g, lam=1.4, axes=("x", "y", "z")), 1.0
-        else:
-            model, weight = IndependentBath(gamma1=g, gamma2=0.5 * g, axes=("x", "y", "z")), 1.5
-        gen = build_generator(model, j, j)
-        tracemalloc.start()
-        try:
-            step = default_step(gen)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert gen.dim == 1681
-        assert peak < 2**20
-        want = 0.1 / (weight * np.trace(g) * j * j)
-        assert abs(step - want) <= 1e-14 * want
-
-
 class TestEvolveFixedStep:
     def test_matches_dephasing_closed_form(self):
         gen = dephasing_generator()
@@ -418,11 +384,24 @@ class TestEvolveFixedStep:
             assert abs(traj.s_lin[-1] - exact) <= 2.0 * (GRID_TOL + 1e-13)
 
     def test_zero_generator_keeps_state(self):
+        # a free generator takes the default grid like any other
         gen = Generator([], (2,))
         rho0 = np.diag([0.5, 0.5]).astype(complex)
         traj = evolve(gen, rho0, 3.0)
-        assert np.array_equal(traj.states[-1], rho0)
-        assert traj.accepted == 1
+        assert all(np.array_equal(state, rho0) for state in traj.states)
+        assert traj.accepted == DEFAULT_ROWS
+
+    @pytest.mark.parametrize("free", [False, True], ids=["dephasing", "free"])
+    def test_default_grid_is_default_rows_steps(self, free):
+        # step unset: DEFAULT_ROWS steps of t_final / DEFAULT_ROWS, whatever
+        # the generator's norm, so 101 rows at stride 1 and every 25th step
+        # and t_final at stride 25
+        gen = Generator([], (2,)) if free else dephasing_generator()
+        h = 3.0 / DEFAULT_ROWS
+        for stride, steps in ((1, range(1, 100)), (25, (25, 50, 75))):
+            traj = evolve(gen, plus_x_density(), 3.0, stride=stride)
+            assert DEFAULT_ROWS == 100 and traj.accepted == 100
+            assert traj.times.tolist() == [0.0] + [k * h for k in steps] + [3.0]
 
     def test_time_grid_and_stride(self):
         gen = dephasing_generator()
@@ -479,10 +458,11 @@ class TestEvolveFixedStep:
             evolve(gen, plus_x_density(), 6.0, **({"step": 0.6} if tol is None else {"tol": tol}))
         assert info.value.t_last == t_last
 
-    def test_step_budget_enforced(self):
+    def test_step_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(generator, "MAX_STEPS", 100)
         gen = dephasing_generator()
         with pytest.raises(IntegrationAbortError, match="max_steps") as info:
-            evolve(gen, plus_x_density(), 1.0, step=1e-9, max_steps=100)
+            evolve(gen, plus_x_density(), 1.0, step=1e-9)
         assert info.value.t_last == 0.0
 
     def test_argument_validation(self):

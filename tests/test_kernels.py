@@ -13,6 +13,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+from dense_views import rk4_step
 from oracles import common_exact, coupling_sets, dense_liouvillian, independent_exact, random_density
 from spinbath import _kernels, cli, generator
 from spinbath.config import parse_config
@@ -25,7 +26,6 @@ from spinbath.generator import (
     IndependentBath,
     IntegrationAbortError,
     build_generator,
-    default_step,
     evolve,
 )
 from spinbath.states import coefficient_profile, density_from_pure, entangled_state
@@ -85,10 +85,11 @@ def _args(gen):
          "n9-1451steps-stride200-restarted"],
 )
 def test_fixed_step_evolve_is_linear(monkeypatch, j, steps, stride, restarted):
-    # ``steps`` default steps in rows of ``stride``, then h_last = 0.4 h; at
-    # stride 200 one basis continues past KRYLOV_DIM vectors to give every
-    # row, and on bases capped at KRYLOV_DIM (``restarted``) the first bases
-    # reach no row, so the first rows follow sub-steps.  The error estimate
+    # ``steps`` steps of the RK4 scale (``rk4_step``) in rows of ``stride``,
+    # then h_last = 0.4 h; at stride 200 one basis continues past KRYLOV_DIM
+    # vectors to give every row, and on bases capped at KRYLOV_DIM
+    # (``restarted``) the first bases reach no row, so the first rows follow
+    # sub-steps.  The error estimate
     # is linear in rho0 and the budget is proportional to
     # max(1, ||rho||_F), so on states of Frobenius norm 4 and 2 every test
     # and every sub-step is the same.  Halving is exact in floating point,
@@ -97,7 +98,7 @@ def test_fixed_step_evolve_is_linear(monkeypatch, j, steps, stride, restarted):
         _krylov_dim_bases(monkeypatch)
     gen, rho = _case("common", j)
     rho0 = (4.0 / np.linalg.norm(rho)) * rho
-    h = default_step(gen)
+    h = rk4_step(gen)
     one = evolve(gen, rho0, (steps + 0.4) * h, step=h, stride=stride)
     half = evolve(gen, 0.5 * rho0, (steps + 0.4) * h, step=h, stride=stride)
     assert one.accepted == half.accepted == steps + 1
@@ -108,7 +109,6 @@ def test_fixed_step_evolve_is_linear(monkeypatch, j, steps, stride, restarted):
 
 
 def _counted_rhs(monkeypatch):
-    # the public name and rk4_chunk's alias are both counted
     calls = []
     rhs = _kernels.lindblad_rhs
 
@@ -117,7 +117,6 @@ def _counted_rhs(monkeypatch):
         return rhs(*a, **kw)
 
     monkeypatch.setattr(_kernels, "lindblad_rhs", counted)
-    monkeypatch.setattr(_kernels, "_rhs", counted)
     return calls
 
 
@@ -297,7 +296,11 @@ def test_adaptive_records_every_stride_th_sub_step(monkeypatch, stride):
 def test_adaptive_max_steps_bounds_steps_and_refused_trials(monkeypatch):
     _krylov_dim_bases(monkeypatch)
     gen, rho0 = _case("common", 1)
-    run = lambda cap: evolve(gen, rho0, SEARCH_CASE["t_final"], tol=SEARCH_CASE["tol"], max_steps=cap)  # noqa: E731
+
+    def run(cap):
+        monkeypatch.setattr(generator, "MAX_STEPS", cap)
+        return evolve(gen, rho0, SEARCH_CASE["t_final"], tol=SEARCH_CASE["tol"])
+
     traj = run(10_000)
     used = traj.accepted + traj.rejected
     assert run(used).accepted == traj.accepted
@@ -312,11 +315,15 @@ def test_fixed_rejected_counts_every_refused_offset(monkeypatch):
     # count, and each trial it fails counts once.  The later bases, from states nearer the
     # stationary ones, each give rows up to the first they cannot give,
     # which counts once.  Every basis samples once.  Bases plus refusals
-    # fit max_steps exactly
+    # fit MAX_STEPS exactly
     _krylov_dim_bases(monkeypatch)
     bases = _recorded_bases(monkeypatch)
     gen, rho0 = _case("common", 1)
-    run = lambda cap: evolve(gen, rho0, 20.0, step=4.0, max_steps=cap)  # noqa: E731
+
+    def run(cap):
+        monkeypatch.setattr(generator, "MAX_STEPS", cap)
+        return evolve(gen, rho0, 20.0, step=4.0)
+
     traj = run(10_000)
     refused = substeps = 0
     for rec in bases:
@@ -340,7 +347,7 @@ def test_one_step_run_takes_one_basis(monkeypatch):
     # gives it at its first offset, with no sub-step and no refusal
     bases = _recorded_bases(monkeypatch)
     gen, rho0 = _case("common", 1)
-    t_final = 0.5 * default_step(gen)
+    t_final = 0.5 * rk4_step(gen)
     traj = evolve(gen, rho0, t_final, step=2.0 * t_final)
     assert (traj.accepted, traj.rejected) == (1, 0)
     assert traj.times.tolist() == [0.0, t_final]
@@ -503,7 +510,7 @@ class TestDenseLiouvillianOracle:
     def test_rk4_step(self, bath, j1, j2, kind):
         gen, lv, rho = _oracle_case(bath, j1, j2)
         n = gen.dim
-        h = default_step(gen)
+        h = rk4_step(gen)
         exact_step = scipy.linalg.expm(h * lv)
         x = h * np.linalg.norm(lv, 2)
         remainder = x**5 / 120.0 * np.exp(x)
@@ -576,9 +583,9 @@ class TestDenseLiouvillianOracle:
             assert np.linalg.norm(state - want) <= _grid_bound(GRID_TOL, t, rho0)
 
     def test_evolve_partial_last_step(self, bath, j1, j2):
-        # 37 default steps in rows of stride 5, then h_last = 0.4 h
+        # 37 steps of the RK4 scale in rows of stride 5, then h_last = 0.4 h
         gen, lv, rho0 = _oracle_case(bath, j1, j2)
-        h = default_step(gen)
+        h = rk4_step(gen)
         traj = evolve(gen, rho0, 37.4 * h, step=h, stride=5)
         assert traj.accepted == 38
         assert traj.times.tolist() == [k * h for k in range(0, 37, 5)] + [37.4 * h]
@@ -611,11 +618,11 @@ class TestDenseLiouvillianOracle:
             assert np.linalg.norm(state - want) <= _grid_bound(1e-13, t, rho0)
 
 
-# 1,451 default steps and a partial one of 0.4 h at n = 9 (1,452 steps, rows
-# at k stride h for k stride <= 1,451, then t_final): stride 1 records
-# every step, 3 and 8 leave a short last row gap, 200 puts the rows past
-# the reach of KRYLOV_DIM vectors (one continued basis gives them all),
-# and 2,000 records t_final alone
+# 1,451 steps of the RK4 scale (``rk4_step``) and a partial one of 0.4 h at
+# n = 9 (1,452 steps, rows at k stride h for k stride <= 1,451, then
+# t_final): stride 1 records every step, 3 and 8 leave a short last row
+# gap, 200 puts the rows past the reach of KRYLOV_DIM vectors (one
+# continued basis gives them all), and 2,000 records t_final alone
 POWER_STEPS = 1451
 
 
@@ -624,7 +631,7 @@ def test_strided_evolve_agrees_with_exact_rows(stride):
     # bound fixed before running, as in test_fixed_grid_evolve: every row
     # within _grid_bound of exp(t L) rho0 at its grid time k stride h
     gen, lv, rho0 = _oracle_case("common", 1, 1)
-    h = default_step(gen)
+    h = rk4_step(gen)
     t_final = (POWER_STEPS + 0.4) * h
     traj = evolve(gen, rho0, t_final, step=h, stride=stride)
     assert traj.accepted == POWER_STEPS + 1
@@ -1355,3 +1362,87 @@ def test_adaptive_run_memory_is_the_stored_prefix():
         tracemalloc.stop()
     assert len(traj.states) == 2 and _stored(gen.dim) == 4
     assert peak <= (_stored(gen.dim) + 3 + 2 + len(traj.states)) * vector + 256 * 1024
+
+
+# the sweep benchmark model at j1 = j2 = 8 (n = 289) on a grid of 10^6
+# steps of 1e-3: 1,000,001 rows of 16 n^2 bytes, 1.3 TB if kept
+FINE_GRID = {"t_final": 1e3, "step": 1e-3}
+
+
+def test_kept_grid_past_physical_memory_is_refused_before_any_rhs(monkeypatch):
+    gen, rho0 = _benchmark_case("sweep")
+    kept = 16 * gen.dim**2 * (10**6 + 1)
+    if kept <= generator._physical_memory():
+        pytest.skip(f"the machine holds {kept:.3g} bytes")
+    calls = _counted_rhs(monkeypatch)
+    with pytest.raises(IntegrationAbortError, match="physical memory") as info:
+        evolve(gen, rho0, **FINE_GRID)
+    assert info.value.t_last == 0.0
+    assert calls == []
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_streamed_fine_grid_is_not_refused(monkeypatch):
+    # the same grid with a consumer runs: its first basis gives the first
+    # rows (21 here), and the test stops the run at the t = 0 row.  The
+    # basis's ``samples`` takes the error at 48 of the 10^6 offsets, in
+    # blocks of 16 and 32 (``_kernels._passing``), where it once took all of
+    # them in (10^6, m) arrays: a process peak of 476 MB against 130 MB
+    gen, rho0 = _benchmark_case("sweep")
+    rows = []
+
+    def consumer(t, state, s_lin):
+        rows.append(t)
+        raise _Stop
+
+    with pytest.raises(_Stop):
+        evolve(gen, rho0, **FINE_GRID, consumer=consumer)
+    assert rows == [0.0]
+
+
+def test_passing_tests_offsets_in_doubling_blocks(monkeypatch):
+    # a basis of the sweep model at n = 289 given the fine grid's first
+    # 10^4 offsets: the count that pass is the one a single test of them
+    # all gives, and the error is taken in blocks of 16, 32, 64, ... up to
+    # the first block with a failure
+    gen, rho0 = _benchmark_case("sweep")
+    taus = np.arange(1, 10**4 + 1) * FINE_GRID["step"]
+    _, _, _, _, (errors, trusted, coefficients) = _recorded_build(
+        monkeypatch, gen, rho0, taus=taus, tol=GRID_TOL
+    )
+    sizes = []
+
+    def recorded(block):
+        sizes.append(len(block))
+        return errors(block)
+
+    budget = GRID_TOL * max(1.0, np.linalg.norm(rho0))
+    given = _kernels._passing((recorded, trusted, coefficients), taus, budget)
+    passed = errors(taus) <= budget * taus
+    assert 0 < given == int(np.argmin(passed)) < len(taus)
+    assert sizes == [_kernels.KRYLOV_DIM * 2**k for k in range(len(sizes))]
+    assert sum(sizes[:-1]) <= given < sum(sizes)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments on the caller's stack until it returns")
+@pytest.mark.parametrize("tol", [None, 1e-10], ids=["fixed", "adaptive"])
+def test_temporary_rho0_is_freed_before_the_first_row(tol):
+    # evolve copies rho0 and drops its name, so a temporary initial state,
+    # as ``cmd_simulate`` passes, costs no n^2 array past the copy
+    gen, rho = _case("common", 1)
+    refs, alive = [], []
+
+    def temporary():
+        mat = rho.copy()
+        refs.append(weakref.ref(mat))
+        return mat
+
+    def consumer(t, state, s_lin):
+        alive.append(refs[0]() is not None)
+
+    evolve(gen, temporary(), 1.0, tol=tol, consumer=consumer)
+    assert alive and not any(alive)

@@ -6,9 +6,8 @@ every matrix unit), both bath kinds.  Tolerances fixed before the first
 run; ``scale`` = 1 + ||ksum|| bounds the generator's norm, so roundoff
 grows with it.  The factored operators (X (x) I + I (x) Y) are drawn at
 j1, j2 <= 3 for common, independent and single-ensemble baths and checked
-against the dense builders, the generator built from their jumps against
-the literal double sum, and ``default_step`` against the SVD of each dense
-jump.
+against the dense builders, and the generator built from their jumps
+against the literal double sum.
 """
 
 import math
@@ -30,7 +29,6 @@ from spinbath.generator import (
     build_generator,
     canonical_jumps,
     coupling_factors,
-    default_step,
     evolve,
     rank_one_factors,
 )
@@ -403,27 +401,6 @@ def test_certificate_residuals_match_assembled_norms(drawn, seed):
         assert np.abs(assembled - want).max() <= 1e-12 * max(1.0, float(np.linalg.norm(want)))
         want = np.linalg.norm(assembled)
         assert abs(res - want) <= 1e-13 * max(1.0, np.linalg.norm(u) * np.linalg.norm(v))
-
-
-# default_step against the dense SVD, fixed before the first run: relative
-# agreement within DEFAULT_STEP_TOL (about 45 eps: a few eps in each 2-norm,
-# doubled by the square)
-DEFAULT_STEP_TOL = 1e-14
-
-
-@DETERMINISTIC
-@given(factor_models())
-def test_default_step_matches_dense_svd(drawn):
-    # 0.1 / sum_k ||A_k||_2^2 with each ||A_k||_2 the largest singular value
-    # of kron(X, I) + kron(I, Y); None when the scale is 0
-    model, j1, j2 = drawn
-    gen = build_generator(model, j1, j2)
-    scale = sum(float(np.linalg.norm(dense(op), 2)) ** 2 for op in gen.jump_ops)
-    step = default_step(gen)
-    if scale == 0.0:
-        assert step is None
-    else:
-        assert abs(step - 0.1 / scale) <= DEFAULT_STEP_TOL * 0.1 / scale
 
 
 @DETERMINISTIC
