@@ -8,13 +8,14 @@ operator; given a workspace it allocates nothing.  ``krylov_propagator``
 projects exp(tau L) rho onto the Krylov space of ``rho``, one right-hand
 side per basis vector, all written into one workspace per basis; both
 integration modes of ``generator.evolve`` take their states from it, at
-one tau or at a grid of times.  It stores the first vectors that
-``BASIS_BYTES`` holds, from Arnoldi, and every generator is self-adjoint
-in the Hilbert-Schmidt inner product, so the basis continues by the
-Lanczos three-term recurrence to at least ``KRYLOV_DIM`` vectors, and up
+a sub-step or at a grid of times.  One step function makes every vector:
+the first ones, as many as ``BASIS_BYTES`` holds, are stored and
+orthogonalized against those before them, and every generator is self-adjoint
+in the Hilbert-Schmidt inner product, so the later ones come from the
+Lanczos three-term recurrence, to at least ``KRYLOV_DIM`` vectors, and up
 to ``LANCZOS_MAX`` until the next ``KRYLOV_DIM`` of the offsets its caller
-asks for pass (or every one, if fewer); the vectors past the stored ones
-are regenerated when a state is formed instead of kept.  The
+asks for pass (or every one, if fewer).  The later vectors are not kept:
+the same step replays them when states are formed.  The
 projected generator is then tridiagonal up to roundoff, and one ``eigh`` of
 its real tridiagonal part per basis length gives every state and error
 estimate in O(m) per time, with no matrix exponential.  Every state is a
@@ -331,12 +332,13 @@ def _passing(problem, taus, budget) -> int:
 
 
 def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
-    """Arnoldi on vec(rho), continued by Lanczos; returns ``(passes, state, samples)``.
+    """A Krylov basis of vec(rho) and the states it gives; returns ``(passing, states)``.
 
     Builds a basis V of span{rho, L rho, ..., L^(m-1) rho}, m at least
-    ``KRYLOV_DIM``: its first ``stored`` vectors by Arnoldi, with
-    Gram-Schmidt applied twice per vector, the rest by the Lanczos
-    recurrence below.  The generator is self-adjoint in the Hilbert-Schmidt
+    ``KRYLOV_DIM``, one vector a step: L v_j less its projection, by
+    Gram-Schmidt applied twice against the vectors before it while v_j is
+    one of the first ``stored``, and by the Lanczos recurrence below after
+    that.  The generator is self-adjoint in the Hilbert-Schmidt
     inner product <X, Y> = tr(X^dag Y) (its jumps are Hermitian,
     ``generator.Generator``), so H = V^dag L V is Hermitian and
     tridiagonal; its entries off the three diagonals are roundoff (below
@@ -346,7 +348,7 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
     of H, factored once as T = Q diag(lambda) Q^T by ``np.linalg.eigh``
     (``small_problem``; Hochbruck and Lubich, SIAM J. Numer. Anal. 34
     (1997) 1911).
-    ``state(tau)`` = beta V Q e^(tau lambda) Q^T e_1 ~ exp(tau L) rho, beta =
+    The state at tau is beta V Q e^(tau lambda) Q^T e_1 ~ exp(tau L) rho, beta =
     ||rho||_F.  With h the norm of the residual L v_m - V T e_m and
     f(s) = e_m^T exp(s T) e_1 > 0, its error is at most
     beta h int_0^tau f(s) ds, as ||exp(r L)|| <= 1 for a self-adjoint
@@ -361,42 +363,38 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
     step then passes as it should.
 
     An offset tau passes when tau ||T||_2 <= ``EXPM_NORM_MAX`` and its
-    estimate is at most tol max(1, beta) tau (``_passing``); ``passes(tau)``
-    tests one, at O(m).  ``samples()`` gives, as a (rows, n, n) array, the
-    states at the leading offsets of the increasing ``taus`` that pass, as
-    Expokit's ``expv`` gives a time grid from one basis (Sidje, ACM TOMS 24
-    (1998) 130): O(m) arithmetic a row, and one (rows x m)(m x n^2)
+    estimate is at most tol max(1, beta) tau: ``passing(offsets)`` counts
+    the leading ones of increasing offsets that pass (``_passing``), at O(m)
+    each.  ``states(offsets)`` gives their states as a (rows, n, n) array,
+    as Expokit's ``expv`` gives a time grid from one basis (Sidje, ACM TOMS
+    24 (1998) 130): O(m) arithmetic a row, and one (rows x m)(m x n^2)
     product.  Past the stored vectors the basis grows by the Lanczos
     recurrence beta_j v_{j+1} = L v_j - alpha_j v_j - beta_{j-1} v_{j-1},
     accurate for exp(tau L) rho without reorthogonalization (Druskin,
     Greenbaum and Knizhnerman, SIAM J. Sci. Comput. 19 (1998) 38), at one
     right-hand side a vector: to ``KRYLOV_DIM`` vectors, and then, at one
     m x m eigh more a vector, while fewer than min(len(taus),
-    ``KRYLOV_DIM``) offsets pass, up to ``LANCZOS_MAX``.  ``state`` and
-    ``samples`` regenerate the vectors past the stored ones by the same
-    Lanczos step, from the last stored one, at one right-hand side each.
+    ``KRYLOV_DIM``) of the offsets ``taus`` pass, up to ``LANCZOS_MAX``.
+    ``states`` replays the vectors past the stored ones by the build's own
+    step, from the last stored one, at m - stored right-hand sides a call.
 
     Memory is that of the ``stored`` = min(``KRYLOV_DIM``, max(1,
     ``BASIS_BYTES`` // (16 n^2))) vectors, two Lanczos vectors and one
     (3, n, n) workspace, which every right-hand side writes into
-    (``lindblad_rhs``'s ``work``) and the Gram-Schmidt passes and Lanczos
-    steps use as scratch; no state aliases it, and a basis of at most
-    ``stored`` vectors frees it once built.  When the basis closes early
-    (an invariant subspace, e.g. a stationary state) the projection is
-    exact and the error is 0; rho = 0 spans nothing, its states are 0, every
-    offset passes and none takes a right-hand side.  A generator with
-    ||K||_F above ``SCALE_MAX`` raises OverflowError.  Nothing is
-    Hermitized or renormalized.
+    (``lindblad_rhs``'s ``work``) and every step uses as scratch; no state
+    aliases it, and a basis of at most ``stored`` vectors frees it once
+    built.  When the basis closes early (an invariant subspace, e.g. a
+    stationary state) the projection is exact and the error is 0; rho = 0
+    spans nothing, its states are 0, every offset passes (``passing`` is
+    ``len``) and none takes a right-hand side.  A generator with ||K||_F
+    above ``SCALE_MAX`` raises OverflowError.  Nothing is Hermitized or
+    renormalized.
     """
     n = rho.shape[0]
     taus = np.asarray(taus, dtype=np.float64)
     beta = float(np.linalg.norm(rho))
     if beta == 0.0:
-        return (
-            lambda tau: True,
-            lambda tau: np.zeros((n, n), dtype=np.complex128),
-            lambda: np.zeros((len(taus), n, n), dtype=np.complex128),
-        )
+        return len, lambda offsets: np.zeros((len(offsets), n, n), dtype=np.complex128)
     budget = tol * max(1.0, beta)
     need = min(len(taus), KRYLOV_DIM)  # the leading offsets the basis grows to pass
     args = (jumps, offsets, drift, ham, has_ham)
@@ -417,92 +415,71 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
     sub = np.zeros(LANCZOS_MAX)
     np.divide(rho.reshape(n * n), beta, out=basis[0])
 
-    def applied(vec):
-        return lindblad_rhs(vec.reshape(n, n), *args, work=work).reshape(n * n)
-
-    def orthogonalized(j):
-        # L v_j less its projection on v_0, ..., v_j, Gram-Schmidt applied
-        # twice, and alpha_j (the projection's other coefficients are the
-        # roundoff off T)
-        w = applied(basis[j])
-        diag = 0.0
-        for _ in range(2):
-            # V^dag w without conjugating (copying) the basis
-            c = (basis[: j + 1] @ np.conjugate(w, out=scratch)).conj()
-            w -= np.matmul(c, basis[: j + 1], out=scratch)
-            diag += c[j].real
-        return w, diag
-
-    def lanczos_step(prev, w, norm, last=False):
-        # the vector after ``prev``, v = w / norm, into the Lanczos buffer
-        # ``prev`` is not in, and unless ``last`` its residual
-        # L v - norm prev - alpha v and alpha (Paige's order)
-        vec = lanczos[1] if prev is lanczos[0] else lanczos[0]
-        np.divide(w, norm, out=vec)
-        if last:
-            return vec, None, 0.0
-        w = applied(vec)
-        w -= np.multiply(prev, norm, out=scratch)
+    def step(j, vec, prev):
+        # L v_j less its projection and alpha_j, for vec = v_j and prev =
+        # v_(j-1): a stored v_j is projected off v_0, ..., v_j, Gram-Schmidt
+        # applied twice (the projection's other coefficients are the
+        # roundoff off T), a later one by the three-term recurrence in
+        # Paige's order
+        w = lindblad_rhs(vec.reshape(n, n), *args, work=work).reshape(n * n)
+        if j < stored:
+            diag = 0.0
+            for _ in range(2):
+                # V^dag w without conjugating (copying) the basis
+                c = (basis[: j + 1] @ np.conjugate(w, out=scratch)).conj()
+                w -= np.matmul(c, basis[: j + 1], out=scratch)
+                diag += c[j].real
+            return w, diag
+        w -= np.multiply(prev, sub[j - 1], out=scratch)
         diag = np.vdot(vec, w).real
         w -= np.multiply(vec, diag, out=scratch)
-        return vec, w, diag
+        return w, diag
 
-    m, resid = stored, 0.0
-    for j in range(stored):
-        w, alpha[j] = orthogonalized(j)
-        resid = float(np.linalg.norm(w))  # the subdiagonal entry below column j
-        if resid <= floor:
-            m, resid = j + 1, 0.0
-            break
-        if j + 1 < stored:
-            sub[j] = resid
-            np.divide(w, resid, out=basis[j + 1])
-    vec = basis[-1]
-    # Lanczos to at least KRYLOV_DIM vectors, then until ``need`` offsets
-    # pass; a ``break`` leaves the final length's small problem factored,
-    # and the ``else`` factors it otherwise
-    while resid > 0.0 and m < LANCZOS_MAX:
-        if m >= KRYLOV_DIM:
+    def advance(j, w, vec):
+        # v_(j+1) = w / sub[j], into the next stored row or else the
+        # Lanczos buffer that ``vec`` = v_j is not in
+        nxt = basis[j + 1] if j + 1 < stored else lanczos[1] if vec is lanczos[0] else lanczos[0]
+        return np.divide(w, sub[j], out=nxt)
+
+    # at each length m: the breakdown test, then from KRYLOV_DIM on the
+    # small problem, until ``need`` offsets pass or the basis reaches
+    # LANCZOS_MAX
+    m, vec, prev = 1, basis[0], None
+    while True:
+        w, alpha[m - 1] = step(m - 1, vec, prev)
+        resid = float(np.linalg.norm(w))  # the subdiagonal entry below column m - 1
+        resid = 0.0 if resid <= floor else resid
+        if resid == 0.0 or m >= KRYLOV_DIM:
             problem = small_problem(alpha[:m], sub[: m - 1], beta, resid)
-            if _passing(problem, taus[:need], budget) >= need:
+            if resid == 0.0 or m >= LANCZOS_MAX or _passing(problem, taus[:need], budget) >= need:
                 break
         if m == stored:
             # the two Lanczos vectors alive past the stored basis
             lanczos = tuple(np.empty((2, n * n), dtype=np.complex128))
         sub[m - 1] = resid
-        vec, w, alpha[m] = lanczos_step(vec, w, resid)
+        prev, vec = vec, advance(m - 1, w, vec)
         m += 1
-        resid = float(np.linalg.norm(w))
-        if resid <= floor:
-            resid = 0.0
-    else:
-        problem = small_problem(alpha[:m], sub[: m - 1], beta, resid)
     if m <= stored:
-        # ``combine`` regenerates no vector, so no state is formed with the
+        # ``states`` replays no vector, so no state is formed with the
         # workspace alive
         del work, scratch
     _, _, coefficients = problem
 
-    def combine(coeffs):
-        # sum_i coeffs[..., i] v_i as (..., n^2): the stored vectors in one
-        # product, then each later one regenerated as the build made it
-        out = coeffs[..., :stored] @ basis[:m]
-        if m > stored and out.size:
-            rows, cols = out.reshape(-1, n * n), coeffs.reshape(-1, m)
-            vec, (w, _) = basis[-1], orthogonalized(stored - 1)
-            for j in range(stored, m):
-                vec, w, _ = lanczos_step(vec, w, sub[j - 1], last=j + 1 == m)
-                for row, c in zip(rows, cols[:, j]):
+    def passing(offsets):
+        return _passing(problem, offsets, budget)
+
+    def states(offsets):
+        # sum_i coeffs[:, i] v_i: the stored vectors in one product, then
+        # each later one replayed by the build's steps from the last stored one
+        coeffs = coefficients(offsets)
+        out = coeffs[:, :stored] @ basis[:m]
+        if m > stored and len(out):
+            vec, prev = basis[-1], None
+            for j in range(stored - 1, m - 1):
+                w, _ = step(j, vec, prev)
+                prev, vec = vec, advance(j, w, vec)
+                for row, c in zip(out, coeffs[:, j + 1]):
                     row += np.multiply(vec, c, out=scratch)
-        return out
+        return out.reshape(-1, n, n)
 
-    def passes(tau):
-        return _passing(problem, np.array([tau], dtype=np.float64), budget) == 1
-
-    def state(tau):
-        return combine(coefficients(np.array([tau], dtype=np.float64))[0]).reshape(n, n)
-
-    def samples():
-        return combine(coefficients(taus[: _passing(problem, taus, budget)])).reshape(-1, n, n)
-
-    return passes, state, samples
+    return passing, states

@@ -51,7 +51,7 @@ from .generator import (
     CommonBath,
     FactoredOperator,
     IntegrationAbortError,
-    _physical_memory,
+    _memory_limit,
     build_generator,
     evolve,
 )
@@ -101,14 +101,15 @@ def _fock(s1: SpinQuantum, s2: SpinQuantum | None, m1, m2):
 
 def _spins(cfg: ScenarioConfig):
     """The ensembles' spins (the second None on one ensemble) and dims; MemoryError,
-    naming the size, when a state vector (16 n bytes) is more than the physical memory."""
+    naming the size and the limit, when a state vector (16 n bytes) is more than
+    the memory a process may hold (``_memory_limit``)."""
     s1 = SpinQuantum.of(cfg.j1)
     s2 = SpinQuantum.of(cfg.j2) if cfg.j2 is not None else None
     dims = (s1.dim,) if s2 is None else (s1.dim, s2.dim)
-    n, memory = math.prod(dims), _physical_memory()
+    n, (memory, what) = math.prod(dims), _memory_limit()
     if 16 * n > memory:
         raise MemoryError(f"a state of {_sci(n)} amplitudes needs {_sci(16 * n)} bytes, "
-                          f"more than the {memory:.3g} bytes of the machine's physical memory")
+                          f"more than the {memory:.3g} bytes of {what}")
     return s1, s2, dims
 
 

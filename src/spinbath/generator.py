@@ -23,6 +23,7 @@ semidefinite in the Hilbert-Schmidt inner product.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from typing import NamedTuple
@@ -376,9 +377,10 @@ class Trajectory(NamedTuple):
     ``states[i]`` is the sample at ``times[i]``, or ``states`` is empty
     when ``evolve`` handed the rows to a consumer; ``s_lin`` the matching
     linear entropies 1 - tr(rho^2).  ``accepted`` counts steps: in fixed
-    mode the steps of size ``step`` to t_final, each exp(step L), and in
-    adaptive mode the Krylov bases.  ``rejected`` counts the trial offsets
-    the Krylov error test refused (see ``evolve``).
+    mode the grid's steps h to t_final, h = ``step`` or, with ``step``
+    unset, t_final / ``DEFAULT_ROWS``, and in adaptive mode the Krylov
+    bases.  ``rejected`` counts the trial offsets the Krylov error test
+    refused (see ``evolve``).
     """
 
     times: np.ndarray
@@ -408,12 +410,29 @@ DEFAULT_ROWS = 100
 MAX_STEPS = 10_000_000
 
 
-def _physical_memory() -> float:
-    """Bytes of the machine's physical memory; inf where the OS does not say."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return math.inf
+# the cgroup memory limit files, v2 then v1: "max" or a byte count
+CGROUP_MEMORY = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+def _memory_limit() -> tuple[float, str]:
+    """``(bytes, what)``: the least of the machine's physical memory, the soft
+    address-space limit when finite and the cgroup's memory limit when its
+    file can be read, and what sets it; inf where none says."""
+    limits = [(math.inf, "no limit")]
+    with contextlib.suppress(AttributeError, ValueError, OSError):
+        limits.append((os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), "the machine's physical memory"))
+    with contextlib.suppress(ImportError):
+        import resource  # POSIX only
+
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limits.append((soft, "the address-space limit (RLIMIT_AS)"))
+    for path in CGROUP_MEMORY:
+        with contextlib.suppress(OSError, ValueError), open(path, encoding="ascii") as f:
+            text = f.read().strip()
+            limits.append((math.inf if text == "max" else int(text), f"the cgroup memory limit ({path})"))
+            break
+    return min(limits)
 
 
 def _largest_step(passes, offset, tiny):
@@ -485,8 +504,9 @@ def evolve(
 
     Both modes run one loop over bases on a grid of rows.  Each basis needs
     the next ``KRYLOV_DIM`` rows, or every row left if fewer.  It gives the
-    next rows at O(m) arithmetic each (``samples``) and ends at the last row
-    that passes, the first that fails counting in ``Trajectory.rejected``.
+    next rows at O(m) arithmetic each, from one ``states`` call, and ends at
+    the last row that passes, the first that fails counting in
+    ``Trajectory.rejected``.
     When even the next row fails at ``LANCZOS_MAX`` vectors, a sub-step
     search (``_largest_step``, at no right-hand-side cost) takes the largest
     acceptable sub-step short of it, to a relative precision of
@@ -544,7 +564,8 @@ def evolve(
     IntegrationAbortError
         Before any right-hand side (``t_last`` = 0) when a fixed grid needs
         more than ``MAX_STEPS`` steps, or would keep (no consumer) rows x
-        n^2 x 16 bytes, more than the physical memory (``os.sysconf``); or
+        n^2 x 16 bytes, more than the least of the physical memory, the
+        address-space limit and the cgroup's limit (``_memory_limit``); or
         when the generator is too large for a Krylov basis
         (``_kernels.SCALE_MAX``), the state norm blows up beyond 10x its
         initial value, the bases plus refused trials exceed ``MAX_STEPS``,
@@ -559,14 +580,14 @@ def evolve(
     norm_cap = 10.0 * max(norm0, 1e-300)
 
     times = []
-    states = []
+    kept = []
     s_lin = []
     pending = []  # the rows of the basis being built
     args = gen.kernel_args
     streamed = consumer is not None
     if not streamed:
         def consumer(t, mat, s):
-            states.append(mat)
+            kept.append(mat)
 
     def record(t: float, mat: np.ndarray) -> None:
         times.append(t)
@@ -592,7 +613,7 @@ def evolve(
 
     if t_final == 0.0:
         hand_over()
-        return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, 0, 0)
+        return Trajectory(np.array(times), kept, np.array(s_lin), gen.dims, 0, 0)
 
     adaptive = tol is not None
     if not adaptive:
@@ -603,10 +624,10 @@ def evolve(
                 f"fixed step {h} needs {nsteps} steps > max_steps={MAX_STEPS}", t_last=0.0
             )
         grid = np.append(np.arange(stride, nsteps, stride) * h, t_final)
-        kept = 16 * gen.dim**2 * (len(grid) + 1)
-        if not streamed and kept > _physical_memory():
+        size, (limit, what) = 16 * gen.dim**2 * (len(grid) + 1), _memory_limit()
+        if not streamed and size > limit:
             raise IntegrationAbortError(f"{len(grid) + 1} kept rows of {gen.dim} x {gen.dim} states need "
-                                        f"{kept:.3g} bytes, more than the machine's physical memory; pass "
+                                        f"{size:.3g} bytes, more than the {limit:.3g} bytes of {what}; pass "
                                         "a consumer or a longer step", t_last=0.0)
         tol = GRID_TOL
     else:
@@ -621,44 +642,42 @@ def evolve(
 
     bases = row = 0  # row: the next grid time to record
     while row < len(grid):
+        taus = grid[row:] - t
         try:
-            passes, state, samples = _kernels.krylov_propagator(rho, *args, taus=grid[row:] - t, tol=tol)
+            passing, states = _kernels.krylov_propagator(rho, *args, taus=taus, tol=tol)
         except OverflowError as exc:
             raise IntegrationAbortError(f"{exc}; last good time t={t:.6g}", t_last=t) from None
-        sampled = samples()
         bases += 1
-        if len(sampled):
-            if row + len(sampled) < len(grid):  # the next row failed
-                rejected += 1
-            check_budget(bases)
-            for mat in sampled:
-                check_blowup(t, mat)
-                t = float(grid[row])
-                record(t, mat)
-                row += 1
-            # the loop's last row is the next basis's start; the name ``mat``
-            # would keep the block of rows alive through that basis
-            rho = sampled[-1]
-            del mat
+        # the grid rows the basis gives, or else one sub-step: their offsets and times
+        rows = passing(taus)
+        if rows:
+            rejected += row + rows < len(grid)  # the next row failed
+            offsets, ends = taus[:rows], grid[row : row + rows].tolist()
+            row += rows
         else:
-            sub, refused = _largest_step(passes, float(grid[row]) - t, tiny)
+            sub, refused = _largest_step(lambda h: passing(np.array([h])) == 1, float(grid[row]) - t, tiny)
             rejected += refused
             if sub is None:
                 raise IntegrationAbortError(f"step size underflow at t={t:.6g}", t_last=t)
-            check_budget(bases)
-            del rho  # the state is formed without the basis's start alive
-            rho = state(sub)
-            check_blowup(t, rho)
-            t += sub
-            if adaptive and bases % stride == 0:
-                record(t, rho)
-        # the next basis is built without this one alive, and its rows (the
-        # first basis's with the t = 0 row) are handed over only now
-        del passes, state, samples, sampled
+            offsets, ends = np.array([sub]), [t + sub]
+        check_budget(bases)
+        del rho  # the states are formed without the basis's start alive
+        sampled = states(offsets)
+        for end, mat in zip(ends, sampled):
+            check_blowup(t, mat)
+            t = end
+            if rows or adaptive and bases % stride == 0:
+                record(t, mat)
+        # the loop's last row is the next basis's start; the name ``mat``
+        # would keep the block of rows alive through that basis.  The next
+        # basis is built without this one alive, and its rows (the first
+        # basis's with the t = 0 row) are handed over only now
+        rho = sampled[-1]
+        del mat, passing, states, sampled
         hand_over()
         if streamed:
             # a row of the block just handed over: a copy of its own lets
             # the block go before the next basis is built
             rho = rho.copy()
     accepted = bases if adaptive else nsteps
-    return Trajectory(np.array(times), states, np.array(s_lin), gen.dims, accepted, rejected)
+    return Trajectory(np.array(times), kept, np.array(s_lin), gen.dims, accepted, rejected)

@@ -14,6 +14,7 @@ import pytest
 
 from spinbath.cli import main
 from spinbath.diagnostics import RateReport
+from spinbath.generator import _memory_limit
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -549,7 +550,7 @@ class TestProcessEntry:
         assert done.returncode == 2
         err = done.stderr.decode()
         assert err.startswith(f"spinbath: cannot allocate: {size}, more than the ") and err.count("\n") == 1
-        assert err.rstrip().endswith("bytes of the machine's physical memory")
+        assert err.rstrip().endswith(f"bytes of {_memory_limit()[1]}")
 
     @pytest.mark.parametrize("value,size", [(HUGE["j1"], "3.60e+13"), (1e300, "4.00e+600")])
     def test_refused_allocation_is_a_sweep_error_row(self, tmp_path, value, size):

@@ -1,7 +1,13 @@
 """Damping validation, canonical jumps, the generator and Krylov evolution tests."""
 
+import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -703,3 +709,76 @@ class TestBuildGenerator:
             tracemalloc.stop()
         assert gen.dim == 1681
         assert peak < 8 * 2**20
+
+
+# a child whose soft address-space limit is 1,000,000 KiB, as a shell's
+# ``ulimit -v 1000000`` sets it, keeps n = 81 (j1 = j2 = 4) on a grid of
+# 12,000 steps of 1e-3: 12,001 rows of 16 n^2 bytes, 1.26 GB
+ADDRESS_SPACE_CHILD = """
+import json, resource
+import numpy as np
+from spinbath import _kernels, generator
+from spinbath.generator import CommonBath, IntegrationAbortError, build_generator, evolve
+resource.setrlimit(resource.RLIMIT_AS, (1_024_000_000, resource.getrlimit(resource.RLIMIT_AS)[1]))
+limit, what = generator._memory_limit()
+calls, rhs = [], _kernels.lindblad_rhs
+_kernels.lindblad_rhs = lambda *a, **k: calls.append(1) or rhs(*a, **k)
+gen = build_generator(CommonBath(gamma=np.diag([1.0, 0.5, 0.25]), lam=1.4, axes=("x", "y", "z")), 4, 4)
+try:
+    evolve(gen, np.eye(gen.dim) / gen.dim, 12.0, step=1e-3)
+except IntegrationAbortError as exc:
+    print(json.dumps({"limit": limit, "what": what, "message": str(exc), "t_last": exc.t_last,
+                      "calls": len(calls)}))
+"""
+
+
+class TestMemoryLimit:
+    def test_kept_grid_past_the_address_space_limit_is_refused(self):
+        # refused before any right-hand side, with t_last = 0, naming the
+        # limit it hit: the address-space limit, unless a cgroup allows
+        # less.  Read from the physical memory alone, the limit let numpy
+        # raise MemoryError on the rows instead.  About 0.5 s
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", ADDRESS_SPACE_CHILD], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0 and done.stdout, done.stderr
+        got = json.loads(done.stdout)
+        assert got["limit"] <= 1_024_000_000
+        assert got["what"] == "the address-space limit (RLIMIT_AS)" or got["limit"] < 1_024_000_000
+        assert f"more than the {got['limit']:.3g} bytes of {got['what']}" in got["message"]
+        assert (got["t_last"], got["calls"]) == (0.0, 0)
+
+    @pytest.mark.parametrize("v2,v1,want", [
+        ("8192\n", "4096", (8192, 0)),
+        ("max\n", "4096", None),
+        ("unreadable", "4096", (4096, 1)),
+        (None, "4096", (4096, 1)),
+        (None, None, None),
+    ])
+    def test_cgroup_limit_is_read_from_v2_then_v1(self, monkeypatch, tmp_path, v2, v1, want):
+        # the first file that holds "max" or a byte count is the cgroup's
+        # limit, "max" none; the least of the limits wins
+        paths = [tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"]
+        for path, text in zip(paths, (v2, v1)):
+            if text is not None:
+                path.write_text(text, encoding="ascii")
+        monkeypatch.setattr(generator, "CGROUP_MEMORY", tuple(map(str, paths)))
+        limit, what = generator._memory_limit()
+        if want is None:
+            assert "cgroup" not in what
+        else:
+            assert (limit, what) == (want[0], f"the cgroup memory limit ({paths[want[1]]})")
+
+    def test_kept_grid_past_the_cgroup_limit_is_refused(self, monkeypatch, tmp_path):
+        # a cgroup limit of 1 MB against 1,002 kept rows of n = 9 (1.3 MB):
+        # refused before any right-hand side, naming the cgroup's file
+        path = tmp_path / "memory.max"
+        path.write_text("1000000\n", encoding="ascii")
+        monkeypatch.setattr(generator, "CGROUP_MEMORY", (str(path),))
+        calls, rhs = [], _kernels.lindblad_rhs
+        monkeypatch.setattr(_kernels, "lindblad_rhs", lambda *a, **k: calls.append(1) or rhs(*a, **k))
+        gen = build_generator(CommonBath(gamma=np.eye(3), lam=1.4, axes=("x", "y", "z")), 1, 1)
+        with pytest.raises(IntegrationAbortError, match=re.escape(f"of the cgroup memory limit ({path})")) as info:
+            evolve(gen, np.eye(gen.dim) / gen.dim, 1.0, step=1e-3)
+        assert info.value.t_last == 0.0 and calls == []

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -120,41 +121,50 @@ def _counted_rhs(monkeypatch):
     return calls
 
 
+def _passes(passing, tau):
+    # a basis's acceptance test of the one offset tau
+    return passing(np.array([tau])) == 1
+
+
+def _state(states, tau):
+    # a basis's state at the one offset tau
+    return states(np.array([tau]))[0]
+
+
 def _recorded_bases(monkeypatch, calls=None):
     """One record per Krylov basis evolve builds: the norm of the state it
     spans, the offsets it was given, the right-hand sides its build took
     (one per basis vector, counted in ``calls`` from ``_counted_rhs``), its
-    own acceptance test ``passes``, every trial (tau, passed) of the search,
-    the offsets taken (the tau a ``state`` was formed at, and the offsets
-    ``samples`` gave states for), and per ``samples`` call the number of
-    offsets and of states given."""
+    own acceptance test of one offset ``passes``, every trial (tau, passed)
+    of the search (``passing`` of one offset), the offsets taken (those
+    ``states`` formed), and per ``passing`` call on the offsets the basis
+    was given the number of offsets and of those that pass."""
     bases = []
     build = _kernels.krylov_propagator
     calls = [] if calls is None else calls
 
     def recorded(rho, *args, taus, tol):
         before = len(calls)
-        passes, state, samples = build(rho, *args, taus=taus, tol=tol)
+        passing, states = build(rho, *args, taus=taus, tol=tol)
         rec = {"norm": float(np.linalg.norm(rho)), "taus": np.asarray(taus),
-               "vectors": len(calls) - before, "passes": passes, "trials": [], "taken": [],
-               "sampled": []}
+               "vectors": len(calls) - before, "passes": lambda tau: _passes(passing, tau),
+               "trials": [], "taken": [], "sampled": []}
         bases.append(rec)
 
-        def traced_passes(tau):
-            rec["trials"].append((tau, passes(tau)))
-            return rec["trials"][-1][1]
+        def traced_passing(offsets):
+            count = passing(offsets)
+            if offsets is taus:
+                rec["sampled"].append((len(offsets), count))
+            else:
+                (tau,) = offsets
+                rec["trials"].append((float(tau), count == 1))
+            return count
 
-        def traced_state(tau):
-            rec["taken"].append(tau)
-            return state(tau)
+        def traced_states(offsets):
+            rec["taken"] += np.asarray(offsets).tolist()
+            return states(offsets)
 
-        def traced_samples():
-            out = samples()
-            rec["sampled"].append((len(taus), len(out)))
-            rec["taken"] += np.asarray(taus)[: len(out)].tolist()
-            return out
-
-        return traced_passes, traced_state, traced_samples
+        return traced_passing, traced_states
 
     monkeypatch.setattr(_kernels, "krylov_propagator", recorded)
     return bases
@@ -314,7 +324,7 @@ def test_fixed_rejected_counts_every_refused_offset(monkeypatch):
     # takes one sub-step; its search starts below that row, which does not
     # count, and each trial it fails counts once.  The later bases, from states nearer the
     # stationary ones, each give rows up to the first they cannot give,
-    # which counts once.  Every basis samples once.  Bases plus refusals
+    # which counts once.  Every basis tests its rows once.  Bases plus refusals
     # fit MAX_STEPS exactly
     _krylov_dim_bases(monkeypatch)
     bases = _recorded_bases(monkeypatch)
@@ -545,24 +555,24 @@ class TestDenseLiouvillianOracle:
         # one basis at rho0, started at t0 = 0.03 and sampled at 0.05, 0.10,
         # ..., 1.50 and 1.52, as ``evolve`` samples a grid.  The rows given
         # are the times before the first that fails the acceptance test
-        # (error above GRID_TOL tau max(1, ||rho0||_F)); ``samples`` and
-        # ``passes`` apply the one test, so the threshold is exact.  Each
-        # row is state(tau) up to rounding (1e-12 ||rho0||_F) and within
-        # _grid_bound of exp(tau L) rho0
+        # (error above GRID_TOL tau max(1, ||rho0||_F)); ``passing`` of the
+        # grid and of one offset apply the one test, so the threshold is
+        # exact.  Each row is the state at its offset alone up to rounding
+        # (1e-12 ||rho0||_F) and within _grid_bound of exp(tau L) rho0
         gen, lv, rho0 = _oracle_case(bath, j1, j2)
         t0, times = 0.03, np.append(np.arange(1, 31) * 0.05, 1.52)
         taus = times - t0
-        passes, state, samples = _kernels.krylov_propagator(rho0, *_args(gen), taus=taus, tol=GRID_TOL)
-        rows = samples()
+        passing, states = _kernels.krylov_propagator(rho0, *_args(gen), taus=taus, tol=GRID_TOL)
+        rows = states(taus[: passing(taus)])
         given = len(rows)
         assert given >= 1
         if gen.dim**2 <= _kernels.KRYLOV_DIM:
             assert given == len(times)
-        assert all(passes(tau) for tau in taus[:given])
+        assert all(_passes(passing, tau) for tau in taus[:given])
         if given < len(times):
-            assert not passes(taus[given])
+            assert not _passes(passing, taus[given])
         for tau, row, want in zip(taus, rows, _exact_rows(lv, rho0, taus[:given])):
-            assert np.linalg.norm(row - state(tau)) <= 1e-12 * max(1.0, np.linalg.norm(rho0))
+            assert np.linalg.norm(row - _state(states, tau)) <= 1e-12 * max(1.0, np.linalg.norm(rho0))
             assert np.linalg.norm(row - want) <= _grid_bound(GRID_TOL, tau, rho0)
 
     def test_krylov_evolve(self, bath, j1, j2):
@@ -716,7 +726,7 @@ def test_basis_accepted_at_krylov_dim_is_the_arnoldi_basis(monkeypatch, bath, j1
     for a, b in zip(*problems):
         assert np.array_equal(a, b)
     for tau in (0.01, 0.3, 3.0):
-        assert np.array_equal(kept[1](tau), plain[1](tau))
+        assert np.array_equal(_state(kept[1], tau), _state(plain[1], tau))
 
 
 @pytest.mark.parametrize("stored", [16, 1])
@@ -725,11 +735,11 @@ def test_continued_basis_regenerates_its_vectors(monkeypatch, stored):
     # all pass grows to LANCZOS_MAX, here 64, so that the rows outrun it
     # (this n = 25 basis does not close first), with one small problem a
     # length from KRYLOV_DIM on, however many vectors are stored.
-    # ``samples`` and ``state`` rebuild the vectors past the ``stored`` ones
-    # from the last of them: every row whose estimate passes tol 1e-10 within
+    # ``states`` rebuilds the vectors past the ``stored`` ones from the
+    # last of them: every row whose estimate passes tol 1e-10 within
     # _grid_bound of exp(tau L) rho0, and the first, middle and last rows
-    # within 1e-12 ||rho0||_F of state(tau) (bounds fixed before running, as
-    # in TestDenseLiouvillianOracle).  The vectors regenerated at the full
+    # within 1e-12 ||rho0||_F of the state at tau alone (bounds fixed
+    # before running, as in TestDenseLiouvillianOracle).  The vectors regenerated at the full
     # cap are checked by test_small_problem_matches_expm[adaptive-continued]
     monkeypatch.setattr(_kernels, "LANCZOS_MAX", 64)
     calls = _counted_rhs(monkeypatch)
@@ -737,17 +747,46 @@ def test_continued_basis_regenerates_its_vectors(monkeypatch, stored):
     gen, lv, rho0 = _oracle_case("common", 2, 2)
     _store(monkeypatch, gen.dim, stored)
     times = np.arange(1, 31) * 4.0
-    passes, state, samples = _kernels.krylov_propagator(rho0, *_args(gen), taus=times, tol=1e-10)
+    passing, states = _kernels.krylov_propagator(rho0, *_args(gen), taus=times, tol=1e-10)
     assert len(calls) == _kernels.LANCZOS_MAX
     assert len(problems) == _kernels.LANCZOS_MAX - _kernels.KRYLOV_DIM + 1
-    rows = samples()
+    rows = states(times[: passing(times)])
     assert len(calls) == 2 * _kernels.LANCZOS_MAX - stored
     assert 2 <= len(rows) < len(times)
     for tau, row, want in zip(times, rows, _exact_rows(lv, rho0, times[: len(rows)])):
-        assert passes(tau)
+        assert _passes(passing, tau)
         assert np.linalg.norm(row - want) <= _grid_bound(1e-10, tau, rho0)
     for i in (0, len(rows) // 2, len(rows) - 1):
-        assert np.linalg.norm(rows[i] - state(times[i])) <= 1e-12 * max(1.0, np.linalg.norm(rho0))
+        assert np.linalg.norm(rows[i] - _state(states, times[i])) <= 1e-12 * max(1.0, np.linalg.norm(rho0))
+
+
+@pytest.mark.parametrize("stored", [16, 4, 2, 1])
+def test_replay_is_the_build(monkeypatch, stored):
+    # n = 25 at one offset of 3 and tol 1e-10, which KRYLOV_DIM vectors do
+    # not reach, so the basis continues past its ``stored`` vectors.
+    # ``states`` replays the later ones by the build's own step from the
+    # last stored one: L is applied again to v_(stored-1), ..., v_(m-2),
+    # each bit for bit the vector the build applied it to, at m - stored
+    # right-hand sides for two rows as for one
+    vectors = []
+    rhs = _kernels.lindblad_rhs
+
+    def recorded(x, *a, **k):
+        vectors.append(x.tobytes())
+        return rhs(x, *a, **k)
+
+    monkeypatch.setattr(_kernels, "lindblad_rhs", recorded)
+    gen, _, rho0 = _oracle_case("common", 2, 2)
+    _store(monkeypatch, gen.dim, stored)
+    _, states = _kernels.krylov_propagator(rho0, *_args(gen), taus=[3.0], tol=1e-10)
+    built = vectors[:]
+    m = len(built)
+    assert m > _kernels.KRYLOV_DIM
+    for offsets in ([3.0], [1.5, 3.0]):
+        del vectors[:]
+        assert len(states(np.array(offsets))) == len(offsets)
+        assert len(vectors) == m - stored
+        assert vectors == built[stored - 1 : m - 1]
 
 
 def test_factor_hermitian_to_roundoff_takes_the_lanczos_path(monkeypatch):
@@ -803,8 +842,8 @@ def test_fixed_basis_continues_until_it_gives_krylov_dim_rows(monkeypatch, store
     first = bases[0]
     assert first["vectors"] > dim
     monkeypatch.setattr(_kernels, "LANCZOS_MAX", first["vectors"] - 1)
-    _, _, samples = build(rho0, *_args(gen), taus=first["taus"], tol=GRID_TOL)
-    assert len(samples()) < dim
+    passing, _ = build(rho0, *_args(gen), taus=first["taus"], tol=GRID_TOL)
+    assert passing(first["taus"]) < dim
     for t, state, want in zip(traj.times, traj.states, _exact_rows(lv, rho0, traj.times)):
         assert np.linalg.norm(state - want) <= _grid_bound(GRID_TOL, t, rho0)
 
@@ -1064,7 +1103,7 @@ def test_common_singlet_is_stationary_against_the_oracle():
 
 def test_fixed_rows_are_not_copied():
     # n = 49 (j1 = j2 = 3) to t = 0.2 in steps of 5e-4: 401 rows, most
-    # from one basis.  Each row is kept as the basis's samples made it, so
+    # from one basis.  Each row is kept as the basis's ``states`` made it, so
     # the allocations peak below the rows plus KRYLOV_DIM + 10 states (the
     # stored basis and a right-hand side's three n x n arrays fit); a copy of
     # every row would take about twice the rows.  rho0 itself is copied
@@ -1094,8 +1133,8 @@ def test_continued_basis_memory_is_the_stored_prefix():
     vector = gen.dim**2 * 16
     tracemalloc.start()
     try:
-        _, state, _ = _kernels.krylov_propagator(rho0, *_args(gen), taus=[0.1], tol=0.0)
-        state(0.1)
+        _, states = _kernels.krylov_propagator(rho0, *_args(gen), taus=[0.1], tol=0.0)
+        _state(states, 0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1254,7 +1293,7 @@ def test_small_problem_matches_expm(monkeypatch, name):
     # offset no estimate passes (tol 0), so it grows to LANCZOS_MAX
     gen, rho0 = _benchmark_case(name.split("-")[0])
     continued = name.endswith("continued")
-    (passes, state, _), vectors, images, small, problem = _recorded_build(
+    (passing, states), vectors, images, small, problem = _recorded_build(
         monkeypatch, gen, rho0, taus=[1.0] if continued else ()
     )
     errors, trusted, _ = problem
@@ -1275,16 +1314,15 @@ def test_small_problem_matches_expm(monkeypatch, name):
     # every offset is trusted but the one past the range, which no tol
     # passes
     assert trusted(offsets) == len(taus)
-    assert not passes(past)
+    assert not _passes(passing, past)
     assert _kernels._passing(problem, offsets, math.inf) == len(taus)
     # the same basis again, at an infinite tol: given the trusted offsets,
     # the stored prefix passes them all; a continued basis is also given
     # the one past the range, which keeps it growing to LANCZOS_MAX, and
-    # its samples stop before that one
-    _, _, samples = _kernels.krylov_propagator(
-        rho0, *_args(gen), taus=offsets if continued else taus, tol=math.inf
-    )
-    rows = samples()
+    # its rows stop before that one
+    given = offsets if continued else taus
+    passing_inf, states_inf = _kernels.krylov_propagator(rho0, *_args(gen), taus=given, tol=math.inf)
+    rows = states_inf(given[: passing_inf(given)])
     assert len(rows) == len(taus)
     for tau, row, error in zip(taus, rows, errors(taus)):
         exact = scipy.linalg.expm(tau * small)
@@ -1297,7 +1335,7 @@ def test_small_problem_matches_expm(monkeypatch, name):
         assert np.linalg.norm(row.reshape(-1) - want) <= bound
     tau = taus[4]
     want = beta * (scipy.linalg.expm(tau * small)[:, 0] @ vectors)
-    assert np.linalg.norm(state(tau).reshape(-1) - want) <= 1e-13 * beta * (1.0 + tau * norm)
+    assert np.linalg.norm(_state(states, tau).reshape(-1) - want) <= 1e-13 * beta * (1.0 + tau * norm)
 
 
 @pytest.mark.parametrize("name", ["adaptive", "sweep", "dfs"])
@@ -1306,17 +1344,17 @@ def test_short_offsets_pass(monkeypatch, name):
     # (m-1)!, while the eigen-sum that evaluates it cancels only to about
     # u.  So the estimate at 0 is 0 and every offset from 1e-12 / ||T|| to
     # 1e-2 / ||T|| passes the fixed-grid test GRID_TOL tau max(1, beta) on
-    # the stored prefix, in its estimate, in ``passes`` and in ``samples``
+    # the stored prefix, in its estimate, and in ``passing`` of one offset and of them all
     gen, rho0 = _benchmark_case(name)
-    (passes, _, _), _, _, small, (errors, _, _) = _recorded_build(monkeypatch, gen, rho0, tol=GRID_TOL)
+    (passing, _), _, _, small, (errors, _, _) = _recorded_build(monkeypatch, gen, rho0, tol=GRID_TOL)
     norm = np.abs(np.linalg.eigvalsh(small)).max()
     budget = GRID_TOL * max(1.0, np.linalg.norm(rho0))
     assert errors(np.zeros(1))[0] == 0.0
     taus = 10.0 ** np.arange(-12.0, -1.0) / norm
     assert np.all(errors(taus) <= budget * taus)
-    assert all(passes(tau) for tau in taus)
-    _, _, samples = _kernels.krylov_propagator(rho0, *_args(gen), taus=taus, tol=GRID_TOL)
-    assert len(samples()) == len(taus)
+    assert all(_passes(passing, tau) for tau in taus)
+    again, _ = _kernels.krylov_propagator(rho0, *_args(gen), taus=taus, tol=GRID_TOL)
+    assert again(taus) == len(taus)
 
 
 def test_continued_basis_uses_one_workspace(monkeypatch):
@@ -1372,10 +1410,11 @@ FINE_GRID = {"t_final": 1e3, "step": 1e-3}
 def test_kept_grid_past_physical_memory_is_refused_before_any_rhs(monkeypatch):
     gen, rho0 = _benchmark_case("sweep")
     kept = 16 * gen.dim**2 * (10**6 + 1)
-    if kept <= generator._physical_memory():
+    limit, what = generator._memory_limit()
+    if kept <= limit:
         pytest.skip(f"the machine holds {kept:.3g} bytes")
     calls = _counted_rhs(monkeypatch)
-    with pytest.raises(IntegrationAbortError, match="physical memory") as info:
+    with pytest.raises(IntegrationAbortError, match=re.escape(what)) as info:
         evolve(gen, rho0, **FINE_GRID)
     assert info.value.t_last == 0.0
     assert calls == []
@@ -1388,7 +1427,7 @@ class _Stop(Exception):
 def test_streamed_fine_grid_is_not_refused(monkeypatch):
     # the same grid with a consumer runs: its first basis gives the first
     # rows (21 here), and the test stops the run at the t = 0 row.  The
-    # basis's ``samples`` takes the error at 48 of the 10^6 offsets, in
+    # basis's ``passing`` takes the error at 48 of the 10^6 offsets, in
     # blocks of 16 and 32 (``_kernels._passing``), where it once took all of
     # them in (10^6, m) arrays: a process peak of 476 MB against 130 MB
     gen, rho0 = _benchmark_case("sweep")

@@ -93,8 +93,8 @@ def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, step):
     # projection error (trace) and roundoff remain; the projection error is
     # at most 2 x^m e^x / m! (Saad 1992, m = KRYLOV_DIM) in Frobenius norm, at
     # most sqrt(n) times that on the trace; roundoff gets 1e-12 per basis
-    # vector.  ``samples`` gives the same projection at tau / 3, 2 tau / 3
-    # and tau (no budget refuses any), so each row has the same bounds.
+    # vector.  The ``samples`` case takes the rows at tau / 3, 2 tau / 3
+    # and tau from one basis (no budget refuses any), with the same bounds.
     # RK4 (the stage kernel): P(tau L) keeps trace and Hermiticity exactly,
     # as every power of L annihilates the trace and maps Hermitian to
     # Hermitian, so only roundoff remains.  Each of the four stages applies L to a matrix of Frobenius
@@ -109,12 +109,12 @@ def test_step_keeps_hermitian_unit_trace(kind, drawn, seed, step):
         outs = [_kernels.rk4_chunk(rho, *args, tau, 1)]
         hermitian_tol = trace_tol = 4e-12 * math.exp(x)
     else:
-        taus = [tau / 3.0, 2.0 * tau / 3.0, tau]
-        _, state, samples = _kernels.krylov_propagator(rho, *args, taus=taus, tol=math.inf)
+        taus = np.array([tau / 3.0, 2.0 * tau / 3.0, tau])
+        passing, states = _kernels.krylov_propagator(rho, *args, taus=taus, tol=math.inf)
         if kind == "krylov":
-            outs = [state(tau)]
+            outs = states(np.array([tau]))
         else:
-            outs = samples()
+            outs = states(taus[: passing(taus)])
             assert len(outs) == 3
         m = _kernels.KRYLOV_DIM
         hermitian_tol = 1e-12 * m
