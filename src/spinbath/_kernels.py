@@ -8,19 +8,17 @@ operator; given a workspace it allocates nothing.  ``krylov_propagator``
 projects exp(tau L) rho onto the Krylov space of ``rho``, one right-hand
 side per basis vector, all written into one workspace per basis; both
 integration modes of ``generator.evolve`` take their states from it, at
-a sub-step or at a grid of times.  One step function makes every vector:
-the first ones, as many as ``BASIS_BYTES`` holds, are stored and
-orthogonalized against those before them, and every generator is self-adjoint
-in the Hilbert-Schmidt inner product, so the later ones come from the
-Lanczos three-term recurrence, to at least ``KRYLOV_DIM`` vectors, and up
-to ``LANCZOS_MAX`` until the next ``KRYLOV_DIM`` of the offsets its caller
-asks for pass (or every one, if fewer).  The later vectors are not kept:
-the same step replays them when states are formed.  The
-projected generator is then tridiagonal up to roundoff, and one ``eigh`` of
-its real tridiagonal part per basis length gives every state and error
-estimate in O(m) per time, with no matrix exponential.  Every state is a
-linear map of rho: nothing is Hermitized or renormalized, so trace and
-Hermiticity drift shows in the result.
+a sub-step or at a grid of times.  Every generator is self-adjoint in the
+Hilbert-Schmidt inner product, so one step, the Lanczos three-term
+recurrence, makes every vector, to at least ``KRYLOV_DIM`` and up to
+``LANCZOS_MAX`` until the next ``KRYLOV_DIM`` of the offsets its caller
+asks for pass (or every one, if fewer).  The first vectors, as many as
+``BASIS_BYTES`` holds, are kept; the same step replays the others when
+states are formed.  The projected generator is the Lanczos matrix T, real
+symmetric tridiagonal, and one ``eigh`` of it per basis length gives every
+state and error estimate in O(m) per time, with no matrix exponential.
+Every state is a linear map of rho: nothing is Hermitized or renormalized,
+so trace and Hermiticity drift shows in the result.
 
 Arrays are complex128, ``rho`` (n, n).  A banded operator is stored
 row-aligned: ``diags[i, s]`` = A[i, i + offsets[s]], 0 where i + offsets[s]
@@ -194,22 +192,20 @@ def rk4_chunk(rho, jumps, offsets, drift, ham, has_ham, h, nsteps):
 # stored is ``BASIS_BYTES``'s to set, not m's.
 KRYLOV_DIM = 16
 
-# most bytes of Arnoldi vectors one basis stores: min(KRYLOV_DIM,
-# max(1, BASIS_BYTES // (16 n^2))) vectors of n^2 complex numbers, all
-# KRYLOV_DIM up to n = 64, 4 at n = 121 and 1 from n = 256.  The vectors
-# past them come from the Lanczos step, in the build and again when a
+# most bytes of basis vectors one basis keeps: min(KRYLOV_DIM, max(1,
+# BASIS_BYTES // (16 n^2))) vectors of n^2 complex numbers, all KRYLOV_DIM
+# up to n = 64, 4 at n = 121 and 1 from n = 256.  Every vector comes from
+# the Lanczos step; the ones past the kept ones are made again by it when a
 # state is formed, so a basis of m vectors costs m + max(0, m - stored)
-# right-hand sides.  KRYLOV_DIM stored vectors would take 303 MB at
-# n = 1,089 and 4.6 GB at n = 4,225 (j1 = j2 = 32), more than any other
-# array of a run; under the budget a basis holds, beside the stored
-# vectors, the (3, n, n) workspace and two Lanczos vectors, 6 n^2 complex
-# numbers in all at large n (README tabulates KRYLOV_DIM stored against the
-# budget on the seed-0 adaptive benchmark model).  1 MiB leaves every n up
-# to 64, the shipped configs (n <= 25) among them, with all KRYLOV_DIM
-# stored and the arithmetic they had.  Past the stored vectors the basis
-# loses orthogonality, so one that closes there may not see its breakdown:
-# it costs right-hand sides, not accuracy (the recurrence stays accurate
-# for exp(tau L) rho, ``krylov_propagator``).
+# right-hand sides.  The budget sets only what is replayed: the vectors,
+# and so every acceptance decision, are the same bit for bit whatever it
+# keeps.  KRYLOV_DIM kept vectors would take 303 MB at n = 1,089 and
+# 4.6 GB at n = 4,225 (j1 = j2 = 32), more than any other array of a run;
+# under the budget a basis holds, beside the kept vectors, the (3, n, n)
+# workspace and two Lanczos vectors, 6 n^2 complex numbers in all at large
+# n (README tabulates KRYLOV_DIM kept against the budget on the seed-0
+# adaptive benchmark model).  1 MiB keeps all KRYLOV_DIM at every n up to
+# 64, the shipped configs (n <= 25) among them, so they replay none.
 BASIS_BYTES = 2**20
 
 # most vectors a Lanczos continuation (``krylov_propagator``) grows a
@@ -234,8 +230,12 @@ BASIS_BYTES = 2**20
 # nothing changes.
 LANCZOS_MAX = 128
 
-# h_{j+1,j} at or below this multiple of ||K||_F is roundoff: the basis has
-# closed and the projection is exact
+# a residual norm T[j+1, j] at or below this multiple of ||K||_F is
+# roundoff: the basis has closed and the projection is exact.  Lanczos
+# vectors lose orthogonality, so a basis whose Krylov space is invariant
+# may not fall this low and grows on instead: that costs right-hand sides,
+# not accuracy (the recurrence stays accurate for exp(tau L) rho,
+# ``krylov_propagator``)
 BREAKDOWN_TOL = 1e-14
 
 # largest ||K||_F a basis is built for.  A right-hand side of a unit vector
@@ -335,19 +335,17 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
     """A Krylov basis of vec(rho) and the states it gives; returns ``(passing, states)``.
 
     Builds a basis V of span{rho, L rho, ..., L^(m-1) rho}, m at least
-    ``KRYLOV_DIM``, one vector a step: L v_j less its projection, by
-    Gram-Schmidt applied twice against the vectors before it while v_j is
-    one of the first ``stored``, and by the Lanczos recurrence below after
-    that.  The generator is self-adjoint in the Hilbert-Schmidt
-    inner product <X, Y> = tr(X^dag Y) (its jumps are Hermitian,
-    ``generator.Generator``), so H = V^dag L V is Hermitian and
-    tridiagonal; its entries off the three diagonals are roundoff (below
-    1e-16 ||H||_2 on the benchmark models over Arnoldi vectors, about
-    3e-13 ||H||_2 once Lanczos vectors lose orthogonality) and are
-    dropped.  The small problem is T, the real symmetric tridiagonal part
-    of H, factored once as T = Q diag(lambda) Q^T by ``np.linalg.eigh``
+    ``KRYLOV_DIM``, one vector a step, by the Lanczos recurrence
+    beta_j v_{j+1} = L v_j - alpha_j v_j - beta_{j-1} v_{j-1}.  The
+    generator is self-adjoint in the Hilbert-Schmidt inner product
+    <X, Y> = tr(X^dag Y) (its jumps are Hermitian, ``generator.Generator``),
+    so the small problem is the Lanczos matrix T, real symmetric
+    tridiagonal with the alpha_j on its diagonal and the beta_j beside it,
+    factored once as T = Q diag(lambda) Q^T by ``np.linalg.eigh``
     (``small_problem``; Hochbruck and Lubich, SIAM J. Numer. Anal. 34
-    (1997) 1911).
+    (1997) 1911).  No vector is reorthogonalized: the recurrence stays
+    accurate for exp(tau L) rho as its vectors lose orthogonality (Druskin,
+    Greenbaum and Knizhnerman, SIAM J. Sci. Comput. 19 (1998) 38).
     The state at tau is beta V Q e^(tau lambda) Q^T e_1 ~ exp(tau L) rho, beta =
     ||rho||_F.  With h the norm of the residual L v_m - V T e_m and
     f(s) = e_m^T exp(s T) e_1 > 0, its error is at most
@@ -368,25 +366,23 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
     each.  ``states(offsets)`` gives their states as a (rows, n, n) array,
     as Expokit's ``expv`` gives a time grid from one basis (Sidje, ACM TOMS
     24 (1998) 130): O(m) arithmetic a row, and one (rows x m)(m x n^2)
-    product.  Past the stored vectors the basis grows by the Lanczos
-    recurrence beta_j v_{j+1} = L v_j - alpha_j v_j - beta_{j-1} v_{j-1},
-    accurate for exp(tau L) rho without reorthogonalization (Druskin,
-    Greenbaum and Knizhnerman, SIAM J. Sci. Comput. 19 (1998) 38), at one
-    right-hand side a vector: to ``KRYLOV_DIM`` vectors, and then, at one
-    m x m eigh more a vector, while fewer than min(len(taus),
-    ``KRYLOV_DIM``) of the offsets ``taus`` pass, up to ``LANCZOS_MAX``.
-    ``states`` replays the vectors past the stored ones by the build's own
-    step, from the last stored one, at m - stored right-hand sides a call.
+    product.  The basis grows at one right-hand side a vector: to
+    ``KRYLOV_DIM`` vectors, and then, at one m x m eigh more a vector,
+    while fewer than min(len(taus), ``KRYLOV_DIM``) of the offsets ``taus``
+    pass, up to ``LANCZOS_MAX``.  ``states`` replays the vectors past the
+    kept ones by the build's own step, from the last two kept ones, at
+    m - stored right-hand sides a call.
 
     Memory is that of the ``stored`` = min(``KRYLOV_DIM``, max(1,
-    ``BASIS_BYTES`` // (16 n^2))) vectors, two Lanczos vectors and one
-    (3, n, n) workspace, which every right-hand side writes into
+    ``BASIS_BYTES`` // (16 n^2))) kept vectors, two more Lanczos vectors
+    and one (3, n, n) workspace, which every right-hand side writes into
     (``lindblad_rhs``'s ``work``) and every step uses as scratch; no state
     aliases it, and a basis of at most ``stored`` vectors frees it once
     built.  When the basis closes early (an invariant subspace, e.g. a
-    stationary state) the projection is exact and the error is 0; rho = 0
-    spans nothing, its states are 0, every offset passes (``passing`` is
-    ``len``) and none takes a right-hand side.  A generator with ||K||_F
+    stationary state, whose residual falls to ``BREAKDOWN_TOL``) the
+    projection is exact and the error is 0; rho = 0 spans nothing, its
+    states are 0, every offset passes (``passing`` is ``len``) and none
+    takes a right-hand side.  A generator with ||K||_F
     above ``SCALE_MAX`` raises OverflowError.  Nothing is Hermitized or
     renormalized.
     """
@@ -407,7 +403,7 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
     basis = np.empty((stored, n * n), dtype=np.complex128)
     # every right-hand side writes into ``work`` and returns work[0], which
     # holds L v until it becomes the next vector; work[1] is also the
-    # Gram-Schmidt and Lanczos scratch
+    # recurrence's scratch
     work = np.empty((3, n, n), dtype=np.complex128)
     scratch = work[1].reshape(n * n)
     # T: alpha on its diagonal, sub[j] = T[j + 1, j] below it
@@ -416,21 +412,12 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
     np.divide(rho.reshape(n * n), beta, out=basis[0])
 
     def step(j, vec, prev):
-        # L v_j less its projection and alpha_j, for vec = v_j and prev =
-        # v_(j-1): a stored v_j is projected off v_0, ..., v_j, Gram-Schmidt
-        # applied twice (the projection's other coefficients are the
-        # roundoff off T), a later one by the three-term recurrence in
-        # Paige's order
+        # the Lanczos three-term recurrence in Paige's order, for vec = v_j
+        # and prev = v_(j-1): w = L v_j - sub[j - 1] v_(j-1) (no such term
+        # at j = 0), alpha_j = Re<v_j, w>, then w -= alpha_j v_j
         w = lindblad_rhs(vec.reshape(n, n), *args, work=work).reshape(n * n)
-        if j < stored:
-            diag = 0.0
-            for _ in range(2):
-                # V^dag w without conjugating (copying) the basis
-                c = (basis[: j + 1] @ np.conjugate(w, out=scratch)).conj()
-                w -= np.matmul(c, basis[: j + 1], out=scratch)
-                diag += c[j].real
-            return w, diag
-        w -= np.multiply(prev, sub[j - 1], out=scratch)
+        if j:
+            w -= np.multiply(prev, sub[j - 1], out=scratch)
         diag = np.vdot(vec, w).real
         w -= np.multiply(vec, diag, out=scratch)
         return w, diag
@@ -470,11 +457,12 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
 
     def states(offsets):
         # sum_i coeffs[:, i] v_i: the stored vectors in one product, then
-        # each later one replayed by the build's steps from the last stored one
+        # each later one replayed by the build's steps from the last two
+        # stored ones
         coeffs = coefficients(offsets)
         out = coeffs[:, :stored] @ basis[:m]
         if m > stored and len(out):
-            vec, prev = basis[-1], None
+            vec, prev = basis[-1], basis[-2] if stored > 1 else None
             for j in range(stored - 1, m - 1):
                 w, _ = step(j, vec, prev)
                 prev, vec = vec, advance(j, w, vec)

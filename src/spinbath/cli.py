@@ -35,6 +35,7 @@ from .config import (
     load_config,
 )
 from .diagnostics import (
+    _schmidt_values,
     certify_stationary,
     coupled_state_rate,
     entanglement_entropy,
@@ -362,8 +363,7 @@ def cmd_state(cfg: ScenarioConfig):
             extras.append(("variance_x_exact", variance_exact(total_jx, psi)))
         m_values, amplitudes = spec.m_values(), spec.coeffs
     elif len(dims) == 2:
-        svals = np.linalg.svd(psi.reshape(dims), compute_uv=False)
-        rows = [{"k": k, "schmidt_value": float(s)} for k, s in enumerate(svals)]
+        rows = [{"k": k, "schmidt_value": float(s)} for k, s in enumerate(_schmidt_values(psi, dims))]
         return ["k", "schmidt_value"], rows, extras, None, EXIT_OK
     else:
         m_values, amplitudes = SpinQuantum.of(cfg.j1).m_values(), psi

@@ -221,8 +221,6 @@ def _parse_evolution(doc, where: str) -> EvolutionConfig:
     step = _number(doc["step"], f"{where}.step") if doc.get("step") is not None else None
     tol = _number(doc["tol"], f"{where}.tol") if doc.get("tol") is not None else None
     stride = doc.get("stride", 1)
-    if isinstance(stride, bool) or not isinstance(stride, int):
-        _fail(where, f"stride must be an integer, got {stride!r}")
     snapshots = doc.get("snapshots", False)
     if not isinstance(snapshots, bool):
         _fail(where, "snapshots must be a boolean")

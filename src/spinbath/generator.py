@@ -473,8 +473,9 @@ def _check_evolution(t_final, step, tol, stride) -> None:
     """Raise ValueError unless ``evolve``'s t_final, step, tol and stride are valid."""
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ValueError("t_final must be finite and non-negative")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    # an integer, so every row lies on the step grid; bool is not a count
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     if step is not None and tol is not None:
         raise ValueError("step and tol are exclusive")
     if step is not None and not (math.isfinite(step) and step > 0.0):
@@ -540,7 +541,7 @@ def evolve(
         Local error per unit time; selects adaptive Krylov steps.
     stride : int
         Record every stride-th step, or sub-step in adaptive mode (t = 0
-        and t_final always).
+        and t_final always); an integer >= 1.
     consumer : callable, optional
         Called as ``consumer(t, state, s_lin)`` once a row, in time order.
         A basis's rows are handed over only once the basis is freed, the
@@ -560,7 +561,9 @@ def evolve(
     ------
     ValueError
         When ``t_final``, ``step`` or ``tol`` is not finite or out of range,
-        both ``step`` and ``tol`` are given, or ``stride`` < 1.
+        both ``step`` and ``tol`` are given, ``stride`` is not an integer
+        (a numpy integer is one, a bool is not) of at least 1, or ``rho0``
+        is not a square matrix of the generator's size with finite entries.
     IntegrationAbortError
         Before any right-hand side (``t_last`` = 0) when a fixed grid needs
         more than ``MAX_STEPS`` steps, or would keep (no consumer) rows x
@@ -576,6 +579,8 @@ def evolve(
     # the one copy, so no state aliases rho0 and a temporary rho0 is freed
     rho = _as_matrix(rho0, gen.dim).copy()
     del rho0
+    if not np.isfinite(rho).all():
+        raise ValueError("rho0 must be finite")
     norm0 = float(np.linalg.norm(rho))
     norm_cap = 10.0 * max(norm0, 1e-300)
 

@@ -7,7 +7,8 @@ SCENARIO is ``adaptive`` or ``fixed``: perfbench's ``adaptive_scenario`` or
 updates that block of the scenario, any other value replaces it.  The
 scenario goes to DIR/NAME.json and the ``simulate`` table to DIR/NAME.csv,
 which the benchmark's own ``TrajectoryCheck`` checks against its reference.
-Prints the row, step and refused counts and the largest error; exits
+Prints the row, step and refused counts, the right-hand sides (calls of
+``_kernels.lindblad_rhs``, counted in process) and the largest error; exits
 non-zero when the run or the check fails.  Not a test module: pytest does
 not collect it.
 """
@@ -21,6 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from checks import TrajectoryCheck, read_table  # noqa: E402
 from workloads import adaptive_scenario, fixed_scenario  # noqa: E402
 
+from spinbath import _kernels  # noqa: E402
 from spinbath.cli import main  # noqa: E402
 
 SCENARIOS = {"adaptive": adaptive_scenario, "fixed": fixed_scenario}
@@ -35,13 +37,19 @@ def run(directory: str, name: str, kind: str, seed: str, overrides: str = "{}") 
             scenario[key] = value
     config, table = Path(directory, name + ".json"), Path(directory, name + ".csv")
     config.write_text(json.dumps(scenario), encoding="utf-8")
-    code = main(["simulate", "--config", str(config), "--out", str(table)])
+    calls = []
+    rhs = _kernels.lindblad_rhs
+    _kernels.lindblad_rhs = lambda *args, **kwargs: calls.append(1) or rhs(*args, **kwargs)
+    try:
+        code = main(["simulate", "--config", str(config), "--out", str(table)])
+    finally:
+        _kernels.lindblad_rhs = rhs
     if code != 0:
         sys.exit(f"simulate exited {code}")
     header, rows = read_table(table)
     worst = TrajectoryCheck()(scenario, header, rows)
     print(f"{len(rows)} rows, {header['accepted_steps']} steps, "
-          f"{header['rejected_steps']} refused, largest error {worst:.2e}")
+          f"{header['rejected_steps']} refused, {len(calls)} right-hand sides, largest error {worst:.2e}")
 
 
 if __name__ == "__main__":

@@ -230,6 +230,12 @@ class TestParseEvolution:
         with pytest.raises(ConfigError):
             parse_config(base_doc(evolution={"t_final": float("inf")}))
 
+    @pytest.mark.parametrize("stride", [2.5, 2.0, True, "2", 0])
+    def test_stride_follows_the_library_rule(self, stride):
+        # the library's ValueError, mapped as for the other evolution fields
+        with pytest.raises(ConfigError, match=r"evolution: stride must be an integer >= 1, got "):
+            parse_config(base_doc(evolution={"t_final": 1.0, "stride": stride}))
+
     def test_step_and_tol_are_exclusive(self):
         # adaptive mode has no grid step, so a step beside tol would do nothing
         with pytest.raises(ConfigError, match="evolution: step and tol are exclusive"):

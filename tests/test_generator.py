@@ -506,6 +506,34 @@ class TestEvolveFixedStep:
         with pytest.raises(ValueError, match="must be finite"):
             evolve(dephasing_generator(), plus_x_density(), t_final, **kwargs)
 
+    @pytest.mark.parametrize("mode", [{"step": 0.1}, {"tol": 1e-10}], ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_initial_state_refused_before_any_rhs(self, monkeypatch, mode, bad):
+        # refused before any right-hand side: one non-finite entry of rho0
+        # (n = 25) would fill a basis with NaN and end in numpy's
+        # LinAlgError
+        calls = []
+        rhs = _kernels.lindblad_rhs
+        monkeypatch.setattr(_kernels, "lindblad_rhs", lambda *a, **k: calls.append(1) or rhs(*a, **k))
+        gen = build_generator(CommonBath(gamma=np.eye(3), lam=1.3, axes=("x", "y", "z")), 2, 2)
+        rho0 = random_density(np.random.default_rng(3), gen.dim)
+        rho0[4, 7] = bad
+        with pytest.raises(ValueError, match="rho0 must be finite"):
+            evolve(gen, rho0, 1.0, **mode)
+        assert calls == []
+
+    @pytest.mark.parametrize("stride", [2.5, 2.0, True, "2", None, 0, -1, np.int64(0)])
+    def test_stride_must_be_an_integer_of_at_least_one(self, stride):
+        # a fractional stride would put rows at 0.25, 0.5 and 0.75, off the
+        # step grid of 0.1
+        with pytest.raises(ValueError, match="stride must be an integer >= 1"):
+            evolve(dephasing_generator(), plus_x_density(), 1.0, step=0.1, stride=stride)
+
+    @pytest.mark.parametrize("stride", [3, np.int64(3), np.int32(3)])
+    def test_numpy_integer_stride_is_a_stride(self, stride):
+        traj = evolve(dephasing_generator(), plus_x_density(), 1.0, step=0.1, stride=stride)
+        assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=0.0, atol=1e-15)
+
     @pytest.mark.parametrize("step", [0.1, 1.0, math.nan])
     def test_step_and_tol_are_exclusive(self, step):
         # adaptive mode has no grid step, so a step beside tol would be

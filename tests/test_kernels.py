@@ -197,7 +197,7 @@ def _krylov_dim_bases(monkeypatch):
 
 
 def _stored(n):
-    # the Arnoldi vectors a basis of n x n states stores under BASIS_BYTES
+    # the vectors a basis of n x n states keeps under BASIS_BYTES
     return min(_kernels.KRYLOV_DIM, max(1, _kernels.BASIS_BYTES // (16 * n * n)))
 
 
@@ -928,24 +928,28 @@ def test_consumer_gets_the_one_row_of_a_zero_horizon():
     assert t == 0.0 and np.array_equal(state, rho0) and s_lin == traj.s_lin[0]
 
 
-def test_closure_past_the_stored_vectors_costs_right_hand_sides(monkeypatch):
+def test_fixed_benchmark_basis_replays_only_what_it_does_not_keep(monkeypatch):
     # the seed-0 fixed benchmark run (n = 9, steps of 1e-3 to t = 20, a row
-    # every 200): its one basis closes at 11 vectors when all are stored,
-    # exact and with no vector to regenerate, 11 right-hand sides.  With 4
-    # stored, the Lanczos vectors past them lose orthogonality and the
-    # residual never falls to BREAKDOWN_TOL, so the basis grows to
-    # KRYLOV_DIM, passes there and regenerates 12 vectors for its rows:
-    # 16 + 12 right-hand sides.  A lost closure costs right-hand sides, not
-    # accuracy: the rows moved by at most 1.7e-14 in Frobenius norm (6e-15
-    # entrywise) when this was written.  Bound as in
-    # test_fewer_stored_vectors_keep_every_step
+    # every 200) takes one basis of KRYLOV_DIM vectors.  Its Krylov space is
+    # invariant at 11 vectors, but the Lanczos vectors lose orthogonality
+    # before the residual falls to BREAKDOWN_TOL, so the basis grows on: a
+    # lost closure costs right-hand sides, not accuracy.  With every vector
+    # kept it takes 16 right-hand sides and replays none; with 4 kept it
+    # replays the other 12 for its rows, 16 + 12.  Bounds fixed before
+    # running: every row within _grid_bound(GRID_TOL) of the other run's
+    # and of the exact state (``oracles.independent_exact``)
     gen, rho0 = _benchmark_case("fixed")
+    cfg = parse_config(_workloads().fixed_scenario(0))
+    exact = independent_exact(cfg.j1, cfg.j2, cfg.model.gamma1, cfg.model.gamma2)
     calls = _counted_rhs(monkeypatch)
+    bases = _recorded_bases(monkeypatch, calls)
+    dim = _kernels.KRYLOV_DIM
     runs = []
-    for count, cost in ((_kernels.KRYLOV_DIM, 11), (4, 28)):
+    for count, cost in ((dim, dim), (4, dim + dim - 4)):
         _store(monkeypatch, gen.dim, count)
-        del calls[:]
+        del calls[:], bases[:]
         runs.append(evolve(gen, rho0, 20.0, step=1e-3, stride=200))
+        assert [rec["vectors"] for rec in bases] == [dim]
         assert len(calls) == cost
     full, fewer = runs
     assert len(full.times) == 101
@@ -953,6 +957,8 @@ def test_closure_past_the_stored_vectors_costs_right_hand_sides(monkeypatch):
     assert (fewer.accepted, fewer.rejected) == (full.accepted, full.rejected)
     for t, a, b in zip(full.times, full.states, fewer.states):
         assert np.linalg.norm(b - a) <= _grid_bound(GRID_TOL, t, rho0)
+        assert np.linalg.norm(a - exact(rho0, t)) <= _grid_bound(GRID_TOL, t, rho0)
+        assert np.linalg.norm(b - exact(rho0, t)) <= _grid_bound(GRID_TOL, t, rho0)
 
 
 # exact oracle for independent baths (``oracles.independent_exact``): the
@@ -1218,7 +1224,8 @@ def _recorded_build(monkeypatch, gen, rho0, taus=(), tol=0.0):
     applied to, as rows of V (n^2 columns), their images L V, the matrix
     the last eigh factored (the small problem, lower triangle), and the
     last ``small_problem`` it returned, ``(errors, trusted, coefficients)``.
-    By default the basis is given no offset, so it is the stored prefix."""
+    By default the basis is given no offset, so it stops at KRYLOV_DIM
+    vectors."""
     vectors, images, factored, problems = [], [], [], []
     rhs, eigh, small_problem = _kernels.lindblad_rhs, np.linalg.eigh, _kernels.small_problem
 
@@ -1248,27 +1255,6 @@ def _recorded_build(monkeypatch, gen, rho0, taus=(), tol=0.0):
 BENCHMARK_MODELS = ["adaptive", "fixed", "sweep", "dfs"]
 
 
-@pytest.mark.parametrize("name", BENCHMARK_MODELS)
-def test_stored_prefix_is_tridiagonal(monkeypatch, name):
-    # the small problem keeps only the tridiagonal part of H = V^dag L V
-    # for an Arnoldi prefix; L is self-adjoint, so the rest is roundoff.
-    # The budget is raised to store all KRYLOV_DIM vectors: the default
-    # stores fewer from n = 81 on, and the Lanczos vectors past them keep
-    # orthogonality only to about 1e-11 (3e-13 ||H||_2 off the three
-    # diagonals at n = 121 with 4 stored), which the recurrence tolerates
-    # (test_fewer_stored_vectors_keep_every_step).  Bound fixed before
-    # running: every entry off the three diagonals within 1e-14 ||H||_2
-    # (measured below 1e-16 ||H||_2 on these bases)
-    gen, rho0 = _benchmark_case(name)
-    _store(monkeypatch, gen.dim, _kernels.KRYLOV_DIM)
-    _, vectors, images, _, _ = _recorded_build(monkeypatch, gen, rho0)
-    h = vectors.conj() @ images.T
-    m = len(h)
-    assert m == (11 if name == "fixed" else _kernels.KRYLOV_DIM)
-    far = np.abs(np.subtract.outer(np.arange(m), np.arange(m))) >= 2
-    assert np.abs(h[far]).max() <= 1e-14 * np.linalg.norm(h, 2)
-
-
 def _offsets(norm):
     # offsets across the trusted range tau ||T||_2 <= EXPM_NORM_MAX
     return np.array([1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e2, 1e3, 1e5, 1e7,
@@ -1280,17 +1266,18 @@ def test_small_problem_matches_expm(monkeypatch, name):
     # the error estimate (the basis's last ``small_problem``) and the
     # states' coefficients against scipy's expm of the same small problem
     # T (the matrix eigh factored), at offsets across the trusted range and
-    # none past it.  Reference: error_ref as in
-    # ``_error_reference``, h the norm of L v_m less its projection (on
-    # every v_i for the stored prefix; on v_m and v_(m-1), by the
-    # recurrence, for a continued basis), and the state beta V exp(tau T)
-    # e_1, V the vectors the build applied L to.  A basis that closed
-    # (the fixed model, at 11 vectors) is exact: its error is 0.  Bounds
-    # fixed before running: both within 1e-13 beta (1 + tau ||T||_2), the
-    # error scaled by h (1 + tau), covering the rounding of the eigen-sums
-    # and of e^(tau lambda), whose eigenvalues carry about u ||T||_2 each,
-    # and the integral's scale beta h tau.  A continued basis is given an
-    # offset no estimate passes (tol 0), so it grows to LANCZOS_MAX
+    # none past it.  Reference: error_ref as in ``_error_reference``, h
+    # the norm of L v_m less its projection on v_m and v_(m-1) by the
+    # recurrence, and the state beta V exp(tau T) e_1, V the vectors the
+    # build applied L to.  No basis here closes: the fixed model's Krylov
+    # space is invariant at 11 vectors, but its Lanczos vectors lose
+    # orthogonality first, so it grows to KRYLOV_DIM like the others.
+    # Bounds fixed before running: both within 1e-13 beta (1 + tau
+    # ||T||_2), the error scaled by h (1 + tau), covering the rounding of
+    # the eigen-sums and of e^(tau lambda), whose eigenvalues carry about
+    # u ||T||_2 each, and the integral's scale beta h tau.  A continued
+    # basis is given an offset no estimate passes (tol 0), so it grows to
+    # LANCZOS_MAX
     gen, rho0 = _benchmark_case(name.split("-")[0])
     continued = name.endswith("continued")
     (passing, states), vectors, images, small, problem = _recorded_build(
@@ -1300,14 +1287,9 @@ def test_small_problem_matches_expm(monkeypatch, name):
     m = len(small)
     beta = np.linalg.norm(rho0)
     norm = np.abs(np.linalg.eigvalsh(small)).max()
-    if continued:
-        assert m == _kernels.LANCZOS_MAX
-        resid = images[-1] - small[-1, -1] * vectors[-1] - small[-1, -2] * vectors[-2]
-    else:
-        resid = images[-1] - vectors.T @ (vectors.conj() @ images[-1])
+    assert m == (_kernels.LANCZOS_MAX if continued else _kernels.KRYLOV_DIM)
+    resid = images[-1] - small[-1, -1] * vectors[-1] - small[-1, -2] * vectors[-2]
     h = np.linalg.norm(resid)
-    closed = m < _kernels.KRYLOV_DIM
-    assert closed == (name == "fixed")
     taus = _offsets(norm)
     past = 1.001 * _kernels.EXPM_NORM_MAX / norm
     offsets = np.append(taus, past)
@@ -1317,7 +1299,7 @@ def test_small_problem_matches_expm(monkeypatch, name):
     assert not _passes(passing, past)
     assert _kernels._passing(problem, offsets, math.inf) == len(taus)
     # the same basis again, at an infinite tol: given the trusted offsets,
-    # the stored prefix passes them all; a continued basis is also given
+    # a KRYLOV_DIM basis passes them all; a continued basis is also given
     # the one past the range, which keeps it growing to LANCZOS_MAX, and
     # its rows stop before that one
     given = offsets if continued else taus
@@ -1327,10 +1309,7 @@ def test_small_problem_matches_expm(monkeypatch, name):
     for tau, row, error in zip(taus, rows, errors(taus)):
         exact = scipy.linalg.expm(tau * small)
         bound = 1e-13 * beta * (1.0 + tau * norm)
-        if closed:
-            assert error == 0.0
-        else:
-            assert abs(error - _error_reference(small, beta, h, tau)) <= h * bound * (1.0 + tau)
+        assert abs(error - _error_reference(small, beta, h, tau)) <= h * bound * (1.0 + tau)
         want = beta * (exact[:, 0] @ vectors)
         assert np.linalg.norm(row.reshape(-1) - want) <= bound
     tau = taus[4]
@@ -1344,7 +1323,7 @@ def test_short_offsets_pass(monkeypatch, name):
     # (m-1)!, while the eigen-sum that evaluates it cancels only to about
     # u.  So the estimate at 0 is 0 and every offset from 1e-12 / ||T|| to
     # 1e-2 / ||T|| passes the fixed-grid test GRID_TOL tau max(1, beta) on
-    # the stored prefix, in its estimate, and in ``passing`` of one offset and of them all
+    # a KRYLOV_DIM basis, in its estimate, and in ``passing`` of one offset and of them all
     gen, rho0 = _benchmark_case(name)
     (passing, _), _, _, small, (errors, _, _) = _recorded_build(monkeypatch, gen, rho0, tol=GRID_TOL)
     norm = np.abs(np.linalg.eigvalsh(small)).max()
