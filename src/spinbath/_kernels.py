@@ -203,9 +203,9 @@ KRYLOV_DIM = 16
 # 4.6 GB at n = 4,225 (j1 = j2 = 32), more than any other array of a run;
 # under the budget a basis holds, beside the kept vectors, the (3, n, n)
 # workspace and two Lanczos vectors, 6 n^2 complex numbers in all at large
-# n (README tabulates KRYLOV_DIM kept against the budget on the seed-0
-# adaptive benchmark model).  1 MiB keeps all KRYLOV_DIM at every n up to
-# 64, the shipped configs (n <= 25) among them, so they replay none.
+# n (README's cost model, "A Krylov basis").  1 MiB keeps all KRYLOV_DIM at
+# every n up to 64, the shipped configs (n <= 25) among them, so they
+# replay none.
 BASIS_BYTES = 2**20
 
 # most vectors a Lanczos continuation (``krylov_propagator``) grows a

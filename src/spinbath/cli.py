@@ -281,7 +281,8 @@ def cmd_simulate(cfg: ScenarioConfig, fmt: str):
                 }
             )
         if snapshots is not None:
-            snapshots.append({"t": t, "re": mat.real.tolist(), "im": mat.imag.tolist()})
+            # arrays, not lists: the writer converts each when it reaches it
+            snapshots.append({"t": t, "re": mat.real, "im": mat.imag})
 
     # an overflowing model is reported by the integrator's checks (exit 4),
     # not by numpy's RuntimeWarnings
@@ -312,11 +313,14 @@ def _dfs_candidates(cfg: ScenarioConfig):
     return [psi], [label]
 
 
-class _Rows:
+class _Rows(list):
     """A table's ``count`` rows, each made by ``make()``'s iterator only when
-    the writer reaches it: sized, and never held together."""
+    the writer reaches it: sized, and never held together.  A list, so that
+    ``json.dump`` encodes it as an array; that relies on ``indent``: the C
+    encoder, used only without one, reads a list's own (empty) storage."""
 
     def __init__(self, count: int, make) -> None:
+        super().__init__()
         self._count, self._make = count, make
 
     def __len__(self) -> int:
@@ -418,11 +422,11 @@ def write_table(handle, fmt, command, cfg, seed, columns, rows, extras, snapshot
         "seed": seed,
         "meta": {key: _jsonable(value) for key, value in extras},
         "columns": list(columns),
-        "rows": [[_jsonable(row.get(col)) for col in columns] for row in rows],
+        "rows": _Rows(len(rows), lambda: ([_jsonable(row.get(col)) for col in columns] for row in rows)),
     }
     if snapshots is not None:
         doc["snapshots"] = snapshots
-    json.dump(doc, handle, indent=2)
+    json.dump(doc, handle, indent=2, default=np.ndarray.tolist)
     handle.write("\n")
 
 

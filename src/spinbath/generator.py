@@ -415,9 +415,9 @@ CGROUP_MEMORY = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limi
 
 
 def _memory_limit() -> tuple[float, str]:
-    """``(bytes, what)``: the least of the machine's physical memory, the soft
-    address-space limit when finite and the cgroup's memory limit when its
-    file can be read, and what sets it; inf where none says."""
+    """``(bytes, what)``: the least of the machine's physical memory, what the
+    soft address-space limit leaves when finite and the cgroup's memory limit
+    when its file can be read, and what sets it; inf where none says."""
     limits = [(math.inf, "no limit")]
     with contextlib.suppress(AttributeError, ValueError, OSError):
         limits.append((os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), "the machine's physical memory"))
@@ -426,7 +426,11 @@ def _memory_limit() -> tuple[float, str]:
 
         soft = resource.getrlimit(resource.RLIMIT_AS)[0]
         if soft != resource.RLIM_INFINITY:
-            limits.append((soft, "the address-space limit (RLIMIT_AS)"))
+            # less the address space already mapped (statm's first field, in
+            # pages); the whole limit where that cannot be read
+            with contextlib.suppress(OSError, ValueError), open("/proc/self/statm", encoding="ascii") as f:
+                soft -= int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+            limits.append((soft, "what is left of the address-space limit (RLIMIT_AS)"))
     for path in CGROUP_MEMORY:
         with contextlib.suppress(OSError, ValueError), open(path, encoding="ascii") as f:
             text = f.read().strip()

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinbath.cli import main
+from spinbath.cli import cmd_simulate, main
+from spinbath.config import load_config
 from spinbath.diagnostics import RateReport
 from spinbath.generator import _memory_limit
 
@@ -828,6 +829,34 @@ class TestSimulateCommand:
         im = np.array(first["im"])
         assert re.shape == (2, 2)
         np.testing.assert_allclose(re + 1j * im, np.full((2, 2), 0.5), atol=1e-12)
+        # re-encoding the parsed document gives the written bytes: the
+        # arrays are written as the float lists they convert to
+        assert json.dumps(out, indent=2) + "\n" == text
+
+    def test_snapshots_are_kept_as_arrays(self, tmp_path):
+        # j1 = j2 = 4 (n = 81), fixed mode's default grid of 101 rows, every
+        # state a snapshot.  The traced peak of the run stays below the 101
+        # states (16 n^2 bytes each), a basis's KRYLOV_DIM kept vectors, its
+        # (3, n, n) workspace and two Lanczos vectors, the initial state, its
+        # copy and the next basis's start, and 1 MiB of slack for the rows'
+        # cells.  Bound fixed before the first run; as Python float lists
+        # the snapshots alone take about 42 MB here.  The writer, which
+        # converts one array at a time, is left out: json's encoder takes
+        # 1.4 s on these 1.3 million floats, and 9 s traced
+        doc = {"model": {"kind": "common", "axes": ["x", "y", "z"],
+                         "gamma": {"xx": 1.0, "yy": 0.5, "zz": 0.25}, "lambda": 1.4},
+               "ensembles": {"j1": 4, "j2": 4}, "state": {"kind": "uniform"},
+               "evolution": {"t_final": 0.5, "snapshots": True}}
+        cfg = load_config(str(write_cfg(tmp_path, doc)))
+        vector = 16 * 81**2
+        tracemalloc.start()
+        try:
+            _, rows, _, snapshots, _ = cmd_simulate(cfg, "json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(snapshots) == 101
+        assert peak <= (101 + 16 + 3 + 2 + 3) * vector + 2**20
 
     def test_row_cells_keep_the_callers_warnings(self, tmp_path, monkeypatch):
         # the integration runs with numpy's overflow warnings off, and the
@@ -938,6 +967,33 @@ class TestDfsCommand:
         comments, _, rows = parse_csv(out.read_text(encoding="utf-8"))
         assert len(rows) == count + pairs
         assert comments["certified"] == "false"
+
+    def test_json_rows_are_written_as_they_are_made(self, tmp_path):
+        # j1 = j2 = 6: N = 169 Fock candidates of n = 169 and 14,196 pair
+        # rows in --format json.  The traced peak of main stays within the
+        # bound the CSV table keeps above (pair residuals, candidate vectors,
+        # R factors and 1 MiB of slack).  Bound fixed before the first run;
+        # with the rows held as lists the run peaks at about 3.2 MB here
+        doc = {"model": {"kind": "common", "axes": ["z"], "gamma": {"zz": 1.0}, "lambda": 1.0},
+               "ensembles": {"j1": 6, "j2": 6},
+               "dfs": {"candidates": "fock_basis", "subspace": True}}
+        cfg, out = write_cfg(tmp_path, doc), tmp_path / "out.json"
+        count = dim = 13 * 13
+        pairs = count * (count - 1) // 2
+        tracemalloc.start()
+        try:
+            code = main(["dfs", "--config", str(cfg), "--out", str(out), "--format", "json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 8 * pairs + 16 * count * dim + 3 * count * 3**2 * 16 + 2**20
+        text = out.read_text(encoding="utf-8")
+        written = json.loads(text)
+        assert len(written["rows"]) == count + pairs
+        assert written["meta"]["certified"] is False
+        # the writer's bytes are json's own for the document it wrote
+        assert json.dumps(written, indent=2) + "\n" == text
 
     def test_transverse_damping_breaks_certification(self, tmp_path):
         doc = z_pair_doc(dfs={"candidates": "fock_basis"})

@@ -741,9 +741,10 @@ class TestBuildGenerator:
 
 # a child whose soft address-space limit is 1,000,000 KiB, as a shell's
 # ``ulimit -v 1000000`` sets it, keeps n = 81 (j1 = j2 = 4) on a grid of
-# 12,000 steps of 1e-3: 12,001 rows of 16 n^2 bytes, 1.26 GB
+# steps of 1e-3 to t_final (its argument): t_final / 1e-3 + 1 rows of
+# 16 n^2 bytes, the t = 0 row among them
 ADDRESS_SPACE_CHILD = """
-import json, resource
+import json, resource, sys
 import numpy as np
 from spinbath import _kernels, generator
 from spinbath.generator import CommonBath, IntegrationAbortError, build_generator, evolve
@@ -753,29 +754,48 @@ calls, rhs = [], _kernels.lindblad_rhs
 _kernels.lindblad_rhs = lambda *a, **k: calls.append(1) or rhs(*a, **k)
 gen = build_generator(CommonBath(gamma=np.diag([1.0, 0.5, 0.25]), lam=1.4, axes=("x", "y", "z")), 4, 4)
 try:
-    evolve(gen, np.eye(gen.dim) / gen.dim, 12.0, step=1e-3)
+    evolve(gen, np.eye(gen.dim) / gen.dim, float(sys.argv[1]), step=1e-3)
 except IntegrationAbortError as exc:
     print(json.dumps({"limit": limit, "what": what, "message": str(exc), "t_last": exc.t_last,
                       "calls": len(calls)}))
 """
 
 
+def _address_space_child(t_final: float) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", ADDRESS_SPACE_CHILD, str(t_final)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout, done.stderr
+    got = json.loads(done.stdout)
+    # the limit read at the child's start: the process maps more by the refusal
+    refused = re.search(r"more than the (\S+) bytes of (.+); pass a consumer", got["message"])
+    assert refused and refused[2] == got["what"], got["message"]
+    assert float(refused[1]) <= got["limit"]
+    assert (got["t_last"], got["calls"]) == (0.0, 0)
+    return got
+
+
 class TestMemoryLimit:
     def test_kept_grid_past_the_address_space_limit_is_refused(self):
-        # refused before any right-hand side, with t_last = 0, naming the
-        # limit it hit: the address-space limit, unless a cgroup allows
-        # less.  Read from the physical memory alone, the limit let numpy
-        # raise MemoryError on the rows instead.  About 0.5 s
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", ADDRESS_SPACE_CHILD], env=env, capture_output=True,
-                              text=True, timeout=60)
-        assert done.returncode == 0 and done.stdout, done.stderr
-        got = json.loads(done.stdout)
+        # 12,001 rows, 1.26 GB: refused before any right-hand side, with
+        # t_last = 0, naming the limit it hit: the address-space limit,
+        # unless a cgroup allows less.  Read from the physical memory alone,
+        # the limit let numpy raise MemoryError on the rows instead.  About
+        # 0.5 s
+        got = _address_space_child(12.0)
         assert got["limit"] <= 1_024_000_000
-        assert got["what"] == "the address-space limit (RLIMIT_AS)" or got["limit"] < 1_024_000_000
-        assert f"more than the {got['limit']:.3g} bytes of {got['what']}" in got["message"]
-        assert (got["t_last"], got["calls"]) == (0.0, 0)
+        assert got["what"] == "what is left of the address-space limit (RLIMIT_AS)" or got["limit"] < 1_024_000_000
+
+    def test_kept_grid_past_what_the_address_space_has_left_is_refused(self):
+        # 9,001 rows, 0.945 GB, fit the whole limit but not what the
+        # process has left of it once it maps numpy: compared with the whole
+        # limit they passed, and numpy raised MemoryError on the rows.  About
+        # 0.5 s
+        assert 16 * 81**2 * 9_001 < 1_024_000_000
+        got = _address_space_child(9.0)
+        assert got["limit"] < 16 * 81**2 * 9_001
+        assert "address-space limit (RLIMIT_AS)" in got["what"] or "cgroup" in got["what"]
 
     @pytest.mark.parametrize("v2,v1,want", [
         ("8192\n", "4096", (8192, 0)),

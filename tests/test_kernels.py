@@ -961,9 +961,11 @@ def test_fixed_benchmark_basis_replays_only_what_it_does_not_keep(monkeypatch):
         assert np.linalg.norm(b - exact(rho0, t)) <= _grid_bound(GRID_TOL, t, rho0)
 
 
-# exact oracle for independent baths (``oracles.independent_exact``): the
-# seed-0 fixed benchmark's damping matrices GAMMA_A and GAMMA_B at n up to
-# 169, j1 != j2, one ensemble and an undamped second one
+# exact oracle for independent baths (``oracles.independent_exact``) at n
+# up to 169, j1 != j2, one ensemble and an undamped second one.  The first
+# bath takes GAMMA_A, the seed-0 fixed benchmark's gamma1; the second takes
+# GAMMA_B, that scenario's gamma2 diag(0.5, 0.75, 0.5) with an xz entry of
+# -0.15, so that correlated damping is covered in the second bath too
 INDEPENDENT_CASES = [
     (6, 6, GAMMA_B),
     (2, 3, GAMMA_B),
