@@ -4,119 +4,19 @@ Builds Markovian generators for spin ensembles damped by independent or
 common baths, integrates the master equation, and evaluates the entropy
 rates, variances, and stationary-subspace certificates that characterize
 how entangled ensemble states decohere.
+
+The package's names are its modules' ``__all__``, each declared once, in
+the module that defines it.
 """
 
-from .config import (
-    ConfigError,
-    ScenarioConfig,
-    config_digest,
-    config_to_dict,
-    load_config,
-    parse_config,
-)
-from .diagnostics import (
-    RateReport,
-    StationaryReport,
-    certify_stationary,
-    coupled_state_rate,
-    entanglement_entropy,
-    entropy_rate_analytic,
-    entropy_rate_estimate,
-    linear_entropy,
-    pairing_residual,
-    pure_fidelity,
-    schmidt_number,
-    variance_exact,
-    variance_x_approx,
-    von_neumann_entropy,
-)
-from .generator import (
-    CommonBath,
-    FactoredOperator,
-    Generator,
-    IndependentBath,
-    IntegrationAbortError,
-    NonSymmetricError,
-    NotPositiveSemidefiniteError,
-    Trajectory,
-    apply_generator,
-    build_generator,
-    canonical_jumps,
-    coupling_factors,
-    evolve,
-    rank_one_factors,
-    validate_damping,
-)
-from .spin_algebra import (
-    CoupledLevel,
-    SpinQuantum,
-    angular_momentum_ops,
-    clebsch_gordan,
-    composite_coupling_ops,
-    coupled_basis_state,
-    embed,
-)
-from .states import (
-    EntangledStateSpec,
-    coefficient_profile,
-    coherent_x,
-    density_from_pure,
-    entangled_state,
-    fock_state,
-    partial_trace,
-)
+from . import config, diagnostics, generator, spin_algebra, states
+from .config import *
+from .diagnostics import *
+from .generator import *
+from .spin_algebra import *
+from .states import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "SpinQuantum",
-    "CoupledLevel",
-    "angular_momentum_ops",
-    "embed",
-    "composite_coupling_ops",
-    "clebsch_gordan",
-    "coupled_basis_state",
-    "EntangledStateSpec",
-    "fock_state",
-    "coherent_x",
-    "coefficient_profile",
-    "entangled_state",
-    "density_from_pure",
-    "partial_trace",
-    "IndependentBath",
-    "CommonBath",
-    "FactoredOperator",
-    "Generator",
-    "Trajectory",
-    "NonSymmetricError",
-    "NotPositiveSemidefiniteError",
-    "IntegrationAbortError",
-    "validate_damping",
-    "canonical_jumps",
-    "coupling_factors",
-    "build_generator",
-    "apply_generator",
-    "rank_one_factors",
-    "evolve",
-    "RateReport",
-    "StationaryReport",
-    "linear_entropy",
-    "pure_fidelity",
-    "entropy_rate_analytic",
-    "entropy_rate_estimate",
-    "von_neumann_entropy",
-    "entanglement_entropy",
-    "variance_exact",
-    "variance_x_approx",
-    "pairing_residual",
-    "schmidt_number",
-    "coupled_state_rate",
-    "certify_stationary",
-    "ConfigError",
-    "ScenarioConfig",
-    "parse_config",
-    "load_config",
-    "config_to_dict",
-    "config_digest",
-]
+__all__ = ["__version__", *spin_algebra.__all__, *states.__all__, *generator.__all__,
+           *diagnostics.__all__, *config.__all__]

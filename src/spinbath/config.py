@@ -150,11 +150,11 @@ class StateConfig(NamedTuple):
     kind: str
     width: float | None = None
     coeffs: tuple | None = None
-    auto_normalize: bool = False
+    auto_normalize: bool | None = None
     m1: float | None = None
     m2: float | None = None
     L: float | None = None
-    M: float = 0.0
+    M: float | None = None
 
 
 def _parse_coeff(raw, where: str) -> complex:
@@ -405,7 +405,10 @@ def _gamma_dict(mat) -> dict:
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    """Canonical plain-dict form; parse_config(config_to_dict(c)) round-trips."""
+    """Canonical plain-dict form; parse_config(config_to_dict(c)) round-trips.
+
+    Each block is its tuple's fields less the None ones, so the digest
+    covers every parsed field."""
     if isinstance(cfg.model, CommonBath):
         model = {
             "kind": "common",
@@ -424,36 +427,13 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     doc = {"model": model, "ensembles": {"j1": cfg.j1}}
     if cfg.j2 is not None:
         doc["ensembles"]["j2"] = cfg.j2
-    if cfg.state is not None:
-        st: dict = {"kind": cfg.state.kind}
-        if cfg.state.kind == "gaussian":
-            st["width"] = cfg.state.width
-        elif cfg.state.kind == "custom":
-            st["coeffs"] = [[c.real, c.imag] for c in cfg.state.coeffs]
-            st["auto_normalize"] = cfg.state.auto_normalize
-        elif cfg.state.kind == "fock":
-            st["m1"] = cfg.state.m1
-            if cfg.state.m2 is not None:
-                st["m2"] = cfg.state.m2
-        elif cfg.state.kind == "coupled":
-            st["L"] = cfg.state.L
-            st["M"] = cfg.state.M
-        doc["state"] = st
-    if cfg.evolution is not None:
-        ev: dict = {"t_final": cfg.evolution.t_final, "stride": cfg.evolution.stride,
-                    "snapshots": cfg.evolution.snapshots}
-        if cfg.evolution.step is not None:
-            ev["step"] = cfg.evolution.step
-        if cfg.evolution.tol is not None:
-            ev["tol"] = cfg.evolution.tol
-        doc["evolution"] = ev
-    if cfg.sweep is not None:
-        doc["sweep"] = {"parameter": cfg.sweep.parameter, "values": list(cfg.sweep.values)}
-    if cfg.dfs is not None:
-        doc["dfs"] = {"candidates": cfg.dfs.candidates, "subspace": cfg.dfs.subspace}
-    doc["output"] = {"format": cfg.output.format}
-    if cfg.output.path is not None:
-        doc["output"]["path"] = cfg.output.path
+    for name in ("state", "evolution", "sweep", "dfs", "output"):
+        block = getattr(cfg, name)
+        if block is not None:
+            doc[name] = {key: list(value) if isinstance(value, tuple) else value
+                         for key, value in block._asdict().items() if value is not None}
+    if cfg.state is not None and cfg.state.coeffs is not None:
+        doc["state"]["coeffs"] = [[c.real, c.imag] for c in cfg.state.coeffs]
     return doc
 
 

@@ -627,11 +627,15 @@ def evolve(
     adaptive = tol is not None
     if not adaptive:
         h = min(step if step is not None else t_final / DEFAULT_ROWS, t_final)
-        nsteps = max(1, math.ceil(t_final / h - 1e-12))
-        if nsteps > MAX_STEPS:
+        # h is 0 when t_final / DEFAULT_ROWS underflows, and t_final / h may overflow
+        ratio = t_final / h if h > 0.0 else math.inf
+        if ratio > MAX_STEPS:
             raise IntegrationAbortError(
-                f"fixed step {h} needs {nsteps} steps > max_steps={MAX_STEPS}", t_last=0.0
+                f"fixed step {h} needs {ratio:.6g} steps > max_steps={MAX_STEPS}", t_last=0.0
             )
+        nsteps = max(1, math.ceil(ratio - 1e-12))
+        # a stride of at least nsteps, even one past int64, samples t_final alone
+        stride = min(stride, nsteps)
         grid = np.append(np.arange(stride, nsteps, stride) * h, t_final)
         size, (limit, what) = 16 * gen.dim**2 * (len(grid) + 1), _memory_limit()
         if not streamed and size > limit:

@@ -338,14 +338,31 @@ class TestExitCodes:
         for t, row in zip(times, rows):
             assert abs(float(row["s_lin"]) - 0.5 * (1.0 - np.exp(-t))) <= 1e-9
 
-    def test_step_budget_exceeded(self, tmp_path, capsys):
-        doc = dephasing_doc(evolution={"t_final": 1e6, "step": 1e-3})
-        code, text = run_cli(tmp_path, doc, "simulate")
+    @pytest.mark.parametrize(
+        "evolution",
+        [{"t_final": 1e6, "step": 1e-3}, {"t_final": 5e-324}, {"t_final": 1.0, "step": 1e-320},
+         {"t_final": 1e308, "step": 1e-10}],
+        ids=["past-budget", "default-step-underflows", "ratio-overflows", "t_final-huge"],
+    )
+    def test_step_budget_exceeded(self, tmp_path, capsys, evolution):
+        code, text = run_cli(tmp_path, dephasing_doc(evolution=evolution), "simulate")
         assert code == 4
         assert text == ""
         err = capsys.readouterr().err
         assert "max_steps" in err
         assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_stride_past_int64_is_stride_nsteps(self, tmp_path):
+        # 1,000 steps: any stride of at least 1,000 gives the rows t = 0, 1
+        tables = [run_cli(tmp_path, dephasing_doc(evolution={"t_final": 1.0, "step": 0.001, "stride": stride}),
+                          "simulate", name=f"s{i}.json") for i, stride in enumerate([1000, 10**23])]
+        assert tables[0][0] == tables[1][0] == 0
+        _, _, rows = parse_csv(tables[1][1])
+        assert [row["t"] for row in rows] == ["0", "1"]
+        # the tables differ only in the config digest
+        strip = [[line for line in text.splitlines() if "config_sha256" not in line] for _, text in tables]
+        assert strip[0] == strip[1]
 
     @pytest.mark.parametrize("mode", [{"tol": 1e-10}, {"step": 0.1}], ids=["adaptive", "fixed"])
     @pytest.mark.parametrize(

@@ -9,6 +9,11 @@ import pytest
 
 from spinbath.config import (
     ConfigError,
+    DfsConfig,
+    EvolutionConfig,
+    OutputConfig,
+    StateConfig,
+    SweepConfig,
     config_digest,
     config_to_dict,
     load_config,
@@ -320,6 +325,43 @@ class TestParseDfsAndOutput:
             parse_config(base_doc(output={"format": "parquet"}))
 
 
+# one state block per kind, with and without each optional field
+STATES = [
+    {"kind": "uniform"},
+    {"kind": "alternating_uniform"},
+    {"kind": "singlet"},
+    {"kind": "gaussian", "width": 0.7},
+    {"kind": "custom", "coeffs": [0.6, [0.0, 0.8], 0.0]},
+    {"kind": "custom", "coeffs": [1, 1, 1], "auto_normalize": True},
+    {"kind": "fock", "m1": 1, "m2": -1},
+    {"kind": "coupled", "L": 1},
+    {"kind": "coupled", "L": 2, "M": -1},
+]
+
+# (block, block document, field, another valid value of the field)
+REPLACEMENTS = [
+    ("state", {"kind": "uniform"}, "kind", "singlet"),
+    ("state", {"kind": "gaussian", "width": 0.5}, "width", 0.7),
+    ("state", {"kind": "custom", "coeffs": [1, 0, 0]}, "coeffs", (0.6, 0.8j, 0.0)),
+    ("state", {"kind": "custom", "coeffs": [1, 1, 1], "auto_normalize": True}, "auto_normalize", False),
+    ("state", {"kind": "fock", "m1": 1, "m2": -1}, "m1", 0.0),
+    ("state", {"kind": "fock", "m1": 1, "m2": -1}, "m2", 0.0),
+    ("state", {"kind": "coupled", "L": 1}, "L", 2.0),
+    ("state", {"kind": "coupled", "L": 1}, "M", 1.0),
+    ("evolution", {"t_final": 1.0, "step": 0.1}, "t_final", 2.0),
+    ("evolution", {"t_final": 1.0, "step": 0.1}, "step", 0.2),
+    ("evolution", {"t_final": 1.0, "tol": 1e-8}, "tol", 1e-9),
+    ("evolution", {"t_final": 1.0}, "stride", 3),
+    ("evolution", {"t_final": 1.0}, "snapshots", True),
+    ("sweep", {"parameter": "Ntilde", "values": [1, 2]}, "parameter", "gamma1.zz"),
+    ("sweep", {"parameter": "Ntilde", "values": [1, 2]}, "values", (1.0, 3.0)),
+    ("dfs", {"candidates": "fock_basis"}, "candidates", "singlet"),
+    ("dfs", {"candidates": "fock_basis"}, "subspace", True),
+    ("output", {}, "path", "out.csv"),
+    ("output", {}, "format", "json"),
+]
+
+
 class TestRoundTrip:
     def test_to_dict_reparses_identically(self):
         docs = [
@@ -327,15 +369,32 @@ class TestRoundTrip:
             common_doc(sweep={"parameter": "lambda", "values": [0.0, 1.0, 2.0]}),
             base_doc(dfs={"candidates": "fock_basis", "subspace": True}),
         ]
-        custom = base_doc()
-        custom["state"] = {"kind": "custom", "coeffs": [0.6, [0.0, 0.8], 0.0]}
-        docs.append(custom)
+        single = {"kind": "independent", "axes": ["z"], "gamma1": {"zz": 1.0}}
+        for state in STATES:
+            docs.append(base_doc(state=state))
+        docs.append(base_doc(model=single, ensembles={"j1": 1}, state={"kind": "fock", "m1": 0}))
+        docs.append(base_doc(model=single, ensembles={"j1": 1}, state={"kind": "plus_x"}))
         for doc in docs:
             cfg = parse_config(doc)
             canon = config_to_dict(cfg)
             again = config_to_dict(parse_config(canon))
             assert canon == again
             assert config_digest(cfg) == config_digest(parse_config(canon))
+
+    @pytest.mark.parametrize("block,doc,field,value", REPLACEMENTS,
+                             ids=[f"{block}.{field}" for block, _, field, _ in REPLACEMENTS])
+    def test_digest_covers_every_field(self, block, doc, field, value):
+        cfg = parse_config(base_doc(**{block: doc}))
+        changed = cfg._replace(**{block: getattr(cfg, block)._replace(**{field: value})})
+        canon = config_to_dict(changed)
+        assert config_to_dict(parse_config(canon)) == canon
+        assert config_digest(parse_config(canon)) != config_digest(cfg)
+
+    def test_replacements_name_every_field(self):
+        types = {"state": StateConfig, "evolution": EvolutionConfig, "sweep": SweepConfig, "dfs": DfsConfig,
+                 "output": OutputConfig}
+        covered = {(block, field) for block, _, field, _ in REPLACEMENTS}
+        assert covered == {(block, field) for block, tuple_type in types.items() for field in tuple_type._fields}
 
     def test_canonical_gamma_spelled_out(self):
         canon = config_to_dict(parse_config(base_doc()))

@@ -464,12 +464,33 @@ class TestEvolveFixedStep:
             evolve(gen, plus_x_density(), 6.0, **({"step": 0.6} if tol is None else {"tol": tol}))
         assert info.value.t_last == t_last
 
-    def test_step_budget_enforced(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "t_final,step",
+        [(1.0, 1e-9), (5e-324, None), (1.0, 1e-320), (1e308, 1e-10)],
+        ids=["past-budget", "default-step-underflows", "ratio-overflows", "t_final-huge"],
+    )
+    def test_step_budget_enforced(self, monkeypatch, t_final, step):
+        # t_final / DEFAULT_ROWS underflowing to 0, or t_final / h
+        # overflowing to inf, once escaped as ZeroDivisionError or
+        # OverflowError
         monkeypatch.setattr(generator, "MAX_STEPS", 100)
-        gen = dephasing_generator()
+        calls = []
+        rhs = _kernels.lindblad_rhs
+        monkeypatch.setattr(_kernels, "lindblad_rhs", lambda *a, **k: calls.append(1) or rhs(*a, **k))
         with pytest.raises(IntegrationAbortError, match="max_steps") as info:
-            evolve(gen, plus_x_density(), 1.0, step=1e-9)
+            evolve(dephasing_generator(), plus_x_density(), t_final, step=step)
         assert info.value.t_last == 0.0
+        assert calls == []
+
+    def test_stride_past_int64_samples_t_final_alone(self):
+        # ten steps, so any stride of at least 10 gives the grid {1.0}; a
+        # stride past int64 once failed inside np.arange
+        gen, rho = dephasing_generator(), plus_x_density()
+        expected = evolve(gen, rho, 1.0, step=0.1, stride=10)
+        traj = evolve(gen, rho, 1.0, step=0.1, stride=10**23)
+        assert list(traj.times) == list(expected.times) == [0.0, 1.0]
+        assert list(traj.s_lin) == list(expected.s_lin)
+        assert traj.accepted == expected.accepted == 10
 
     def test_argument_validation(self):
         gen = dephasing_generator()
@@ -645,6 +666,12 @@ class TestEvolveAdaptive:
         expect = dephasing_s_lin(traj.times)
         assert np.abs(traj.s_lin - expect).max() <= 1e-7
         assert traj.rejected >= 0
+
+    def test_stride_past_int64_keeps_the_ends(self):
+        # no sub-step count reaches 10**23, so only t = 0 and t_final are rows
+        traj = evolve(dephasing_generator(), plus_x_density(), 5.0, tol=1e-10, stride=10**23)
+        assert list(traj.times) == [0.0, 5.0]
+        assert abs(traj.s_lin[-1] - dephasing_s_lin(np.array([5.0]))[0]) <= 1e-7
 
     def test_stationary_state_fast_path(self):
         # the basis closes, so every trial has zero error and the search
