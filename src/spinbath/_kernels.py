@@ -188,24 +188,24 @@ def rk4_chunk(rho, jumps, offsets, drift, ham, has_ham, h, nsteps):
 #
 # The rate keeps falling with m, but a basis whose offsets pass sooner
 # still pays for all m.  m = 16 takes the steep part: 12 -> 16 cuts the
-# rate by 34-44 %, 16 -> 20 by 13-25 %.  How many of the m vectors are
-# stored is ``BASIS_BYTES``'s to set, not m's.
+# rate by 34-44 %, 16 -> 20 by 13-25 %.  It is also how many leading
+# offsets a basis grows to pass and ``_passing``'s first block; what a
+# basis keeps is ``BASIS_BYTES``'s alone to set.
 KRYLOV_DIM = 16
 
-# most bytes of basis vectors one basis keeps: min(KRYLOV_DIM, max(1,
-# BASIS_BYTES // (16 n^2))) vectors of n^2 complex numbers, all KRYLOV_DIM
-# up to n = 64, 4 at n = 121 and 1 from n = 256.  Every vector comes from
-# the Lanczos step; the ones past the kept ones are made again by it when a
-# state is formed, so a basis of m vectors costs m + max(0, m - stored)
-# right-hand sides.  The budget sets only what is replayed: the vectors,
-# and so every acceptance decision, are the same bit for bit whatever it
-# keeps.  KRYLOV_DIM kept vectors would take 303 MB at n = 1,089 and
-# 4.6 GB at n = 4,225 (j1 = j2 = 32), more than any other array of a run;
-# under the budget a basis holds, beside the kept vectors, the (3, n, n)
-# workspace and two Lanczos vectors, 6 n^2 complex numbers in all at large
-# n (README's cost model, "A Krylov basis").  1 MiB keeps all KRYLOV_DIM at
-# every n up to 64, the shipped configs (n <= 25) among them, so they
-# replay none.
+# most bytes of basis vectors one basis keeps: kept = min(LANCZOS_MAX,
+# max(1, BASIS_BYTES // (16 n^2))) vectors of n^2 complex numbers, all (up
+# to 128) through n = 22, 104 at n = 25, 27 at n = 49, 16 at n = 64, 4 at
+# n = 121 and 1 from n = 256.  Every vector comes from the Lanczos step;
+# the ones past the kept ones are made again by it when a state is formed,
+# so a basis of m vectors costs m + max(0, m - kept) right-hand sides: a
+# basis replays only past what 1 MiB holds.  The budget sets only what is
+# replayed: the vectors, and so every acceptance decision, are the same
+# bit for bit whatever it keeps.  16 kept vectors would take 303 MB at
+# n = 1,089 and 4.6 GB at n = 4,225 (j1 = j2 = 32), more than any other
+# array of a run; under the budget a basis holds, beside the kept vectors,
+# two rows for the recurrence's later vectors and the (3, n, n) workspace,
+# 6 n^2 complex numbers in all at large n (README's cost model).
 BASIS_BYTES = 2**20
 
 # most vectors a Lanczos continuation (``krylov_propagator``) grows a
@@ -371,18 +371,18 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
     while fewer than min(len(taus), ``KRYLOV_DIM``) of the offsets ``taus``
     pass, up to ``LANCZOS_MAX``.  ``states`` replays the vectors past the
     kept ones by the build's own step, from the last two kept ones, at
-    m - stored right-hand sides a call.
+    m - kept right-hand sides a call.
 
-    Memory is that of the ``stored`` = min(``KRYLOV_DIM``, max(1,
-    ``BASIS_BYTES`` // (16 n^2))) kept vectors, two more Lanczos vectors
-    and one (3, n, n) workspace, which every right-hand side writes into
-    (``lindblad_rhs``'s ``work``) and every step uses as scratch; no state
-    aliases it, and a basis of at most ``stored`` vectors frees it once
-    built.  When the basis closes early (an invariant subspace, e.g. a
-    stationary state, whose residual falls to ``BREAKDOWN_TOL``) the
-    projection is exact and the error is 0; rho = 0 spans nothing, its
-    states are 0, every offset passes (``passing`` is ``len``) and none
-    takes a right-hand side.  A generator with ||K||_F
+    Memory is one (kept + 2, n^2) array, kept = min(``LANCZOS_MAX``,
+    max(1, ``BASIS_BYTES`` // (16 n^2))) vectors and two rows where the
+    later ones take turns, and one (3, n, n) workspace, which every
+    right-hand side writes into (``lindblad_rhs``'s ``work``) and every
+    step uses as scratch; no state aliases it, and a basis of at most kept
+    vectors frees it once built.  When the basis closes early (an
+    invariant subspace, e.g. a stationary state, whose residual falls to
+    ``BREAKDOWN_TOL``) the projection is exact and the error is 0; rho = 0
+    spans nothing, its states are 0, every offset passes (``passing`` is
+    ``len``) and none takes a right-hand side.  A generator with ||K||_F
     above ``SCALE_MAX`` raises OverflowError.  Nothing is Hermitized or
     renormalized.
     """
@@ -399,8 +399,10 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
     if not scale <= SCALE_MAX:
         raise OverflowError(f"generator norm {scale:.3e} is past the float range of a Krylov basis")
     floor = BREAKDOWN_TOL * scale
-    stored = min(KRYLOV_DIM, max(1, BASIS_BYTES // (16 * n * n)))
-    basis = np.empty((stored, n * n), dtype=np.complex128)
+    kept = min(LANCZOS_MAX, max(1, BASIS_BYTES // (16 * n * n)))
+    # rows 0 .. kept - 1 keep v_0 .. v_(kept-1); the recurrence's later
+    # vectors take turns in the last two
+    basis = np.empty((kept + 2, n * n), dtype=np.complex128)
     # every right-hand side writes into ``work`` and returns work[0], which
     # holds L v until it becomes the next vector; work[1] is also the
     # recurrence's scratch
@@ -422,11 +424,11 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
         w -= np.multiply(vec, diag, out=scratch)
         return w, diag
 
-    def advance(j, w, vec):
-        # v_(j+1) = w / sub[j], into the next stored row or else the
-        # Lanczos buffer that ``vec`` = v_j is not in
-        nxt = basis[j + 1] if j + 1 < stored else lanczos[1] if vec is lanczos[0] else lanczos[0]
-        return np.divide(w, sub[j], out=nxt)
+    def advance(j, w):
+        # v_(j+1) = w / sub[j], into its kept row or else the last-two row
+        # that v_(j-1), no longer needed, held
+        row = j + 1 if j + 1 < kept else kept + (j + 1 - kept) % 2
+        return np.divide(w, sub[j], out=basis[row])
 
     # at each length m: the breakdown test, then from KRYLOV_DIM on the
     # small problem, until ``need`` offsets pass or the basis reaches
@@ -440,13 +442,10 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
             problem = small_problem(alpha[:m], sub[: m - 1], beta, resid)
             if resid == 0.0 or m >= LANCZOS_MAX or _passing(problem, taus[:need], budget) >= need:
                 break
-        if m == stored:
-            # the two Lanczos vectors alive past the stored basis
-            lanczos = tuple(np.empty((2, n * n), dtype=np.complex128))
         sub[m - 1] = resid
-        prev, vec = vec, advance(m - 1, w, vec)
+        prev, vec = vec, advance(m - 1, w)
         m += 1
-    if m <= stored:
+    if m <= kept:
         # ``states`` replays no vector, so no state is formed with the
         # workspace alive
         del work, scratch
@@ -456,16 +455,16 @@ def krylov_propagator(rho, jumps, offsets, drift, ham, has_ham, *, taus, tol):
         return _passing(problem, offsets, budget)
 
     def states(offsets):
-        # sum_i coeffs[:, i] v_i: the stored vectors in one product, then
+        # sum_i coeffs[:, i] v_i: the kept vectors in one product, then
         # each later one replayed by the build's steps from the last two
-        # stored ones
+        # kept ones (the first step reads no v_(-1), so kept = 1 needs none)
         coeffs = coefficients(offsets)
-        out = coeffs[:, :stored] @ basis[:m]
-        if m > stored and len(out):
-            vec, prev = basis[-1], basis[-2] if stored > 1 else None
-            for j in range(stored - 1, m - 1):
+        out = coeffs[:, :kept] @ basis[: min(m, kept)]
+        if m > kept and len(out):
+            vec, prev = basis[kept - 1], basis[kept - 2]
+            for j in range(kept - 1, m - 1):
                 w, _ = step(j, vec, prev)
-                prev, vec = vec, advance(j, w, vec)
+                prev, vec = vec, advance(j, w)
                 for row, c in zip(out, coeffs[:, j + 1]):
                     row += np.multiply(vec, c, out=scratch)
         return out.reshape(-1, n, n)

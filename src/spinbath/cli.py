@@ -398,7 +398,8 @@ def _jsonable(value):
         return value
     if isinstance(value, (int, np.integer)):
         return int(value)
-    return float(value)
+    # JSON has no inf or nan: a non-finite number is its CSV cell's text
+    return float(value) if math.isfinite(value) else _format_cell(value)
 
 
 def write_table(handle, fmt, command, cfg, seed, columns, rows, extras, snapshots) -> None:
@@ -426,7 +427,7 @@ def write_table(handle, fmt, command, cfg, seed, columns, rows, extras, snapshot
     }
     if snapshots is not None:
         doc["snapshots"] = snapshots
-    json.dump(doc, handle, indent=2, default=np.ndarray.tolist)
+    json.dump(doc, handle, indent=2, default=np.ndarray.tolist, allow_nan=False)
     handle.write("\n")
 
 

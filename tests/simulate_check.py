@@ -8,10 +8,12 @@ updates that block of the scenario, any other value replaces it.  The
 scenario goes to DIR/NAME.json and the ``simulate`` table to DIR/NAME.csv,
 which the benchmark's own ``TrajectoryCheck`` checks against its reference.
 Prints the row, step and refused counts, the right-hand sides (calls of
-``_kernels.lindblad_rhs``, counted in process), the seconds ``simulate``
-(in process) and the check took, and the largest error; exits non-zero
-when the run or the check fails.  Not a test module: pytest does
-not collect it.
+``_kernels.lindblad_rhs``, counted in process) split into those that
+build a basis (made inside ``_kernels.krylov_propagator``) and those that
+replay the vectors a basis did not keep (made inside the ``states`` it
+returns), the seconds ``simulate`` (in process) and the check took, and
+the largest error; exits non-zero when the run or the check fails.  Not a
+test module: pytest does not collect it.
 """
 
 import json
@@ -39,14 +41,32 @@ def run(directory: str, name: str, kind: str, seed: str, overrides: str = "{}") 
             scenario[key] = value
     config, table = Path(directory, name + ".json"), Path(directory, name + ".csv")
     config.write_text(json.dumps(scenario), encoding="utf-8")
-    calls = []
-    rhs = _kernels.lindblad_rhs
-    _kernels.lindblad_rhs = lambda *args, **kwargs: calls.append(1) or rhs(*args, **kwargs)
+    # simulate makes every right-hand side inside a basis's build or its
+    # ``states``, so the phase a call counts in is the one entered last
+    calls = {"build": 0, "replay": 0}
+    phase = ["build"]
+    rhs, build = _kernels.lindblad_rhs, _kernels.krylov_propagator
+
+    def counted_rhs(*args, **kwargs):
+        calls[phase[0]] += 1
+        return rhs(*args, **kwargs)
+
+    def propagator(*args, **kwargs):
+        phase[0] = "build"
+        passing, states = build(*args, **kwargs)
+
+        def replaying(offsets):
+            phase[0] = "replay"
+            return states(offsets)
+
+        return passing, replaying
+
+    _kernels.lindblad_rhs, _kernels.krylov_propagator = counted_rhs, propagator
     start = time.perf_counter()
     try:
         code = main(["simulate", "--config", str(config), "--out", str(table)])
     finally:
-        _kernels.lindblad_rhs = rhs
+        _kernels.lindblad_rhs, _kernels.krylov_propagator = rhs, build
     took = time.perf_counter() - start
     if code != 0:
         sys.exit(f"simulate exited {code}")
@@ -55,7 +75,8 @@ def run(directory: str, name: str, kind: str, seed: str, overrides: str = "{}") 
     worst = TrajectoryCheck()(scenario, header, rows)
     checked = time.perf_counter() - start
     print(f"{len(rows)} rows, {header['accepted_steps']} steps, "
-          f"{header['rejected_steps']} refused, {len(calls)} right-hand sides, "
+          f"{header['rejected_steps']} refused, {sum(calls.values())} right-hand sides "
+          f"({calls['build']} building bases, {calls['replay']} replaying), "
           f"simulate {took:.1f} s, check {checked:.1f} s, largest error {worst:.2e}")
 
 

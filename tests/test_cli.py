@@ -3,6 +3,7 @@
 import csv
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spinbath import cli
 from spinbath.cli import cmd_simulate, main
 from spinbath.config import load_config
 from spinbath.diagnostics import RateReport
@@ -61,6 +63,30 @@ def parse_csv(text):
             else:
                 rows.append(dict(zip(header, cells)))
     return comments, header, rows
+
+
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN, Infinity or -Infinity."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def json_matches_csv(tmp_path, doc, command):
+    """Writes ``command``'s table of ``doc`` as CSV and as JSON; the JSON
+    parses strictly, and its cells and header extras, each as a CSV cell,
+    are the CSV table's.  Returns the CSV rows."""
+    code, text = run_cli(tmp_path, doc, command, outname="table.csv")
+    comments, header, rows = parse_csv(text)
+    assert run_cli(tmp_path, doc, command, "--format", "json", outname="table.json")[0] == code == 0
+    table = strict_json((tmp_path / "table.json").read_text(encoding="utf-8"))
+    assert table["columns"] == header
+    assert [[cli._format_cell(cell) for cell in row] for row in table["rows"]] == \
+        [[row[col] for col in header] for row in rows]
+    assert {key: cli._format_cell(value) for key, value in table["meta"].items()} == \
+        {key: value for key, value in comments.items() if key in table["meta"]}
+    return rows
 
 
 def z_pair_doc(**extra):
@@ -528,6 +554,13 @@ class TestProcessEntry:
         assert sorted(set(cells)) == [("inf", "inf", "false"), ("nan", "nan", "false")]
         assert cells.count(("inf", "inf", "false")) == 4 and len(cells) == 81
 
+    def test_overflowing_dfs_json_is_json(self, tmp_path):
+        # the same table as JSON: its inf and nan cells are the strings
+        # "inf" and "nan", where json's default writes the bare Infinity
+        # and NaN that RFC 8259 forbids
+        rows = json_matches_csv(tmp_path, self.OVERFLOWING, "dfs")
+        assert {r["residual"] for r in rows} == {"inf", "nan"}
+
     # j1 = j2 = 3,000,000: the state is a vector of (6,000,001)^2 complex
     # numbers, 524 TiB, more than any machine's physical memory, so it is
     # refused before numpy is asked for it.  The coupled level and the Fock
@@ -889,6 +922,13 @@ class TestSimulateCommand:
             code, text = run_cli(tmp_path, doc, "simulate")
         assert code == 0
         _, _, rows = parse_csv(text)
+        assert [row["fidelity"] for row in rows] == ["inf"] * 3
+
+    def test_overflowing_fidelity_json_is_json(self, tmp_path, monkeypatch):
+        # the rows of test_row_cells_keep_the_callers_warnings as JSON: an
+        # infinite fidelity is the string "inf", as in CSV
+        monkeypatch.setattr(cli, "pure_fidelity", lambda psi, mat: math.inf)
+        rows = json_matches_csv(tmp_path, dephasing_doc(evolution={"t_final": 0.1, "step": 0.05}), "simulate")
         assert [row["fidelity"] for row in rows] == ["inf"] * 3
 
     def test_zero_horizon_single_row(self, tmp_path):

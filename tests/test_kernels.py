@@ -17,7 +17,7 @@ import scipy.sparse.linalg
 from dense_views import rk4_step
 from oracles import common_exact, coupling_sets, dense_liouvillian, independent_exact, random_density
 from spinbath import _kernels, cli, generator
-from spinbath.config import parse_config
+from spinbath.config import load_config, parse_config
 from spinbath.generator import (
     GRID_TOL,
     STEP_BISECTIONS,
@@ -198,7 +198,7 @@ def _krylov_dim_bases(monkeypatch):
 
 def _stored(n):
     # the vectors a basis of n x n states keeps under BASIS_BYTES
-    return min(_kernels.KRYLOV_DIM, max(1, _kernels.BASIS_BYTES // (16 * n * n)))
+    return min(_kernels.LANCZOS_MAX, max(1, _kernels.BASIS_BYTES // (16 * n * n)))
 
 
 def _store(monkeypatch, n, count):
@@ -1112,10 +1112,10 @@ def test_common_singlet_is_stationary_against_the_oracle():
 def test_fixed_rows_are_not_copied():
     # n = 49 (j1 = j2 = 3) to t = 0.2 in steps of 5e-4: 401 rows, most
     # from one basis.  Each row is kept as the basis's ``states`` made it, so
-    # the allocations peak below the rows plus KRYLOV_DIM + 10 states (the
-    # stored basis and a right-hand side's three n x n arrays fit); a copy of
-    # every row would take about twice the rows.  rho0 itself is copied
-    # once, so no state aliases it
+    # the allocations peak below the rows plus kept + 10 states (the basis's
+    # kept vectors, 27 here, its two other rows and a right-hand side's
+    # three n x n arrays fit); a copy of every row would take about twice
+    # the rows.  rho0 itself is copied once, so no state aliases it
     gen, _, rho0 = _independent_case(3, 3, GAMMA_B, seed=5)
     state = gen.dim**2 * 16
     tracemalloc.start()
@@ -1125,7 +1125,8 @@ def test_fixed_rows_are_not_copied():
     finally:
         tracemalloc.stop()
     assert len(traj.states) == 401
-    assert peak <= (len(traj.states) + _kernels.KRYLOV_DIM + 10) * state
+    assert _stored(gen.dim) == 27
+    assert peak <= (len(traj.states) + _stored(gen.dim) + 10) * state
     assert not np.shares_memory(traj.states[0], rho0)
     assert np.array_equal(traj.states[0], rho0)
 
@@ -1147,6 +1148,27 @@ def test_continued_basis_memory_is_the_stored_prefix():
     finally:
         tracemalloc.stop()
     assert peak <= (_kernels.KRYLOV_DIM + 10) * vector
+
+
+def test_streamed_run_holds_one_basis_and_its_start():
+    # the seed-0 adaptive benchmark model at j1 = j2 = 8 (n = 289, where a
+    # basis keeps 1 vector) to t = 0.2 at tol 1e-10, its rows handed to a
+    # consumer that discards them.  Beside a basis's block of rows the run
+    # holds one basis, its kept + 2 vectors and a (3, n, n) workspace, and
+    # the state it starts from: (kept + 6) x 16 n^2 bytes (README, "What
+    # each command keeps in memory").  Bound fixed before the first run:
+    # (kept + 7) x 16 n^2 + 1 MiB, the block being one row here
+    gen, rho0 = _benchmark_case("sweep")
+    vector = gen.dim**2 * 16
+    tracemalloc.start()
+    try:
+        traj = evolve(gen, rho0, 0.2, tol=1e-10, consumer=lambda *row: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.times.tolist() == [0.0, 0.2]
+    assert _stored(gen.dim) == 1
+    assert peak <= (_stored(gen.dim) + 7) * vector + 2**20
 
 
 @pytest.mark.parametrize("bath", ["common", "independent"])
@@ -1252,6 +1274,29 @@ def _recorded_build(monkeypatch, gen, rho0, taus=(), tol=0.0):
         propagator = _kernels.krylov_propagator(rho0, *_args(gen), taus=taus, tol=tol)
     small = np.tril(factored[-1])
     return propagator, np.array(vectors), np.array(images), small + np.tril(small, -1).T, problems[-1]
+
+
+@pytest.mark.parametrize("source,built,replayed", [
+    ("configs/common_adaptive.json", 28, 0),
+    ("adaptive", 46, 42),
+])
+def test_basis_replays_only_what_its_bytes_do_not_hold(monkeypatch, source, built, replayed):
+    # right-hand sides a simulate run takes in its bases' builds and in the
+    # replays of the states they form.  The shipped common_adaptive config
+    # (n = 25, 104 kept vectors) replays none of its 28; the seed-0
+    # adaptive benchmark scenario (n = 121) keeps 4 vectors a basis and
+    # replays 42 of its 88, so what the benchmark holds and runs is fixed
+    if source == "adaptive":
+        cfg = parse_config(_workloads().adaptive_scenario(0))
+    else:
+        cfg = load_config(str(Path(__file__).resolve().parents[1] / source))
+    calls = _counted_rhs(monkeypatch)
+    bases = _recorded_bases(monkeypatch, calls)
+    cli.cmd_simulate(cfg, "csv")
+    n = int((2 * cfg.j1 + 1) * (2 * cfg.j2 + 1))
+    assert _stored(n) == {25: 104, 121: 4}[n]
+    assert sum(rec["vectors"] for rec in bases) == built
+    assert len(calls) - built == replayed
 
 
 BENCHMARK_MODELS = ["adaptive", "fixed", "sweep", "dfs"]
